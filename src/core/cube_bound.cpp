@@ -36,6 +36,9 @@ CubeBound cube_bound(const DemandMap& d) {
   std::int64_t best_side = 1;
   double best_m = 0.0;
   for (std::int64_t k = 1; k <= k_hi; ++k) {
+    // Every candidate from side k on is >= k-1 and the update below is
+    // strict, so once k-1 reaches the best nothing later can replace it.
+    if (best >= 0.0 && static_cast<double>(k - 1) >= best) break;
     const double m = k >= max_side ? total : ps.max_cube_sum(k);
     if (m <= 0.0) continue;
     const double cells = std::pow(3.0 * static_cast<double>(k),

@@ -7,9 +7,9 @@
 // interpreted with the same inf-crossing semantics as ω_T (DESIGN.md §3).
 //
 // Complexity: cube_bound builds prefix sums once, O(n^ℓ), then scans
-// cube sides k = 1…n with an O(n^ℓ) sliding-window maximum per side —
-// O(n^{ℓ+1}) worst case but the side loop exits at the first crossing,
-// which is O(ω_c) sides in practice.
+// cube sides k = 1, 2, … with an O(n^ℓ) sliding-window maximum per side.
+// Segment k's candidate is at least k-1, so the scan stops once k-1
+// reaches the best candidate so far: O(ω_c) sides, O(ω_c · n^ℓ) total.
 #pragma once
 
 #include <cstdint>

@@ -742,14 +742,73 @@ void suite_substrates(BenchRun& b) {
              Network net(q, Rng(1), 3);
              std::size_t delivered = 0;
              net.set_receiver(
-                 [&delivered](std::size_t, std::size_t, const Message&) {
-                   ++delivered;
-                 });
+                 [](void* count, const Delivery&) {
+                   ++*static_cast<std::size_t*>(count);
+                 },
+                 &delivered);
              for (int i = 0; i < 1000; ++i)
                net.send(static_cast<std::size_t>(i % 7), (i + 1) % 7,
                         QueryMsg{});
              q.run_to_quiescence();
              return static_cast<double>(delivered);
+           },
+           row);
+  });
+  // Layer cases in ns/op: one timed body performs `ops` operations.
+  const auto per_op = [](std::int64_t ops, const std::function<double()>& body,
+                         MetricRow& row) {
+    WallTimer timer;
+    const double value = body();
+    const double ms = timer.elapsed_ms();
+    row.metric("ops", ops)
+        .metric("ns/op", 1e6 * ms / static_cast<double>(ops), 2)
+        .metric("value", value);
+  };
+  b.run_case("event_queue/schedule_step", [&](MetricRow& row) {
+    // The calendar queue alone, at flood-like occupancy: 64 deliveries
+    // in flight at delays 1..4, each firing schedules a successor until
+    // `ops` have been scheduled. One op = one schedule + one fire.
+    constexpr std::int64_t kOps = 2'000'000;
+    struct Flood {
+      EventQueue q;
+      std::int64_t scheduled = 0;
+      std::uint64_t sum = 0;
+      void add(std::uint32_t id) {
+        q.schedule_after(1 + (scheduled++ & 3), Delivery{id, 0, QueryMsg{}});
+      }
+    };
+    per_op(kOps,
+           [] {
+             Flood f;
+             f.q.bind(
+                 [](void* self, const Delivery& d) {
+                   auto& fl = *static_cast<Flood*>(self);
+                   fl.sum += d.to;
+                   if (fl.scheduled < kOps) fl.add(d.to);
+                 },
+                 &f);
+             for (std::uint32_t id = 0; id < 64; ++id) f.add(id);
+             f.q.run_to_quiescence(kOps);
+             return static_cast<double>(f.sum);
+           },
+           row);
+  });
+  b.run_case("network_send/heartbeat", [&](MetricRow& row) {
+    // A §3.2.5 ring of 64 vehicles beaconing their predecessors: every
+    // send draws a delay and advances its channel's FIFO clamp, and none
+    // enters the queue.
+    constexpr std::int64_t kOps = 2'000'000;
+    per_op(kOps,
+           [&b] {
+             EventQueue q;
+             Network net(q, Rng(1), 3);
+             net.set_receiver([](void*, const Delivery&) {}, nullptr);
+             for (std::int64_t i = 0; i < kOps; ++i)
+               net.send(static_cast<std::size_t>(i % 64),
+                        static_cast<std::size_t>((i + 63) % 64),
+                        ExistingMsg{});
+             if (!q.empty()) b.fail("an elided heartbeat entered the queue");
+             return static_cast<double>(net.stats().heartbeat_skips);
            },
            row);
   });

@@ -133,17 +133,21 @@ class Point {
 
   std::string to_string() const;
 
+  friend std::int64_t l1_distance(const Point& a, const Point& b);
+
  private:
   std::array<std::int64_t, kMaxDim> coords_;
   int dim_;
 };
 
 // Manhattan distance ‖a − b‖₁ — the paper's travel metric (1 energy/step).
+// One dimension check up front, then raw coordinates: the Phase I relay
+// runs this against every cube member per query fan-out.
 inline std::int64_t l1_distance(const Point& a, const Point& b) {
-  CMVRP_CHECK(a.dim() == b.dim());
+  CMVRP_CHECK(a.dim_ == b.dim_);
   std::int64_t s = 0;
-  for (int i = 0; i < a.dim(); ++i) {
-    const std::int64_t d = a[i] - b[i];
+  for (std::size_t i = 0; i < static_cast<std::size_t>(a.dim_); ++i) {
+    const std::int64_t d = a.coords_[i] - b.coords_[i];
     s += d < 0 ? -d : d;
   }
   return s;

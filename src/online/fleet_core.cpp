@@ -36,8 +36,11 @@ FleetCore::FleetCore(int dim, const OnlineConfig& config, EventQueue& queue,
 }
 
 void FleetCore::bind_network() {
-  network_.set_receiver([this](std::size_t to, std::size_t from,
-                               const Message& m) { on_message(to, from, m); });
+  network_.set_receiver(
+      [](void* self, const Delivery& d) {
+        static_cast<FleetCore*>(self)->on_message(d.to, d.from, d.msg);
+      },
+      this);
 }
 
 void FleetCore::inject_silent_done(const Point& home) {
@@ -70,7 +73,6 @@ std::size_t FleetCore::ensure_vehicle(const Point& home, const Point& corner) {
   if (lg != longevity_.end() && lg->second == 0.0) v.dead = true;
   vehicles_.push_back(v);
   by_home_.emplace(home, v.id);
-  cube_members_[corner].push_back(v.id);
   // Register the vehicle's pair slot with the span recorder (the Chrome
   // exporter's tid axis) — for every vehicle, not just active ones: idle
   // vehicles appear in traces as relays and replacements.
@@ -102,6 +104,7 @@ void FleetCore::ensure_cube(const Point& corner) {
       static_cast<std::size_t>((pairing_.cube_volume() + 1) / 2);
   state.active_by_pair.assign(pairs, SIZE_MAX);
   state.active_since.assign(pairs, 0);
+  state.first_vehicle = vehicles_.size();
   Box::cube(corner, pairing_.side()).for_each_point([this, &corner](
       const Point& p) { ensure_vehicle(p, corner); });
 }
@@ -111,18 +114,22 @@ void FleetCore::ensure_cube_at(const Point& position) {
 }
 
 void FleetCore::neighbors_into(std::size_t vid,
-                               std::vector<std::size_t>& out) const {
-  out.clear();
+                               std::vector<std::size_t>& out) {
   const Vehicle& v = vehicles_[vid];
-  const Point corner = pairing_.cube_corner(v.pos);
-  auto it = cube_members_.find(corner);
-  if (it == cube_members_.end()) return;
-  for (std::size_t other : it->second) {
-    if (other == vid) continue;
-    const Vehicle& o = vehicles_[other];
-    if (l1_distance(o.pos, v.pos) <= config_.neighbor_radius)
-      out.push_back(other);
+  const std::size_t first = state_of(pairing_.cube_corner(v.pos)).first_vehicle;
+  const auto volume = static_cast<std::size_t>(pairing_.cube_volume());
+  // Branch-free selection: whether a member is in range is a coin flip
+  // the predictor cannot learn, so every member is written and the
+  // count advances only for the ones that qualify.
+  out.resize(volume);
+  std::size_t n = 0;
+  for (std::size_t other = first; other < first + volume; ++other) {
+    out[n] = other;
+    n += static_cast<std::size_t>(
+        (other != vid) &
+        (l1_distance(vehicles_[other].pos, v.pos) <= config_.neighbor_radius));
   }
+  out.resize(n);
 }
 
 const std::vector<Point>& FleetCore::primaries_of(const Point& corner) {

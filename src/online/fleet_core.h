@@ -175,6 +175,9 @@ class FleetCore {
   // the network receiver (see bind_network) and outlive it.
   FleetCore(int dim, const OnlineConfig& config, EventQueue& queue,
             Network& network);
+  // bind_network hands the network this core's address.
+  FleetCore(const FleetCore&) = delete;
+  FleetCore& operator=(const FleetCore&) = delete;
 
   // Installs on_message as `network`'s receiver.
   void bind_network();
@@ -261,6 +264,10 @@ class FleetCore {
     // materialization time for the initial fleet — the "assignment"
     // timestamp of every job the slot subsequently serves.
     std::vector<SimTime> active_since;
+    // The cube's vehicles hold the contiguous ids [first_vehicle,
+    // first_vehicle + cube volume): ensure_cube creates all of them in
+    // one pass, and no vehicle ever leaves its home cube.
+    std::size_t first_vehicle = 0;
   };
 
   std::size_t ensure_vehicle(const Point& home, const Point& corner);
@@ -269,7 +276,7 @@ class FleetCore {
   // Fills `out` with vid's radius-r cube-local neighbors (callers pass a
   // reused scratch buffer; the serve path runs one of these per protocol
   // message, so per-call vector churn was measurable).
-  void neighbors_into(std::size_t vid, std::vector<std::size_t>& out) const;
+  void neighbors_into(std::size_t vid, std::vector<std::size_t>& out);
   // The pairing's primaries for `corner`, computed once per cube and
   // cached: the list is a pure function of the corner, and monitor_sweep
   // re-enumerated it on every settle.
@@ -317,9 +324,6 @@ class FleetCore {
   PointSet unrecoverable_;
   // Cubes already materialized (corner points).
   PointSet cubes_;
-  // Cube corner -> ids of the vehicles whose position lies in that cube.
-  std::unordered_map<Point, std::vector<std::size_t>, PointHash>
-      cube_members_;
   // Pending failure injections keyed by home vertex.
   std::unordered_map<Point, double, PointHash> longevity_;
   PointSet silent_homes_;

@@ -1,71 +1,96 @@
-// Deterministic discrete-event engine.
+// Deterministic discrete-event transport: a typed calendar queue of
+// message deliveries.
 //
-// Events fire in (time, insertion-sequence) order, so equal-time events are
-// processed in a reproducible order; all nondeterminism in experiments
-// comes from explicitly seeded message delays, never from the engine.
+// Deliveries fire in (time, insertion) order, so equal-time deliveries
+// are processed in a reproducible order; all nondeterminism in
+// experiments comes from explicitly seeded message delays, never from
+// the engine.
+//
+// Layout: a ring of per-tick FIFO lists over a free-listed node pool.
+// Every pending delivery is due in [now, now + span), so ring bucket
+// t mod span holds exactly the deliveries of tick t, in insertion order.
+// Scheduling appends to a bucket's list and firing pops the first
+// non-empty bucket at or after now: no heap sift, no type erasure, and no
+// allocation once the pool is warm. A schedule at or past now + span (a
+// per-channel FIFO clamp running far ahead) doubles the ring first.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <utility>
 #include <vector>
 
+#include "sim/message.h"
 #include "util/check.h"
-#include "util/small_fn.h"
 
 namespace cmvrp {
 
 using SimTime = std::int64_t;
 
+// One message in flight: endpoint ids (dense fleet indices, which
+// Network::send checks fit 32 bits) and the payload.
+struct Delivery {
+  std::uint32_t to = 0;
+  std::uint32_t from = 0;
+  Message msg;
+};
+
 class EventQueue {
  public:
-  // SmallFn rather than std::function: delivery closures capture the
-  // endpoint ids plus a Message payload, which overflows std::function's
-  // small-object buffer and costs a heap allocation per simulated message.
-  using Handler = SmallFn<128>;
+  // The bound receiver: called once per delivery as it fires, with the
+  // context pointer given to bind(). It may schedule further deliveries.
+  using Sink = void (*)(void* ctx, const Delivery& d);
+
+  void bind(Sink sink, void* ctx) {
+    sink_ = sink;
+    sink_ctx_ = ctx;
+  }
 
   SimTime now() const { return now_; }
-  bool empty() const { return events_.empty(); }
-  std::size_t pending() const { return events_.size(); }
-  std::uint64_t processed() const { return processed_; }
+  bool empty() const { return pending_ == 0; }
+  std::size_t pending() const { return pending_; }
 
-  // Schedules `fn` at absolute time `at` (must be >= now()).
-  // The handler parks in a free-listed slot pool and the heap orders
-  // 24-byte (time, seq, slot) records — sifting a scheduled event up or
-  // down no longer moves the full Handler buffer, which dominated the
-  // simulation profile when handlers lived inside the heap elements.
-  void schedule(SimTime at, Handler fn) {
+  // Schedules `d` at absolute time `at` (must be >= now()).
+  void schedule(SimTime at, const Delivery& d) {
     CMVRP_CHECK_MSG(at >= now_, "cannot schedule into the past");
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-      slot = static_cast<std::uint32_t>(handlers_.size());
-      handlers_.push_back(std::move(fn));
+    CMVRP_CHECK_MSG(sink_ != nullptr, "event queue has no sink bound");
+    while (at - now_ >= static_cast<SimTime>(ring_.size())) grow();
+    std::uint32_t node = free_;
+    if (node == kNil) {
+      CMVRP_CHECK_MSG(nodes_.size() < kNil, "delivery pool exhausted");
+      node = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.emplace_back();
     } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      handlers_[slot] = std::move(fn);
+      free_ = nodes_[node].next;
     }
-    events_.push(Event{at, next_seq_++, slot});
+    nodes_[node].d = d;
+    nodes_[node].next = kNil;
+    Bucket& b = bucket(at);
+    (b.head == kNil ? b.head : nodes_[b.tail].next) = node;
+    b.tail = node;
+    ++pending_;
   }
 
-  void schedule_after(SimTime delay, Handler fn) {
+  void schedule_after(SimTime delay, const Delivery& d) {
     CMVRP_CHECK(delay >= 0);
-    schedule(now_ + delay, std::move(fn));
+    schedule(now_ + delay, d);
   }
 
-  // Runs the earliest event. Returns false when the queue is empty.
+  // Fires the earliest delivery into the bound sink. Returns false when
+  // the queue is empty.
   bool step() {
-    if (events_.empty()) return false;
-    const Event ev = events_.top();
-    events_.pop();
-    now_ = ev.at;
-    ++processed_;
-    // Move the handler out before invoking: the handler may schedule new
-    // events, which may reuse (and overwrite) this slot.
-    Handler fn = std::move(handlers_[ev.slot]);
-    free_slots_.push_back(ev.slot);
-    fn();
+    if (pending_ == 0) return false;
+    while (bucket(now_).head == kNil) ++now_;
+    Bucket& b = bucket(now_);
+    const std::uint32_t node = b.head;
+    b.head = nodes_[node].next;
+    // Copy out and free the node before the sink runs: the sink may
+    // schedule, which can reuse the node or reallocate the pool.
+    const Delivery d = nodes_[node].d;
+    nodes_[node].next = free_;
+    free_ = node;
+    --pending_;
+    sink_(sink_ctx_, d);
     return true;
   }
 
@@ -80,22 +105,43 @@ class EventQueue {
   }
 
  private:
-  struct Event {
-    SimTime at;
-    std::uint64_t seq;
-    std::uint32_t slot;  // index into handlers_
-    bool operator>(const Event& other) const {
-      if (at != other.at) return at > other.at;
-      return seq > other.seq;
-    }
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+  static constexpr std::size_t kInitialSpan = 16;  // power of two
+
+  struct Node {
+    Delivery d;
+    std::uint32_t next;  // next node in its bucket or the free list
+  };
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;  // meaningful only while head != kNil
   };
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-  std::vector<Handler> handlers_;          // slot pool; parallel free list
-  std::vector<std::uint32_t> free_slots_;
+  Bucket& bucket(SimTime t) {
+    return ring_[static_cast<std::size_t>(t) & (ring_.size() - 1)];
+  }
+
+  // Doubles the span (allocating the first ring lazily, so a queue that
+  // never schedules costs no heap). Each list moves whole to the bucket
+  // of its tick, now_ + the list's offset in the old ring.
+  void grow() {
+    const std::vector<Bucket> old = std::move(ring_);
+    ring_.assign(old.empty() ? kInitialSpan : 2 * old.size(), Bucket{});
+    for (std::size_t i = 0; i < old.size(); ++i) {
+      if (old[i].head == kNil) continue;
+      const std::size_t offset =
+          (i - static_cast<std::size_t>(now_)) & (old.size() - 1);
+      bucket(now_ + static_cast<SimTime>(offset)) = old[i];
+    }
+  }
+
+  std::vector<Node> nodes_;
+  std::vector<Bucket> ring_;
+  Sink sink_ = nullptr;
+  void* sink_ctx_ = nullptr;
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t processed_ = 0;
+  std::size_t pending_ = 0;
+  std::uint32_t free_ = kNil;  // head of the node free list
 };
 
 }  // namespace cmvrp

@@ -3,11 +3,14 @@
 //   * arbitrary finite per-message delay,
 //   * per-channel FIFO ("messages sent from P to Q arrive in order sent"),
 //   * unbounded input buffers (receivers are invoked per message).
+//
+// Each send draws its delay from the network's seeded Rng and schedules
+// a typed Delivery on the borrowed EventQueue, which fires deliveries in
+// (time, insertion) order into the one bound receiver.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "obs/span.h"
@@ -51,21 +54,31 @@ struct NetworkStats {
 
 class Network {
  public:
-  // Deliveries receive (to, from, message).
-  using Receiver =
-      std::function<void(std::size_t, std::size_t, const Message&)>;
+  // Deliveries reach one bound function pointer with its context (the
+  // receiving object), e.g. a FleetCore draining into on_message.
+  using Receiver = EventQueue::Sink;
 
   Network(EventQueue& queue, Rng rng, SimTime max_delay)
       : queue_(queue), rng_(std::move(rng)), max_delay_(max_delay) {
     CMVRP_CHECK(max_delay >= 0);
   }
+  // The queue may hold this network's address (see rebind).
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
-  void set_receiver(Receiver r) { receiver_ = std::move(r); }
+  void set_receiver(Receiver fn, void* ctx) {
+    receiver_ = fn;
+    receiver_ctx_ = ctx;
+    rebind();
+  }
 
   // Optional Tier-C span hook (borrowed; may be null). When set, every
   // non-heartbeat send and delivery is recorded on the cube protocol
   // clock — heartbeats stay invisible, matching their elided delivery.
-  void set_spans(SpanRecorder* spans) { spans_ = spans; }
+  void set_spans(SpanRecorder* spans) {
+    spans_ = spans;
+    rebind();
+  }
 
   // Sends m from -> to with a random delay in [1, 1 + max_delay], clamped
   // so the channel stays FIFO.
@@ -85,9 +98,8 @@ class Network {
     // receiving side — monitoring reads fleet state directly, never the
     // message. The send still draws its delay (keeping every generator
     // sequence aligned) and still advances the channel's FIFO clamp, but
-    // skips the queue roundtrip: at ~1 heartbeat per arrival the
-    // schedule/sift/dispatch cycle of a do-nothing delivery was a top
-    // entry in the serving profile.
+    // never enters the queue: at ~1 heartbeat per arrival, firing
+    // do-nothing deliveries would be most of the queue's traffic.
     if (m.index() == 3) {
       ++stats_.heartbeat_skips;
       return;
@@ -96,19 +108,30 @@ class Network {
       spans_->message(queue_.now(), /*send=*/true, static_cast<int>(m.index()),
                       span_comp(m), from, to, span_hop(m));
     }
-    queue_.schedule(at, [this, from, to, m = std::move(m)]() {
-      if (spans_ != nullptr) {
-        spans_->message(queue_.now(), /*send=*/false,
-                        static_cast<int>(m.index()), span_comp(m), from, to,
-                        span_hop(m));
-      }
-      receiver_(to, from, m);
-    });
+    queue_.schedule(at, Delivery{static_cast<std::uint32_t>(to),
+                                 static_cast<std::uint32_t>(from), m});
   }
 
   const NetworkStats& stats() const { return stats_; }
 
  private:
+  // Untraced, the queue fires straight into the receiver; traced, it
+  // fires into deliver_traced, which records the delivery first.
+  void rebind() {
+    if (spans_ != nullptr)
+      queue_.bind(&Network::deliver_traced, this);
+    else
+      queue_.bind(receiver_, receiver_ctx_);
+  }
+
+  static void deliver_traced(void* self, const Delivery& d) {
+    const auto& net = *static_cast<const Network*>(self);
+    net.spans_->message(net.queue_.now(), /*send=*/false,
+                        static_cast<int>(d.msg.index()), span_comp(d.msg),
+                        d.from, d.to, span_hop(d.msg));
+    net.receiver_(net.receiver_ctx_, d);
+  }
+
   // Span-layer scalars of a message: the owning computation's packed
   // InitTag and (for queries) the hop the message travels at. Heartbeats
   // never reach these (send() elides them first).
@@ -158,7 +181,8 @@ class Network {
   EventQueue& queue_;
   Rng rng_;
   SimTime max_delay_;
-  Receiver receiver_;
+  Receiver receiver_ = nullptr;
+  void* receiver_ctx_ = nullptr;
   NetworkStats stats_;
   SpanRecorder* spans_ = nullptr;  // borrowed Tier-C hook; may be null
   // Per-channel FIFO clamp state. Open-addressed: one probe per send

@@ -7,6 +7,7 @@
 #include "core/incremental_omega.h"
 #include "core/cube_bound.h"
 #include "core/omega.h"
+#include "grid/dense_grid.h"
 #include "grid/neighborhood.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -159,6 +160,72 @@ TEST(CubeBound, CubeOmegaWithinConstantOfOmegaStar) {
     const double ws = omega_star_enumerate(d);
     ASSERT_GT(wc, 0.0);
     EXPECT_LE(ws / wc, factor) << "seed " << seed;
+  }
+}
+
+// cube_bound as it was before the early exit — every side k up to k_hi,
+// no break — kept as the oracle the exiting scan must match bit for bit.
+CubeBound exhaustive_cube_bound(const DemandMap& d) {
+  CubeBound out;
+  if (d.empty()) return out;
+  const int dim = d.dim();
+  const DenseGrid grid = DenseGrid::from_demand(d);
+  const PrefixSums ps(grid);
+  const double total = d.total();
+  std::int64_t max_side = 1;
+  for (int i = 0; i < dim; ++i)
+    max_side = std::max(max_side, grid.box().side(i));
+  std::int64_t k_hi = max_side + 2;
+  const double crossover =
+      std::pow(total / std::pow(3.0, dim), 1.0 / (dim + 1)) + 2.0;
+  k_hi = std::max<std::int64_t>(k_hi, static_cast<std::int64_t>(crossover) + 2);
+  double best = -1.0;
+  std::int64_t best_side = 1;
+  double best_m = 0.0;
+  for (std::int64_t k = 1; k <= k_hi; ++k) {
+    const double m = k >= max_side ? total : ps.max_cube_sum(k);
+    if (m <= 0.0) continue;
+    const double cells = std::pow(3.0 * static_cast<double>(k),
+                                  static_cast<double>(dim));
+    const double root = m / cells;
+    if (root > static_cast<double>(k)) continue;
+    const double candidate = std::max(root, static_cast<double>(k - 1));
+    if (best < 0.0 || candidate < best) {
+      best = candidate;
+      best_side = k;
+      best_m = m;
+    }
+  }
+  out.omega_c = best;
+  out.cube_side = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::ceil(best - 1e-12)));
+  if (static_cast<double>(best_side - 1) <= best &&
+      best <= static_cast<double>(best_side))
+    out.cube_side = best_side;
+  out.max_cube_demand = best_m;
+  return out;
+}
+
+TEST(CubeBound, EarlyExitMatchesExhaustiveScan) {
+  // 400 seeded maps over ℓ = 1..4, half of them with a heavy hotspot
+  // (which pushes ω_c, and so the exit side, well past 1).
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const int dim = 1 + static_cast<int>(seed % 4);
+    const std::int64_t span = dim <= 2 ? 24 : dim == 3 ? 10 : 6;
+    DemandMap d = tiny_random_demand(seed, dim, 6 + static_cast<int>(seed % 40),
+                                     span, 9);
+    if (seed % 2 == 0) {
+      Rng rng(seed * 7);
+      Point hot = Point::origin(dim);
+      for (int a = 0; a < dim; ++a) hot[a] = rng.next_int(0, span);
+      d.add(hot, static_cast<double>(rng.next_int(50, 5000)));
+    }
+    const CubeBound fast = cube_bound(d);
+    const CubeBound oracle = exhaustive_cube_bound(d);
+    // Bit-identical, not merely close.
+    EXPECT_EQ(fast.omega_c, oracle.omega_c) << "seed " << seed;
+    EXPECT_EQ(fast.cube_side, oracle.cube_side) << "seed " << seed;
+    EXPECT_EQ(fast.max_cube_demand, oracle.max_cube_demand) << "seed " << seed;
   }
 }
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "online/capacity_search.h"
 #include "online/simulation.h"
 #include "sim/event_queue.h"
@@ -21,55 +26,181 @@ OnlineConfig small_config(double capacity, std::int64_t side = 4,
 
 // --- event queue / network substrate ----------------------------------------
 
+// Test receiver: logs every delivery with the clock it fired at. Binds as
+// an EventQueue sink or a Network receiver.
+struct Inbox {
+  struct Entry {
+    SimTime at;
+    Delivery d;
+  };
+  explicit Inbox(const EventQueue& queue) : q(&queue) {}
+  static void receive(void* self, const Delivery& d) {
+    auto& in = *static_cast<Inbox*>(self);
+    in.log.push_back({in.q->now(), d});
+  }
+  std::vector<std::uint32_t> ids() const {
+    std::vector<std::uint32_t> out;
+    for (const auto& e : log) out.push_back(e.d.to);
+    return out;
+  }
+
+  const EventQueue* q;
+  std::vector<Entry> log;
+};
+
+// A delivery the queue tests identify by its `to` field.
+Delivery tagged(std::uint32_t id) { return Delivery{id, 0, ExistingMsg{}}; }
+
 TEST(EventQueue, FiresInTimeThenInsertionOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(5, [&] { order.push_back(2); });
-  q.schedule(1, [&] { order.push_back(0); });
-  q.schedule(5, [&] { order.push_back(3); });
-  q.schedule(2, [&] { order.push_back(1); });
+  Inbox in(q);
+  q.bind(&Inbox::receive, &in);
+  q.schedule(5, tagged(2));
+  q.schedule(1, tagged(0));
+  q.schedule(5, tagged(3));
+  q.schedule(2, tagged(1));
   q.run_to_quiescence();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(in.ids(), (std::vector<std::uint32_t>{0, 1, 2, 3}));
   EXPECT_EQ(q.now(), 5);
 }
 
 TEST(EventQueue, RejectsPastScheduling) {
   EventQueue q;
-  q.schedule(10, [] {});
+  Inbox in(q);
+  q.bind(&Inbox::receive, &in);
+  q.schedule(10, tagged(0));
   q.step();
-  EXPECT_THROW(q.schedule(5, [] {}), check_error);
+  EXPECT_THROW(q.schedule(5, tagged(1)), check_error);
+}
+
+TEST(EventQueue, RejectsSchedulingWithoutSink) {
+  EventQueue q;
+  EXPECT_THROW(q.schedule(1, tagged(0)), check_error);
 }
 
 TEST(EventQueue, DetectsLivelock) {
   EventQueue q;
-  std::function<void()> reschedule = [&] {
-    q.schedule_after(1, reschedule);
-  };
-  q.schedule(0, reschedule);
+  // Every delivery reschedules itself one tick later.
+  q.bind(
+      [](void* queue, const Delivery& d) {
+        static_cast<EventQueue*>(queue)->schedule_after(1, d);
+      },
+      &q);
+  q.schedule(0, tagged(0));
   EXPECT_THROW(q.run_to_quiescence(1000), check_error);
+}
+
+TEST(EventQueue, GrowsWhenFifoClampSchedulesPastSpan) {
+  EventQueue q;
+  Network net(q, Rng(5), /*max_delay=*/3);
+  Inbox in(q);
+  net.set_receiver(&Inbox::receive, &in);
+  // Move the clock off zero first, so growth has to re-bucket lists
+  // whose ticks wrap around the old ring.
+  net.send(0, 1, QueryMsg{});
+  q.run_to_quiescence();
+  const SimTime start = q.now();
+  ASSERT_GT(start, 0);
+  // 300 same-tick sends per channel: the FIFO clamp spaces each
+  // channel's deliveries one tick apart, far past the initial span.
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    net.send(0, 1, ReplyMsg{true, InitTag{0, i}});
+    net.send(2, 3, ReplyMsg{true, InitTag{2, i}});
+  }
+  q.run_to_quiescence();
+  ASSERT_EQ(in.log.size(), 601u);
+  std::uint64_t next[4] = {0, 0, 0, 0};
+  SimTime last[4] = {start, start, start, start};
+  for (std::size_t k = 1; k < in.log.size(); ++k) {
+    const auto& e = in.log[k];
+    EXPECT_GE(e.at, in.log[k - 1].at);
+    EXPECT_EQ(std::get<ReplyMsg>(e.d.msg).init.seq, next[e.d.to]++);
+    EXPECT_GT(e.at, last[e.d.to]);
+    last[e.d.to] = e.at;
+  }
+  EXPECT_EQ(next[1], 300u);
+  EXPECT_EQ(next[3], 300u);
+  EXPECT_GE(q.now(), start + 300);
+}
+
+TEST(EventQueue, ClockAdvancesAcrossManyRingLengths) {
+  // A relay: each delivery schedules its successor one tick short of the
+  // initial span later, so the clock laps the ring hundreds of times.
+  struct Relay {
+    EventQueue* q;
+    std::uint32_t left;
+    std::vector<SimTime> at;
+  };
+  EventQueue q;
+  Relay relay{&q, 1000, {}};
+  q.bind(
+      [](void* self, const Delivery& d) {
+        auto& r = *static_cast<Relay*>(self);
+        r.at.push_back(r.q->now());
+        if (--r.left > 0) r.q->schedule_after(15, d);
+      },
+      &relay);
+  q.schedule(3, tagged(0));
+  q.run_to_quiescence();
+  ASSERT_EQ(relay.at.size(), 1000u);
+  for (std::size_t k = 0; k < relay.at.size(); ++k)
+    EXPECT_EQ(relay.at[k], 3 + 15 * static_cast<SimTime>(k));
+  EXPECT_EQ(q.now(), 3 + 15 * 999);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, RandomSchedulesMatchStableSortByTime) {
+  // 10k deliveries at random ticks, in rounds separated by partial
+  // drains, with horizons inside and far past the span. Whatever fired
+  // before a schedule is due no later than it, so the firing order is
+  // the stable sort by time of everything scheduled.
+  Rng rng(99);
+  EventQueue q;
+  Inbox in(q);
+  q.bind(&Inbox::receive, &in);
+  std::vector<std::pair<SimTime, std::uint32_t>> scheduled;  // (at, id)
+  for (int round = 0; round < 10; ++round) {
+    const std::int64_t horizon = round % 3 == 0 ? 4 : round % 3 == 1 ? 40 : 4000;
+    for (int k = 0; k < 1000; ++k) {
+      const SimTime at = q.now() + rng.next_int(0, horizon);
+      const auto id = static_cast<std::uint32_t>(scheduled.size());
+      q.schedule(at, tagged(id));
+      scheduled.emplace_back(at, id);
+    }
+    const std::uint64_t drain = rng.next_below(q.pending() + 1);
+    for (std::uint64_t k = 0; k < drain; ++k) ASSERT_TRUE(q.step());
+  }
+  q.run_to_quiescence();
+  std::stable_sort(scheduled.begin(), scheduled.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  ASSERT_EQ(in.log.size(), 10000u);
+  for (std::size_t k = 0; k < scheduled.size(); ++k) {
+    ASSERT_EQ(in.log[k].d.to, scheduled[k].second) << "position " << k;
+    ASSERT_EQ(in.log[k].at, scheduled[k].first) << "position " << k;
+  }
 }
 
 TEST(Network, ChannelsAreFifo) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     EventQueue q;
     Network net(q, Rng(seed), /*max_delay=*/7);
-    std::vector<std::uint64_t> received;
-    net.set_receiver([&](std::size_t, std::size_t, const Message& m) {
-      received.push_back(std::get<ReplyMsg>(m).init.seq);
-    });
+    Inbox in(q);
+    net.set_receiver(&Inbox::receive, &in);
     for (std::uint64_t i = 0; i < 30; ++i)
       net.send(0, 1, ReplyMsg{true, InitTag{0, i}});
     q.run_to_quiescence();
-    ASSERT_EQ(received.size(), 30u);
-    EXPECT_TRUE(std::is_sorted(received.begin(), received.end()))
-        << "seed " << seed;
+    ASSERT_EQ(in.log.size(), 30u);
+    for (std::uint64_t i = 0; i < 30; ++i)
+      EXPECT_EQ(std::get<ReplyMsg>(in.log[i].d.msg).init.seq, i)
+          << "seed " << seed;
   }
 }
 
 TEST(Network, CountsByKind) {
   EventQueue q;
   Network net(q, Rng(3), 2);
-  net.set_receiver([](std::size_t, std::size_t, const Message&) {});
+  Inbox in(q);
+  net.set_receiver(&Inbox::receive, &in);
   net.send(0, 1, QueryMsg{});
   net.send(1, 0, ReplyMsg{});
   net.send(0, 2, MoveMsg{Point{0, 0}, kNoInit});
@@ -80,6 +211,8 @@ TEST(Network, CountsByKind) {
   EXPECT_EQ(net.stats().moves, 1u);
   EXPECT_EQ(net.stats().heartbeats, 1u);
   EXPECT_EQ(net.stats().total(), 4u);
+  // The heartbeat is counted but elided: three deliveries fire.
+  EXPECT_EQ(in.log.size(), 3u);
 }
 
 // --- basic serving ------------------------------------------------------------

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "online/capacity_search.h"
@@ -14,19 +17,28 @@
 #include "stream/pool.h"
 #include "stream/shard.h"
 #include "stream/slot_table.h"
+#include "util/digest.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 
 namespace cmvrp {
 namespace {
 
-std::vector<Job> test_stream(std::int64_t box_side, std::int64_t count,
-                             std::uint64_t seed) {
+// `count` uniform arrivals over [0, side)^dim in shuffled order.
+std::vector<Job> uniform_stream(int dim, std::int64_t side, std::int64_t count,
+                                std::uint64_t seed) {
+  Point hi = Point::origin(dim);
+  for (int a = 0; a < dim; ++a) hi[a] = side - 1;
   Rng rng(seed);
-  const Box box(Point{0, 0}, Point{box_side - 1, box_side - 1});
-  const DemandMap d = uniform_demand(box, count, rng);
+  const DemandMap d = uniform_demand(Box(Point::origin(dim), hi), count, rng);
   Rng order(seed + 1);
   return stream_from_demand(d, ArrivalOrder::kShuffled, order);
+}
+
+std::vector<Job> test_stream(std::int64_t box_side, std::int64_t count,
+                             std::uint64_t seed) {
+  return uniform_stream(2, box_side, count, seed);
 }
 
 StreamConfig test_config(double capacity, int threads,
@@ -397,6 +409,120 @@ TEST(StreamFoldOrder, MergeOrderMovesDoubleSums) {
   zyx.merge(y);
   zyx.merge(x);
   EXPECT_NE(xyz.total_energy_spent, zyx.total_energy_spent);
+}
+
+// --- golden digests ---------------------------------------------------------
+//
+// Every other test here compares the engine with itself (threads vs
+// threads, batch vs batch), so a self-consistent change to the event
+// order would pass them all. These constants were recorded from the
+// closure-scheduling event queue that preceded the typed calendar
+// transport (src/sim/event_queue.h); they pin the exact (time,
+// insertion) firing order, every delay draw, and everything downstream
+// of both.
+
+std::uint64_t double_bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// Folds every deterministic protocol output of one run into one word:
+// service and computation counts, message counts by kind, travel, and
+// the energy doubles' bit patterns.
+std::uint64_t metrics_fingerprint(const OnlineMetrics& m) {
+  std::uint64_t h = 0;
+  for (const std::uint64_t v :
+       {m.jobs_served, m.jobs_failed, m.replacements, m.computations_started,
+        m.computations_failed, m.monitor_initiations, m.network.queries,
+        m.network.replies, m.network.moves, m.network.heartbeats,
+        m.network.heartbeat_skips, m.total_travel,
+        double_bits(m.total_energy_spent), double_bits(m.max_energy_spent)})
+    h = mix64(h ^ v);
+  return h;
+}
+
+// The stream report adds the served/failed/shed sets, the latency
+// histogram, and the Tier-A counters.
+std::uint64_t stream_fingerprint(const StreamResult& r) {
+  std::uint64_t h = metrics_fingerprint(r.metrics);
+  for (const std::uint64_t v :
+       {index_set_digest(r.served_jobs), index_set_digest(r.failed_jobs),
+        index_set_digest(r.shed_jobs), r.latency.digest(),
+        r.counters.digest()})
+    h = mix64(h ^ v);
+  return h;
+}
+
+StreamConfig pinned_config(int dim, double capacity, std::int64_t side,
+                           std::int64_t stride, int threads) {
+  StreamConfig cfg;
+  cfg.online.capacity = capacity;
+  cfg.online.cube_side = side;
+  cfg.online.anchor = Point::origin(dim);
+  cfg.online.seed = 11;
+  cfg.online.monitor_stride = stride;
+  cfg.online.obs.counters = true;
+  cfg.threads = threads;
+  return cfg;
+}
+
+TEST(GoldenDigest, FloodHeavy3D) {
+  // W = 8 against a theory value of ~(4·27+3)·ω_c: Phase I runs
+  // constantly, so nearly every delivery is a flood message.
+  const auto jobs = uniform_stream(3, 12, 3456, 5);
+  for (const int threads : {1, 2}) {
+    const StreamResult r =
+        serve_stream(3, pinned_config(3, 8.0, 4, 16, threads), jobs);
+    EXPECT_EQ(r.metrics.jobs_served, 3456u) << threads;
+    EXPECT_EQ(r.metrics.replacements, 366u) << threads;
+    EXPECT_EQ(r.metrics.network.total(), 408686u) << threads;
+    EXPECT_EQ(stream_fingerprint(r), 10413447102977357427ULL) << threads;
+  }
+}
+
+TEST(GoldenDigest, MonitoringHeavy4D) {
+  // Stride 1 settles the §3.2.5 ring after every arrival; silent-done
+  // vehicles leave their pairs to ring-initiated computations.
+  const auto jobs = uniform_stream(4, 6, 1296, 9);
+  StreamEngine engine(4, pinned_config(4, 6.0, 2, 1, 1));
+  for (const Point& home : {Point{0, 0, 0, 0}, Point{2, 2, 2, 2},
+                            Point{4, 0, 4, 0}})
+    engine.inject_silent_done(home);
+  engine.ingest(jobs);
+  const StreamResult r = engine.finish();
+  EXPECT_GT(r.metrics.monitor_initiations, 0u);
+  EXPECT_EQ(r.metrics.jobs_served, 1296u);
+  EXPECT_EQ(r.metrics.network.total(), 40458u);
+  EXPECT_EQ(stream_fingerprint(r), 10055833584392412749ULL);
+}
+
+TEST(GoldenDigest, LegacySimulationUndersized) {
+  const auto jobs = test_stream(16, 500, 13);
+  OnlineConfig cfg = test_config(6.0, 1).online;
+  OnlineSimulation sim(2, cfg);
+  sim.run(jobs);
+  EXPECT_EQ(sim.metrics().jobs_served, 497u);
+  EXPECT_EQ(sim.metrics().network.total(), 82192u);
+  EXPECT_EQ(metrics_fingerprint(sim.metrics()), 10230387231503371564ULL);
+}
+
+TEST(GoldenDigest, ChromeTraceBytes) {
+  const auto jobs = test_stream(16, 400, 17);
+  StreamConfig cfg = test_config(8.0, 1);
+  cfg.online.obs.spans = true;
+  StreamEngine engine(2, cfg);
+  engine.ingest(jobs);
+  const StreamResult r = engine.finish();
+  ASSERT_GT(r.counters.spans_emitted, 0u);
+  std::ostringstream chrome;
+  export_chrome_trace(chrome, 2, engine.span_sources(), 0.0);
+  // FNV-1a over the exported bytes (wall_ms pinned to 0).
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : chrome.str())
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  EXPECT_EQ(chrome.str().size(), 1597538u);
+  EXPECT_EQ(h, 16168230527240763727ULL);
 }
 
 }  // namespace
