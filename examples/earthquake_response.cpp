@@ -11,6 +11,8 @@
 #include "core/offline_planner.h"
 #include "core/omega.h"
 #include "online/capacity_search.h"
+#include "online/pairing.h"
+#include "stream/engine.h"
 #include "util/table.h"
 #include "workload/generators.h"
 
@@ -43,14 +45,13 @@ int main() {
   std::vector<Job> shocks;
   for (int i = 0; i < 300; ++i) shocks.push_back({epicenter, i});
   const DemandMap demand = demand_of_stream(shocks, 2);
-  const OnlineConfig config = default_online_config(demand, 3);
+  StreamConfig config;
+  config.online = default_online_config(demand, 3);
 
   Table t2({"variant", "served", "failed", "replacements",
             "monitor rescues", "max energy"});
   {
-    OnlineSimulation sim(2, config);
-    sim.run(shocks);
-    const auto& m = sim.metrics();
+    const OnlineMetrics m = serve_stream(2, config, shocks).metrics;
     t2.row()
         .cell("healthy fleet")
         .cell(m.jobs_served)
@@ -60,13 +61,14 @@ int main() {
         .cell(m.max_energy_spent);
   }
   {
-    OnlineSimulation sim(2, config);
+    StreamEngine engine(2, config);
+    const CubePairing pairing(2, config.online.anchor, config.online.cube_side);
     // The epicenter's own vehicle and its partner are damaged by the
     // quake: they break after a quarter of their energy.
-    sim.inject_break_after(epicenter, 0.25);
-    sim.inject_break_after(sim.pairing().partner(epicenter), 0.25);
-    sim.run(shocks);
-    const auto& m = sim.metrics();
+    engine.inject_break_after(epicenter, 0.25);
+    engine.inject_break_after(pairing.partner(epicenter), 0.25);
+    engine.ingest(shocks);
+    const OnlineMetrics m = engine.finish().metrics;
     t2.row()
         .cell("damaged first responders")
         .cell(m.jobs_served)

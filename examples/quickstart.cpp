@@ -13,6 +13,7 @@
 #include "core/bounds.h"
 #include "core/offline_planner.h"
 #include "online/capacity_search.h"
+#include "stream/engine.h"
 #include "util/table.h"
 #include "workload/generators.h"
 
@@ -52,14 +53,14 @@ int main() {
   // replacement machinery (diffusing computations) actually exercises.
   Rng order(7);
   const auto jobs = stream_from_demand(demand, ArrivalOrder::kShuffled, order);
-  OnlineConfig config = default_online_config(demand);
-  config.capacity = std::max(6.0, config.capacity / 4.0);
-  OnlineSimulation sim(2, config);
-  const bool ok = sim.run(jobs);
-  const auto& m = sim.metrics();
+  StreamConfig config;
+  config.online = default_online_config(demand);
+  config.online.capacity = std::max(6.0, config.online.capacity / 4.0);
+  const OnlineMetrics m = serve_stream(2, config, jobs).metrics;
+  const bool ok = m.jobs_failed == 0;
 
-  std::cout << "\nOnline strategy (W = " << config.capacity
-            << ", cube side " << config.cube_side << "):\n";
+  std::cout << "\nOnline strategy (W = " << config.online.capacity
+            << ", cube side " << config.online.cube_side << "):\n";
   Table t2({"metric", "value"});
   t2.row().cell("all jobs served").cell_bool(ok);
   t2.row().cell("jobs served").cell(m.jobs_served);

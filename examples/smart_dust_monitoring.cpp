@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "online/capacity_search.h"
+#include "stream/engine.h"
 #include "util/table.h"
 #include "workload/generators.h"
 
@@ -20,13 +21,15 @@ int main() {
                                       /*jump_probability=*/0.04, rng);
   const DemandMap demand = demand_of_stream(jobs, 2);
 
-  OnlineConfig config = default_online_config(demand, /*seed=*/9);
+  StreamConfig config;
+  config.online = default_online_config(demand, /*seed=*/9);
   // Budget sensors tightly (a fraction of the Lemma 3.3.1 bound) so
   // exhaustion, replacement, and the monitoring ring all come into play.
-  config.capacity = std::max(8.0, config.capacity / 2.5);
+  config.online.capacity = std::max(8.0, config.online.capacity / 2.5);
   std::cout << "Smart Dust field 24x24, " << jobs.size()
-            << " events, deployed capacity W = " << config.capacity
-            << " (0.4x Lemma 3.3.1), cube side " << config.cube_side << "\n\n";
+            << " events, deployed capacity W = " << config.online.capacity
+            << " (0.4x Lemma 3.3.1), cube side " << config.online.cube_side
+            << "\n\n";
 
   // Failure injections target the busiest sensors — the ones that will
   // actually exhaust and need the protocol's help.
@@ -42,9 +45,11 @@ int main() {
   Table t({"scenario", "served", "failed", "replacements",
            "monitor rescues", "messages", "max energy"});
 
-  auto report = [&](const char* name, OnlineSimulation& sim, bool ok) {
-    const auto& m = sim.metrics();
-    (void)ok;
+  // Serves the stream on `engine` (injections already applied) and
+  // tabulates the outcome.
+  auto report = [&](const char* name, StreamEngine& engine) {
+    engine.ingest(jobs);
+    const OnlineMetrics m = engine.finish().metrics;
     t.row()
         .cell(name)
         .cell(m.jobs_served)
@@ -56,26 +61,26 @@ int main() {
   };
 
   {  // Scenario 1 (§3.2.5): everything healthy.
-    OnlineSimulation sim(2, config);
-    report("all healthy", sim, sim.run(jobs));
+    StreamEngine engine(2, config);
+    report("all healthy", engine);
   }
   {  // Scenario 2: the busiest vehicles fail to initiate replacements.
-    OnlineSimulation sim(2, config);
-    for (const auto& p : hottest) sim.inject_silent_done(p);
-    report("hot spots silent-done", sim, sim.run(jobs));
+    StreamEngine engine(2, config);
+    for (const auto& p : hottest) engine.inject_silent_done(p);
+    report("hot spots silent-done", engine);
   }
   {  // Scenario 3: the busiest sensors are defective and break early.
-    OnlineSimulation sim(2, config);
+    StreamEngine engine(2, config);
     for (std::size_t k = 0; k < std::min<std::size_t>(8, hottest.size()); ++k)
-      sim.inject_break_after(hottest[k], /*longevity=*/0.3);
-    report("hot spots break early", sim, sim.run(jobs));
+      engine.inject_break_after(hottest[k], /*longevity=*/0.3);
+    report("hot spots break early", engine);
   }
   {  // Degraded protocol: monitoring off — silent failures now cost jobs.
-    OnlineConfig no_ring = config;
-    no_ring.enable_monitoring = false;
-    OnlineSimulation sim(2, no_ring);
-    for (const auto& p : hottest) sim.inject_silent_done(p);
-    report("silent-done, no ring", sim, sim.run(jobs));
+    StreamConfig no_ring = config;
+    no_ring.online.enable_monitoring = false;
+    StreamEngine engine(2, no_ring);
+    for (const auto& p : hottest) engine.inject_silent_done(p);
+    report("silent-done, no ring", engine);
   }
 
   t.print(std::cout);

@@ -31,12 +31,12 @@
 #include "lp/simplex.h"
 #include "online/capacity_search.h"
 #include "online/pairing.h"
-#include "online/simulation.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "record/mux.h"
 #include "record/recorder.h"
 #include "stream/engine.h"
+#include "stream/won_search.h"
 #include "trace/reader.h"
 #include "trace/replay.h"
 #include "trace/writer.h"
@@ -461,10 +461,10 @@ void suite_ablations(BenchRun& b) {
     return c;
   }();
 
-  const auto run_with = [&jobs](OnlineConfig cfg) {
-    OnlineSimulation sim(2, cfg);
-    sim.run(jobs);
-    return sim.metrics();
+  const auto run_with = [&jobs](const OnlineConfig& cfg) {
+    StreamConfig stream;
+    stream.online = cfg;
+    return serve_stream(2, stream, jobs).metrics;
   };
 
   BenchSection& sides = b.section("cube_side");
@@ -492,9 +492,10 @@ void suite_ablations(BenchRun& b) {
   for (const bool enabled : {true, false}) {
     ring.run_case(enabled ? "ring=on" : "ring=off",
                   [&, enabled](MetricRow& row) {
-                    OnlineConfig cfg = base;
-                    cfg.enable_monitoring = enabled;
-                    OnlineSimulation sim(2, cfg);
+                    StreamConfig cfg;
+                    cfg.online = base;
+                    cfg.online.enable_monitoring = enabled;
+                    StreamEngine engine(2, cfg);
                     std::vector<Point> hottest = demand.support();
                     std::sort(hottest.begin(), hottest.end(),
                               [&demand](const Point& a, const Point& c) {
@@ -504,9 +505,9 @@ void suite_ablations(BenchRun& b) {
                               });
                     for (std::size_t k = 0;
                          k < std::min<std::size_t>(12, hottest.size()); ++k)
-                      sim.inject_silent_done(hottest[k]);
-                    sim.run(jobs);
-                    const auto& m = sim.metrics();
+                      engine.inject_silent_done(hottest[k]);
+                    engine.ingest(jobs);
+                    const OnlineMetrics m = engine.finish().metrics;
                     row.metric("failed", m.jobs_failed)
                         .metric("monitor rescues", m.monitor_initiations)
                         .metric("heartbeats", m.network.heartbeats);
@@ -817,13 +818,13 @@ void suite_substrates(BenchRun& b) {
     for (int i = 0; i < 50; ++i) jobs.push_back({Point{2, 2}, i});
     looped(5,
            [&jobs] {
-             OnlineConfig cfg;
-             cfg.capacity = 8.0;
-             cfg.cube_side = 6;
-             cfg.anchor = Point{0, 0};
-             cfg.seed = 3;
-             OnlineSimulation sim(2, cfg);
-             return sim.run(jobs) ? 1.0 : 0.0;
+             StreamConfig cfg;
+             cfg.online.capacity = 8.0;
+             cfg.online.cube_side = 6;
+             cfg.online.anchor = Point{0, 0};
+             cfg.online.seed = 3;
+             return serve_stream(2, cfg, jobs).metrics.jobs_failed == 0 ? 1.0
+                                                                         : 0.0;
            },
            row);
   });
@@ -875,15 +876,15 @@ void suite_dim_sweep(BenchRun& b) {
     online.run_case(name, [&b, &sc](MetricRow& row) {
       const auto jobs = sc.jobs();
       const DemandMap demand = demand_of_stream(jobs, sc.dim);
-      const OnlineConfig cfg = default_online_config(demand, /*seed=*/5);
-      OnlineSimulation sim(sc.dim, cfg);
-      if (!sim.run(jobs))
+      StreamConfig cfg;
+      cfg.online = default_online_config(demand, /*seed=*/5);
+      const OnlineMetrics m = serve_stream(sc.dim, cfg, jobs).metrics;
+      if (m.jobs_failed != 0)
         b.fail(sc.name + ": strategy dropped jobs at the Lemma 3.3.1 "
                "capacity");
-      const auto& m = sim.metrics();
       row.metric("l", sc.dim)
-          .metric("capacity W", cfg.capacity)
-          .metric("cube side", cfg.cube_side)
+          .metric("capacity W", cfg.online.capacity)
+          .metric("cube side", cfg.online.cube_side)
           .metric("served", m.jobs_served)
           .metric("failed", m.jobs_failed)
           .metric("msgs/job",
@@ -1709,12 +1710,11 @@ void suite_smoke(BenchRun& b) {
   online.run_case(st.name, [&b, &st](MetricRow& row) {
     const auto jobs = st.jobs();
     const DemandMap demand = demand_of_stream(jobs, 2);
-    const OnlineConfig cfg = default_online_config(demand, /*seed=*/3);
-    OnlineSimulation sim(2, cfg);
-    const bool ok = sim.run(jobs);
-    if (!ok) b.fail("smoke online run dropped jobs");
-    const auto& m = sim.metrics();
-    row.metric("capacity W", cfg.capacity)
+    StreamConfig cfg;
+    cfg.online = default_online_config(demand, /*seed=*/3);
+    const OnlineMetrics m = serve_stream(2, cfg, jobs).metrics;
+    if (m.jobs_failed != 0) b.fail("smoke online run dropped jobs");
+    row.metric("capacity W", cfg.online.capacity)
         .metric("served", m.jobs_served)
         .metric("failed", m.jobs_failed)
         .metric("msgs", m.network.total())

@@ -118,7 +118,7 @@ class SpanRecorder {
   SpanRecorder(std::int64_t sample_every, std::int64_t flight);
 
   // Vehicle -> pair-slot registry (the Chrome exporter's tid axis).
-  // Called from FleetCore::ensure_vehicle; ids are dense cube-local
+  // Called from FleetCore::set_spans; ids are dense cube-local
   // indices, so a flat vector suffices.
   void note_vehicle_pair(std::size_t vid, std::int64_t pair_slot);
 

@@ -1,20 +1,14 @@
-// Empirical Won: the smallest capacity W for which the Chapter 3 strategy
-// serves an entire job stream, found by bisection over fresh simulations.
+// Deployment sizing for the Chapter 3 strategy: the cube side and the
+// Lemma 3.3.1 capacity a job stream's demand calls for.
 //
-// Theorem 1.4.2 claims Won = Θ(Woff); benches compare this empirical value
-// against ω_c (lower bound) and (4·3^ℓ+ℓ)·ω_c (Lemma 3.3.1 upper bound).
-//
-// Complexity: O(log((hi−lo)/tol)) full simulations (plus the doublings
-// needed to find a sufficient hi); each simulation is one pass over the
-// job stream with the per-event costs listed in online/simulation.h.
+// The empirical Won search that bisects W over full runs of the stream
+// engine lives one layer up, in stream/won_search.h.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "grid/demand_map.h"
-#include "online/simulation.h"
-#include "workload/generators.h"
+#include "online/fleet_core.h"
 
 namespace cmvrp {
 
@@ -23,21 +17,5 @@ namespace cmvrp {
 // Lemma 3.3.1 capacity (unless overridden afterwards).
 OnlineConfig default_online_config(const DemandMap& demand,
                                    std::uint64_t seed = 1);
-
-struct CapacitySearchResult {
-  double won_empirical = 0.0;   // minimal sufficient W found
-  double omega_c = 0.0;         // offline cube lower bound for comparison
-  double won_theory = 0.0;      // (4·3^ℓ+ℓ)·ω_c
-  OnlineMetrics at_minimum;     // metrics of the run at won_empirical
-  std::uint64_t simulations = 0;
-};
-
-// Bisects capacity in [lo, hi] (hi defaults to the Lemma 3.3.1 bound,
-// doubled until sufficient). Success is re-evaluated with a fresh
-// simulation per probe; `tol` is absolute on W.
-CapacitySearchResult find_min_online_capacity(const std::vector<Job>& jobs,
-                                              int dim,
-                                              std::uint64_t seed = 1,
-                                              double tol = 0.05);
 
 }  // namespace cmvrp

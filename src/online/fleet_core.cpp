@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "grid/box.h"
 #include "util/check.h"
 
 namespace cmvrp {
@@ -13,11 +14,12 @@ double won_upper_bound(double omega_c, int dim) {
          omega_c;
 }
 
-FleetCore::FleetCore(int dim, const OnlineConfig& config, EventQueue& queue,
-                     Network& network)
+FleetCore::FleetCore(int dim, const OnlineConfig& config, const Point& corner,
+                     EventQueue& queue, Network& network)
     : dim_(dim),
       config_(config),
       pairing_(dim, config.anchor, config.cube_side),
+      corner_(corner),
       queue_(queue),
       network_(network) {
   CMVRP_CHECK(config.capacity >= 0.0);
@@ -33,6 +35,31 @@ FleetCore::FleetCore(int dim, const OnlineConfig& config, EventQueue& queue,
   }
   CMVRP_CHECK_MSG(config.sample_stride >= 0,
                   "sample stride must be >= 0 (0 = off)");
+  CMVRP_CHECK_MSG(pairing_.cube_corner(corner) == corner,
+                  corner.to_string() << " is not a cube corner");
+  const std::int64_t volume = pairing_.cube_volume();
+  CMVRP_CHECK_MSG(volume < static_cast<std::int64_t>(kNone),
+                  "cube volume " << volume << " exceeds 32-bit vehicle ids");
+  const auto fleet = static_cast<std::size_t>(volume);
+  pairs_.resize((fleet + 1) / 2);
+  initiator_dest_.assign(fleet, kNone);
+  // The fleet exists from t = 0: even snake indices (pair primaries)
+  // start active, their partners idle.
+  vehicles_.reserve(fleet);
+  Box::cube(corner, pairing_.side()).for_each_point([this](const Point& home) {
+    const std::int64_t k = pairing_.snake_index(home, corner_);
+    Vehicle v;
+    v.id = vehicles_.size();
+    v.home = home;
+    v.pos = home;
+    v.capacity = config_.capacity;
+    if (k % 2 == 0) {
+      v.s1 = WorkState::kActive;
+      pairs_[static_cast<std::size_t>(k / 2)].active =
+          static_cast<std::uint32_t>(v.id);
+    }
+    vehicles_.push_back(v);
+  });
 }
 
 void FleetCore::bind_network() {
@@ -43,105 +70,62 @@ void FleetCore::bind_network() {
       this);
 }
 
+void FleetCore::set_spans(SpanRecorder* spans) {
+  spans_ = spans;
+  if (spans_ == nullptr) return;
+  // Every vehicle, not just active ones: idle vehicles appear in traces
+  // as relays and replacements.
+  for (const Vehicle& v : vehicles_)
+    spans_->note_vehicle_pair(v.id, pairing_.snake_index(v.home, corner_) / 2);
+}
+
+std::uint32_t FleetCore::id_of_home(const Point& home) const {
+  CMVRP_CHECK(home.dim() == dim_);
+  // Axis 0 most significant: the order Box::for_each_point visits.
+  std::int64_t id = 0;
+  for (int i = 0; i < dim_; ++i) {
+    const std::int64_t o = home[i] - corner_[i];
+    if (o < 0 || o >= pairing_.side()) return kNone;
+    id = id * pairing_.side() + o;
+  }
+  return static_cast<std::uint32_t>(id);
+}
+
 void FleetCore::inject_silent_done(const Point& home) {
-  silent_homes_.insert(home);
-  auto it = by_home_.find(home);
-  if (it != by_home_.end()) vehicles_[it->second].silent_done = true;
+  const std::uint32_t id = id_of_home(home);
+  CMVRP_CHECK_MSG(id != kNone, "silent-done home " << home.to_string()
+                                                   << " lies outside cube "
+                                                   << corner_.to_string());
+  vehicles_[id].silent_done = true;
 }
 
 void FleetCore::inject_break_after(const Point& home, double longevity) {
   CMVRP_CHECK(longevity >= 0.0 && longevity <= 1.0);
-  longevity_[home] = longevity;
-  auto it = by_home_.find(home);
-  if (it != by_home_.end() && longevity == 0.0)
-    vehicles_[it->second].dead = true;
-}
-
-std::size_t FleetCore::ensure_vehicle(const Point& home, const Point& corner) {
-  auto it = by_home_.find(home);
-  if (it != by_home_.end()) return it->second;
-  const std::int64_t k = pairing_.snake_index(home, corner);
-  Vehicle v;
-  v.id = vehicles_.size();
-  v.home = home;
-  v.pos = home;
-  v.capacity = config_.capacity;
-  v.s1 = k % 2 == 0 ? WorkState::kActive : WorkState::kIdle;
-  v.s2 = TransferState::kWaiting;
-  if (silent_homes_.count(home)) v.silent_done = true;
-  auto lg = longevity_.find(home);
-  if (lg != longevity_.end() && lg->second == 0.0) v.dead = true;
-  vehicles_.push_back(v);
-  by_home_.emplace(home, v.id);
-  // Register the vehicle's pair slot with the span recorder (the Chrome
-  // exporter's tid axis) — for every vehicle, not just active ones: idle
-  // vehicles appear in traces as relays and replacements.
-  if (spans_ != nullptr) spans_->note_vehicle_pair(v.id, k / 2);
-  if (v.s1 == WorkState::kActive && !v.dead) {
-    CubeState& st = state_of(corner);
-    const auto slot = static_cast<std::size_t>(k / 2);
-    st.active_by_pair[slot] = v.id;
-    st.active_since[slot] = queue_.now();
-  }
-  return v.id;
-}
-
-FleetCore::CubeState& FleetCore::state_of(const Point& corner) {
-  if (state_cache_ != nullptr && corner == state_corner_)
-    return *state_cache_;
-  auto it = cube_state_.find(corner);
-  CMVRP_CHECK_MSG(it != cube_state_.end(),
-                  "cube state accessed before materialization");
-  state_corner_ = corner;
-  state_cache_ = &it->second;
-  return it->second;
-}
-
-void FleetCore::ensure_cube(const Point& corner) {
-  if (!cubes_.insert(corner).second) return;
-  auto& state = cube_state_[corner];
-  const auto pairs =
-      static_cast<std::size_t>((pairing_.cube_volume() + 1) / 2);
-  state.active_by_pair.assign(pairs, SIZE_MAX);
-  state.active_since.assign(pairs, 0);
-  state.first_vehicle = vehicles_.size();
-  Box::cube(corner, pairing_.side()).for_each_point([this, &corner](
-      const Point& p) { ensure_vehicle(p, corner); });
-}
-
-void FleetCore::ensure_cube_at(const Point& position) {
-  ensure_cube(pairing_.cube_corner(position));
+  const std::uint32_t id = id_of_home(home);
+  CMVRP_CHECK_MSG(id != kNone, "breaking home " << home.to_string()
+                                                << " lies outside cube "
+                                                << corner_.to_string());
+  if (longevity_.empty()) longevity_.assign(vehicles_.size(), -1.0);
+  longevity_[id] = longevity;
+  if (longevity == 0.0) vehicles_[id].dead = true;
 }
 
 void FleetCore::neighbors_into(std::size_t vid,
                                std::vector<std::size_t>& out) {
   const Vehicle& v = vehicles_[vid];
-  const std::size_t first = state_of(pairing_.cube_corner(v.pos)).first_vehicle;
-  const auto volume = static_cast<std::size_t>(pairing_.cube_volume());
+  const std::size_t volume = vehicles_.size();
   // Branch-free selection: whether a member is in range is a coin flip
   // the predictor cannot learn, so every member is written and the
   // count advances only for the ones that qualify.
   out.resize(volume);
   std::size_t n = 0;
-  for (std::size_t other = first; other < first + volume; ++other) {
+  for (std::size_t other = 0; other < volume; ++other) {
     out[n] = other;
     n += static_cast<std::size_t>(
         (other != vid) &
         (l1_distance(vehicles_[other].pos, v.pos) <= config_.neighbor_radius));
   }
   out.resize(n);
-}
-
-const std::vector<Point>& FleetCore::primaries_of(const Point& corner) {
-  if (primaries_last_ != nullptr && corner == primaries_corner_)
-    return *primaries_last_;
-  auto it = primaries_cache_.find(corner);
-  if (it == primaries_cache_.end())
-    it = primaries_cache_.emplace(corner, pairing_.primaries_in_cube(corner))
-             .first;
-  primaries_corner_ = corner;
-  primaries_last_ = &it->second;  // node-based map: rehash-stable
-  return it->second;
 }
 
 void FleetCore::spend_travel(Vehicle& v, std::int64_t dist) {
@@ -152,36 +136,25 @@ void FleetCore::spend_travel(Vehicle& v, std::int64_t dist) {
 
 void FleetCore::check_longevity(Vehicle& v) {
   // Runs twice per served job; streams with no longevity injections at
-  // all (the common case) must not pay a hash probe for it.
-  if (longevity_.empty()) return;
-  auto it = longevity_.find(v.home);
-  if (it == longevity_.end() || v.dead) return;
-  if (v.spent() >= it->second * v.capacity - 1e-9) v.dead = true;
+  // all (the common case) skip it on the empty-array test.
+  if (longevity_.empty() || v.dead) return;
+  const double p = longevity_[v.id];
+  if (p >= 0.0 && v.spent() >= p * v.capacity - 1e-9) v.dead = true;
 }
 
-void FleetCore::note_done(Vehicle& v, const Point& cube_corner,
-                          const Point& primary) {
-  v.s1 = WorkState::kDone;
-  auto& slot = state_of(cube_corner).active_by_pair[static_cast<std::size_t>(
-      pairing_.snake_index(primary, cube_corner) / 2)];
-  if (slot == v.id) slot = SIZE_MAX;
-  pair_of_dest_[v.pos] = primary;
+void FleetCore::release_pair(const Vehicle& v, std::int64_t k) {
+  PairSlot& pair = pairs_[static_cast<std::size_t>(k / 2)];
+  if (pair.active == v.id) pair.active = kNone;
+  pair.last = static_cast<std::uint8_t>(k & 1);
 }
 
 bool FleetCore::serve_job(const Job& job) {
-  const Point corner = pairing_.cube_corner(job.position);
-  ensure_cube(corner);
-  return serve_job(job, corner);
-}
-
-bool FleetCore::serve_job(const Job& job, const Point& cube_corner) {
   CMVRP_CHECK(job.position.dim() == dim_);
   const SimTime now = queue_.now();
   last_timing_ = JobTiming{now, now, now, 0};
-  const std::int64_t k = pairing_.snake_index(job.position, cube_corner);
-  CubeState& st = state_of(cube_corner);
-  const auto pair_slot = static_cast<std::size_t>(k / 2);
-  const std::size_t vid = st.active_by_pair[pair_slot];
+  const std::int64_t k = pairing_.snake_index(job.position, corner_);
+  const PairSlot& pair = pairs_[static_cast<std::size_t>(k / 2)];
+  const std::size_t vid = pair.active == kNone ? SIZE_MAX : pair.active;
   if (spans_ != nullptr) spans_->serve_begin(now, vid, job.index);
   if (vid == SIZE_MAX) {
     ++metrics_.jobs_failed;
@@ -199,47 +172,40 @@ bool FleetCore::serve_job(const Job& job, const Point& cube_corner) {
     ++metrics_.jobs_failed;
     return false;
   }
-  last_timing_.assigned_at = st.active_since[pair_slot];
+  last_timing_.assigned_at = pair.since;
   spend_travel(v, dist);
   v.pos = job.position;
   v.spent_service += 1.0;
   check_longevity(v);
   ++metrics_.jobs_served;
-  after_serving(v.id, cube_corner);
+  after_serving(vid, k);
   return true;
 }
 
-void FleetCore::after_serving(std::size_t vid, const Point& cube_corner) {
-  // Fast exit for the common case (vehicle healthy, not exhausted): the
-  // pair primary is only resolved on the rare done/dead branches.
+void FleetCore::after_serving(std::size_t vid, std::int64_t k) {
+  // Fast exit for the common case (vehicle healthy, not exhausted).
   Vehicle& v = vehicles_[vid];
   if (v.dead) {
     // Broke mid-service (longevity): the monitoring ring must notice.
-    const Point primary = pairing_.primary(v.pos, cube_corner);
-    auto& slot =
-        state_of(cube_corner).active_by_pair[static_cast<std::size_t>(
-            pairing_.snake_index(primary, cube_corner) / 2)];
-    if (slot == vid) slot = SIZE_MAX;
-    pair_of_dest_[v.pos] = primary;
+    release_pair(v, k);
     return;
   }
   if (!v.exhausted()) return;
-  const Point dest = v.pos;
-  const Point primary = pairing_.primary(dest, cube_corner);
-  note_done(v, cube_corner, primary);
+  v.s1 = WorkState::kDone;
+  release_pair(v, k);
   if (v.silent_done) return;  // scenario 2: never initiates
-  replacement_pending_[primary] = true;
-  initiate_computation(vid, dest);
+  pairs_[static_cast<std::size_t>(k / 2)].pending = true;
+  initiate_computation(vid, k);
 }
 
 void FleetCore::initiate_computation(std::size_t initiator,
-                                     const Point& dest) {
+                                     std::int64_t dest) {
   Vehicle& v = vehicles_[initiator];
   v.s2 = TransferState::kInitiator;
   v.par = SIZE_MAX;
   v.child = SIZE_MAX;
   v.init = InitTag{initiator, ++v.init_seq};
-  initiator_dest_[initiator] = dest;
+  initiator_dest_[initiator] = static_cast<std::uint32_t>(dest);
   ++metrics_.computations_started;
   auto& nb = neighbor_scratch_;
   neighbors_into(initiator, nb);
@@ -350,57 +316,45 @@ void FleetCore::finish_phase_one(std::size_t vid) {
   if (spans_ != nullptr)
     spans_->comp_finish(queue_.now(), packed_init(v.init), vid,
                         v.child != SIZE_MAX);
-  auto dest_it = initiator_dest_.find(vid);
-  CMVRP_CHECK(dest_it != initiator_dest_.end());
-  const Point dest = dest_it->second;
-  initiator_dest_.erase(dest_it);
+  const std::uint32_t dest = initiator_dest_[vid];
+  CMVRP_CHECK(dest != kNone);
+  initiator_dest_[vid] = kNone;
   if (v.child == SIZE_MAX) {
     ++metrics_.computations_failed;
-    auto pit = pair_of_dest_.find(dest);
-    if (pit != pair_of_dest_.end()) {
-      replacement_pending_[pit->second] = false;
-      // No idle vehicle exists in this cube any more, and none will ever
-      // reappear — retrying the search would livelock the ring.
-      unrecoverable_.insert(pit->second);
-    }
+    PairSlot& pair = pairs_[dest / 2];
+    pair.pending = false;
+    // No idle vehicle exists in this cube any more, and none will ever
+    // reappear — retrying the search would livelock the ring.
+    pair.unrecoverable = true;
     return;
   }
-  network_.send(vid, v.child, MoveMsg{dest, v.init});
+  network_.send(vid, v.child,
+                MoveMsg{pairing_.snake_vertex(corner_, dest), v.init});
 }
 
 void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
   Vehicle& v = vehicles_[vid];
   if (v.s1 == WorkState::kIdle && !v.dead) {
+    const std::int64_t k = pairing_.snake_index(m.dest, corner_);
+    PairSlot& pair = pairs_[static_cast<std::size_t>(k / 2)];
     const std::int64_t dist = l1_distance(v.pos, m.dest);
     if (v.remaining() < static_cast<double>(dist)) {
       // Cannot afford the relocation; treat as a failed computation so the
       // monitoring ring can retry with another vehicle.
       ++metrics_.computations_failed;
-      auto pit = pair_of_dest_.find(m.dest);
-      if (pit != pair_of_dest_.end())
-        replacement_pending_[pit->second] = false;
+      pair.pending = false;
       return;
     }
     spend_travel(v, dist);
     v.pos = m.dest;
     if (v.dead) {  // longevity tripped mid-move
-      auto pit = pair_of_dest_.find(m.dest);
-      if (pit != pair_of_dest_.end())
-        replacement_pending_[pit->second] = false;
+      pair.pending = false;
       return;
     }
     v.s1 = WorkState::kActive;
-    auto pit = pair_of_dest_.find(m.dest);
-    CMVRP_CHECK_MSG(pit != pair_of_dest_.end(),
-                    "move destination has no registered pair");
-    const Point primary = pit->second;
-    const Point corner = pairing_.cube_corner(primary);
-    CubeState& st = state_of(corner);
-    const auto pair_slot = static_cast<std::size_t>(
-        pairing_.snake_index(primary, corner) / 2);
-    st.active_by_pair[pair_slot] = vid;
-    st.active_since[pair_slot] = queue_.now();
-    replacement_pending_[primary] = false;
+    pair.active = static_cast<std::uint32_t>(vid);
+    pair.since = queue_.now();
+    pair.pending = false;
     ++metrics_.replacements;
     if (spans_ != nullptr)
       spans_->cascade_step(queue_.now(), packed_init(m.init), vid, from,
@@ -408,10 +362,11 @@ void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
     // A replacement that arrives already too drained to accept work hands
     // the pair off immediately (only reachable at undersized capacities).
     if (v.exhausted()) {
-      note_done(v, corner, primary);
+      v.s1 = WorkState::kDone;
+      release_pair(v, k);
       if (!v.silent_done) {
-        replacement_pending_[primary] = true;
-        initiate_computation(vid, m.dest);
+        pair.pending = true;
+        initiate_computation(vid, k);
       }
     }
     return;
@@ -423,92 +378,71 @@ void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
     return;
   }
   ++metrics_.computations_failed;
-  auto pit = pair_of_dest_.find(m.dest);
-  if (pit != pair_of_dest_.end()) replacement_pending_[pit->second] = false;
+  pairs_[static_cast<std::size_t>(pairing_.snake_index(m.dest, corner_) / 2)]
+      .pending = false;
 }
 
 void FleetCore::monitor_sweep() {
-  // The "existing"-message ring of §3.2.5: the pair slots of a cube form a
-  // loop of monitoring pointers; every healthy active vehicle beacons its
+  // The "existing"-message ring of §3.2.5: the pair slots of the cube form
+  // a loop of monitoring pointers; every healthy active vehicle beacons its
   // ring predecessor, and a slot whose beacon is missing gets a diffusing
-  // computation initiated on its behalf by that predecessor.
-  for (const auto& corner : cubes_) {
-    const auto& primaries = primaries_of(corner);
-    // The flat pair-slot array (slot i <-> primaries[i]: both are ordered
-    // by ascending even snake index) is read live: one array load per
-    // slot, and any replacement a mid-sweep computation activates is
-    // visible to later slots with no cache-invalidation bookkeeping.
-    auto& active = state_of(corner).active_by_pair;
-    auto& ring = ring_scratch_;  // indices into `primaries`
-    ring.clear();
-    for (std::size_t i = 0; i < primaries.size(); ++i) {
-      const std::size_t vid = active[i];
-      if (vid == SIZE_MAX) continue;
-      const Vehicle& v = vehicles_[vid];
-      if (!v.dead && v.s1 == WorkState::kActive) ring.push_back(i);
+  // computation initiated on its behalf by that predecessor. Slots are
+  // read live, so a replacement that a mid-sweep computation activates is
+  // visible to later slots.
+  const std::size_t n = pairs_.size();
+  auto& ring = ring_scratch_;  // slot indices
+  ring.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t vid = pairs_[i].active;
+    if (vid == kNone) continue;
+    const Vehicle& v = vehicles_[vid];
+    if (!v.dead && v.s1 == WorkState::kActive) ring.push_back(i);
+  }
+  if (ring.empty()) return;  // nobody left to monitor or initiate
+  // Heartbeat round: each ring member beacons the previous ring member.
+  for (std::size_t k = 0; k < ring.size(); ++k) {
+    const std::size_t from = pairs_[ring[k]].active;
+    const std::size_t to =
+        pairs_[ring[(k + ring.size() - 1) % ring.size()]].active;
+    if (from != to) network_.send(from, to, ExistingMsg{});
+  }
+  // Timeout detection: slots with no healthy active vehicle and no
+  // replacement already in flight.
+  for (std::size_t i = 0; i < n; ++i) {
+    PairSlot& pair = pairs_[i];
+    if (pair.unrecoverable) continue;
+    if (pair.active == kNone) {
+      if (pair.pending) continue;
+    } else {
+      const Vehicle& v = vehicles_[pair.active];
+      if (!v.dead && v.s1 == WorkState::kActive) continue;
+      const std::int64_t k = pairing_.snake_index(v.pos, corner_);
+      CMVRP_CHECK_MSG(static_cast<std::size_t>(k / 2) == i,
+                      "active vehicle stands outside its pair");
+      pair.active = kNone;
+      pair.last = static_cast<std::uint8_t>(k & 1);
     }
-    if (ring.empty()) continue;  // nobody left to monitor or initiate
-    // Heartbeat round: each ring member beacons the previous ring member.
-    for (std::size_t k = 0; k < ring.size(); ++k) {
-      const auto from = active[ring[k]];
-      const auto to = active[ring[(k + ring.size() - 1) % ring.size()]];
-      if (from != to) network_.send(from, to, ExistingMsg{});
-    }
-    // Timeout detection: slots with no healthy active vehicle and no
-    // replacement already in flight.
-    for (std::size_t i = 0; i < primaries.size(); ++i) {
-      const Point& primary = primaries[i];
-      if (!unrecoverable_.empty() && unrecoverable_.count(primary)) continue;
-      bool needs_replacement = false;
-      Point dest = primary;
-      const std::size_t vid = active[i];
-      if (vid == SIZE_MAX) {
-        auto pend = replacement_pending_.find(primary);
-        const bool pending =
-            pend != replacement_pending_.end() && pend->second;
-        if (!pending) {
-          needs_replacement = true;
-          // Serve position: where the pair's last vehicle stood, if known.
-          for (const auto& [dpos, prim] : pair_of_dest_) {
-            if (prim == primary) {
-              dest = dpos;
-              break;
-            }
-          }
-        }
-      } else {
-        Vehicle& v = vehicles_[vid];
-        if (v.dead || v.s1 != WorkState::kActive) {
-          active[i] = SIZE_MAX;
-          pair_of_dest_[v.pos] = primary;
-          dest = v.pos;
-          needs_replacement = true;
-        }
+    // The replacement serves from where the pair was last served.
+    const auto dest = static_cast<std::int64_t>(2 * i + pair.last);
+    // The monitor: the ring predecessor of the victim slot.
+    std::size_t monitor_vid = SIZE_MAX;
+    for (std::size_t back = 1; back <= n; ++back) {
+      const std::uint32_t cvid = pairs_[(i + n - back) % n].active;
+      if (cvid == kNone) continue;
+      const Vehicle& cv = vehicles_[cvid];
+      if (!cv.dead && cv.s1 == WorkState::kActive &&
+          cv.s2 == TransferState::kWaiting) {
+        monitor_vid = cvid;
+        break;
       }
-      if (!needs_replacement) continue;
-      // The monitor: the ring predecessor of the victim slot.
-      std::size_t monitor_vid = SIZE_MAX;
-      for (std::size_t back = 1; back <= primaries.size(); ++back) {
-        const std::size_t cand =
-            (i + primaries.size() - back) % primaries.size();
-        const std::size_t cvid = active[cand];
-        if (cvid == SIZE_MAX) continue;
-        const Vehicle& cv = vehicles_[cvid];
-        if (!cv.dead && cv.s1 == WorkState::kActive &&
-            cv.s2 == TransferState::kWaiting) {
-          monitor_vid = cvid;
-          break;
-        }
-      }
-      if (monitor_vid == SIZE_MAX) continue;  // no healthy monitor left
-      pair_of_dest_[dest] = primary;
-      replacement_pending_[primary] = true;
-      ++metrics_.monitor_initiations;
-      initiate_computation(monitor_vid, dest);
-      // Serialize: let this computation finish before scanning on, so two
-      // concurrent searches never race for the same idle vehicle.
-      queue_.run_to_quiescence();
     }
+    if (monitor_vid == SIZE_MAX) continue;  // no healthy monitor left
+    pair.pending = true;
+    ++metrics_.monitor_initiations;
+    initiate_computation(monitor_vid, dest);
+    // Serialize: let this computation finish before scanning on, so two
+    // concurrent searches never race for the same idle vehicle.
+    queue_.run_to_quiescence();
   }
 }
 
@@ -532,7 +466,6 @@ void FleetCore::finalize_metrics() {
 }
 
 std::int64_t FleetCore::exhausted_permille() const {
-  if (vehicles_.empty()) return 0;
   std::size_t exhausted = 0;
   for (const auto& v : vehicles_)
     if (v.dead || v.s1 == WorkState::kDone) ++exhausted;
@@ -540,18 +473,18 @@ std::int64_t FleetCore::exhausted_permille() const {
 }
 
 const Vehicle* FleetCore::vehicle_at_home(const Point& home) const {
-  auto it = by_home_.find(home);
-  return it == by_home_.end() ? nullptr : &vehicles_[it->second];
+  const std::uint32_t id = id_of_home(home);
+  return id == kNone ? nullptr : &vehicles_[id];
 }
 
 std::optional<std::size_t> FleetCore::active_of_pair(
     const Point& any_member) const {
-  const Point corner = pairing_.cube_corner(any_member);
-  auto it = cube_state_.find(corner);
-  if (it == cube_state_.end()) return std::nullopt;
-  const std::size_t vid = it->second.active_by_pair[static_cast<std::size_t>(
-      pairing_.snake_index(any_member, corner) / 2)];
-  if (vid == SIZE_MAX) return std::nullopt;
+  if (id_of_home(any_member) == kNone) return std::nullopt;
+  const std::uint32_t vid =
+      pairs_[static_cast<std::size_t>(
+                 pairing_.snake_index(any_member, corner_) / 2)]
+          .active;
+  if (vid == kNone) return std::nullopt;
   return vid;
 }
 

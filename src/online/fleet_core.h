@@ -1,35 +1,35 @@
 // The per-cube serving/replacement core of the Chapter 3 strategy.
 //
-// FleetCore owns the vehicle fleet and the full protocol state machine —
-// job service (§3.2.2), Phase I diffusing computations (Algorithm 2),
-// Phase II move relays, and the §3.2.5 monitoring ring — over whatever
-// cubes it is asked to materialize. It is deliberately agnostic about
-// *scheduling*: the event queue and message network are borrowed by
-// reference, so the same core drives
-//   * the legacy OnlineSimulation (one global queue, one network RNG,
-//     all cubes in one core), and
-//   * the sharded streaming engine (one core per cube, each with its own
-//     queue and per-cube seeded network — see src/stream/).
-// Every protocol action is strictly intra-cube (neighbor lists never
-// cross a cube boundary), which is what makes the per-cube split exact
-// rather than approximate.
+// FleetCore owns the vehicle fleet of exactly one partition cube and the
+// full protocol state machine over it — job service (§3.2.2), Phase I
+// diffusing computations (Algorithm 2), Phase II move relays, and the
+// §3.2.5 monitoring ring. Every protocol action is strictly intra-cube
+// (neighbor lists never cross a cube boundary), so one core per cube is
+// the whole strategy, not an approximation of it: the streaming engine
+// (src/stream/) gives each cube its own core, event queue and per-cube
+// seeded network. The queue and network are borrowed by reference.
 //
-// Complexity: serving a job is O(1) plus amortized replacement cost; each
-// Phase I diffusing computation floods the O(s^ℓ) vehicles of one cube
+// State is index-addressed. The fleet is created at construction in one
+// sized allocation, in Box::for_each_point order, so a vehicle's id is
+// the row-major offset of its home in the cube. Per-pair state (active
+// vehicle, its install time, the vertex the pair was last served from,
+// the in-flight and unrecoverable flags) lives in one slot array indexed
+// by snake pair k/2; per-vehicle side state (Phase II destinations,
+// longevities) in arrays indexed by id. No serve, message or sweep step
+// hashes a Point.
+//
+// Complexity: serving a job is O(ℓ) plus amortized replacement cost; each
+// Phase I diffusing computation floods the s^ℓ vehicles of the cube
 // through radius-r neighbor lists (O(s^ℓ · (2r+1)^ℓ) messages, realizing
 // Lemma 3.3.1's bounded-search claim), and Phase II relays one move
-// message along the computation tree. Vehicles materialize lazily, so
-// memory is O(touched cubes · s^ℓ).
+// message along the computation tree. Memory is O(s^ℓ).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
-#include "grid/box.h"
-#include "grid/neighborhood.h"
 #include "grid/point.h"
 #include "obs/counters.h"
 #include "obs/span.h"
@@ -66,9 +66,8 @@ struct OnlineConfig {
   SimTime max_message_delay = 3;      // extra random per-message delay
   std::uint64_t seed = 1;
   bool enable_monitoring = true;  // §3.2.5 monitoring ring
-  // Arrivals between monitoring settles, per serving unit (a cube in the
-  // streaming engine, the whole fleet in the legacy simulator). 1 = sweep
-  // after every arrival (the paper's long-gap reading, and the historical
+  // Arrivals between monitoring settles, per cube. 1 = sweep after every
+  // arrival (the paper's long-gap reading, and the historical
   // behavior); larger strides amortize the heartbeat ring across batched
   // arrivals — the §3.2.5 failure-detection latency grows to at most
   // `monitor_stride` arrivals, but the serving outcome of failure-free
@@ -77,8 +76,8 @@ struct OnlineConfig {
   // engine's bit-identical contract across thread counts AND batch sizes
   // survives any stride.
   std::int64_t monitor_stride = 1;
-  // Admission control (stream engine only; ignored by the legacy
-  // simulator). With a bounded policy, each cube runs a FIFO backlog of
+  // Admission control (applied by the stream engine's CubeServer, not
+  // by FleetCore). With a bounded policy, each cube runs a FIFO backlog of
   // at most queue_limit jobs on the arrival-index clock, one service
   // per service_ticks — all scheduling is a pure function of the cube's
   // arrival subsequence, so the bit-identical contract holds with the
@@ -101,9 +100,9 @@ struct OnlineConfig {
 // → serve), in the serving cube's protocol clock. arrived_at is the
 // clock when serve_job ran; assigned_at is when the vehicle that handled
 // the job was installed into its pair slot (the Phase II move-completion
-// time for replacement vehicles, the cube's materialization time for the
-// initial active fleet) — so arrived_at − assigned_at says how long the
-// assignment predated the job, and done_at − arrived_at is the
+// time for replacement vehicles, clock 0 for the initial active fleet) —
+// so arrived_at − assigned_at says how long the assignment predated the
+// job, and done_at − arrived_at is the
 // replacement cascade the job itself triggered (captured by the caller
 // after the queue drains; FleetCore initializes it to arrived_at).
 // queue_wait is the admission-layer wait on the global arrival-index
@@ -171,10 +170,12 @@ struct OnlineMetrics {
 
 class FleetCore {
  public:
-  // `queue` and `network` are borrowed; the owner must bind this core as
-  // the network receiver (see bind_network) and outlive it.
-  FleetCore(int dim, const OnlineConfig& config, EventQueue& queue,
-            Network& network);
+  // Builds the fleet of the cube whose corner is `corner` (which must be
+  // a corner of config's partition). `queue` and `network` are borrowed;
+  // the owner must bind this core as the network receiver (see
+  // bind_network) and outlive it.
+  FleetCore(int dim, const OnlineConfig& config, const Point& corner,
+            EventQueue& queue, Network& network);
   // bind_network hands the network this core's address.
   FleetCore(const FleetCore&) = delete;
   FleetCore& operator=(const FleetCore&) = delete;
@@ -183,30 +184,22 @@ class FleetCore {
   void bind_network();
 
   // Optional Tier-C span hook (borrowed; may be null). Wire before
-  // serving; the recorder sees computation start/finish, relay hops,
+  // serving: registers every vehicle's pair slot (the exporter's tid
+  // axis), then the recorder sees computation start/finish, relay hops,
   // cascade steps, and serve-begin anchors on the cube protocol clock.
-  void set_spans(SpanRecorder* spans) { spans_ = spans; }
+  void set_spans(SpanRecorder* spans);
 
-  // Failure injection (call before serving).
+  // Failure injection, effective from the next protocol step. `home`
+  // must lie in this cube.
   void inject_silent_done(const Point& home);        // scenario 2
   void inject_break_after(const Point& home, double longevity);  // p_i < 1
 
-  // Materializes the cube containing `position` (idempotent).
-  void ensure_cube_at(const Point& position);
-
-  // Serves one arrival; returns true when the job was served. The caller
-  // drains the queue afterwards (the paper's long inter-arrival gaps).
+  // Serves one arrival (which must lie in this cube); returns true when
+  // the job was served. The caller drains the queue afterwards (the
+  // paper's long inter-arrival gaps).
   bool serve_job(const Job& job);
 
-  // Hot-path overload for callers that already routed the job:
-  // `cube_corner` must equal pairing().cube_corner(job.position), which
-  // lets the serve path skip its own floor-divides, and the containing
-  // cube must already be materialized (ensure_cube_at) — the streaming
-  // engine's per-cube servers warm their cube up on first contact, so
-  // the steady-state path pays no membership probe per arrival.
-  bool serve_job(const Job& job, const Point& cube_corner);
-
-  // One §3.2.5 heartbeat + timeout round over every materialized cube.
+  // One §3.2.5 heartbeat + timeout round over the cube's pair ring.
   void monitor_sweep();
 
   // Drain + repeated monitor rounds until no new ring initiations (a
@@ -220,14 +213,15 @@ class FleetCore {
   const OnlineMetrics& metrics() const { return metrics_; }
   const CubePairing& pairing() const { return pairing_; }
   const OnlineConfig& config() const { return config_; }
+  const Point& corner() const { return corner_; }
 
   // Lifecycle timestamps of the most recent serve_job call (valid until
   // the next one). done_at is initialized to arrived_at; callers that
   // drain the queue afterwards stamp the real completion time there.
   JobTiming last_timing() const { return last_timing_; }
 
-  // Share of materialized vehicles that are done or dead, in permille —
-  // the fleet-occupancy signal the timeseries sampler records. O(fleet).
+  // Share of the fleet that is done or dead, in permille — the
+  // fleet-occupancy signal the timeseries sampler records. O(fleet).
   std::int64_t exhausted_permille() const;
 
   // Tier-A observability accessors (src/obs/); all zero unless
@@ -242,97 +236,78 @@ class FleetCore {
     return obs_max_queries_per_comp_;
   }
 
-  // Introspection for tests.
+  // Introspection for tests. vehicle_at_home is null for homes outside
+  // the cube; active_of_pair is empty when the pair has no active vehicle.
+  const std::vector<Vehicle>& vehicles() const { return vehicles_; }
   const Vehicle* vehicle_at_home(const Point& home) const;
-  std::size_t vehicle_count() const { return vehicles_.size(); }
   std::optional<std::size_t> active_of_pair(const Point& any_member) const;
 
   void on_message(std::size_t to, std::size_t from, const Message& m);
 
  private:
-  // Flat per-cube serving state: pair slot k/2 (k = snake index of either
-  // pair member) -> id of the pair's current active vehicle, SIZE_MAX
-  // when the slot has none. Replaces the Point-keyed active_of_ map: the
-  // serve path already computes the snake index, so the active lookup is
-  // one array read instead of a hash probe — and the §3.2.5 sweep scans
-  // the slots in primaries_of order without touching a map at all. The
-  // map was never iterated, so the swap is observation-equivalent.
-  struct CubeState {
-    std::vector<std::size_t> active_by_pair;
-    // When each slot's current active vehicle was installed (cube clock):
-    // the Phase II move-completion time for replacements, the cube's
-    // materialization time for the initial fleet — the "assignment"
-    // timestamp of every job the slot subsequently serves.
-    std::vector<SimTime> active_since;
-    // The cube's vehicles hold the contiguous ids [first_vehicle,
-    // first_vehicle + cube volume): ensure_cube creates all of them in
-    // one pass, and no vehicle ever leaves its home cube.
-    std::size_t first_vehicle = 0;
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  // Serving state of one black–white pair (snake indices 2i and 2i+1).
+  struct PairSlot {
+    std::uint32_t active = kNone;  // id of the pair's active vehicle
+    // Which member the pair was last served from (0 = the primary, 2i;
+    // 1 = its partner): the vertex a ring-initiated replacement for an
+    // abandoned pair moves to.
+    std::uint8_t last = 0;
+    bool pending = false;        // a replacement request is in flight
+    // The cube ran out of idle vehicles for this pair: a failed search
+    // can never succeed later (vehicles never return to idle), so the
+    // ring must not retry it, and its arrivals fail immediately.
+    bool unrecoverable = false;
+    // When the current active vehicle was installed (cube clock): the
+    // Phase II move-completion time for replacements, 0 for the initial
+    // fleet — the "assignment" timestamp of every job the slot serves.
+    SimTime since = 0;
   };
 
-  std::size_t ensure_vehicle(const Point& home, const Point& corner);
-  void ensure_cube(const Point& corner);
-  CubeState& state_of(const Point& corner);
-  // Fills `out` with vid's radius-r cube-local neighbors (callers pass a
-  // reused scratch buffer; the serve path runs one of these per protocol
+  // Row-major offset of `home` in the cube (= its vehicle id); kNone
+  // when outside.
+  std::uint32_t id_of_home(const Point& home) const;
+  // Fills `out` with vid's radius-r neighbors (callers pass a reused
+  // scratch buffer; the serve path runs one of these per protocol
   // message, so per-call vector churn was measurable).
   void neighbors_into(std::size_t vid, std::vector<std::size_t>& out);
-  // The pairing's primaries for `corner`, computed once per cube and
-  // cached: the list is a pure function of the corner, and monitor_sweep
-  // re-enumerated it on every settle.
-  const std::vector<Point>& primaries_of(const Point& corner);
   void check_longevity(Vehicle& v);
 
   // Attributes `count` Query sends to computation `init` and updates
   // the running per-computation max (obs-gated; callers check).
   void obs_note_queries(const InitTag& init, std::size_t count);
 
-  void after_serving(std::size_t vid, const Point& cube_corner);
-  void initiate_computation(std::size_t initiator, const Point& dest);
+  // `k` is the snake index the vehicle now stands on.
+  void after_serving(std::size_t vid, std::int64_t k);
+  // `dest` is the snake index of the vertex the replacement must occupy.
+  void initiate_computation(std::size_t initiator, std::int64_t dest);
   void on_query(std::size_t vid, std::size_t from, const QueryMsg& q);
   void on_reply(std::size_t vid, std::size_t from, const ReplyMsg& r);
   void on_move(std::size_t vid, std::size_t from, const MoveMsg& m);
   void finish_phase_one(std::size_t vid);
   void spend_travel(Vehicle& v, std::int64_t dist);
-  void note_done(Vehicle& v, const Point& cube_corner, const Point& primary);
+  // The vehicle `v`, standing on snake index k, stops serving its pair:
+  // vacates the pair's slot if v held it and records k as the pair's
+  // last-served vertex.
+  void release_pair(const Vehicle& v, std::int64_t k);
 
   int dim_;
   OnlineConfig config_;
   CubePairing pairing_;
+  Point corner_;
   EventQueue& queue_;
   Network& network_;
 
-  std::vector<Vehicle> vehicles_;
-  std::unordered_map<Point, std::size_t, PointHash> by_home_;
-  // Cube corner -> flat active-pair slots (see CubeState). The one-entry
-  // cache skips the hash probe on repeated same-cube access — always, for
-  // the streaming engine's single-cube cores (unordered_map element
-  // references are rehash-stable, so the pointer stays valid).
-  std::unordered_map<Point, CubeState, PointHash> cube_state_;
-  Point state_corner_;
-  CubeState* state_cache_ = nullptr;
-  // Pair primary -> a replacement request is in flight.
-  std::unordered_map<Point, bool, PointHash> replacement_pending_;
-  // Done/dead vehicle id -> the pair primary it was serving (so the
-  // arriving replacement can register itself).
-  std::unordered_map<Point, Point, PointHash> pair_of_dest_;
-  // Initiator vehicle -> destination its Phase II move must carry.
-  std::unordered_map<std::size_t, Point> initiator_dest_;
-  // Pair slots whose cube ran out of idle vehicles: a failed search can
-  // never succeed later (vehicles never return to idle), so the ring must
-  // not retry them. Jobs arriving there are reported failed immediately.
-  PointSet unrecoverable_;
-  // Cubes already materialized (corner points).
-  PointSet cubes_;
-  // Pending failure injections keyed by home vertex.
-  std::unordered_map<Point, double, PointHash> longevity_;
-  PointSet silent_homes_;
-  // Cube corner -> its pairing primaries (pure function of the corner),
-  // with a one-entry cache in front for the sweep loop (same rationale —
-  // and same rehash-stability argument — as the CubeState cache above).
-  std::unordered_map<Point, std::vector<Point>, PointHash> primaries_cache_;
-  Point primaries_corner_;
-  const std::vector<Point>* primaries_last_ = nullptr;
+  std::vector<Vehicle> vehicles_;  // id = row-major offset of the home
+  std::vector<PairSlot> pairs_;    // slot i = snake pair (2i, 2i+1)
+  // Vehicle id -> snake index of the destination its Phase II move must
+  // carry (kNone while it runs no computation).
+  std::vector<std::uint32_t> initiator_dest_;
+  // Vehicle id -> injected longevity p_i (negative = never breaks);
+  // empty until the first inject_break_after, so streams without
+  // breakage pay nothing for the check.
+  std::vector<double> longevity_;
   // Reused scratch buffers for the message hot path and monitor sweeps.
   std::vector<std::size_t> neighbor_scratch_;
   std::vector<std::size_t> ring_scratch_;

@@ -83,16 +83,24 @@ std::size_t StreamEngine::route_of(const Point& position, Point* corner,
   return CornerHash{}(*corner) % shard_count;
 }
 
-void StreamEngine::inject_silent_done(const Point& home) {
+CubeServer& StreamEngine::server_of(const Point& home) {
   CMVRP_CHECK_MSG(home.dim() == dim_,
-                  "silent-done home dim " << home.dim()
-                                          << " does not match engine dim "
-                                          << dim_);
+                  "injection home dim " << home.dim()
+                                        << " does not match engine dim "
+                                        << dim_);
   Point corner = home;
   std::uint32_t slot = CubeSlotTable::kNoSlot;
   const std::size_t shard = route_of(home, &corner, &slot);
-  shards_[shard].inject_silent_done(home, corner, slot);
+  return shards_[shard].server_for(corner, slot);
+}
+
+void StreamEngine::inject_silent_done(const Point& home) {
+  server_of(home).inject_silent_done(home);
   if (observer_ != nullptr) observer_->on_inject(home);
+}
+
+void StreamEngine::inject_break_after(const Point& home, double longevity) {
+  server_of(home).inject_break_after(home, longevity);
 }
 
 void StreamEngine::run_batch(const Job* jobs, std::size_t count) {

@@ -1,11 +1,11 @@
 // Sharded streaming engine: multi-threaded, batched online serving over
-// cube shards.
+// cube shards — the one serving path of the Chapter 3 strategy. At
+// threads 1 it is also the library's plain "run this stream" entry
+// (serve_stream); the capacity search (stream/won_search.h) probes it.
 //
-// The legacy OnlineSimulation drains one global event queue to quiescence
-// after every arrival — correct, but single-threaded and far from the
-// "millions of users" target. This engine exploits the paper's own
-// decentralization (§3.2: vehicles coordinate only through radius-r
-// neighbor messages inside their cube) to serve a job stream in parallel:
+// The engine exploits the paper's own decentralization (§3.2: vehicles
+// coordinate only through radius-r neighbor messages inside their cube)
+// to serve a job stream in parallel:
 //
 //   route   — arrivals are consumed in bounded batches (batch_size); a
 //             routing pass resolves each job's cube corner and slot (one
@@ -30,13 +30,7 @@
 // cube's job subsequence is order-preserved (the monitoring cadence is a
 // per-cube arrival stride, never a batch boundary — see stream/shard.h).
 // Threads — and whether a region/slot table is configured — only change
-// wall time and shard assignment, never outcomes. Against the *legacy*
-// simulator only the delay-invariant service outcome (served/failed
-// sets) is expected to agree: per-cube delay RNGs draw differently from
-// the legacy global RNG, so Phase I searches can pick different idle
-// replacements (different travel/energy split), and monitoring
-// heartbeats are per-cube-local here whereas the legacy simulator sweeps
-// every cube after every arrival (different message counts).
+// wall time and shard assignment, never outcomes.
 #pragma once
 
 #include <cstddef>
@@ -111,7 +105,8 @@ struct StreamResult {
 // global arrival order), on the thread that called ingest(). on_inject
 // fires for every silent-done injection, at its position between
 // batches — so an observer recording the run (OutcomeRecorder) captures
-// failure injections too and its trail replays to the same run.
+// those injections too and its trail replays to the same run. Break
+// injections are not observed: the trace format has no record for them.
 // Observers must not re-enter the engine.
 class StreamObserver {
  public:
@@ -145,12 +140,16 @@ class StreamEngine {
   void ingest(const std::vector<Job>& jobs);
   void ingest(const Job* jobs, std::size_t count);
 
-  // Failure injection between ingest() calls: the vehicle homed at
-  // `home` goes silent-done (serves until exhausted, never initiates its
-  // own replacement — §3.2.5's scenario 2). Routed to the owning cube's
-  // shard deterministically; takes effect for all arrivals ingested
-  // afterwards. The trace replayer maps v2 silent-done events here.
+  // Failure injection between ingest() calls, routed to the owning
+  // cube's shard deterministically (creating the cube if no arrival has
+  // reached it yet); takes effect for all arrivals ingested afterwards.
+  // Silent-done: the vehicle homed at `home` serves until exhausted but
+  // never initiates its own replacement (§3.2.5's scenario 2); the trace
+  // replayer maps v2 silent-done events here. Break-after: the vehicle
+  // breaks once it has spent `longevity` ∈ [0, 1] of its capacity
+  // (Chapter 4's p_i; 0 = broken from the start, §3.2.5 scenarios 3/4).
   void inject_silent_done(const Point& home);
+  void inject_break_after(const Point& home, double longevity);
 
   // Finalizes and merges every cube's results. With a bounded admission
   // policy this first drains every cube's backlog (the stream has ended,
@@ -193,6 +192,8 @@ class StreamEngine {
   // Resolves one position to (corner, slot) and its owning shard.
   std::size_t route_of(const Point& position, Point* corner,
                        std::uint32_t* slot) const;
+  // The server of the cube holding `home` (created on first contact).
+  CubeServer& server_of(const Point& home);
 
   int dim_;
   StreamConfig config_;

@@ -22,11 +22,10 @@ std::uint64_t cube_stream_seed(std::uint64_t engine_seed,
 
 CubeServer::CubeServer(int dim, const OnlineConfig& config,
                        const Point& corner)
-    : corner_(corner),
-      queue_(),
+    : queue_(),
       network_(queue_, Rng(cube_stream_seed(config.seed, corner)),
                config.max_message_delay),
-      core_(dim, config, queue_, network_),
+      core_(dim, config, corner, queue_, network_),
       series_(config.sample_stride),
       obs_(config.obs.counters) {
   core_.bind_network();
@@ -51,7 +50,7 @@ void CubeServer::serve_now(const Job& job, SimTime queue_wait,
   // replacements a deferred monitor settle completes below belong to
   // the ring, not to this job.
   const std::uint64_t repl_before = obs_ ? core_.metrics().replacements : 0;
-  const bool ok = core_.serve_job(job, corner_);
+  const bool ok = core_.serve_job(job);
   queue_.run_to_quiescence();
   if (obs_ && ok)
     cascade_.add(
@@ -68,8 +67,9 @@ void CubeServer::serve_now(const Job& job, SimTime queue_wait,
   (ok ? served_ : failed_).push_back(job.index);
   if (ok) latency_.add(timing.latency());
   if (out != nullptr)
-    out->push_back({job, corner_, ok,
-                    ok ? OutcomeKind::kServed : OutcomeKind::kFailed, timing});
+    out->push_back(
+        {job, corner(), ok ? OutcomeKind::kServed : OutcomeKind::kFailed,
+         timing});
 }
 
 void CubeServer::drop(const Job& job, OutcomeKind kind, SimTime queue_wait,
@@ -79,7 +79,7 @@ void CubeServer::drop(const Job& job, OutcomeKind kind, SimTime queue_wait,
   if (out != nullptr) {
     JobTiming timing;
     timing.queue_wait = queue_wait;
-    out->push_back({job, corner_, false, kind, timing});
+    out->push_back({job, corner(), kind, timing});
   }
 }
 
@@ -105,15 +105,11 @@ void CubeServer::sample_if_due() {
 }
 
 void CubeServer::serve(const Job& job, std::vector<JobOutcome>* out) {
-  if (!started_) {
-    started_ = true;
-    // Same warm-up as the legacy simulator, scoped to this cube: the
-    // fleet exists from t = 0 and heartbeats precede the first arrival.
-    core_.ensure_cube_at(job.position);
-    if (core_.config().enable_monitoring) {
-      core_.monitor_sweep();
-      queue_.run_to_quiescence();
-    }
+  if (arrivals_ == 0 && core_.config().enable_monitoring) {
+    // The fleet exists from t = 0 and heartbeats precede the first
+    // arrival, so vehicles broken from the start are already replaced.
+    core_.monitor_sweep();
+    queue_.run_to_quiescence();
   }
   ++arrivals_;
   const OnlineConfig& cfg = core_.config();
@@ -146,10 +142,6 @@ void CubeServer::serve(const Job& job, std::vector<JobOutcome>* out) {
     note_enqueued();
   }
   sample_if_due();
-}
-
-void CubeServer::inject_silent_done(const Point& home) {
-  core_.inject_silent_done(home);
 }
 
 CubeCounters CubeServer::counters() const {
@@ -251,11 +243,6 @@ void CubeShard::process(const RoutedJob* jobs, std::size_t count,
     server_for(r.corner, r.slot).serve(r.job, outcomes);
     ++jobs_processed_;
   }
-}
-
-void CubeShard::inject_silent_done(const Point& home, const Point& corner,
-                                   std::uint32_t slot) {
-  server_for(corner, slot).inject_silent_done(home);
 }
 
 void CubeShard::finish(std::vector<JobOutcome>* outcomes) {

@@ -104,7 +104,6 @@ enum class OutcomeKind : std::uint8_t {
 struct JobOutcome {
   Job job;
   Point corner;        // cube corner the job was routed to
-  bool served = false;  // kind == kServed, kept for 2-way consumers
   OutcomeKind kind = OutcomeKind::kFailed;
   JobTiming timing;    // zero-initialized for admission drops
 };
@@ -123,18 +122,23 @@ class CubeServer {
   // monitoring ring settles every monitor_stride-th service.
   void serve(const Job& job, std::vector<JobOutcome>* out);
 
-  // Failure injection: the vehicle homed at `home` (which must lie in
-  // this cube) goes silent-done — it serves until exhausted but never
-  // initiates its own replacement, so only the §3.2.5 ring can recover
-  // the pair. Takes effect for all subsequent arrivals.
-  void inject_silent_done(const Point& home);
+  // Failure injection into the vehicle homed at `home` (which must lie
+  // in this cube), effective for all subsequent arrivals. Silent-done:
+  // it serves until exhausted but never initiates its own replacement,
+  // so only the §3.2.5 ring can recover the pair. Break-after: it breaks
+  // once it has spent `longevity` of its capacity (0 = already broken).
+  void inject_silent_done(const Point& home) { core_.inject_silent_done(home); }
+  void inject_break_after(const Point& home, double longevity) {
+    core_.inject_break_after(home, longevity);
+  }
 
   // Drains the admission backlog (appending those outcomes to `out`
   // when non-null), runs any monitoring rounds deferred by the stride,
   // then finalizes metrics (network stats + energy aggregates).
   void finish(std::vector<JobOutcome>* out);
 
-  const Point& corner() const { return corner_; }
+  const Point& corner() const { return core_.corner(); }
+  const FleetCore& core() const { return core_; }
   const OnlineMetrics& metrics() const { return core_.metrics(); }
   const std::vector<std::int64_t>& served_indices() const { return served_; }
   const std::vector<std::int64_t>& failed_indices() const { return failed_; }
@@ -177,7 +181,6 @@ class CubeServer {
     SimTime enqueued_at = 0;  // arrival-index clock
   };
 
-  Point corner_;
   EventQueue queue_;
   Network network_;
   FleetCore core_;
@@ -185,7 +188,6 @@ class CubeServer {
   // into both the core (protocol events) and the network (messages) at
   // construction, read back through the engine's span_sources().
   std::unique_ptr<SpanRecorder> spans_rec_;
-  bool started_ = false;
   std::int64_t since_settle_ = 0;  // services since the last ring settle
   std::int64_t arrivals_ = 0;      // arrivals admitted to this cube
   std::deque<Waiting> backlog_;    // bounded admission queue (FIFO)
@@ -224,12 +226,10 @@ class CubeShard {
   void process(const RoutedJob* jobs, std::size_t count,
                std::vector<JobOutcome>* outcomes = nullptr);
 
-  // Failure injection routed by the engine: creates the cube server for
-  // the cube at `corner` (slot-resolved by the engine; creation is
-  // deterministic per corner) and marks the vehicle at `home`
-  // silent-done. Must be called between batches.
-  void inject_silent_done(const Point& home, const Point& corner,
-                          std::uint32_t slot);
+  // The server of the cube at `corner` (slot-resolved by the engine),
+  // created on first contact; creation is deterministic per corner. The
+  // engine routes failure injections through it between batches.
+  CubeServer& server_for(const Point& corner, std::uint32_t slot);
 
   std::size_t cube_count() const { return materialized_; }
   std::uint64_t jobs_processed() const { return jobs_processed_; }
@@ -244,8 +244,6 @@ class CubeShard {
   void collect(std::vector<std::pair<Point, const CubeServer*>>& out) const;
 
  private:
-  CubeServer& server_for(const Point& corner, std::uint32_t slot);
-
   int dim_;
   OnlineConfig config_;
   const CubeSlotTable* table_;  // borrowed; may be empty

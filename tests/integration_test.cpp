@@ -10,7 +10,9 @@
 #include "core/omega.h"
 #include "flow/earthmover.h"
 #include "flow/transportation.h"
-#include "online/capacity_search.h"
+#include "grid/neighborhood.h"
+#include "stream/engine.h"
+#include "stream/won_search.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 
@@ -162,24 +164,24 @@ TEST(Integration, OnlineStrategyServesInOneAndThreeDimensions) {
   {
     std::vector<Job> jobs;
     for (int i = 0; i < 20; ++i) jobs.push_back({Point{3}, i});
-    OnlineConfig cfg;
-    cfg.capacity = 10.0;  // 1-D cubes hold only `side` vehicles: budget up
-    cfg.cube_side = 4;
-    cfg.anchor = Point{0};
-    OnlineSimulation sim(1, cfg);
-    EXPECT_TRUE(sim.run(jobs));
-    EXPECT_GE(sim.metrics().replacements, 1u);
+    StreamConfig cfg;
+    cfg.online.capacity = 10.0;  // 1-D cubes hold only `side` vehicles
+    cfg.online.cube_side = 4;
+    cfg.online.anchor = Point{0};
+    const OnlineMetrics m = serve_stream(1, cfg, jobs).metrics;
+    EXPECT_EQ(m.jobs_failed, 0u);
+    EXPECT_GE(m.replacements, 1u);
   }
   {
     std::vector<Job> jobs;
     for (int i = 0; i < 30; ++i) jobs.push_back({Point{1, 1, 1}, i});
-    OnlineConfig cfg;
-    cfg.capacity = 8.0;
-    cfg.cube_side = 3;
-    cfg.anchor = Point{0, 0, 0};
-    OnlineSimulation sim(3, cfg);
-    EXPECT_TRUE(sim.run(jobs));
-    EXPECT_GE(sim.metrics().replacements, 1u);
+    StreamConfig cfg;
+    cfg.online.capacity = 8.0;
+    cfg.online.cube_side = 3;
+    cfg.online.anchor = Point{0, 0, 0};
+    const OnlineMetrics m = serve_stream(3, cfg, jobs).metrics;
+    EXPECT_EQ(m.jobs_failed, 0u);
+    EXPECT_GE(m.replacements, 1u);
   }
 }
 

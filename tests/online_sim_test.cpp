@@ -6,10 +6,15 @@
 #include <vector>
 
 #include "online/capacity_search.h"
-#include "online/simulation.h"
+#include "online/pairing.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
+#include "stream/engine.h"
+#include "stream/shard.h"
+#include "stream/won_search.h"
 #include "workload/generators.h"
+
+#include "stream_checks.h"
 
 namespace cmvrp {
 namespace {
@@ -216,133 +221,147 @@ TEST(Network, CountsByKind) {
 }
 
 // --- basic serving ------------------------------------------------------------
+//
+// The strategy runs on the stream engine at one worker thread; tests that
+// inspect vehicles drive the one cube's CubeServer directly.
 
-TEST(OnlineSim, ServesSingleJobInPlace) {
-  OnlineSimulation sim(2, small_config(10.0));
-  // Job lands on a primary vertex: its own active vehicle serves at cost 1.
-  std::vector<Job> jobs{{Point{0, 0}, 0}};
-  EXPECT_TRUE(sim.run(jobs));
-  EXPECT_EQ(sim.metrics().jobs_served, 1u);
-  EXPECT_EQ(sim.metrics().jobs_failed, 0u);
-  EXPECT_DOUBLE_EQ(sim.metrics().max_energy_spent, 1.0);
+StreamConfig one_thread(const OnlineConfig& online) {
+  StreamConfig c;
+  c.online = online;
+  return c;
 }
 
-TEST(OnlineSim, PartnerVertexServedByPairActive) {
-  OnlineSimulation sim(2, small_config(10.0));
-  const auto& pairing = sim.pairing();
+OnlineMetrics serve(const OnlineConfig& online, const std::vector<Job>& jobs) {
+  return serve_stream(2, one_thread(online), jobs).metrics;
+}
+
+TEST(OnlineServe, ServesSingleJobInPlace) {
+  // Job lands on a primary vertex: its own active vehicle serves at cost 1.
+  const OnlineMetrics m = serve(small_config(10.0), {{Point{0, 0}, 0}});
+  EXPECT_EQ(m.jobs_served, 1u);
+  EXPECT_EQ(m.jobs_failed, 0u);
+  EXPECT_DOUBLE_EQ(m.max_energy_spent, 1.0);
+}
+
+TEST(OnlineServe, PartnerVertexServedByPairActive) {
+  const CubePairing pairing(2, Point{0, 0}, 4);
   // Find a non-primary vertex in the first cube.
   Point secondary = Point{0, 0};
   Box::cube(Point{0, 0}, 4).for_each_point([&](const Point& p) {
     if (!pairing.is_primary(p)) secondary = p;
   });
   ASSERT_FALSE(pairing.is_primary(secondary));
-  std::vector<Job> jobs{{secondary, 0}};
-  EXPECT_TRUE(sim.run(jobs));
+  const OnlineMetrics m = serve(small_config(10.0), {{secondary, 0}});
+  EXPECT_EQ(m.jobs_failed, 0u);
   // One walk (1) + one service (1).
-  EXPECT_DOUBLE_EQ(sim.metrics().max_energy_spent, 2.0);
-  EXPECT_EQ(sim.metrics().total_travel, 1u);
+  EXPECT_DOUBLE_EQ(m.max_energy_spent, 2.0);
+  EXPECT_EQ(m.total_travel, 1u);
 }
 
-TEST(OnlineSim, ManyJobsNoReplacementNeededUnderLightLoad) {
-  OnlineSimulation sim(2, small_config(100.0));
-  std::vector<Job> jobs;
-  for (int i = 0; i < 10; ++i) jobs.push_back({Point{1, 1}, i});
-  EXPECT_TRUE(sim.run(jobs));
-  EXPECT_EQ(sim.metrics().replacements, 0u);
-  EXPECT_EQ(sim.metrics().computations_started, 0u);
+TEST(OnlineServe, ManyJobsNoReplacementNeededUnderLightLoad) {
+  const OnlineMetrics m = serve(small_config(100.0), repeated(Point{1, 1}, 10));
+  EXPECT_EQ(m.jobs_failed, 0u);
+  EXPECT_EQ(m.replacements, 0u);
+  EXPECT_EQ(m.computations_started, 0u);
+}
+
+TEST(OnlineServe, VehicleIdsAreRowMajorHomeOffsets) {
+  // The fleet exists from construction, ids in Box::for_each_point order;
+  // even snake indices (pair primaries) start active, their partners idle.
+  const OnlineConfig cfg = small_config(10.0, /*side=*/3);
+  CubeServer cube(2, cfg, Point{3, 6});
+  const FleetCore& core = cube.core();
+  ASSERT_EQ(core.vehicles().size(), 9u);
+  std::size_t id = 0;
+  Box::cube(Point{3, 6}, 3).for_each_point([&](const Point& home) {
+    const Vehicle* v = core.vehicle_at_home(home);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->id, id++);
+    EXPECT_EQ(v->pos, home);
+    const bool primary = core.pairing().is_primary(home);
+    EXPECT_EQ(v->s1, primary ? WorkState::kActive : WorkState::kIdle);
+    const auto active = core.active_of_pair(home);
+    ASSERT_TRUE(active.has_value());
+    EXPECT_EQ(core.vehicles()[*active].home, core.pairing().primary(home));
+  });
+  EXPECT_EQ(core.vehicle_at_home(Point{2, 6}), nullptr);
+  EXPECT_EQ(core.vehicle_at_home(Point{3, 9}), nullptr);
+  EXPECT_FALSE(core.active_of_pair(Point{6, 6}).has_value());
+  EXPECT_THROW(cube.inject_silent_done(Point{0, 0}), check_error);
 }
 
 // --- diffusing computation & replacement ------------------------------------
 
-TEST(OnlineSim, ExhaustedVehicleIsReplacedByIdlePartnerPool) {
+TEST(OnlineServe, ExhaustedVehicleIsReplacedByIdlePartnerPool) {
   // Capacity 6: after ~5 services at one vertex the vehicle declares done
   // (remaining < 2) and a diffusing computation must find an idle vehicle.
-  OnlineSimulation sim(2, small_config(6.0));
-  std::vector<Job> jobs;
-  for (int i = 0; i < 10; ++i) jobs.push_back({Point{0, 0}, i});
-  EXPECT_TRUE(sim.run(jobs));
-  EXPECT_EQ(sim.metrics().jobs_served, 10u);
-  EXPECT_GE(sim.metrics().computations_started, 1u);
-  EXPECT_GE(sim.metrics().replacements, 1u);
-  EXPECT_GT(sim.metrics().network.queries, 0u);
-  EXPECT_GT(sim.metrics().network.replies, 0u);
-  EXPECT_GT(sim.metrics().network.moves, 0u);
+  const OnlineMetrics m = serve(small_config(6.0), repeated(Point{0, 0}, 10));
+  EXPECT_EQ(m.jobs_served, 10u);
+  EXPECT_GE(m.computations_started, 1u);
+  EXPECT_GE(m.replacements, 1u);
+  EXPECT_GT(m.network.queries, 0u);
+  EXPECT_GT(m.network.replies, 0u);
+  EXPECT_GT(m.network.moves, 0u);
 }
 
-TEST(OnlineSim, ReplacementChainSurvivesManyExhaustions) {
+TEST(OnlineServe, ReplacementChainSurvivesManyExhaustions) {
   // Heavy point demand cycles through many replacements; a 6x6 cube has 18
   // idle vehicles to recruit, each arriving with capacity minus travel.
-  OnlineSimulation sim(2, small_config(8.0, /*side=*/6));
-  std::vector<Job> jobs;
-  for (int i = 0; i < 40; ++i) jobs.push_back({Point{2, 2}, i});
-  EXPECT_TRUE(sim.run(jobs));
-  EXPECT_EQ(sim.metrics().jobs_served, 40u);
-  EXPECT_GE(sim.metrics().replacements, 5u);
+  const OnlineMetrics m =
+      serve(small_config(8.0, /*side=*/6), repeated(Point{2, 2}, 40));
+  EXPECT_EQ(m.jobs_served, 40u);
+  EXPECT_GE(m.replacements, 5u);
 }
 
-TEST(OnlineSim, PointDemandBeyondReachableEnergyFailsGracefully) {
+TEST(OnlineServe, PointDemandBeyondReachableEnergyFailsGracefully) {
   // The same cube cannot serve 60 point jobs at capacity 6: recruited
-  // idle vehicles burn most of their energy traveling. The simulation
-  // must report failure (never serve beyond physical energy), not hang.
-  OnlineSimulation sim(2, small_config(6.0, /*side=*/6));
-  std::vector<Job> jobs;
-  for (int i = 0; i < 60; ++i) jobs.push_back({Point{2, 2}, i});
-  EXPECT_FALSE(sim.run(jobs));
-  const auto& m = sim.metrics();
+  // idle vehicles burn most of their energy traveling. The run must
+  // report failure (never serve beyond physical energy), not hang.
+  const OnlineMetrics m =
+      serve(small_config(6.0, /*side=*/6), repeated(Point{2, 2}, 60));
+  EXPECT_GT(m.jobs_failed, 0u);
   EXPECT_EQ(m.jobs_served + m.jobs_failed, 60u);
   // Served work is bounded by total spendable energy in the cube.
   EXPECT_LE(m.total_energy_spent, 36.0 * 6.0 + 1e-9);
 }
 
-TEST(OnlineSim, FailsWhenCubeExhausted) {
+TEST(OnlineServe, FailsWhenCubeExhausted) {
   // Tiny cube (4 vehicles) and much demand: eventually no idle vehicles
   // remain and jobs must fail — reported, not thrown.
-  OnlineSimulation sim(2, small_config(4.0, /*side=*/2));
-  std::vector<Job> jobs;
-  for (int i = 0; i < 40; ++i) jobs.push_back({Point{0, 0}, i});
-  EXPECT_FALSE(sim.run(jobs));
-  EXPECT_GT(sim.metrics().jobs_failed, 0u);
-  EXPECT_GT(sim.metrics().computations_failed, 0u);
+  const OnlineMetrics m =
+      serve(small_config(4.0, /*side=*/2), repeated(Point{0, 0}, 40));
+  EXPECT_GT(m.jobs_failed, 0u);
+  EXPECT_GT(m.computations_failed, 0u);
 }
 
-TEST(OnlineSim, DeterministicForSeed) {
+TEST(OnlineServe, DeterministicForSeed) {
   auto run_once = [](std::uint64_t seed) {
-    OnlineSimulation sim(2, small_config(6.0, 4, seed));
     std::vector<Job> jobs;
     for (int i = 0; i < 20; ++i) jobs.push_back({Point{i % 3, i % 2}, i});
-    sim.run(jobs);
-    return sim.metrics();
+    return serve(small_config(6.0, 4, seed), jobs);
   };
   const auto a = run_once(42), b = run_once(42), c = run_once(43);
-  EXPECT_EQ(a.network.total(), b.network.total());
-  EXPECT_EQ(a.replacements, b.replacements);
-  EXPECT_DOUBLE_EQ(a.max_energy_spent, b.max_energy_spent);
+  EXPECT_TRUE(a == b);
   // Different seed still serves everything (delays only affect ordering).
   EXPECT_EQ(c.jobs_served, a.jobs_served);
 }
 
-TEST(OnlineSim, MessageDelaysDoNotChangeServiceOutcome) {
+TEST(OnlineServe, MessageDelaysDoNotChangeServiceOutcome) {
   for (SimTime delay : {0, 1, 5, 17}) {
     OnlineConfig cfg = small_config(6.0, 4, 7);
     cfg.max_message_delay = delay;
-    OnlineSimulation sim(2, cfg);
-    std::vector<Job> jobs;
-    for (int i = 0; i < 15; ++i) jobs.push_back({Point{0, 0}, i});
-    EXPECT_TRUE(sim.run(jobs)) << "delay " << delay;
-    EXPECT_EQ(sim.metrics().jobs_served, 15u);
+    const OnlineMetrics m = serve(cfg, repeated(Point{0, 0}, 15));
+    EXPECT_EQ(m.jobs_served, 15u) << "delay " << delay;
   }
 }
 
-TEST(OnlineSim, DiffusingComputationMessageComplexityBounded) {
+TEST(OnlineServe, DiffusingComputationMessageComplexityBounded) {
   // Each Phase I computation floods one cube: queries are bounded by
   // (#vehicles in cube) x (max degree at radius 2) and every query gets
   // exactly one reply. Check the aggregate bound over a heavy run.
   const std::int64_t side = 5;
-  OnlineSimulation sim(2, small_config(6.0, side));
-  std::vector<Job> jobs;
-  for (int i = 0; i < 40; ++i) jobs.push_back({Point{2, 2}, i});
-  sim.run(jobs);
-  const auto& m = sim.metrics();
+  const OnlineMetrics m =
+      serve(small_config(6.0, side), repeated(Point{2, 2}, 40));
   ASSERT_GT(m.computations_started, 0u);
   const std::uint64_t cube_vehicles =
       static_cast<std::uint64_t>(side * side);
@@ -354,12 +373,9 @@ TEST(OnlineSim, DiffusingComputationMessageComplexityBounded) {
             m.replacements + m.computations_started * cube_vehicles);
 }
 
-TEST(OnlineSim, EveryReplacementHasAComputation) {
-  OnlineSimulation sim(2, small_config(6.0, 6));
-  std::vector<Job> jobs;
-  for (int i = 0; i < 30; ++i) jobs.push_back({Point{1, 1}, i});
-  sim.run(jobs);
-  const auto& m = sim.metrics();
+TEST(OnlineServe, EveryReplacementHasAComputation) {
+  const OnlineMetrics m =
+      serve(small_config(6.0, 6), repeated(Point{1, 1}, 30));
   EXPECT_LE(m.replacements, m.computations_started);
   EXPECT_EQ(m.computations_started,
             m.replacements + m.computations_failed);
@@ -367,74 +383,64 @@ TEST(OnlineSim, EveryReplacementHasAComputation) {
 
 // --- failure scenarios (§3.2.5) ----------------------------------------------
 
-TEST(OnlineSim, SilentDoneVehicleIsRescuedByMonitoringRing) {
-  OnlineConfig cfg = small_config(6.0);
-  OnlineSimulation sim(2, cfg);
-  sim.inject_silent_done(Point{0, 0});
-  std::vector<Job> jobs;
-  for (int i = 0; i < 12; ++i) jobs.push_back({Point{0, 0}, i});
-  EXPECT_TRUE(sim.run(jobs));
-  EXPECT_EQ(sim.metrics().jobs_served, 12u);
-  EXPECT_GE(sim.metrics().monitor_initiations, 1u);  // the ring stepped in
-  EXPECT_GT(sim.metrics().network.heartbeats, 0u);
+TEST(OnlineServe, SilentDoneVehicleIsRescuedByMonitoringRing) {
+  StreamEngine engine(2, one_thread(small_config(6.0)));
+  engine.inject_silent_done(Point{0, 0});
+  engine.ingest(repeated(Point{0, 0}, 12));
+  const OnlineMetrics m = engine.finish().metrics;
+  EXPECT_EQ(m.jobs_served, 12u);
+  EXPECT_GE(m.monitor_initiations, 1u);  // the ring stepped in
+  EXPECT_GT(m.network.heartbeats, 0u);
 }
 
-TEST(OnlineSim, SilentDoneWithoutMonitoringLosesJobs) {
+TEST(OnlineServe, SilentDoneWithoutMonitoringLosesJobs) {
   OnlineConfig cfg = small_config(6.0);
   cfg.enable_monitoring = false;
-  OnlineSimulation sim(2, cfg);
-  sim.inject_silent_done(Point{0, 0});
-  std::vector<Job> jobs;
-  for (int i = 0; i < 12; ++i) jobs.push_back({Point{0, 0}, i});
-  EXPECT_FALSE(sim.run(jobs));
-  EXPECT_GT(sim.metrics().jobs_failed, 0u);
+  StreamEngine engine(2, one_thread(cfg));
+  engine.inject_silent_done(Point{0, 0});
+  engine.ingest(repeated(Point{0, 0}, 12));
+  EXPECT_GT(engine.finish().metrics.jobs_failed, 0u);
 }
 
-TEST(OnlineSim, BrokenActiveVehicleIsReplaced) {
-  OnlineConfig cfg = small_config(20.0);
-  OnlineSimulation sim(2, cfg);
+TEST(OnlineServe, BrokenActiveVehicleIsReplaced) {
+  CubeServer cube(2, small_config(20.0), Point{0, 0});
   // Vehicle at (0,0) breaks after spending 20% of its capacity.
-  sim.inject_break_after(Point{0, 0}, 0.2);
-  std::vector<Job> jobs;
-  for (int i = 0; i < 12; ++i) jobs.push_back({Point{0, 0}, i});
-  EXPECT_TRUE(sim.run(jobs));
-  EXPECT_EQ(sim.metrics().jobs_served, 12u);
-  EXPECT_GE(sim.metrics().monitor_initiations, 1u);
-  const Vehicle* broken = sim.vehicle_at_home(Point{0, 0});
+  cube.inject_break_after(Point{0, 0}, 0.2);
+  serve_all(cube, repeated(Point{0, 0}, 12));
+  EXPECT_EQ(cube.metrics().jobs_served, 12u);
+  EXPECT_GE(cube.metrics().monitor_initiations, 1u);
+  const Vehicle* broken = cube.core().vehicle_at_home(Point{0, 0});
   ASSERT_NE(broken, nullptr);
   EXPECT_TRUE(broken->dead);
   EXPECT_LE(broken->spent(), 0.2 * 20.0 + 2.0);  // stopped promptly
 }
 
-TEST(OnlineSim, ZeroLongevityVehicleReplacedBeforeFirstJob) {
-  // p_i = 0 vehicles are dead from the start; the periodic heartbeat round
-  // detects this before the first arrival, so no job is lost.
-  OnlineConfig cfg = small_config(20.0);
-  OnlineSimulation sim(2, cfg);
-  sim.inject_break_after(Point{0, 0}, 0.0);
-  std::vector<Job> jobs{{Point{0, 0}, 0}, {Point{0, 0}, 1}};
-  EXPECT_TRUE(sim.run(jobs));
-  EXPECT_EQ(sim.metrics().jobs_served, 2u);
-  EXPECT_GE(sim.metrics().monitor_initiations, 1u);
-  const Vehicle* v = sim.vehicle_at_home(Point{0, 0});
+TEST(OnlineServe, ZeroLongevityVehicleReplacedBeforeFirstJob) {
+  // p_i = 0 vehicles are dead from the start; the heartbeat round that
+  // precedes a cube's first arrival detects this, so no job is lost.
+  CubeServer cube(2, small_config(20.0), Point{0, 0});
+  cube.inject_break_after(Point{0, 0}, 0.0);
+  serve_all(cube, repeated(Point{0, 0}, 2));
+  EXPECT_EQ(cube.metrics().jobs_served, 2u);
+  EXPECT_GE(cube.metrics().monitor_initiations, 1u);
+  const Vehicle* v = cube.core().vehicle_at_home(Point{0, 0});
   ASSERT_NE(v, nullptr);
   EXPECT_DOUBLE_EQ(v->spent(), 0.0);  // the broken vehicle never worked
 }
 
-TEST(OnlineSim, ConstantBreakagesToleratedWithModestEnergy) {
+TEST(OnlineServe, ConstantBreakagesToleratedWithModestEnergy) {
   // Scenario 3: a constant number of active vehicles break; the ring
   // replaces them and all jobs are still served.
-  OnlineConfig cfg = small_config(12.0, /*side=*/6);
-  OnlineSimulation sim(2, cfg);
-  sim.inject_break_after(Point{0, 0}, 0.3);
-  sim.inject_break_after(Point{2, 2}, 0.3);
-  sim.inject_break_after(Point{4, 4}, 0.3);
+  StreamEngine engine(2, one_thread(small_config(12.0, /*side=*/6)));
+  engine.inject_break_after(Point{0, 0}, 0.3);
+  engine.inject_break_after(Point{2, 2}, 0.3);
+  engine.inject_break_after(Point{4, 4}, 0.3);
   Rng rng(5);
   std::vector<Job> jobs;
   for (int i = 0; i < 40; ++i)
     jobs.push_back({Point{rng.next_int(0, 5), rng.next_int(0, 5)}, i});
-  EXPECT_TRUE(sim.run(jobs));
-  EXPECT_EQ(sim.metrics().jobs_served, 40u);
+  engine.ingest(jobs);
+  EXPECT_EQ(engine.finish().metrics.jobs_served, 40u);
 }
 
 // --- capacity search / Theorem 1.4.2 ----------------------------------------
@@ -445,9 +451,8 @@ TEST(CapacitySearch, TheoryBoundAlwaysSuffices) {
   const DemandMap d = uniform_demand(box, 60, rng);
   Rng order_rng(12);
   const auto jobs = stream_from_demand(d, ArrivalOrder::kShuffled, order_rng);
-  const OnlineConfig cfg = default_online_config(d);
-  OnlineSimulation sim(2, cfg);
-  EXPECT_TRUE(sim.run(jobs));  // Lemma 3.3.1 capacity worked
+  // Lemma 3.3.1 capacity worked.
+  EXPECT_EQ(serve(default_online_config(d), jobs).jobs_failed, 0u);
 }
 
 TEST(CapacitySearch, EmpiricalWonBetweenLowerAndTheoremBound) {

@@ -4,12 +4,22 @@
 //   * energy conservation: Σ spent = jobs_served + total_travel,
 //   * no vehicle ever exceeds its capacity,
 //   * served + failed = arrivals,
-//   * accounting identities of the diffusing computations.
+//   * accounting identities of the diffusing computations,
+// and with the stream engine's contract on top: the same run at one and
+// at two worker threads is bit-identical, injections included.
 #include <gtest/gtest.h>
 
-#include "online/simulation.h"
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "online/pairing.h"
+#include "stream/engine.h"
+#include "stream/shard.h"
 #include "util/rng.h"
 #include "workload/generators.h"
+
+#include "stream_checks.h"
 
 namespace cmvrp {
 namespace {
@@ -31,22 +41,37 @@ TEST_P(OnlineStress, PhysicalInvariantsHoldUnderChaos) {
   cfg.seed = GetParam();
   cfg.enable_monitoring = rng.next_bool(0.8);
 
-  OnlineSimulation sim(2, cfg);
   // Random failures: a few silent-dones and early breakers.
-  const int silent = static_cast<int>(rng.next_below(4));
-  for (int k = 0; k < silent; ++k)
-    sim.inject_silent_done(Point{rng.next_int(0, span), rng.next_int(0, span)});
-  const int breakers = static_cast<int>(rng.next_below(4));
-  for (int k = 0; k < breakers; ++k)
-    sim.inject_break_after(
-        Point{rng.next_int(0, span), rng.next_int(0, span)},
-        rng.next_double(0.0, 1.0));
+  std::vector<Point> silent;
+  const int silent_count = static_cast<int>(rng.next_below(4));
+  for (int k = 0; k < silent_count; ++k)
+    silent.push_back(Point{rng.next_int(0, span), rng.next_int(0, span)});
+  std::vector<std::pair<Point, double>> breakers;
+  const int breaker_count = static_cast<int>(rng.next_below(4));
+  for (int k = 0; k < breaker_count; ++k)
+    breakers.emplace_back(Point{rng.next_int(0, span), rng.next_int(0, span)},
+                          rng.next_double(0.0, 1.0));
 
-  sim.run(jobs);
-  const auto& m = sim.metrics();
+  const auto run = [&](int threads, std::int64_t batch) {
+    StreamConfig sc;
+    sc.online = cfg;
+    sc.threads = threads;
+    sc.batch_size = batch;
+    StreamEngine engine(2, sc);
+    for (const Point& home : silent) engine.inject_silent_done(home);
+    for (const auto& [home, longevity] : breakers)
+      engine.inject_break_after(home, longevity);
+    engine.ingest(jobs);
+    return engine.finish();
+  };
+  const StreamResult r = run(1, 256);
+  // Thread count and batching cannot move any of it.
+  expect_identical(r, run(2, 16));
+  const auto& m = r.metrics;
 
   // Arrival accounting.
   EXPECT_EQ(m.jobs_served + m.jobs_failed, jobs.size());
+  EXPECT_EQ(r.served_jobs.size() + r.failed_jobs.size(), jobs.size());
   // Energy conservation: all spending is either a unit of service or a
   // unit of travel.
   EXPECT_NEAR(m.total_energy_spent,
@@ -65,20 +90,38 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OnlineStress,
 
 // --- Algorithm 2 under the microscope ---------------------------------------
 //
-// A single diffusing computation on a tiny, fully-inspectable cube:
-// exhaust the active vehicle of a 2x2 cube and track exactly which
-// messages flow and how the tree resolves.
+// Diffusing computations on a tiny, fully-inspectable cube, driven
+// through its CubeServer: exhaust active vehicles and track exactly which
+// messages flow, how the tree resolves, and where the pair state ends up.
+
+// The pair invariants at quiescence: no vehicle is the active vehicle of
+// two pairs, and every active vehicle stands on a vertex of its own pair.
+void expect_pair_invariants(const FleetCore& core) {
+  const CubePairing& pairing = core.pairing();
+  std::set<std::size_t> seen;
+  for (const Point& primary : pairing.primaries_in_cube(core.corner())) {
+    const auto vid = core.active_of_pair(primary);
+    if (!vid.has_value()) continue;
+    EXPECT_TRUE(seen.insert(*vid).second)
+        << "vehicle " << *vid << " is active for two pairs";
+    const Vehicle& v = core.vehicles()[*vid];
+    EXPECT_EQ(v.s1, WorkState::kActive) << primary.to_string();
+    EXPECT_EQ(pairing.primary(v.pos), primary)
+        << "active vehicle " << *vid << " at " << v.pos.to_string()
+        << " outside pair " << primary.to_string();
+  }
+}
+
 TEST(Algorithm2Microscope, SingleComputationTreeAndRelay) {
   OnlineConfig cfg;
   cfg.capacity = 4.0;  // serves 3 jobs (walks included), then done
   cfg.cube_side = 2;
   cfg.anchor = Point{0, 0};
   cfg.seed = 3;
-  OnlineSimulation sim(2, cfg);
-  std::vector<Job> jobs;
-  for (int i = 0; i < 3; ++i) jobs.push_back({Point{0, 0}, i});
-  ASSERT_TRUE(sim.run(jobs));
-  const auto& m = sim.metrics();
+  CubeServer cube(2, cfg, Point{0, 0});
+  serve_all(cube, repeated(Point{0, 0}, 3));
+  const auto& m = cube.metrics();
+  EXPECT_EQ(m.jobs_served, 3u);
 
   // After 3 services the vehicle hits remaining < 2 and initiates.
   EXPECT_EQ(m.computations_started, 1u);
@@ -97,15 +140,19 @@ TEST(Algorithm2Microscope, SingleComputationTreeAndRelay) {
 
   // The replacement took over the pair: its vehicle sits at (0,0)'s pair
   // position and is active.
-  const auto active = sim.active_of_pair(Point{0, 0});
+  const FleetCore& core = cube.core();
+  const auto active = core.active_of_pair(Point{0, 0});
   ASSERT_TRUE(active.has_value());
-  // The original vehicle is done.
-  const Vehicle* original = sim.vehicle_at_home(Point{0, 0});
+  EXPECT_EQ(core.vehicles()[*active].pos, (Point{0, 0}));
+  // The original vehicle is done. Job vertex (0,0) is the primary (snake
+  // index 0 is even), so the original active vehicle lived at home (0,0)
+  // and exhausted there.
+  const Vehicle* original = core.vehicle_at_home(Point{0, 0});
   ASSERT_NE(original, nullptr);
-  // Job vertex (0,0) is the primary (snake index 0 is even), so the
-  // original active vehicle lived at home (0,0) and exhausted there.
+  EXPECT_NE(original->id, *active);
   EXPECT_EQ(original->s1, WorkState::kDone);
   EXPECT_EQ(original->s2, TransferState::kWaiting);  // computation ended
+  expect_pair_invariants(core);
 }
 
 TEST(Algorithm2Microscope, FailedSearchLeavesCleanState) {
@@ -118,19 +165,73 @@ TEST(Algorithm2Microscope, FailedSearchLeavesCleanState) {
   cfg.anchor = Point{0, 0};
   cfg.seed = 5;
   cfg.enable_monitoring = false;
-  OnlineSimulation sim(2, cfg);
-  std::vector<Job> jobs;
-  for (int i = 0; i < 12; ++i) jobs.push_back({Point{0, 0}, i});
-  EXPECT_FALSE(sim.run(jobs));
-  const auto& m = sim.metrics();
+  CubeServer cube(2, cfg, Point{0, 0});
+  serve_all(cube, repeated(Point{0, 0}, 12));
+  const auto& m = cube.metrics();
+  EXPECT_GT(m.jobs_failed, 0u);
   EXPECT_GT(m.computations_failed, 0u);
   // All four vehicles of the cube are back in waiting (no stuck states).
   Box::cube(Point{0, 0}, 2).for_each_point([&](const Point& p) {
-    const Vehicle* v = sim.vehicle_at_home(p);
+    const Vehicle* v = cube.core().vehicle_at_home(p);
     ASSERT_NE(v, nullptr);
     EXPECT_EQ(v->s2, TransferState::kWaiting) << p.to_string();
     EXPECT_EQ(v->num, 0) << p.to_string();
   });
+  expect_pair_invariants(cube.core());
+}
+
+TEST(Algorithm2Microscope, RingRescueReturnsToLastServedVertex) {
+  // One pair is served from both of its vertices by two successive
+  // vehicles, both silent-done; the §3.2.5 ring then has to re-staff the
+  // abandoned pair, and the replacement must stand where the pair was
+  // last served — not at the vertex an earlier vehicle gave up on. A
+  // ring that looked the vertex up in a hash table keyed by position got
+  // this wrong once twelve other pairs' rescues had grown the table
+  // (libstdc++ re-buckets at the 14th key, reversing its order).
+  OnlineConfig cfg;
+  cfg.capacity = 14.0;  // every replacement arrives with >= 4 to spare
+  cfg.cube_side = 6;
+  cfg.anchor = Point{0, 0};
+  cfg.seed = 3;
+  const Point corner{0, 0};
+  CubeServer cube(2, cfg, corner);
+  const FleetCore& core = cube.core();
+  const CubePairing& pairing = core.pairing();
+  // The ring's last slot (snake pair 34/35), so the sweep meets the
+  // other slots' rescues first.
+  const Point a = pairing.snake_vertex(corner, 34);
+  const Point b = pairing.snake_vertex(corner, 35);
+  Box::cube(corner, 6).for_each_point(
+      [&](const Point& home) { cube.inject_silent_done(home); });
+
+  // The pair's own vehicle exhausts at a; the ring sends a replacement
+  // to a.
+  std::int64_t index = 0;
+  for (int k = 0; k < 13; ++k) cube.serve({a, index++}, nullptr);
+  ASSERT_EQ(cube.metrics().replacements, 1u);
+  // The replacement walks to b and serves there until one more job
+  // exhausts it.
+  const auto replacement = core.active_of_pair(a);
+  ASSERT_TRUE(replacement.has_value());
+  const Vehicle& r = core.vehicles()[*replacement];
+  while (r.remaining() - (r.pos == b ? 1.0 : 2.0) >= 2.0)
+    cube.serve({b, index++}, nullptr);
+  // Twelve other pairs lose their vehicles at once, so the sweep after
+  // the next job rescues them before it reaches the last slot.
+  for (std::int64_t k = 0; k < 24; k += 2)
+    cube.inject_break_after(pairing.snake_vertex(corner, k), 0.0);
+  cube.serve({b, index++}, nullptr);
+  cube.finish(nullptr);
+
+  EXPECT_EQ(r.s1, WorkState::kDone);
+  EXPECT_EQ(r.pos, b);
+  EXPECT_EQ(cube.metrics().jobs_failed, 0u);
+  EXPECT_EQ(cube.metrics().replacements, 14u);
+  const auto active = core.active_of_pair(a);
+  ASSERT_TRUE(active.has_value());
+  EXPECT_NE(*active, *replacement);
+  EXPECT_EQ(core.vehicles()[*active].pos, b);
+  expect_pair_invariants(core);
 }
 
 }  // namespace

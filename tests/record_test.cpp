@@ -28,6 +28,8 @@
 #include "workload/generators.h"
 #include "workload/stream_gen.h"
 
+#include "stream_checks.h"
+
 namespace cmvrp {
 namespace {
 
@@ -48,20 +50,6 @@ void write_bytes(const std::string& path,
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good()) << path;
-}
-
-void expect_identical(const StreamResult& a, const StreamResult& b) {
-  EXPECT_TRUE(a.metrics == b.metrics);
-  EXPECT_EQ(a.served_jobs, b.served_jobs);
-  EXPECT_EQ(a.failed_jobs, b.failed_jobs);
-  EXPECT_EQ(a.shed_jobs, b.shed_jobs);
-  EXPECT_EQ(a.jobs_shed, b.jobs_shed);
-  EXPECT_EQ(a.jobs_rejected, b.jobs_rejected);
-  EXPECT_TRUE(a.latency == b.latency);
-  EXPECT_TRUE(a.timeseries == b.timeseries);
-  EXPECT_TRUE(a.counters == b.counters);
-  EXPECT_EQ(a.cubes, b.cubes);
-  EXPECT_EQ(a.jobs_ingested, b.jobs_ingested);
 }
 
 StreamConfig stream_config(int dim, int threads, std::int64_t batch = 256,

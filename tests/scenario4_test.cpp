@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "broken/longevity.h"
+#include "grid/neighborhood.h"
 #include "online/capacity_search.h"
+#include "stream/engine.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 
@@ -26,19 +28,20 @@ SweepOutcome run_with_breakage(double fraction, double capacity,
   Rng rng(seed);
   const auto jobs = smart_dust_stream(field, 150, 0.05, rng);
   const DemandMap demand = demand_of_stream(jobs, 2);
-  OnlineConfig cfg = default_online_config(demand, seed);
-  cfg.capacity = capacity;
-  OnlineSimulation sim(2, cfg);
+  StreamConfig cfg;
+  cfg.online = default_online_config(demand, seed);
+  cfg.online.capacity = capacity;
+  StreamEngine engine(2, cfg);
   // Break a `fraction` of all vertices (longevity 0: dead from the start).
   Rng pick(seed + 1);
   std::int64_t to_break =
       static_cast<std::int64_t>(fraction * 12.0 * 12.0);
   for (std::int64_t k = 0; k < to_break; ++k)
-    sim.inject_break_after(Point{pick.next_int(0, 11), pick.next_int(0, 11)},
-                           0.0);
-  sim.run(jobs);
-  return {fraction, sim.metrics().jobs_failed,
-          sim.metrics().monitor_initiations};
+    engine.inject_break_after(
+        Point{pick.next_int(0, 11), pick.next_int(0, 11)}, 0.0);
+  engine.ingest(jobs);
+  const OnlineMetrics m = engine.finish().metrics;
+  return {fraction, m.jobs_failed, m.monitor_initiations};
 }
 
 TEST(Scenario4, ConstantBreakageAbsorbed) {
@@ -67,12 +70,15 @@ TEST(Scenario4, TotalBreakageServesNothing) {
   std::vector<Job> jobs;
   for (int i = 0; i < 10; ++i) jobs.push_back({Point{2, 2}, i});
   const DemandMap demand = demand_of_stream(jobs, 2);
-  OnlineConfig cfg = default_online_config(demand, 3);
-  OnlineSimulation sim(2, cfg);
+  StreamConfig cfg;
+  cfg.online = default_online_config(demand, 3);
+  StreamEngine engine(2, cfg);
   Box::cube(Point{0, 0}, 6).for_each_point(
-      [&](const Point& p) { sim.inject_break_after(p, 0.0); });
-  EXPECT_FALSE(sim.run(jobs));
-  EXPECT_EQ(sim.metrics().jobs_served, 0u);
+      [&](const Point& p) { engine.inject_break_after(p, 0.0); });
+  engine.ingest(jobs);
+  const OnlineMetrics m = engine.finish().metrics;
+  EXPECT_EQ(m.jobs_served, 0u);
+  EXPECT_EQ(m.jobs_failed, jobs.size());
 }
 
 TEST(Scenario4, BrokenLowerBoundRisesWithDeadFraction) {

@@ -1,0 +1,47 @@
+// Assertions and drivers shared by the stream-engine test suites.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "stream/engine.h"
+#include "stream/shard.h"
+#include "workload/generators.h"
+
+namespace cmvrp {
+
+// Every deterministic field of two runs agrees: the engine's contract
+// across thread counts, batch sizes, routing tiers and replay paths.
+inline void expect_identical(const StreamResult& a, const StreamResult& b) {
+  EXPECT_TRUE(a.metrics == b.metrics);
+  EXPECT_EQ(a.served_jobs, b.served_jobs);
+  EXPECT_EQ(a.failed_jobs, b.failed_jobs);
+  EXPECT_EQ(a.shed_jobs, b.shed_jobs);
+  EXPECT_EQ(a.jobs_shed, b.jobs_shed);
+  EXPECT_EQ(a.jobs_rejected, b.jobs_rejected);
+  EXPECT_TRUE(a.latency == b.latency);
+  EXPECT_EQ(a.latency.digest(), b.latency.digest());
+  EXPECT_TRUE(a.timeseries == b.timeseries);
+  EXPECT_TRUE(a.counters == b.counters);
+  EXPECT_EQ(a.counters.digest(), b.counters.digest());
+  EXPECT_EQ(a.cubes, b.cubes);
+  EXPECT_EQ(a.jobs_ingested, b.jobs_ingested);
+}
+
+// Serves `jobs` (all inside `cube`) on one CubeServer and finishes it.
+inline void serve_all(CubeServer& cube, const std::vector<Job>& jobs) {
+  for (const Job& job : jobs) cube.serve(job, nullptr);
+  cube.finish(nullptr);
+}
+
+// `count` arrivals at `p`, indexed from `first`.
+inline std::vector<Job> repeated(const Point& p, int count,
+                                 std::int64_t first = 0) {
+  std::vector<Job> jobs;
+  for (int i = 0; i < count; ++i) jobs.push_back({p, first + i});
+  return jobs;
+}
+
+}  // namespace cmvrp

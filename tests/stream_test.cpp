@@ -12,7 +12,6 @@
 
 #include "online/capacity_search.h"
 #include "online/pairing.h"
-#include "online/simulation.h"
 #include "stream/engine.h"
 #include "stream/pool.h"
 #include "stream/shard.h"
@@ -21,6 +20,8 @@
 #include "util/hash.h"
 #include "util/rng.h"
 #include "workload/generators.h"
+
+#include "stream_checks.h"
 
 namespace cmvrp {
 namespace {
@@ -51,22 +52,6 @@ StreamConfig test_config(double capacity, int threads,
   cfg.threads = threads;
   cfg.batch_size = batch;
   return cfg;
-}
-
-void expect_identical(const StreamResult& a, const StreamResult& b) {
-  EXPECT_TRUE(a.metrics == b.metrics);
-  EXPECT_EQ(a.served_jobs, b.served_jobs);
-  EXPECT_EQ(a.failed_jobs, b.failed_jobs);
-  EXPECT_EQ(a.shed_jobs, b.shed_jobs);
-  EXPECT_EQ(a.jobs_shed, b.jobs_shed);
-  EXPECT_EQ(a.jobs_rejected, b.jobs_rejected);
-  EXPECT_TRUE(a.latency == b.latency);
-  EXPECT_EQ(a.latency.digest(), b.latency.digest());
-  EXPECT_TRUE(a.timeseries == b.timeseries);
-  EXPECT_TRUE(a.counters == b.counters);
-  EXPECT_EQ(a.counters.digest(), b.counters.digest());
-  EXPECT_EQ(a.cubes, b.cubes);
-  EXPECT_EQ(a.jobs_ingested, b.jobs_ingested);
 }
 
 // --- the headline contract --------------------------------------------------
@@ -104,24 +89,6 @@ TEST(StreamDeterminism, SeedChangesDelaysButNotOutcome) {
   // Delay draws differ, but the protocol outcome is delay-invariant.
   EXPECT_EQ(ra.served_jobs, rb.served_jobs);
   EXPECT_EQ(ra.metrics.jobs_served, rb.metrics.jobs_served);
-}
-
-// --- agreement with the legacy single-queue simulator -----------------------
-
-TEST(StreamVsLegacy, SameServiceOutcome) {
-  const auto jobs = test_stream(16, 400, 19);
-  const StreamConfig cfg = test_config(40.0, 2);
-  const StreamResult stream = serve_stream(2, cfg, jobs);
-
-  OnlineSimulation legacy(2, cfg.online);
-  legacy.run(jobs);
-
-  // Message counts and travel legitimately differ (per-cube delay RNGs
-  // pick different replacement vehicles; monitoring sweeps are
-  // per-cube-local here vs global there); the service outcome is
-  // delay-invariant and must agree.
-  EXPECT_EQ(stream.metrics.jobs_served, legacy.metrics().jobs_served);
-  EXPECT_EQ(stream.metrics.jobs_failed, legacy.metrics().jobs_failed);
 }
 
 // --- engine mechanics -------------------------------------------------------
@@ -495,16 +462,6 @@ TEST(GoldenDigest, MonitoringHeavy4D) {
   EXPECT_EQ(r.metrics.jobs_served, 1296u);
   EXPECT_EQ(r.metrics.network.total(), 40458u);
   EXPECT_EQ(stream_fingerprint(r), 10055833584392412749ULL);
-}
-
-TEST(GoldenDigest, LegacySimulationUndersized) {
-  const auto jobs = test_stream(16, 500, 13);
-  OnlineConfig cfg = test_config(6.0, 1).online;
-  OnlineSimulation sim(2, cfg);
-  sim.run(jobs);
-  EXPECT_EQ(sim.metrics().jobs_served, 497u);
-  EXPECT_EQ(sim.metrics().network.total(), 82192u);
-  EXPECT_EQ(metrics_fingerprint(sim.metrics()), 10230387231503371564ULL);
 }
 
 TEST(GoldenDigest, ChromeTraceBytes) {

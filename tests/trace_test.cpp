@@ -21,6 +21,8 @@
 #include "workload/generators.h"
 #include "workload/stream_gen.h"
 
+#include "stream_checks.h"
+
 namespace cmvrp {
 namespace {
 
@@ -369,22 +371,6 @@ TEST(MappedFileTest, EnvironmentToggleForcesReadFallbackEndToEnd) {
 #endif
 
 // --- replay equivalence: the acceptance contract -----------------------------
-
-void expect_identical(const StreamResult& a, const StreamResult& b) {
-  EXPECT_TRUE(a.metrics == b.metrics);
-  EXPECT_EQ(a.served_jobs, b.served_jobs);
-  EXPECT_EQ(a.failed_jobs, b.failed_jobs);
-  EXPECT_EQ(a.shed_jobs, b.shed_jobs);
-  EXPECT_EQ(a.jobs_shed, b.jobs_shed);
-  EXPECT_EQ(a.jobs_rejected, b.jobs_rejected);
-  EXPECT_TRUE(a.latency == b.latency);
-  EXPECT_EQ(a.latency.digest(), b.latency.digest());
-  EXPECT_TRUE(a.timeseries == b.timeseries);
-  EXPECT_TRUE(a.counters == b.counters);
-  EXPECT_EQ(a.counters.digest(), b.counters.digest());
-  EXPECT_EQ(a.cubes, b.cubes);
-  EXPECT_EQ(a.jobs_ingested, b.jobs_ingested);
-}
 
 StreamConfig replay_config(int dim, int threads, std::int64_t batch) {
   StreamConfig cfg;

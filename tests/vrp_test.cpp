@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "online/capacity_search.h"
+#include "grid/neighborhood.h"
+#include "stream/won_search.h"
 #include "util/rng.h"
 #include "vrp/cvrp.h"
 #include "vrp/greedy_baseline.h"

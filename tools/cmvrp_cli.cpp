@@ -68,6 +68,7 @@
 #include "record/mux.h"
 #include "record/recorder.h"
 #include "stream/engine.h"
+#include "stream/won_search.h"
 #include "trace/format.h"
 #include "trace/reader.h"
 #include "trace/replay.h"
@@ -204,15 +205,15 @@ int cmd_online(const Args& args) {
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   const auto jobs = stream_from_demand(d, order_from_args(args), rng);
 
-  OnlineConfig cfg = default_online_config(
+  StreamConfig cfg;
+  cfg.online = default_online_config(
       d, static_cast<std::uint64_t>(args.get_int("seed", 1)));
-  if (args.has("capacity")) cfg.capacity = args.get_double("capacity", 0.0);
-  OnlineSimulation sim(d.dim(), cfg);
-  const bool ok = sim.run(jobs);
-  const auto& m = sim.metrics();
+  if (args.has("capacity"))
+    cfg.online.capacity = args.get_double("capacity", 0.0);
+  const OnlineMetrics m = serve_stream(d.dim(), cfg, jobs).metrics;
   Table t({"metric", "value"});
-  t.row().cell("capacity W").cell(cfg.capacity);
-  t.row().cell("cube side").cell(cfg.cube_side);
+  t.row().cell("capacity W").cell(cfg.online.capacity);
+  t.row().cell("cube side").cell(cfg.online.cube_side);
   t.row().cell("jobs served").cell(m.jobs_served);
   t.row().cell("jobs failed").cell(m.jobs_failed);
   t.row().cell("replacements").cell(m.replacements);
@@ -220,7 +221,7 @@ int cmd_online(const Args& args) {
   t.row().cell("messages total").cell(m.network.total());
   t.row().cell("max energy spent").cell(m.max_energy_spent);
   t.print(std::cout);
-  return ok ? 0 : 1;
+  return m.jobs_failed == 0 ? 0 : 1;
 }
 
 int cmd_won(const Args& args) {
@@ -471,7 +472,7 @@ StreamConfig stream_config_from_args(
   }
   // Monitoring amortization (outcome-preserving on failure-free streams;
   // failure detection latency <= stride arrivals per cube). 1 = sweep
-  // after every arrival, the legacy cadence.
+  // after every arrival, the historical cadence.
   cfg.online.monitor_stride = args.get_int("monitor-stride", 1);
   // Admission control (stream/shard.h): --admission unbounded|reject|shed
   // with --queue-limit waiting slots and --service-ticks arrival-clock
