@@ -740,7 +740,8 @@ void suite_substrates(BenchRun& b) {
     looped(20,
            [] {
              EventQueue q;
-             Network net(q, Rng(1), 3);
+             ClampTable flood;
+             Network net(q, flood, Rng(1), 3);
              std::size_t delivered = 0;
              net.set_receiver(
                  [](void* count, const Delivery&) {
@@ -802,7 +803,8 @@ void suite_substrates(BenchRun& b) {
     per_op(kOps,
            [&b] {
              EventQueue q;
-             Network net(q, Rng(1), 3);
+             ClampTable flood;
+             Network net(q, flood, Rng(1), 3);
              net.set_receiver([](void*, const Delivery&) {}, nullptr);
              for (std::int64_t i = 0; i < kOps; ++i)
                net.send(static_cast<std::size_t>(i % 64),

@@ -204,7 +204,7 @@ void FleetCore::initiate_computation(std::size_t initiator,
   v.s2 = TransferState::kInitiator;
   v.par = SIZE_MAX;
   v.child = SIZE_MAX;
-  v.init = InitTag{initiator, ++v.init_seq};
+  v.init = next_init(static_cast<std::uint32_t>(initiator), v.init_seq);
   initiator_dest_[initiator] = static_cast<std::uint32_t>(dest);
   ++metrics_.computations_started;
   auto& nb = neighbor_scratch_;
@@ -226,13 +226,7 @@ void FleetCore::initiate_computation(std::size_t initiator,
 }
 
 void FleetCore::obs_note_queries(const InitTag& init, std::size_t count) {
-  // Packed key: vehicle ids are dense fleet indices and init_seq counts
-  // one vehicle's computations — both far below 2^32 for any cube.
-  CMVRP_CHECK_MSG(init.vehicle < (1ull << 32) && init.seq < (1ull << 32),
-                  "InitTag exceeds obs key packing");
-  std::uint64_t& total =
-      obs_comp_queries_[(static_cast<std::uint64_t>(init.vehicle) << 32) |
-                        init.seq];
+  std::uint64_t& total = obs_comp_queries_[packed_init(init)];
   total += static_cast<std::uint64_t>(count);
   if (total > obs_max_queries_per_comp_) obs_max_queries_per_comp_ = total;
 }
@@ -328,16 +322,16 @@ void FleetCore::finish_phase_one(std::size_t vid) {
     pair.unrecoverable = true;
     return;
   }
-  network_.send(vid, v.child,
-                MoveMsg{pairing_.snake_vertex(corner_, dest), v.init});
+  network_.send(vid, v.child, MoveMsg{dest, v.init});
 }
 
 void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
   Vehicle& v = vehicles_[vid];
   if (v.s1 == WorkState::kIdle && !v.dead) {
-    const std::int64_t k = pairing_.snake_index(m.dest, corner_);
-    PairSlot& pair = pairs_[static_cast<std::size_t>(k / 2)];
-    const std::int64_t dist = l1_distance(v.pos, m.dest);
+    const std::int64_t k = m.dest;
+    const Point dest = pairing_.snake_vertex(corner_, k);
+    PairSlot& pair = pairs_[m.dest / 2];
+    const std::int64_t dist = l1_distance(v.pos, dest);
     if (v.remaining() < static_cast<double>(dist)) {
       // Cannot afford the relocation; treat as a failed computation so the
       // monitoring ring can retry with another vehicle.
@@ -346,7 +340,7 @@ void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
       return;
     }
     spend_travel(v, dist);
-    v.pos = m.dest;
+    v.pos = dest;
     if (v.dead) {  // longevity tripped mid-move
       pair.pending = false;
       return;
@@ -378,8 +372,7 @@ void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
     return;
   }
   ++metrics_.computations_failed;
-  pairs_[static_cast<std::size_t>(pairing_.snake_index(m.dest, corner_) / 2)]
-      .pending = false;
+  pairs_[m.dest / 2].pending = false;
 }
 
 void FleetCore::monitor_sweep() {

@@ -6,8 +6,9 @@
 // §3.2.5 monitoring ring. Every protocol action is strictly intra-cube
 // (neighbor lists never cross a cube boundary), so one core per cube is
 // the whole strategy, not an approximation of it: the streaming engine
-// (src/stream/) gives each cube its own core, event queue and per-cube
-// seeded network. The queue and network are borrowed by reference.
+// (src/stream/) gives each cube its own core and per-cube seeded
+// network, and lends the cube its worker's event queue for each serve.
+// The queue and network are borrowed by reference.
 //
 // State is index-addressed. The fleet is created at construction in one
 // sized allocation, in Box::for_each_point order, so a vehicle's id is
@@ -22,7 +23,11 @@
 // Phase I diffusing computation floods the s^ℓ vehicles of the cube
 // through radius-r neighbor lists (O(s^ℓ · (2r+1)^ℓ) messages, realizing
 // Lemma 3.3.1's bounded-search claim), and Phase II relays one move
-// message along the computation tree. Memory is O(s^ℓ).
+// message along the computation tree. Between serves the core holds
+// O(s^ℓ) memory: messages in flight and flood clamps live in the lent
+// transport, which is empty at quiescence. Two things grow with the
+// cube's history instead: the network's heartbeat clamps (one per ring
+// channel ever beaconed) and the serving cube's outcome index vectors.
 #pragma once
 
 #include <cstddef>

@@ -59,7 +59,7 @@ struct Vehicle {
   std::size_t par = SIZE_MAX;    // parent in the diffusing tree
   std::size_t child = SIZE_MAX;  // first child that reported an idle vehicle
   InitTag init = kNoInit;        // computation currently joined
-  std::uint64_t init_seq = 0;    // next sequence number when initiating
+  std::uint32_t init_seq = 0;    // last sequence used (see next_init)
 
   // Failure injection.
   bool dead = false;         // broken (§3.2.5 scenarios 3/4): cannot serve

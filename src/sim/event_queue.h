@@ -13,6 +13,13 @@
 // non-empty bucket at or after now: no heap sift, no type erasure, and no
 // allocation once the pool is warm. A schedule at or past now + span (a
 // per-channel FIFO clamp running far ahead) doubles the ring first.
+//
+// One queue serves many clocks: the stream engine keeps one per worker
+// and lends it to each cube it serves (see Network::Lend), resuming it
+// at that cube's clock. Neither the pool's free-list order nor the ring
+// size is observable — deliveries fire in (time, insertion) order
+// whichever bucket they land in — so a lent queue fires exactly as a
+// queue of the cube's own would.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +42,8 @@ struct Delivery {
   Message msg;
 };
 
+static_assert(sizeof(Delivery) == 24, "Delivery must stay 24 bytes");
+
 class EventQueue {
  public:
   // The bound receiver: called once per delivery as it fires, with the
@@ -49,6 +58,14 @@ class EventQueue {
   SimTime now() const { return now_; }
   bool empty() const { return pending_ == 0; }
   std::size_t pending() const { return pending_; }
+
+  // Sets the clock of an empty queue — the hand-off to another clock.
+  // With nothing pending every bucket is empty, so no delivery's bucket
+  // depends on the old clock.
+  void resume_at(SimTime clock) {
+    CMVRP_CHECK_MSG(pending_ == 0, "cannot move the clock of a busy queue");
+    now_ = clock;
+  }
 
   // Schedules `d` at absolute time `at` (must be >= now()).
   void schedule(SimTime at, const Delivery& d) {
@@ -112,6 +129,7 @@ class EventQueue {
     Delivery d;
     std::uint32_t next;  // next node in its bucket or the free list
   };
+  static_assert(sizeof(Node) == 28, "a pool node is a Delivery + a link");
   struct Bucket {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;  // meaningful only while head != kNil

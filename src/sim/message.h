@@ -11,14 +11,16 @@
 #include <cstdint>
 #include <variant>
 
-#include "grid/point.h"
+#include "util/check.h"
 
 namespace cmvrp {
 
 // Identity of one diffusing computation: (initiating vehicle, sequence).
+// Both halves are 32-bit: vehicle ids are dense fleet indices (FleetCore
+// checks the cube volume fits), and next_init checks the sequence.
 struct InitTag {
-  std::size_t vehicle = SIZE_MAX;
-  std::uint64_t seq = 0;
+  std::uint32_t vehicle = UINT32_MAX;
+  std::uint32_t seq = 0;
 
   friend bool operator==(const InitTag& a, const InitTag& b) {
     return a.vehicle == b.vehicle && a.seq == b.seq;
@@ -30,9 +32,19 @@ struct InitTag {
 
 inline constexpr InitTag kNoInit{};
 
-// Packed form of an InitTag for the span layer (obs/span.h): vehicle in
-// the high word, sequence in the low. init_seq starts at 1, so a real
-// tag never packs to 0 — 0 is the "no computation" value (kNoInit).
+// Starts `vehicle`'s next diffusing computation: bumps its per-vehicle
+// sequence counter `seq` and returns the new tag. Sequences start at 1,
+// so a real tag never packs to 0 (see packed_init); the check keeps the
+// counter from wrapping back onto that value.
+inline InitTag next_init(std::uint32_t vehicle, std::uint32_t& seq) {
+  CMVRP_CHECK_MSG(seq < UINT32_MAX,
+                  "vehicle " << vehicle << " exhausted its 32-bit init_seq");
+  return InitTag{vehicle, ++seq};
+}
+
+// Packed form of an InitTag, used as the span layer's computation id
+// (obs/span.h) and the obs query-count key: vehicle in the high word,
+// sequence in the low. 0 is the "no computation" value (kNoInit).
 inline std::uint64_t packed_init(const InitTag& t) {
   if (t == kNoInit) return 0;
   return (static_cast<std::uint64_t>(t.vehicle) << 32) | t.seq;
@@ -53,10 +65,11 @@ struct ReplyMsg {
   InitTag init;
 };
 
-// Phase II: relay toward the found idle vehicle; `dest` is the vertex the
-// idle vehicle must occupy (the done vehicle's serving position).
+// Phase II: relay toward the found idle vehicle; `dest` is the snake
+// index (in the cube, see CubePairing::snake_vertex) of the vertex the
+// idle vehicle must occupy — the done vehicle's serving position.
 struct MoveMsg {
-  Point dest;
+  std::uint32_t dest = 0;
   InitTag init;
 };
 
@@ -64,6 +77,10 @@ struct MoveMsg {
 struct ExistingMsg {};
 
 using Message = std::variant<QueryMsg, ReplyMsg, MoveMsg, ExistingMsg>;
+
+// Every alternative is three 32-bit words, so a message is 16 bytes with
+// the variant's index: the event queue's pool stores one per delivery.
+static_assert(sizeof(Message) == 16, "Message must stay 16 bytes");
 
 inline const char* message_kind(const Message& m) {
   switch (m.index()) {

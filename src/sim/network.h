@@ -7,6 +7,33 @@
 // Each send draws its delay from the network's seeded Rng and schedules
 // a typed Delivery on the borrowed EventQueue, which fires deliveries in
 // (time, insertion) order into the one bound receiver.
+//
+// FIFO is kept with clamps: a channel's clamp is the last delivery time
+// scheduled on it, and a later send on that channel is pushed past it.
+// A clamp at or before the clock can never delay a later send — the
+// clock only moves forward and every delay is >= 1 — so only clamps
+// ahead of the clock are state. The clamps are split by what outlives
+// quiescence:
+//   * Heartbeat clamps (§3.2.5 `existing` messages) live in the network.
+//     Heartbeats are elided, never fire, and are sent only at quiescence
+//     (send() checks), so a ring beaconing at a still clock pushes its
+//     clamps ahead of the clock, and they outlive every drain.
+//   * Flood clamps (query, reply, move) live in a table the network
+//     borrows, which the stream engine shares between every cube of one
+//     worker and clears when a cube's serve ends (see Lend). At
+//     quiescence every flood delivery has fired, so every flood clamp is
+//     at or before the clock and clearing loses nothing. Clearing is what
+//     keeps the cubes apart: channel keys are cube-local vehicle ids, and
+//     a clamp stale on one cube's clock may lie ahead of the next cube's.
+// A flood send reads its channel's flood clamp; when that clamp is at or
+// before now, it first raises it to the channel's heartbeat clamp. This
+// reproduces the plain one-clamp-per-channel rule exactly. A flood clamp
+// ahead of now belongs to a delivery still due, so no heartbeat was sent
+// on its channel since it was written: it is the channel's latest clamp.
+// A flood clamp at or before now is stale, and the channel's latest
+// clamp ahead of now, if any, is its heartbeat clamp. A heartbeat
+// ignores the flood table: at quiescence every flood clamp is at or
+// before now.
 #pragma once
 
 #include <cstddef>
@@ -52,19 +79,56 @@ struct NetworkStats {
   }
 };
 
+// FIFO clamps of a set of channels: channel key -> the last delivery
+// time scheduled on that channel.
+using ClampTable = FlatMap<std::uint64_t, SimTime, U64Hash>;
+
+// The transport one worker lends to the cube it is serving: the event
+// queue and the flood-clamp table (see Network::Lend).
+struct Transport {
+  EventQueue queue;
+  ClampTable flood;
+};
+
 class Network {
  public:
   // Deliveries reach one bound function pointer with its context (the
   // receiving object), e.g. a FleetCore draining into on_message.
   using Receiver = EventQueue::Sink;
 
-  Network(EventQueue& queue, Rng rng, SimTime max_delay)
-      : queue_(queue), rng_(std::move(rng)), max_delay_(max_delay) {
+  // `queue` and `flood` are borrowed and may be shared with other
+  // networks, one Lend at a time.
+  Network(EventQueue& queue, ClampTable& flood, Rng rng, SimTime max_delay)
+      : queue_(queue),
+        flood_(flood),
+        rng_(std::move(rng)),
+        max_delay_(max_delay) {
     CMVRP_CHECK(max_delay >= 0);
   }
   // The queue may hold this network's address (see rebind).
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
+
+  // Lends the borrowed queue and flood table to this network for one
+  // scope that starts and ends at quiescence: resumes the queue at this
+  // network's clock and binds it here; on exit, keeps the queue's clock
+  // as this network's and clears the flood table.
+  class Lend {
+   public:
+    explicit Lend(Network& net) : net_(net) {
+      net_.queue_.resume_at(net_.clock_);
+      net_.rebind();
+    }
+    ~Lend() {
+      net_.clock_ = net_.queue_.now();
+      net_.flood_.clear();
+    }
+    Lend(const Lend&) = delete;
+    Lend& operator=(const Lend&) = delete;
+
+   private:
+    Network& net_;
+  };
 
   void set_receiver(Receiver fn, void* ctx) {
     receiver_ = fn;
@@ -90,10 +154,8 @@ class Network {
                 max_delay_ > 0
                     ? rng_.next_below(static_cast<std::uint64_t>(max_delay_) + 1)
                     : 0);
-    SimTime at = queue_.now() + delay;
-    SimTime& last = last_delivery_[channel_key(from, to)];
-    if (at <= last) at = last + 1;  // preserve per-channel ordering
-    last = at;
+    const SimTime now = queue_.now();
+    const std::uint64_t key = channel_key(from, to);
     // §3.2.5 heartbeats ("existing" messages) are protocol no-ops on the
     // receiving side — monitoring reads fleet state directly, never the
     // message. The send still draws its delay (keeping every generator
@@ -101,9 +163,18 @@ class Network {
     // never enters the queue: at ~1 heartbeat per arrival, firing
     // do-nothing deliveries would be most of the queue's traffic.
     if (m.index() == 3) {
+      CMVRP_CHECK_MSG(queue_.empty(),
+                      "heartbeat sent while deliveries are due");
+      advance(heartbeat_[key], now + delay);
       ++stats_.heartbeat_skips;
       return;
     }
+    SimTime& last = flood_[key];
+    if (last <= now) {
+      const SimTime* beat = heartbeat_.find(key);
+      if (beat != nullptr) last = *beat;
+    }
+    const SimTime at = advance(last, now + delay);
     if (spans_ != nullptr) {
       spans_->message(queue_.now(), /*send=*/true, static_cast<int>(m.index()),
                       span_comp(m), from, to, span_hop(m));
@@ -113,8 +184,18 @@ class Network {
   }
 
   const NetworkStats& stats() const { return stats_; }
+  // The borrowed queue; while lent, its clock is this network's.
+  EventQueue& queue() const { return queue_; }
 
  private:
+  // Pushes `at` past the channel clamp `last` (preserving per-channel
+  // ordering) and records it as the new clamp.
+  static SimTime advance(SimTime& last, SimTime at) {
+    if (at <= last) at = last + 1;
+    last = at;
+    return at;
+  }
+
   // Untraced, the queue fires straight into the receiver; traced, it
   // fires into deliver_traced, which records the delivery first.
   void rebind() {
@@ -179,15 +260,17 @@ class Network {
   }
 
   EventQueue& queue_;
+  ClampTable& flood_;  // borrowed flood clamps (see the file comment)
   Rng rng_;
   SimTime max_delay_;
   Receiver receiver_ = nullptr;
   void* receiver_ctx_ = nullptr;
   NetworkStats stats_;
   SpanRecorder* spans_ = nullptr;  // borrowed Tier-C hook; may be null
-  // Per-channel FIFO clamp state. Open-addressed: one probe per send
-  // beats the rb-tree walk the old std::map did on every message.
-  FlatMap<std::uint64_t, SimTime, U64Hash> last_delivery_;
+  // This network's heartbeat clamps: the one clamp state that outlives
+  // quiescence, so the one a network keeps between lends.
+  ClampTable heartbeat_;
+  SimTime clock_ = 0;  // the queue's clock when the last Lend ended
 };
 
 }  // namespace cmvrp

@@ -15,8 +15,9 @@
 //             per-thread buffers that fold in thread order at the
 //             barrier, reproducing the serial scatter order exactly.
 //   serve   — N worker shards process their routed jobs concurrently,
-//             each cube on its own deterministic EventQueue + per-cube
-//             seeded Network (see stream/shard.h).
+//             each cube on its own per-cube seeded Network, over the
+//             event queue its shard lends it for the serve (see
+//             stream/shard.h).
 //   observe — when a StreamObserver is attached, every batch's outcomes
 //             are folded in ascending arrival-index order after the
 //             barrier and handed to the observer on the ingest thread

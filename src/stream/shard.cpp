@@ -21,11 +21,11 @@ std::uint64_t cube_stream_seed(std::uint64_t engine_seed,
 }
 
 CubeServer::CubeServer(int dim, const OnlineConfig& config,
-                       const Point& corner)
-    : queue_(),
-      network_(queue_, Rng(cube_stream_seed(config.seed, corner)),
+                       const Point& corner, Transport& transport)
+    : network_(transport.queue, transport.flood,
+               Rng(cube_stream_seed(config.seed, corner)),
                config.max_message_delay),
-      core_(dim, config, corner, queue_, network_),
+      core_(dim, config, corner, transport.queue, network_),
       series_(config.sample_stride),
       obs_(config.obs.counters) {
   core_.bind_network();
@@ -51,17 +51,18 @@ void CubeServer::serve_now(const Job& job, SimTime queue_wait,
   // the ring, not to this job.
   const std::uint64_t repl_before = obs_ ? core_.metrics().replacements : 0;
   const bool ok = core_.serve_job(job);
-  queue_.run_to_quiescence();
+  network_.queue().run_to_quiescence();
   if (obs_ && ok)
     cascade_.add(
         static_cast<std::int64_t>(core_.metrics().replacements - repl_before));
   JobTiming timing = core_.last_timing();
   // The replacement cascade this job triggered (if any) has fully
   // drained: the cube clock now is the job's completion time.
-  timing.done_at = queue_.now();
+  timing.done_at = network_.queue().now();
   // Close the serve span only after the drain, so the begin/end pair
   // brackets the job's whole cascade on the protocol clock.
-  if (spans_rec_ != nullptr) spans_rec_->serve_end(queue_.now(), job.index, ok);
+  if (spans_rec_ != nullptr)
+    spans_rec_->serve_end(timing.done_at, job.index, ok);
   timing.queue_wait = queue_wait;
   settle_if_due();
   (ok ? served_ : failed_).push_back(job.index);
@@ -105,11 +106,12 @@ void CubeServer::sample_if_due() {
 }
 
 void CubeServer::serve(const Job& job, std::vector<JobOutcome>* out) {
+  const Network::Lend lend(network_);
   if (arrivals_ == 0 && core_.config().enable_monitoring) {
     // The fleet exists from t = 0 and heartbeats precede the first
     // arrival, so vehicles broken from the start are already replaced.
     core_.monitor_sweep();
-    queue_.run_to_quiescence();
+    network_.queue().run_to_quiescence();
   }
   ++arrivals_;
   const OnlineConfig& cfg = core_.config();
@@ -179,6 +181,7 @@ CubeCounters CubeServer::counters() const {
 }
 
 void CubeServer::finish(std::vector<JobOutcome>* out) {
+  const Network::Lend lend(network_);
   // End of stream: whatever still waits gets served back to back (the
   // paper's arrivals have stopped, so the cube works the queue off).
   while (!backlog_.empty()) {
@@ -223,14 +226,15 @@ CubeServer& CubeShard::server_for(const Point& corner, std::uint32_t slot) {
         slot / static_cast<std::uint32_t>(shard_count_));
     auto& server = slots_[local];
     if (server == nullptr) {
-      server = std::make_unique<CubeServer>(dim_, config_, corner);
+      server = std::make_unique<CubeServer>(dim_, config_, corner,
+                                            *transport_);
       ++materialized_;
     }
     return *server;
   }
   auto& server = overflow_[corner];
   if (server == nullptr) {
-    server = std::make_unique<CubeServer>(dim_, config_, corner);
+    server = std::make_unique<CubeServer>(dim_, config_, corner, *transport_);
     ++materialized_;
   }
   return *server;

@@ -5,12 +5,20 @@
 // (neighbor lists, diffusing computations, and the monitoring ring never
 // cross a cube boundary — the decentralization claim of §3.2), a cube can
 // own its *entire* nondeterminism budget: CubeServer gives each cube its
-// own EventQueue, its own Network whose delay RNG is seeded from
-// (engine seed, cube corner), and its own FleetCore. A cube's outcome is
-// then a pure function of (its job subsequence, its seed) — independent
-// of which shard hosts it, how many threads run, or how arrivals are
-// batched. That is the engine's bit-identical-across-thread-counts
-// contract, enforced by tests/stream_test.cpp.
+// own Network whose delay RNG is seeded from (engine seed, cube corner),
+// and its own FleetCore. A cube's outcome is then a pure function of
+// (its job subsequence, its seed) — independent of which shard hosts it,
+// how many threads run, or how arrivals are batched. That is the
+// engine's bit-identical-across-thread-counts contract, enforced by
+// tests/stream_test.cpp.
+//
+// What a cube needs only while messages are in flight, it borrows: each
+// CubeShard owns one Transport (an EventQueue and a flood-clamp table)
+// and lends it to the cube it is serving for the span of serve() and
+// finish() (Network::Lend). Every serve and settle ends in quiescence,
+// so the queue is empty at each hand-off; between serves a cube keeps
+// only its clock and its heartbeat clamps (see sim/network.h for why
+// that is exact).
 //
 // Cube resolution is two-tier. Slots the engine's CubeSlotTable covers
 // live in a dense per-shard array (a shard owns the slots congruent to
@@ -54,7 +62,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -66,9 +73,9 @@
 #include "obs/counters.h"
 #include "obs/span.h"
 #include "online/fleet_core.h"
-#include "sim/event_queue.h"
 #include "sim/network.h"
 #include "stream/slot_table.h"
+#include "util/fifo.h"
 #include "util/flat_map.h"
 #include "workload/generators.h"
 
@@ -110,9 +117,14 @@ struct JobOutcome {
 
 // A single cube served online: own clock, own network, own fleet — and,
 // under a bounded admission policy, its own backlog on the arrival clock.
+// The event queue and flood clamps are borrowed from `transport` for the
+// span of each serve() and finish().
 class CubeServer {
  public:
-  CubeServer(int dim, const OnlineConfig& config, const Point& corner);
+  // `transport` is borrowed: it must outlive the server, and may be
+  // shared with other servers served on the same thread.
+  CubeServer(int dim, const OnlineConfig& config, const Point& corner,
+             Transport& transport);
 
   // Admits one arrival (which must lie in this cube): serves it
   // immediately (kUnbounded, or an idle cube), queues it, or drops it —
@@ -181,7 +193,6 @@ class CubeServer {
     SimTime enqueued_at = 0;  // arrival-index clock
   };
 
-  EventQueue queue_;
   Network network_;
   FleetCore core_;
   // Tier-C span recorder, owned per cube (null unless obs.spans): wired
@@ -190,7 +201,7 @@ class CubeServer {
   std::unique_ptr<SpanRecorder> spans_rec_;
   std::int64_t since_settle_ = 0;  // services since the last ring settle
   std::int64_t arrivals_ = 0;      // arrivals admitted to this cube
-  std::deque<Waiting> backlog_;    // bounded admission queue (FIFO)
+  Fifo<Waiting> backlog_;          // bounded admission queue
   SimTime free_at_ = 0;            // arrival clock: next service may start
   std::vector<std::int64_t> served_;  // arrival indices, in service order
   std::vector<std::int64_t> failed_;
@@ -249,6 +260,9 @@ class CubeShard {
   const CubeSlotTable* table_;  // borrowed; may be empty
   int shard_index_;
   int shard_count_;
+  // Lent to whichever cube is being served. Heap-held, so the servers'
+  // references survive a move of the shard.
+  std::unique_ptr<Transport> transport_ = std::make_unique<Transport>();
   // Dense tier: this shard's table slots, at local index slot / count.
   std::vector<std::unique_ptr<CubeServer>> slots_;
   // Overflow tier: cubes outside the table, keyed by corner.

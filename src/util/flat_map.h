@@ -44,7 +44,10 @@ class FlatMap {
     rehash_for(n);
   }
 
+  // Keeps the capacity; free when already empty (the index is only
+  // rewritten when it holds something).
   void clear() {
+    if (items_.empty()) return;
     items_.clear();
     index_.assign(index_.size(), kEmpty);
   }

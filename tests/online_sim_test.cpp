@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -97,7 +98,8 @@ TEST(EventQueue, DetectsLivelock) {
 
 TEST(EventQueue, GrowsWhenFifoClampSchedulesPastSpan) {
   EventQueue q;
-  Network net(q, Rng(5), /*max_delay=*/3);
+  ClampTable flood;
+  Network net(q, flood, Rng(5), /*max_delay=*/3);
   Inbox in(q);
   net.set_receiver(&Inbox::receive, &in);
   // Move the clock off zero first, so growth has to re-bucket lists
@@ -108,7 +110,7 @@ TEST(EventQueue, GrowsWhenFifoClampSchedulesPastSpan) {
   ASSERT_GT(start, 0);
   // 300 same-tick sends per channel: the FIFO clamp spaces each
   // channel's deliveries one tick apart, far past the initial span.
-  for (std::uint64_t i = 0; i < 300; ++i) {
+  for (std::uint32_t i = 0; i < 300; ++i) {
     net.send(0, 1, ReplyMsg{true, InitTag{0, i}});
     net.send(2, 3, ReplyMsg{true, InitTag{2, i}});
   }
@@ -188,10 +190,11 @@ TEST(EventQueue, RandomSchedulesMatchStableSortByTime) {
 TEST(Network, ChannelsAreFifo) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     EventQueue q;
-    Network net(q, Rng(seed), /*max_delay=*/7);
+    ClampTable flood;
+    Network net(q, flood, Rng(seed), /*max_delay=*/7);
     Inbox in(q);
     net.set_receiver(&Inbox::receive, &in);
-    for (std::uint64_t i = 0; i < 30; ++i)
+    for (std::uint32_t i = 0; i < 30; ++i)
       net.send(0, 1, ReplyMsg{true, InitTag{0, i}});
     q.run_to_quiescence();
     ASSERT_EQ(in.log.size(), 30u);
@@ -203,13 +206,15 @@ TEST(Network, ChannelsAreFifo) {
 
 TEST(Network, CountsByKind) {
   EventQueue q;
-  Network net(q, Rng(3), 2);
+  ClampTable flood;
+  Network net(q, flood, Rng(3), 2);
   Inbox in(q);
   net.set_receiver(&Inbox::receive, &in);
+  // Heartbeats go out at quiescence only, so this one is sent first.
+  net.send(2, 0, ExistingMsg{});
   net.send(0, 1, QueryMsg{});
   net.send(1, 0, ReplyMsg{});
-  net.send(0, 2, MoveMsg{Point{0, 0}, kNoInit});
-  net.send(2, 0, ExistingMsg{});
+  net.send(0, 2, MoveMsg{0, kNoInit});
   q.run_to_quiescence();
   EXPECT_EQ(net.stats().queries, 1u);
   EXPECT_EQ(net.stats().replies, 1u);
@@ -218,6 +223,111 @@ TEST(Network, CountsByKind) {
   EXPECT_EQ(net.stats().total(), 4u);
   // The heartbeat is counted but elided: three deliveries fire.
   EXPECT_EQ(in.log.size(), 3u);
+}
+
+// --- the lent transport ------------------------------------------------------
+
+TEST(InitTag, SequenceLimitIsCheckedAtTheIncrement) {
+  std::uint32_t seq = 0;
+  EXPECT_EQ(next_init(7, seq), (InitTag{7, 1}));
+  EXPECT_EQ(packed_init(InitTag{7, 1}), (std::uint64_t{7} << 32) | 1u);
+  EXPECT_EQ(packed_init(kNoInit), 0u);
+  seq = UINT32_MAX - 1;
+  EXPECT_EQ(next_init(7, seq).seq, UINT32_MAX);
+  // One more would wrap the sequence back to 0.
+  EXPECT_THROW(next_init(7, seq), check_error);
+  EXPECT_EQ(seq, UINT32_MAX);
+}
+
+TEST(LentTransport, HeartbeatWhileDeliveryIsDueThrows) {
+  Transport t;
+  Network net(t.queue, t.flood, Rng(1), 2);
+  Inbox in(t.queue);
+  net.set_receiver(&Inbox::receive, &in);
+  net.send(0, 1, QueryMsg{});
+  EXPECT_THROW(net.send(1, 0, ExistingMsg{}), check_error);
+  EXPECT_THROW(t.queue.resume_at(0), check_error);
+  t.queue.run_to_quiescence();
+  EXPECT_NO_THROW(net.send(1, 0, ExistingMsg{}));
+}
+
+// The reference rule: one FIFO clamp per channel of every kind, per
+// network, never pruned. It draws delays exactly as Network::send does.
+struct OneClampPerChannel {
+  Rng rng;
+  std::map<std::pair<std::size_t, std::size_t>, SimTime> last;
+  SimTime clock = 0;  // the network's clock when its last lend ended
+  SimTime due = 0;    // latest delivery time scheduled in the open lend
+
+  SimTime send(std::size_t from, std::size_t to, SimTime now) {
+    SimTime at = now + 1 + static_cast<SimTime>(rng.next_below(kMaxDelay + 1));
+    SimTime& l = last[{from, to}];
+    if (at <= l) at = l + 1;
+    l = at;
+    return at;
+  }
+
+  static constexpr SimTime kMaxDelay = 3;
+};
+
+TEST(LentTransport, DeliveryTimesMatchOneClampPerChannel) {
+  // Two networks of four vehicles each take turns on one queue and one
+  // flood table. Within a lend: flood sends on random channels, partial
+  // drains, and heartbeat rounds on the ring 0 -> 3 -> 2 -> 1 -> 0 at
+  // quiescence — several rounds at a still clock push heartbeat clamps
+  // ahead of it, and later floods on ring channels must wait for them.
+  constexpr std::size_t kVehicles = 4;
+  constexpr SimTime kDelay = OneClampPerChannel::kMaxDelay;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Transport t;
+    Inbox in(t.queue);
+    Network a(t.queue, t.flood, Rng(seed), kDelay);
+    Network b(t.queue, t.flood, Rng(seed + 1000), kDelay);
+    a.set_receiver(&Inbox::receive, &in);
+    b.set_receiver(&Inbox::receive, &in);
+    Network* nets[2] = {&a, &b};
+    OneClampPerChannel model[2] = {{Rng(seed), {}, 0, 0},
+                                   {Rng(seed + 1000), {}, 0, 0}};
+    std::vector<SimTime> expected;  // by delivery id (the query's hop)
+    Rng drive(seed * 7919);
+    for (int lend = 0; lend < 40; ++lend) {
+      const auto who = static_cast<std::size_t>(drive.next_below(2));
+      OneClampPerChannel& m = model[who];
+      const Network::Lend hold(*nets[who]);
+      ASSERT_EQ(t.queue.now(), m.clock) << "seed " << seed;
+      m.due = m.clock;
+      for (int step = 0; step < 30; ++step) {
+        const std::uint64_t action = drive.next_below(6);
+        if (action < 3) {  // a flood send
+          const std::size_t from = drive.next_below(kVehicles);
+          const std::size_t to =
+              (from + 1 + drive.next_below(kVehicles - 1)) % kVehicles;
+          const SimTime at = m.send(from, to, t.queue.now());
+          m.due = std::max(m.due, at);
+          const auto id = static_cast<std::uint32_t>(expected.size());
+          expected.push_back(at);
+          nets[who]->send(from, to, QueryMsg{kNoInit, id});
+        } else if (action < 5) {  // a partial drain
+          for (std::uint64_t k = drive.next_below(4); k > 0; --k)
+            if (!t.queue.step()) break;
+        } else {  // drain, then a heartbeat round
+          t.queue.run_to_quiescence();
+          for (std::size_t v = 0; v < kVehicles; ++v) {
+            const std::size_t to = (v + kVehicles - 1) % kVehicles;
+            m.send(v, to, t.queue.now());
+            nets[who]->send(v, to, ExistingMsg{});
+          }
+        }
+      }
+      t.queue.run_to_quiescence();
+      m.clock = m.due;
+      ASSERT_EQ(t.queue.now(), m.clock) << "seed " << seed;
+    }
+    ASSERT_EQ(in.log.size(), expected.size()) << "seed " << seed;
+    for (const auto& e : in.log)
+      ASSERT_EQ(e.at, expected[std::get<QueryMsg>(e.d.msg).hop])
+          << "seed " << seed << " delivery " << std::get<QueryMsg>(e.d.msg).hop;
+  }
 }
 
 // --- basic serving ------------------------------------------------------------
@@ -269,7 +379,8 @@ TEST(OnlineServe, VehicleIdsAreRowMajorHomeOffsets) {
   // The fleet exists from construction, ids in Box::for_each_point order;
   // even snake indices (pair primaries) start active, their partners idle.
   const OnlineConfig cfg = small_config(10.0, /*side=*/3);
-  CubeServer cube(2, cfg, Point{3, 6});
+  Transport transport;
+  CubeServer cube(2, cfg, Point{3, 6}, transport);
   const FleetCore& core = cube.core();
   ASSERT_EQ(core.vehicles().size(), 9u);
   std::size_t id = 0;
@@ -403,7 +514,8 @@ TEST(OnlineServe, SilentDoneWithoutMonitoringLosesJobs) {
 }
 
 TEST(OnlineServe, BrokenActiveVehicleIsReplaced) {
-  CubeServer cube(2, small_config(20.0), Point{0, 0});
+  Transport transport;
+  CubeServer cube(2, small_config(20.0), Point{0, 0}, transport);
   // Vehicle at (0,0) breaks after spending 20% of its capacity.
   cube.inject_break_after(Point{0, 0}, 0.2);
   serve_all(cube, repeated(Point{0, 0}, 12));
@@ -418,7 +530,8 @@ TEST(OnlineServe, BrokenActiveVehicleIsReplaced) {
 TEST(OnlineServe, ZeroLongevityVehicleReplacedBeforeFirstJob) {
   // p_i = 0 vehicles are dead from the start; the heartbeat round that
   // precedes a cube's first arrival detects this, so no job is lost.
-  CubeServer cube(2, small_config(20.0), Point{0, 0});
+  Transport transport;
+  CubeServer cube(2, small_config(20.0), Point{0, 0}, transport);
   cube.inject_break_after(Point{0, 0}, 0.0);
   serve_all(cube, repeated(Point{0, 0}, 2));
   EXPECT_EQ(cube.metrics().jobs_served, 2u);

@@ -118,7 +118,8 @@ TEST(Algorithm2Microscope, SingleComputationTreeAndRelay) {
   cfg.cube_side = 2;
   cfg.anchor = Point{0, 0};
   cfg.seed = 3;
-  CubeServer cube(2, cfg, Point{0, 0});
+  Transport transport;
+  CubeServer cube(2, cfg, Point{0, 0}, transport);
   serve_all(cube, repeated(Point{0, 0}, 3));
   const auto& m = cube.metrics();
   EXPECT_EQ(m.jobs_served, 3u);
@@ -165,7 +166,8 @@ TEST(Algorithm2Microscope, FailedSearchLeavesCleanState) {
   cfg.anchor = Point{0, 0};
   cfg.seed = 5;
   cfg.enable_monitoring = false;
-  CubeServer cube(2, cfg, Point{0, 0});
+  Transport transport;
+  CubeServer cube(2, cfg, Point{0, 0}, transport);
   serve_all(cube, repeated(Point{0, 0}, 12));
   const auto& m = cube.metrics();
   EXPECT_GT(m.jobs_failed, 0u);
@@ -194,7 +196,8 @@ TEST(Algorithm2Microscope, RingRescueReturnsToLastServedVertex) {
   cfg.anchor = Point{0, 0};
   cfg.seed = 3;
   const Point corner{0, 0};
-  CubeServer cube(2, cfg, corner);
+  Transport transport;
+  CubeServer cube(2, cfg, corner, transport);
   const FleetCore& core = cube.core();
   const CubePairing& pairing = core.pairing();
   // The ring's last slot (snake pair 34/35), so the sweep meets the

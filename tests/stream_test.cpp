@@ -2,6 +2,7 @@
 // contract, batch invariance, incremental ingest, and the worker pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <set>
@@ -376,6 +377,94 @@ TEST(StreamFoldOrder, MergeOrderMovesDoubleSums) {
   zyx.merge(y);
   zyx.merge(x);
   EXPECT_NE(xyz.total_energy_spent, zyx.total_energy_spent);
+}
+
+// --- the lent transport ------------------------------------------------------
+//
+// A shard lends one event queue and one flood-clamp table to whichever
+// cube it is serving. The loan must be invisible: a cube interleaved
+// with others on one shard serves exactly as it does alone.
+
+// Collects every outcome the engine reports, in report order.
+struct OutcomeLog : StreamObserver {
+  std::vector<JobOutcome> outcomes;
+  void on_batch(const JobOutcome* batch, std::size_t count) override {
+    outcomes.insert(outcomes.end(), batch, batch + count);
+  }
+};
+
+TEST(StreamLentTransport, InterleavedCubesServeAsIfAlone) {
+  // Three 4x4 cubes on one shard; W = 8 is undersized, so every cube
+  // floods. Cube (0,0) gets a 150-arrival head start, so when the three
+  // interleave its clock runs hundreds of ticks ahead of the others' —
+  // and its vehicle ids, like every cube's, are 0..15, so each cube's
+  // flood clamps land on the same channel keys.
+  const std::vector<Point> corners{Point{0, 0}, Point{4, 0}, Point{0, 4}};
+  Rng rng(31);
+  std::vector<Job> jobs;
+  const auto arrive = [&](const Point& corner) {
+    const Point p{corner[0] + rng.next_int(0, 3),
+                  corner[1] + rng.next_int(0, 3)};
+    jobs.push_back({p, static_cast<std::int64_t>(jobs.size())});
+  };
+  for (int i = 0; i < 150; ++i) arrive(corners[0]);
+  for (int i = 0; i < 60; ++i)
+    for (const Point& corner : corners) arrive(corner);
+
+  const StreamConfig cfg = test_config(8.0, 1);
+  OutcomeLog shared_log;
+  StreamEngine shared(2, cfg);
+  shared.set_observer(&shared_log);
+  shared.ingest(jobs);
+  const StreamResult together = shared.finish();
+  const auto shared_cubes = shared.per_cube_metrics();
+  ASSERT_EQ(shared_cubes.size(), 3u);
+
+  // The premise: the head start put cube (0,0)'s clock far ahead.
+  SimTime lead_clock = 0;
+  SimTime first_other = -1;
+  for (const JobOutcome& o : shared_log.outcomes) {
+    if (o.job.index < 150) lead_clock = std::max(lead_clock, o.timing.done_at);
+    if (o.corner != corners[0] && first_other < 0)
+      first_other = o.timing.arrived_at;
+  }
+  EXPECT_GE(lead_clock - first_other, 200);
+
+  const CubePairing pairing(2, cfg.online.anchor, cfg.online.cube_side);
+  std::vector<std::int64_t> served, failed;
+  for (const auto& [corner, shared_metrics] : shared_cubes) {
+    EXPECT_GT(shared_metrics.computations_started, 0u) << corner.to_string();
+    std::vector<Job> alone_jobs;
+    for (const Job& job : jobs)
+      if (pairing.cube_corner(job.position) == corner)
+        alone_jobs.push_back(job);
+    OutcomeLog alone_log;
+    StreamEngine alone(2, cfg);
+    alone.set_observer(&alone_log);
+    alone.ingest(alone_jobs);
+    const StreamResult r = alone.finish();
+    const auto alone_cubes = alone.per_cube_metrics();
+    ASSERT_EQ(alone_cubes.size(), 1u);
+    EXPECT_EQ(alone_cubes[0].first, corner);
+    EXPECT_TRUE(alone_cubes[0].second == shared_metrics) << corner.to_string();
+    served.insert(served.end(), r.served_jobs.begin(), r.served_jobs.end());
+    failed.insert(failed.end(), r.failed_jobs.begin(), r.failed_jobs.end());
+    // Outcome by outcome, timings included, in the cube's own order.
+    std::vector<JobOutcome> mine;
+    for (const JobOutcome& o : shared_log.outcomes)
+      if (o.corner == corner) mine.push_back(o);
+    ASSERT_EQ(mine.size(), alone_log.outcomes.size()) << corner.to_string();
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      EXPECT_EQ(mine[i].job.index, alone_log.outcomes[i].job.index);
+      EXPECT_EQ(mine[i].kind, alone_log.outcomes[i].kind);
+      EXPECT_TRUE(mine[i].timing == alone_log.outcomes[i].timing)
+          << corner.to_string() << " job " << mine[i].job.index;
+    }
+  }
+  std::sort(served.begin(), served.end());
+  std::sort(failed.begin(), failed.end());
+  EXPECT_EQ(together.served_jobs, served);
+  EXPECT_EQ(together.failed_jobs, failed);
 }
 
 // --- golden digests ---------------------------------------------------------

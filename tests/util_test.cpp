@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 
 #include "util/check.h"
+#include "util/fifo.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -19,6 +21,32 @@ TEST(Check, ThrowsWithLocation) {
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("math broke 42"), std::string::npos);
   }
+}
+
+TEST(Fifo, MatchesDequeAcrossWrapAndGrowth) {
+  // Random pushes and pops, so the ring wraps at every capacity it grows
+  // through; std::deque is the oracle.
+  Fifo<int> fifo;
+  std::deque<int> oracle;
+  EXPECT_TRUE(fifo.empty());
+  Rng rng(17);
+  for (int k = 0; k < 5000; ++k) {
+    if (oracle.empty() || rng.next_below(5) < 3) {
+      fifo.push_back(k);
+      oracle.push_back(k);
+    } else {
+      ASSERT_EQ(fifo.front(), oracle.front());
+      fifo.pop_front();
+      oracle.pop_front();
+    }
+    ASSERT_EQ(fifo.size(), oracle.size());
+  }
+  while (!oracle.empty()) {
+    ASSERT_EQ(fifo.front(), oracle.front());
+    fifo.pop_front();
+    oracle.pop_front();
+  }
+  EXPECT_TRUE(fifo.empty());
 }
 
 TEST(Rng, DeterministicForSeed) {
