@@ -796,24 +796,50 @@ void suite_substrates(BenchRun& b) {
            row);
   });
   b.run_case("network_send/heartbeat", [&](MetricRow& row) {
-    // A §3.2.5 ring of 64 vehicles beaconing their predecessors: every
-    // send draws a delay and advances its channel's FIFO clamp, and none
-    // enters the queue.
+    // A §3.2.5 ring of 64 vehicles beaconing their predecessors over beat
+    // slots resolved once: every beat draws a delay and advances its
+    // channel's FIFO clamp, and none enters the queue.
     constexpr std::int64_t kOps = 2'000'000;
     per_op(kOps,
            [&b] {
              EventQueue q;
              ClampTable flood;
              Network net(q, flood, Rng(1), 3);
-             net.set_receiver([](void*, const Delivery&) {}, nullptr);
+             std::vector<std::uint32_t> ring;
+             for (std::size_t v = 0; v < 64; ++v)
+               ring.push_back(net.heartbeat_slot(v, (v + 63) % 64));
              for (std::int64_t i = 0; i < kOps; ++i)
-               net.send(static_cast<std::size_t>(i % 64),
-                        static_cast<std::size_t>((i + 63) % 64),
-                        ExistingMsg{});
+               net.beat(ring[static_cast<std::size_t>(i % 64)]);
              if (!q.empty()) b.fail("an elided heartbeat entered the queue");
              return static_cast<double>(net.stats().heartbeat_skips);
            },
            row);
+  });
+  b.run_case("monitor_settle/4d-s3", [&](MetricRow& row) {
+    // Steady-state settles of one healthy 81-vehicle 4-D cube of side 3,
+    // the replay-4d shape: each is one §3.2.5 round, 41 heartbeats over
+    // the cached ring and no scan. The value is the heartbeats sent.
+    constexpr std::int64_t kOps = 200'000;
+    OnlineConfig cfg;
+    cfg.capacity = 100.0;
+    cfg.cube_side = 3;
+    cfg.anchor = Point::origin(4);
+    Transport transport;
+    Network net(transport.queue, transport.flood, Rng(1),
+                cfg.max_message_delay);
+    FleetCore core(4, cfg, cfg.anchor, transport.queue, net);
+    core.bind_network();
+    const Network::Lend lend(net);
+    core.settle();  // builds the ring and runs the first scan
+    const std::uint64_t before = net.stats().heartbeats;
+    per_op(kOps,
+           [&] {
+             for (std::int64_t i = 0; i < kOps; ++i) core.settle();
+             return static_cast<double>(net.stats().heartbeats - before);
+           },
+           row);
+    if (core.metrics().monitor_initiations != 0)
+      b.fail("a healthy fleet's ring initiated a search");
   });
   b.run_case("online_point_burst/n=50", [&](MetricRow& row) {
     std::vector<Job> jobs;

@@ -35,11 +35,14 @@ bool is_rate_key(const std::string& key) {
 // The Tier-A/Tier-B naming convention from src/obs/: every
 // nondeterministic (wall-clock-derived) key ends in `_ms` (wall_ms,
 // routing_ms, stage_*_ms) or ` ms` (the bench table spellings), starts
-// with `wall_` (wall_rss_kb), or is a derived rate. Everything else in
-// an artifact is a pure function of the arrival sequence and seed.
+// with `wall_` (wall_rss_kb), is a per-iteration timing of the
+// `substrates` suite (`us/iter`, `ns/op`; lower is better), or is a
+// derived rate. Everything else in an artifact is a pure function of the
+// arrival sequence and seed.
 bool is_wall_key(const std::string& key) {
   return ends_with(key, "_ms") || ends_with(key, " ms") ||
-         starts_with(key, "wall_") || is_rate_key(key);
+         starts_with(key, "wall_") || key == "us/iter" || key == "ns/op" ||
+         is_rate_key(key);
 }
 
 bool name_in(const std::vector<std::string>& names, const std::string& key) {

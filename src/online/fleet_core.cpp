@@ -38,25 +38,24 @@ FleetCore::FleetCore(int dim, const OnlineConfig& config, const Point& corner,
   CMVRP_CHECK_MSG(pairing_.cube_corner(corner) == corner,
                   corner.to_string() << " is not a cube corner");
   const std::int64_t volume = pairing_.cube_volume();
-  CMVRP_CHECK_MSG(volume < static_cast<std::int64_t>(kNone),
+  CMVRP_CHECK_MSG(volume < static_cast<std::int64_t>(kNoVehicle),
                   "cube volume " << volume << " exceeds 32-bit vehicle ids");
   const auto fleet = static_cast<std::size_t>(volume);
   pairs_.resize((fleet + 1) / 2);
-  initiator_dest_.assign(fleet, kNone);
+  initiator_dest_.assign(fleet, kNoDest);
   // The fleet exists from t = 0: even snake indices (pair primaries)
   // start active, their partners idle.
   vehicles_.reserve(fleet);
   Box::cube(corner, pairing_.side()).for_each_point([this](const Point& home) {
     const std::int64_t k = pairing_.snake_index(home, corner_);
     Vehicle v;
-    v.id = vehicles_.size();
+    v.id = static_cast<std::uint32_t>(vehicles_.size());
     v.home = home;
     v.pos = home;
     v.capacity = config_.capacity;
     if (k % 2 == 0) {
       v.s1 = WorkState::kActive;
-      pairs_[static_cast<std::size_t>(k / 2)].active =
-          static_cast<std::uint32_t>(v.id);
+      pairs_[static_cast<std::size_t>(k / 2)].active = v.id;
     }
     vehicles_.push_back(v);
   });
@@ -85,7 +84,7 @@ std::uint32_t FleetCore::id_of_home(const Point& home) const {
   std::int64_t id = 0;
   for (int i = 0; i < dim_; ++i) {
     const std::int64_t o = home[i] - corner_[i];
-    if (o < 0 || o >= pairing_.side()) return kNone;
+    if (o < 0 || o >= pairing_.side()) return kNoVehicle;
     id = id * pairing_.side() + o;
   }
   return static_cast<std::uint32_t>(id);
@@ -93,21 +92,25 @@ std::uint32_t FleetCore::id_of_home(const Point& home) const {
 
 void FleetCore::inject_silent_done(const Point& home) {
   const std::uint32_t id = id_of_home(home);
-  CMVRP_CHECK_MSG(id != kNone, "silent-done home " << home.to_string()
-                                                   << " lies outside cube "
-                                                   << corner_.to_string());
+  CMVRP_CHECK_MSG(id != kNoVehicle, "silent-done home "
+                                        << home.to_string()
+                                        << " lies outside cube "
+                                        << corner_.to_string());
   vehicles_[id].silent_done = true;
+  touch();
 }
 
 void FleetCore::inject_break_after(const Point& home, double longevity) {
   CMVRP_CHECK(longevity >= 0.0 && longevity <= 1.0);
   const std::uint32_t id = id_of_home(home);
-  CMVRP_CHECK_MSG(id != kNone, "breaking home " << home.to_string()
-                                                << " lies outside cube "
-                                                << corner_.to_string());
+  CMVRP_CHECK_MSG(id != kNoVehicle, "breaking home "
+                                        << home.to_string()
+                                        << " lies outside cube "
+                                        << corner_.to_string());
   if (longevity_.empty()) longevity_.assign(vehicles_.size(), -1.0);
   longevity_[id] = longevity;
   if (longevity == 0.0) vehicles_[id].dead = true;
+  touch();
 }
 
 void FleetCore::neighbors_into(std::size_t vid,
@@ -139,12 +142,15 @@ void FleetCore::check_longevity(Vehicle& v) {
   // all (the common case) skip it on the empty-array test.
   if (longevity_.empty() || v.dead) return;
   const double p = longevity_[v.id];
-  if (p >= 0.0 && v.spent() >= p * v.capacity - 1e-9) v.dead = true;
+  if (p >= 0.0 && v.spent() >= p * v.capacity - 1e-9) {
+    v.dead = true;
+    touch();
+  }
 }
 
 void FleetCore::release_pair(const Vehicle& v, std::int64_t k) {
   PairSlot& pair = pairs_[static_cast<std::size_t>(k / 2)];
-  if (pair.active == v.id) pair.active = kNone;
+  if (pair.active == v.id) pair.active = kNoVehicle;
   pair.last = static_cast<std::uint8_t>(k & 1);
 }
 
@@ -154,7 +160,7 @@ bool FleetCore::serve_job(const Job& job) {
   last_timing_ = JobTiming{now, now, now, 0};
   const std::int64_t k = pairing_.snake_index(job.position, corner_);
   const PairSlot& pair = pairs_[static_cast<std::size_t>(k / 2)];
-  const std::size_t vid = pair.active == kNone ? SIZE_MAX : pair.active;
+  const std::size_t vid = pair.active == kNoVehicle ? SIZE_MAX : pair.active;
   if (spans_ != nullptr) spans_->serve_begin(now, vid, job.index);
   if (vid == SIZE_MAX) {
     ++metrics_.jobs_failed;
@@ -185,14 +191,13 @@ bool FleetCore::serve_job(const Job& job) {
 void FleetCore::after_serving(std::size_t vid, std::int64_t k) {
   // Fast exit for the common case (vehicle healthy, not exhausted).
   Vehicle& v = vehicles_[vid];
-  if (v.dead) {
-    // Broke mid-service (longevity): the monitoring ring must notice.
-    release_pair(v, k);
-    return;
-  }
-  if (!v.exhausted()) return;
-  v.s1 = WorkState::kDone;
+  if (!v.dead && !v.exhausted()) return;
+  // The vehicle leaves its pair: it broke mid-service (longevity), and
+  // the monitoring ring must notice, or it is done.
+  touch();
   release_pair(v, k);
+  if (v.dead) return;
+  v.s1 = WorkState::kDone;
   if (v.silent_done) return;  // scenario 2: never initiates
   pairs_[static_cast<std::size_t>(k / 2)].pending = true;
   initiate_computation(vid, k);
@@ -200,10 +205,11 @@ void FleetCore::after_serving(std::size_t vid, std::int64_t k) {
 
 void FleetCore::initiate_computation(std::size_t initiator,
                                      std::int64_t dest) {
+  touch();
   Vehicle& v = vehicles_[initiator];
   v.s2 = TransferState::kInitiator;
-  v.par = SIZE_MAX;
-  v.child = SIZE_MAX;
+  v.par = kNoVehicle;
+  v.child = kNoVehicle;
   v.init = next_init(static_cast<std::uint32_t>(initiator), v.init_seq);
   initiator_dest_[initiator] = static_cast<std::uint32_t>(dest);
   ++metrics_.computations_started;
@@ -233,6 +239,7 @@ void FleetCore::obs_note_queries(const InitTag& init, std::size_t count) {
 
 void FleetCore::on_message(std::size_t to, std::size_t from,
                            const Message& m) {
+  touch();
   switch (m.index()) {
     case 0:
       on_query(to, from, std::get<QueryMsg>(m));
@@ -243,8 +250,6 @@ void FleetCore::on_message(std::size_t to, std::size_t from,
     case 2:
       on_move(to, from, std::get<MoveMsg>(m));
       break;
-    case 3:
-      break;  // heartbeats are counted by the network; no protocol action
   }
 }
 
@@ -252,9 +257,9 @@ void FleetCore::on_query(std::size_t vid, std::size_t from,
                          const QueryMsg& q) {
   Vehicle& v = vehicles_[vid];
   if (v.s2 == TransferState::kWaiting && v.init != q.init) {
-    v.par = from;
+    v.par = static_cast<std::uint32_t>(from);
     v.init = q.init;
-    v.child = SIZE_MAX;
+    v.child = kNoVehicle;
     if (v.s1 == WorkState::kIdle && !v.dead) {
       network_.send(vid, from, ReplyMsg{true, q.init});
       return;
@@ -287,15 +292,15 @@ void FleetCore::on_reply(std::size_t vid, std::size_t from,
   if (r.init != v.init) return;  // stale reply from an abandoned search
   CMVRP_CHECK_MSG(v.num > 0, "reply without outstanding query");
   --v.num;
-  if (r.flag && v.child == SIZE_MAX) {
-    v.child = from;
+  if (r.flag && v.child == kNoVehicle) {
+    v.child = static_cast<std::uint32_t>(from);
     if (v.s2 == TransferState::kSearching)
       network_.send(vid, v.par, ReplyMsg{true, v.init});
   }
   if (v.num == 0) {
     if (v.s2 == TransferState::kSearching) {
       v.s2 = TransferState::kWaiting;
-      if (v.child == SIZE_MAX)
+      if (v.child == kNoVehicle)
         network_.send(vid, v.par, ReplyMsg{false, v.init});
     } else if (v.s2 == TransferState::kInitiator) {
       v.s2 = TransferState::kWaiting;
@@ -309,11 +314,11 @@ void FleetCore::finish_phase_one(std::size_t vid) {
   Vehicle& v = vehicles_[vid];
   if (spans_ != nullptr)
     spans_->comp_finish(queue_.now(), packed_init(v.init), vid,
-                        v.child != SIZE_MAX);
+                        v.child != kNoVehicle);
   const std::uint32_t dest = initiator_dest_[vid];
-  CMVRP_CHECK(dest != kNone);
-  initiator_dest_[vid] = kNone;
-  if (v.child == SIZE_MAX) {
+  CMVRP_CHECK(dest != kNoDest);
+  initiator_dest_[vid] = kNoDest;
+  if (v.child == kNoVehicle) {
     ++metrics_.computations_failed;
     PairSlot& pair = pairs_[dest / 2];
     pair.pending = false;
@@ -367,7 +372,7 @@ void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
   }
   // Not idle any more (e.g. claimed by a concurrent computation): pass the
   // move along this vehicle's own child path if it has one.
-  if (v.child != SIZE_MAX && v.child != vid) {
+  if (v.child != kNoVehicle && v.child != vid) {
     network_.send(vid, v.child, m);
     return;
   }
@@ -375,68 +380,112 @@ void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
   pairs_[m.dest / 2].pending = false;
 }
 
-void FleetCore::monitor_sweep() {
+template <class F>
+bool FleetCore::for_each_ring_beat(F&& beat) const {
   // The "existing"-message ring of §3.2.5: the pair slots of the cube form
-  // a loop of monitoring pointers; every healthy active vehicle beacons its
-  // ring predecessor, and a slot whose beacon is missing gets a diffusing
-  // computation initiated on its behalf by that predecessor. Slots are
-  // read live, so a replacement that a mid-sweep computation activates is
-  // visible to later slots.
-  const std::size_t n = pairs_.size();
-  auto& ring = ring_scratch_;  // slot indices
-  ring.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t vid = pairs_[i].active;
-    if (vid == kNone) continue;
-    const Vehicle& v = vehicles_[vid];
-    if (!v.dead && v.s1 == WorkState::kActive) ring.push_back(i);
+  // a loop of monitoring pointers, and every healthy active vehicle
+  // beacons its ring predecessor — the first ring member the last one.
+  std::uint32_t prev = kNoVehicle;
+  for (std::size_t i = pairs_.size(); i-- > 0;) {
+    if (in_ring(pairs_[i])) {
+      prev = pairs_[i].active;
+      break;
+    }
   }
-  if (ring.empty()) return;  // nobody left to monitor or initiate
-  // Heartbeat round: each ring member beacons the previous ring member.
-  for (std::size_t k = 0; k < ring.size(); ++k) {
-    const std::size_t from = pairs_[ring[k]].active;
-    const std::size_t to =
-        pairs_[ring[(k + ring.size() - 1) % ring.size()]].active;
-    if (from != to) network_.send(from, to, ExistingMsg{});
+  if (prev == kNoVehicle) return false;
+  for (const PairSlot& pair : pairs_) {
+    if (!in_ring(pair)) continue;
+    if (pair.active != prev) beat(pair.active, prev);  // a ring of one is silent
+    prev = pair.active;
   }
+  return true;
+}
+
+void FleetCore::monitor_sweep() {
+#ifndef NDEBUG
+  check_monitor_cache();
+#endif
+  if (ring_dirty_) {
+    ring_dirty_ = false;
+    beat_slots_.clear();
+    ring_empty_ = !for_each_ring_beat([this](std::uint32_t from,
+                                             std::uint32_t to) {
+      beat_slots_.push_back(network_.heartbeat_slot(from, to));
+    });
+  }
+  if (ring_empty_) return;  // nobody left to monitor or initiate
+  for (const std::uint32_t slot : beat_slots_) network_.beat(slot);
+  if (!scan_dirty_) return;
+  // Cleared first, so a scan that changes anything marks the core again.
+  scan_dirty_ = false;
   // Timeout detection: slots with no healthy active vehicle and no
-  // replacement already in flight.
-  for (std::size_t i = 0; i < n; ++i) {
+  // replacement already in flight. Slots are read live, so a replacement
+  // that a mid-scan computation activates is visible to later slots.
+  for (std::size_t i = 0; i < pairs_.size(); ++i) {
     PairSlot& pair = pairs_[i];
-    if (pair.unrecoverable) continue;
-    if (pair.active == kNone) {
-      if (pair.pending) continue;
-    } else {
+    if (!timed_out(pair)) continue;
+    if (pair.active != kNoVehicle) {
       const Vehicle& v = vehicles_[pair.active];
-      if (!v.dead && v.s1 == WorkState::kActive) continue;
       const std::int64_t k = pairing_.snake_index(v.pos, corner_);
       CMVRP_CHECK_MSG(static_cast<std::size_t>(k / 2) == i,
                       "active vehicle stands outside its pair");
-      pair.active = kNone;
-      pair.last = static_cast<std::uint8_t>(k & 1);
+      touch();
+      release_pair(v, k);
     }
-    // The replacement serves from where the pair was last served.
-    const auto dest = static_cast<std::int64_t>(2 * i + pair.last);
-    // The monitor: the ring predecessor of the victim slot.
-    std::size_t monitor_vid = SIZE_MAX;
-    for (std::size_t back = 1; back <= n; ++back) {
-      const std::uint32_t cvid = pairs_[(i + n - back) % n].active;
-      if (cvid == kNone) continue;
-      const Vehicle& cv = vehicles_[cvid];
-      if (!cv.dead && cv.s1 == WorkState::kActive &&
-          cv.s2 == TransferState::kWaiting) {
-        monitor_vid = cvid;
-        break;
-      }
-    }
-    if (monitor_vid == SIZE_MAX) continue;  // no healthy monitor left
+    const std::uint32_t monitor = ring_monitor(i);
+    if (monitor == kNoVehicle) continue;  // no healthy monitor left
     pair.pending = true;
     ++metrics_.monitor_initiations;
-    initiate_computation(monitor_vid, dest);
+    // The replacement serves from where the pair was last served.
+    initiate_computation(monitor, static_cast<std::int64_t>(2 * i + pair.last));
     // Serialize: let this computation finish before scanning on, so two
     // concurrent searches never race for the same idle vehicle.
     queue_.run_to_quiescence();
   }
+}
+
+bool FleetCore::timed_out(const PairSlot& pair) const {
+  if (pair.unrecoverable) return false;
+  if (pair.active == kNoVehicle) return !pair.pending;
+  return !vehicles_[pair.active].can_serve();
+}
+
+std::uint32_t FleetCore::ring_monitor(std::size_t i) const {
+  const std::size_t n = pairs_.size();
+  for (std::size_t back = 1; back <= n; ++back) {
+    const std::uint32_t vid = pairs_[(i + n - back) % n].active;
+    if (vid == kNoVehicle) continue;
+    const Vehicle& v = vehicles_[vid];
+    if (v.can_serve() && v.s2 == TransferState::kWaiting) return vid;
+  }
+  return kNoVehicle;
+}
+
+void FleetCore::check_monitor_cache() const {
+  if (!ring_dirty_) {
+    std::size_t k = 0;
+    const bool live = for_each_ring_beat([&](std::uint32_t from,
+                                             std::uint32_t to) {
+      CMVRP_CHECK_MSG(k < beat_slots_.size() &&
+                          beat_slots_[k] ==
+                              network_.find_heartbeat_slot(from, to),
+                      "cached heartbeat " << k << " (" << from << " -> " << to
+                                          << ") is stale: the ring changed "
+                                             "without touch()");
+      ++k;
+    });
+    CMVRP_CHECK_MSG(k == beat_slots_.size() && live == !ring_empty_,
+                    "cached ring has " << beat_slots_.size()
+                                       << " heartbeats, the fleet " << k
+                                       << ": the ring changed without touch()");
+  }
+  if (scan_dirty_) return;
+  for (std::size_t i = 0; i < pairs_.size(); ++i)
+    CMVRP_CHECK_MSG(!timed_out(pairs_[i]) ||
+                        (pairs_[i].active == kNoVehicle &&
+                         ring_monitor(i) == kNoVehicle),
+                    "the timeout scan has work on pair "
+                        << i << " that no touch() announced");
 }
 
 void FleetCore::settle(int max_rounds) {
@@ -467,17 +516,17 @@ std::int64_t FleetCore::exhausted_permille() const {
 
 const Vehicle* FleetCore::vehicle_at_home(const Point& home) const {
   const std::uint32_t id = id_of_home(home);
-  return id == kNone ? nullptr : &vehicles_[id];
+  return id == kNoVehicle ? nullptr : &vehicles_[id];
 }
 
 std::optional<std::size_t> FleetCore::active_of_pair(
     const Point& any_member) const {
-  if (id_of_home(any_member) == kNone) return std::nullopt;
+  if (id_of_home(any_member) == kNoVehicle) return std::nullopt;
   const std::uint32_t vid =
       pairs_[static_cast<std::size_t>(
                  pairing_.snake_index(any_member, corner_) / 2)]
           .active;
-  if (vid == kNone) return std::nullopt;
+  if (vid == kNoVehicle) return std::nullopt;
   return vid;
 }
 

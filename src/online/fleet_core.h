@@ -28,6 +28,25 @@
 // transport, which is empty at quiescence. Two things grow with the
 // cube's history instead: the network's heartbeat clamps (one per ring
 // channel ever beaconed) and the serving cube's outcome index vectors.
+//
+// A §3.2.5 monitoring round costs O(ring) heartbeats and nothing else
+// while the fleet is unchanged. The core keeps the ring's beat slots
+// (sim/network.h) between rounds, and rebuilds them, and reruns the
+// O(pairs) timeout scan, only after a write to what a round reads: the
+// pair slots, and the dead/s1/s2/pos fields of their active vehicles.
+// Every such writer calls touch(), which marks both stale:
+//   * every Query, Reply or Move delivery (on_message);
+//   * initiate_computation;
+//   * after_serving, when the vehicle is dead or exhausted;
+//   * check_longevity, when it kills a vehicle;
+//   * both failure injections;
+//   * the timeout scan, when it releases a victim's pair.
+// This is exact. The ring and the scan's decisions are pure functions of
+// that state, a scan that changed nothing would change nothing on the
+// same state again, and every round still sends every heartbeat, so
+// every delay draw and clamp advance happens as a full rescan would have
+// made it. check_monitor_cache() recomputes both from scratch and checks
+// the cache against them; Debug builds run it at the top of every round.
 #pragma once
 
 #include <cstddef>
@@ -204,7 +223,9 @@ class FleetCore {
   // paper's long inter-arrival gaps).
   bool serve_job(const Job& job);
 
-  // One §3.2.5 heartbeat + timeout round over the cube's pair ring.
+  // One §3.2.5 round over the cube's pair ring: every ring member beacons
+  // its predecessor, then (if a write marked it) the timeout scan starts
+  // replacement searches for pairs with no healthy active vehicle.
   void monitor_sweep();
 
   // Drain + repeated monitor rounds until no new ring initiations (a
@@ -241,6 +262,12 @@ class FleetCore {
     return obs_max_queries_per_comp_;
   }
 
+  // Throws check_error when the monitoring cache disagrees with the
+  // fleet: the cached beat slots (unless marked stale) are not the ring's
+  // heartbeat channels in send order, or the timeout scan (unless marked
+  // stale) would act. Looks up, never inserts; O(pairs^2) at worst.
+  void check_monitor_cache() const;
+
   // Introspection for tests. vehicle_at_home is null for homes outside
   // the cube; active_of_pair is empty when the pair has no active vehicle.
   const std::vector<Vehicle>& vehicles() const { return vehicles_; }
@@ -250,11 +277,12 @@ class FleetCore {
   void on_message(std::size_t to, std::size_t from, const Message& m);
 
  private:
-  static constexpr std::uint32_t kNone = UINT32_MAX;
+  // initiator_dest_ entry of a vehicle that runs no computation.
+  static constexpr std::uint32_t kNoDest = UINT32_MAX;
 
   // Serving state of one black–white pair (snake indices 2i and 2i+1).
   struct PairSlot {
-    std::uint32_t active = kNone;  // id of the pair's active vehicle
+    std::uint32_t active = kNoVehicle;  // id of the pair's active vehicle
     // Which member the pair was last served from (0 = the primary, 2i;
     // 1 = its partner): the vertex a ring-initiated replacement for an
     // abandoned pair moves to.
@@ -270,8 +298,8 @@ class FleetCore {
     SimTime since = 0;
   };
 
-  // Row-major offset of `home` in the cube (= its vehicle id); kNone
-  // when outside.
+  // Row-major offset of `home` in the cube (= its vehicle id);
+  // kNoVehicle when outside.
   std::uint32_t id_of_home(const Point& home) const;
   // Fills `out` with vid's radius-r neighbors (callers pass a reused
   // scratch buffer; the serve path runs one of these per protocol
@@ -297,7 +325,30 @@ class FleetCore {
   // last-served vertex.
   void release_pair(const Vehicle& v, std::int64_t k);
 
+  // Marks the monitoring cache stale (see the file comment).
+  void touch() { ring_dirty_ = scan_dirty_ = true; }
+  // Pair `pair` is in the ring: its active vehicle is healthy.
+  bool in_ring(const PairSlot& pair) const {
+    return pair.active != kNoVehicle && vehicles_[pair.active].can_serve();
+  }
+  // Calls beat(from, to) for each heartbeat of a round, in send order;
+  // returns whether the ring has a member.
+  template <class F>
+  bool for_each_ring_beat(F&& beat) const;
+  // The timeout scan acts on `pair`: it has no healthy active vehicle,
+  // no replacement in flight, and idle vehicles may remain.
+  bool timed_out(const PairSlot& pair) const;
+  // The monitor of pair i: its nearest ring predecessor free to initiate
+  // (healthy, in no search); kNoVehicle when there is none.
+  std::uint32_t ring_monitor(std::size_t i) const;
+
   int dim_;
+  // The monitoring cache's state (see the file comment): the beat slots
+  // or the timeout scan may be stale; the ring had no member when last
+  // built. Beside dim_, in what would be padding.
+  bool ring_dirty_ = true;
+  bool scan_dirty_ = true;
+  bool ring_empty_ = false;
   OnlineConfig config_;
   CubePairing pairing_;
   Point corner_;
@@ -307,15 +358,17 @@ class FleetCore {
   std::vector<Vehicle> vehicles_;  // id = row-major offset of the home
   std::vector<PairSlot> pairs_;    // slot i = snake pair (2i, 2i+1)
   // Vehicle id -> snake index of the destination its Phase II move must
-  // carry (kNone while it runs no computation).
+  // carry (kNoDest while it runs no computation).
   std::vector<std::uint32_t> initiator_dest_;
   // Vehicle id -> injected longevity p_i (negative = never breaks);
   // empty until the first inject_break_after, so streams without
   // breakage pay nothing for the check.
   std::vector<double> longevity_;
-  // Reused scratch buffers for the message hot path and monitor sweeps.
+  // Reused scratch buffer for the message hot path.
   std::vector<std::size_t> neighbor_scratch_;
-  std::vector<std::size_t> ring_scratch_;
+  // The ring's heartbeats as beat slots, in send order; rebuilt only
+  // when ring_dirty_.
+  std::vector<std::uint32_t> beat_slots_;
 
   // Tier-A observability state (all obs-gated). Query counts are keyed
   // by packed InitTag; entries are never erased — a late relay may add

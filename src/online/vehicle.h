@@ -43,29 +43,38 @@ inline const char* to_string(TransferState s) {
   return "?";
 }
 
-struct Vehicle {
-  std::size_t id = SIZE_MAX;
-  Point home;      // depot vertex (never changes)
-  Point pos;       // current vertex
-  WorkState s1 = WorkState::kIdle;
-  TransferState s2 = TransferState::kWaiting;
+// "No vehicle": the null value of a vehicle id (Vehicle::par, child and
+// FleetCore's pair slots). Ids are dense fleet indices; FleetCore checks
+// that a cube's volume fits below this.
+inline constexpr std::uint32_t kNoVehicle = UINT32_MAX;
 
-  double capacity = 0.0;
-  double spent_service = 0.0;
-  double spent_travel = 0.0;
+struct Vehicle {
+  // The small fields first, so no padding sits between them.
+  std::uint32_t id = kNoVehicle;
 
   // Phase I local data (§3.2.3.2).
-  int num = 0;                   // un-responded queries
-  std::size_t par = SIZE_MAX;    // parent in the diffusing tree
-  std::size_t child = SIZE_MAX;  // first child that reported an idle vehicle
-  InitTag init = kNoInit;        // computation currently joined
-  std::uint32_t init_seq = 0;    // last sequence used (see next_init)
+  std::uint32_t par = kNoVehicle;    // parent in the diffusing tree
+  std::uint32_t child = kNoVehicle;  // first child that reported an idle
+                                     // vehicle
+  int num = 0;                       // un-responded queries
+  InitTag init = kNoInit;            // computation currently joined
+  std::uint32_t init_seq = 0;        // last sequence used (see next_init)
+
+  WorkState s1 = WorkState::kIdle;
+  TransferState s2 = TransferState::kWaiting;
 
   // Failure injection.
   bool dead = false;         // broken (§3.2.5 scenarios 3/4): cannot serve
                              // or volunteer, but still relays messages
   bool silent_done = false;  // scenario 2: fails to start its own
                              // diffusing computation when done
+
+  Point home;      // depot vertex (never changes)
+  Point pos;       // current vertex
+
+  double capacity = 0.0;
+  double spent_service = 0.0;
+  double spent_travel = 0.0;
 
   double spent() const { return spent_service + spent_travel; }
   double remaining() const { return capacity - spent(); }
@@ -78,5 +87,9 @@ struct Vehicle {
     return s1 == WorkState::kActive && !dead;
   }
 };
+
+// 32 bytes of small fields, two 40-byte Points and three doubles: the
+// fleet array is most of a served cube's footprint.
+static_assert(sizeof(Vehicle) == 136, "Vehicle must stay 136 bytes");
 
 }  // namespace cmvrp

@@ -3,8 +3,14 @@
 // Phase I uses query/reply pairs tagged with the initiator identity (plus
 // a sequence number, as the paper's `init` discussion suggests, so repeat
 // computations by the same vehicle stay distinct). Phase II uses a single
-// move message carrying the destination. `existing` heartbeats support the
-// monitoring ring of §3.2.5.
+// move message carrying the destination.
+//
+// The `existing` heartbeats of the §3.2.5 monitoring ring are not a
+// Message. A heartbeat is never delivered — its receiver would do
+// nothing, since the ring reads fleet state directly — so it has no
+// payload to carry and never enters the event queue. Network::beat sends
+// one: it draws the delay and advances the channel's FIFO clamp, and
+// that is all a heartbeat does.
 #pragma once
 
 #include <cstddef>
@@ -73,27 +79,10 @@ struct MoveMsg {
   InitTag init;
 };
 
-// §3.2.5 monitoring: periodic liveness beacon.
-struct ExistingMsg {};
-
-using Message = std::variant<QueryMsg, ReplyMsg, MoveMsg, ExistingMsg>;
+using Message = std::variant<QueryMsg, ReplyMsg, MoveMsg>;
 
 // Every alternative is three 32-bit words, so a message is 16 bytes with
 // the variant's index: the event queue's pool stores one per delivery.
 static_assert(sizeof(Message) == 16, "Message must stay 16 bytes");
-
-inline const char* message_kind(const Message& m) {
-  switch (m.index()) {
-    case 0:
-      return "query";
-    case 1:
-      return "reply";
-    case 2:
-      return "move";
-    case 3:
-      return "existing";
-  }
-  return "?";
-}
 
 }  // namespace cmvrp

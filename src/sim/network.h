@@ -8,16 +8,28 @@
 // a typed Delivery on the borrowed EventQueue, which fires deliveries in
 // (time, insertion) order into the one bound receiver.
 //
+// §3.2.5 heartbeats (`existing` messages) take the one other path,
+// beat(). A heartbeat is a protocol no-op on the receiving side — the
+// monitoring ring reads fleet state directly — so beat() draws its delay
+// (keeping the generator sequence aligned) and advances its channel's
+// FIFO clamp, but schedules nothing: at ~1 heartbeat per ring member per
+// round, firing do-nothing deliveries would be most of the queue's
+// traffic. A beat names its channel by *beat slot*, the position of the
+// channel's clamp in the heartbeat table, which heartbeat_slot() resolves
+// (and creates) once. Slots stay valid for the network's lifetime: the
+// table is a FlatMap, which never erases, and the network never clears
+// it. So a ring that resolves its slots once beacons without hashing.
+//
 // FIFO is kept with clamps: a channel's clamp is the last delivery time
 // scheduled on it, and a later send on that channel is pushed past it.
 // A clamp at or before the clock can never delay a later send — the
 // clock only moves forward and every delay is >= 1 — so only clamps
 // ahead of the clock are state. The clamps are split by what outlives
 // quiescence:
-//   * Heartbeat clamps (§3.2.5 `existing` messages) live in the network.
-//     Heartbeats are elided, never fire, and are sent only at quiescence
-//     (send() checks), so a ring beaconing at a still clock pushes its
-//     clamps ahead of the clock, and they outlive every drain.
+//   * Heartbeat clamps live in the network. Heartbeats are elided, never
+//     fire, and are sent only at quiescence (beat() checks), so a ring
+//     beaconing at a still clock pushes its clamps ahead of the clock,
+//     and they outlive every drain.
 //   * Flood clamps (query, reply, move) live in a table the network
 //     borrows, which the stream engine shares between every cube of one
 //     worker and clears when a cube's serve ends (see Lend). At
@@ -54,7 +66,7 @@ struct NetworkStats {
   std::uint64_t replies = 0;
   std::uint64_t moves = 0;
   std::uint64_t heartbeats = 0;
-  // §3.2.5 heartbeats whose scheduler round-trip send() elided (the
+  // §3.2.5 heartbeats whose scheduler round-trip beat() elided (the
   // receiving side is a protocol no-op). Every skip is also counted in
   // `heartbeats`; total() therefore excludes it.
   std::uint64_t heartbeat_skips = 0;
@@ -137,8 +149,8 @@ class Network {
   }
 
   // Optional Tier-C span hook (borrowed; may be null). When set, every
-  // non-heartbeat send and delivery is recorded on the cube protocol
-  // clock — heartbeats stay invisible, matching their elided delivery.
+  // send and delivery is recorded on the cube protocol clock — beats
+  // stay invisible, matching their elided delivery.
   void set_spans(SpanRecorder* spans) {
     spans_ = spans;
     rebind();
@@ -149,26 +161,9 @@ class Network {
   void send(std::size_t from, std::size_t to, Message m) {
     CMVRP_CHECK_MSG(receiver_, "network has no receiver bound");
     count(m);
-    const SimTime delay =
-        1 + static_cast<SimTime>(
-                max_delay_ > 0
-                    ? rng_.next_below(static_cast<std::uint64_t>(max_delay_) + 1)
-                    : 0);
+    const SimTime delay = draw_delay();
     const SimTime now = queue_.now();
     const std::uint64_t key = channel_key(from, to);
-    // §3.2.5 heartbeats ("existing" messages) are protocol no-ops on the
-    // receiving side — monitoring reads fleet state directly, never the
-    // message. The send still draws its delay (keeping every generator
-    // sequence aligned) and still advances the channel's FIFO clamp, but
-    // never enters the queue: at ~1 heartbeat per arrival, firing
-    // do-nothing deliveries would be most of the queue's traffic.
-    if (m.index() == 3) {
-      CMVRP_CHECK_MSG(queue_.empty(),
-                      "heartbeat sent while deliveries are due");
-      advance(heartbeat_[key], now + delay);
-      ++stats_.heartbeat_skips;
-      return;
-    }
     SimTime& last = flood_[key];
     if (last <= now) {
       const SimTime* beat = heartbeat_.find(key);
@@ -183,11 +178,41 @@ class Network {
                                  static_cast<std::uint32_t>(from), m});
   }
 
+  // The beat slot of the heartbeat channel from -> to, created on first
+  // use; valid for this network's lifetime (see the file comment).
+  std::uint32_t heartbeat_slot(std::size_t from, std::size_t to) {
+    return heartbeat_.slot(channel_key(from, to));
+  }
+  // The beat slot of from -> to if that channel has one, else
+  // ClampTable::kNoSlot; creates nothing.
+  std::uint32_t find_heartbeat_slot(std::size_t from, std::size_t to) const {
+    return heartbeat_.find_slot(channel_key(from, to));
+  }
+
+  // Sends one heartbeat on the channel at beat slot `slot`: counts it,
+  // draws its delay, and advances the channel's clamp past now + delay.
+  // Only at quiescence.
+  void beat(std::uint32_t slot) {
+    ++stats_.heartbeats;
+    const SimTime delay = draw_delay();
+    CMVRP_CHECK_MSG(queue_.empty(), "heartbeat sent while deliveries are due");
+    advance(heartbeat_.at(slot), queue_.now() + delay);
+    ++stats_.heartbeat_skips;
+  }
+
   const NetworkStats& stats() const { return stats_; }
   // The borrowed queue; while lent, its clock is this network's.
   EventQueue& queue() const { return queue_; }
 
  private:
+  // A delay in [1, 1 + max_delay]. At the default max_delay of 3 the
+  // bound is 4, which Rng draws without dividing.
+  SimTime draw_delay() {
+    if (max_delay_ == 0) return 1;
+    return 1 + static_cast<SimTime>(rng_.next_below(
+                   static_cast<std::uint64_t>(max_delay_) + 1));
+  }
+
   // Pushes `at` past the channel clamp `last` (preserving per-channel
   // ordering) and records it as the new clamp.
   static SimTime advance(SimTime& last, SimTime at) {
@@ -214,8 +239,7 @@ class Network {
   }
 
   // Span-layer scalars of a message: the owning computation's packed
-  // InitTag and (for queries) the hop the message travels at. Heartbeats
-  // never reach these (send() elides them first).
+  // InitTag and (for queries) the hop the message travels at.
   static std::uint64_t span_comp(const Message& m) {
     switch (m.index()) {
       case 0:
@@ -243,9 +267,6 @@ class Network {
       case 2:
         ++stats_.moves;
         break;
-      case 3:
-        ++stats_.heartbeats;
-        break;
     }
   }
 
@@ -267,8 +288,9 @@ class Network {
   void* receiver_ctx_ = nullptr;
   NetworkStats stats_;
   SpanRecorder* spans_ = nullptr;  // borrowed Tier-C hook; may be null
-  // This network's heartbeat clamps: the one clamp state that outlives
-  // quiescence, so the one a network keeps between lends.
+  // This network's heartbeat clamps, addressed by beat slot: the one
+  // clamp state that outlives quiescence, so the one a network keeps
+  // between lends. Never cleared, so beat slots stay valid.
   ClampTable heartbeat_;
   SimTime clock_ = 0;  // the queue's clock when the last Lend ended
 };

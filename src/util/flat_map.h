@@ -13,6 +13,10 @@
 // keys must be equality-comparable, and mutating a key through iteration
 // is undefined. Lookup is O(1) expected with linear probing at load
 // factor <= 0.7; insertion amortized O(1).
+//
+// An item's position in the items vector is its insertion rank, so with
+// no erase it stays valid until clear(): slot() hands it out, and at()
+// reads the value back without hashing the key again.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +38,10 @@ class FlatMap {
   using iterator = typename std::vector<Item>::iterator;
   using const_iterator = typename std::vector<Item>::const_iterator;
 
+  // "No item": find_slot's answer for an absent key, and the mark of an
+  // unused index cell.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
   FlatMap() = default;
 
   std::size_t size() const { return items_.size(); }
@@ -49,36 +57,55 @@ class FlatMap {
   void clear() {
     if (items_.empty()) return;
     items_.clear();
-    index_.assign(index_.size(), kEmpty);
+    index_.assign(index_.size(), kNoSlot);
   }
 
   // Pointer to the mapped value, or nullptr when absent.
   Value* find(const Key& key) {
-    const std::uint32_t pos = find_pos(key);
-    return pos == kEmpty ? nullptr : &items_[pos].value;
+    const std::uint32_t pos = find_slot(key);
+    return pos == kNoSlot ? nullptr : &items_[pos].value;
   }
   const Value* find(const Key& key) const {
-    const std::uint32_t pos = find_pos(key);
-    return pos == kEmpty ? nullptr : &items_[pos].value;
+    const std::uint32_t pos = find_slot(key);
+    return pos == kNoSlot ? nullptr : &items_[pos].value;
   }
 
-  // Find-or-default-insert, like std::map::operator[].
-  Value& operator[](const Key& key) {
+  // Position of `key`'s item, or kNoSlot when absent.
+  std::uint32_t find_slot(const Key& key) const {
+    if (index_.empty()) return kNoSlot;
+    std::size_t cell = Hash{}(key) & (index_.size() - 1);
+    for (;;) {
+      const std::uint32_t pos = index_[cell];
+      if (pos == kNoSlot) return kNoSlot;
+      if (items_[pos].key == key) return pos;
+      cell = (cell + 1) & (index_.size() - 1);
+    }
+  }
+
+  // Position of `key`'s item, default-inserting it when absent.
+  std::uint32_t slot(const Key& key) {
     if (index_.empty() ||
         items_.size() + 1 > (index_.size() * 7) / 10)
       rehash_for(items_.size() + 1);
-    std::size_t slot = Hash{}(key) & (index_.size() - 1);
+    std::size_t cell = Hash{}(key) & (index_.size() - 1);
     for (;;) {
-      const std::uint32_t pos = index_[slot];
-      if (pos == kEmpty) {
-        index_[slot] = static_cast<std::uint32_t>(items_.size());
+      const std::uint32_t pos = index_[cell];
+      if (pos == kNoSlot) {
+        index_[cell] = static_cast<std::uint32_t>(items_.size());
         items_.push_back(Item{key, Value{}});
-        return items_.back().value;
+        return index_[cell];
       }
-      if (items_[pos].key == key) return items_[pos].value;
-      slot = (slot + 1) & (index_.size() - 1);
+      if (items_[pos].key == key) return pos;
+      cell = (cell + 1) & (index_.size() - 1);
     }
   }
+
+  // The value at a position slot() returned.
+  Value& at(std::uint32_t pos) { return items_[pos].value; }
+  const Value& at(std::uint32_t pos) const { return items_[pos].value; }
+
+  // Find-or-default-insert, like std::map::operator[].
+  Value& operator[](const Key& key) { return items_[slot(key)].value; }
 
   // Insertion-order iteration over contiguous items. Keys are logically
   // const: rewriting one leaves the index pointing at the old hash.
@@ -89,28 +116,16 @@ class FlatMap {
   const std::vector<Item>& items() const { return items_; }
 
  private:
-  static constexpr std::uint32_t kEmpty = 0xffffffffu;
-
-  std::uint32_t find_pos(const Key& key) const {
-    if (index_.empty()) return kEmpty;
-    std::size_t slot = Hash{}(key) & (index_.size() - 1);
-    for (;;) {
-      const std::uint32_t pos = index_[slot];
-      if (pos == kEmpty) return kEmpty;
-      if (items_[pos].key == key) return pos;
-      slot = (slot + 1) & (index_.size() - 1);
-    }
-  }
 
   void rehash_for(std::size_t items) {
     std::size_t want = 16;
     while (want * 7 < items * 10) want <<= 1;
     if (want <= index_.size()) return;
-    CMVRP_CHECK_MSG(items < kEmpty, "FlatMap exceeds 2^32 - 1 items");
-    index_.assign(want, kEmpty);
+    CMVRP_CHECK_MSG(items < kNoSlot, "FlatMap exceeds 2^32 - 1 items");
+    index_.assign(want, kNoSlot);
     for (std::size_t i = 0; i < items_.size(); ++i) {
       std::size_t slot = Hash{}(items_[i].key) & (want - 1);
-      while (index_[slot] != kEmpty) slot = (slot + 1) & (want - 1);
+      while (index_[slot] != kNoSlot) slot = (slot + 1) & (want - 1);
       index_[slot] = static_cast<std::uint32_t>(i);
     }
   }

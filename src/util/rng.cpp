@@ -15,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -26,28 +22,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(sm);
   // xoshiro must not start in the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  CMVRP_CHECK(bound > 0);
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = (0ULL - bound) % bound;
-  for (;;) {
-    std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
-  }
 }
 
 std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {

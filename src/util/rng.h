@@ -11,17 +11,42 @@
 #include <utility>
 #include <vector>
 
+#include "util/check.h"
+
 namespace cmvrp {
 
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  // Uniform over all 64-bit values.
-  std::uint64_t next_u64();
+  // Uniform over all 64-bit values. Inline with next_below: every
+  // message delay draws through them.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [0, bound). bound must be > 0.
-  std::uint64_t next_below(std::uint64_t bound);
+  std::uint64_t next_below(std::uint64_t bound) {
+    CMVRP_CHECK(bound > 0);
+    // A power-of-two bound divides 2^64, so the rejection threshold below
+    // is 0, the first draw is accepted, and r % bound is the mask: same
+    // value, same one draw, no division.
+    if ((bound & (bound - 1)) == 0) return next_u64() & (bound - 1);
+    // Rejection sampling to avoid modulo bias.
+    const std::uint64_t threshold = (0ULL - bound) % bound;
+    for (;;) {
+      const std::uint64_t r = next_u64();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t next_int(std::int64_t lo, std::int64_t hi);
@@ -55,6 +80,10 @@ class Rng {
   Rng split();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   bool have_gaussian_ = false;
   double spare_gaussian_ = 0.0;

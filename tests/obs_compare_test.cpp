@@ -306,6 +306,63 @@ TEST(BenchCompare, MissingCaseIsDriftAndContextFieldsAreNot) {
   EXPECT_GE(rep.drift, 1u);
 }
 
+// A `substrates`-shaped run: one looped case (us/iter) and one layer
+// case (ns/op), each with the deterministic `value` it computed.
+Json substrates_run(double us_per_iter, double ns_per_op, double value) {
+  const auto timed_case = [](const std::string& name, const char* count_key,
+                             const char* timing_key, double timing,
+                             double v) {
+    Json c = Json::object();
+    c.set("name", name);
+    Json t = Json::object();
+    t.set("reps", 1);
+    t.set("mean", 40.0);
+    t.set("stddev", 0.0);
+    t.set("min", 40.0);
+    t.set("max", 40.0);
+    c.set("time_ms", t);
+    Json m = Json::object();
+    m.set(count_key, std::int64_t{2000000});
+    m.set(timing_key, timing);
+    m.set("value", v);
+    c.set("metrics", m);
+    return c;
+  };
+  Json cases = Json::array();
+  cases.push_back(timed_case("snake_index_round_trip/s=64", "iters", "us/iter",
+                             us_per_iter, 32.0));
+  cases.push_back(timed_case("network_send/heartbeat", "ops", "ns/op",
+                             ns_per_op, value));
+  Json section = Json::object();
+  section.set("name", "main");
+  section.set("cases", cases);
+  Json sections = Json::array();
+  sections.push_back(section);
+  Json doc = Json::object();
+  doc.set("schema", "cmvrp-bench-v1");
+  doc.set("suite", "substrates");
+  doc.set("failed", false);
+  doc.set("sections", sections);
+  return doc;
+}
+
+TEST(BenchCompare, PerIterationTimingsAreWallFields) {
+  const Json a = substrates_run(0.035, 19.5, 2000000.0);
+  // Slower and faster per-iteration timings: a speed change, not drift.
+  const CompareReport rep =
+      compare_bench_runs(a, substrates_run(0.050, 12.0, 2000000.0), defaults());
+  EXPECT_EQ(rep.exit_code(), 0);
+  EXPECT_EQ(rep.drift, 0u);
+  EXPECT_EQ(rep.wall_fields, 4u);  // two time_ms blocks, us/iter, ns/op
+  // A moved `value` still fails.
+  const CompareReport drifted =
+      compare_bench_runs(a, substrates_run(0.035, 19.5, 1999999.0), defaults());
+  EXPECT_EQ(drifted.exit_code(), 1);
+  ASSERT_EQ(drifted.diffs.size(), 1u);
+  EXPECT_EQ(drifted.diffs[0].path,
+            "sections[main].cases[network_send/heartbeat].metrics.value");
+}
+
 TEST(BenchCompare, SuiteMismatchAborts) {
   const Json a = bench_run(100.0, 10.0, 20000, 1000.0);
   Json b = bench_run(100.0, 10.0, 20000, 1000.0);

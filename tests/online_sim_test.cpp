@@ -55,7 +55,7 @@ struct Inbox {
 };
 
 // A delivery the queue tests identify by its `to` field.
-Delivery tagged(std::uint32_t id) { return Delivery{id, 0, ExistingMsg{}}; }
+Delivery tagged(std::uint32_t id) { return Delivery{id, 0, QueryMsg{}}; }
 
 TEST(EventQueue, FiresInTimeThenInsertionOrder) {
   EventQueue q;
@@ -211,7 +211,7 @@ TEST(Network, CountsByKind) {
   Inbox in(q);
   net.set_receiver(&Inbox::receive, &in);
   // Heartbeats go out at quiescence only, so this one is sent first.
-  net.send(2, 0, ExistingMsg{});
+  net.beat(net.heartbeat_slot(2, 0));
   net.send(0, 1, QueryMsg{});
   net.send(1, 0, ReplyMsg{});
   net.send(0, 2, MoveMsg{0, kNoInit});
@@ -245,10 +245,10 @@ TEST(LentTransport, HeartbeatWhileDeliveryIsDueThrows) {
   Inbox in(t.queue);
   net.set_receiver(&Inbox::receive, &in);
   net.send(0, 1, QueryMsg{});
-  EXPECT_THROW(net.send(1, 0, ExistingMsg{}), check_error);
+  EXPECT_THROW(net.beat(net.heartbeat_slot(1, 0)), check_error);
   EXPECT_THROW(t.queue.resume_at(0), check_error);
   t.queue.run_to_quiescence();
-  EXPECT_NO_THROW(net.send(1, 0, ExistingMsg{}));
+  EXPECT_NO_THROW(net.beat(net.heartbeat_slot(1, 0)));
 }
 
 // The reference rule: one FIFO clamp per channel of every kind, per
@@ -315,7 +315,7 @@ TEST(LentTransport, DeliveryTimesMatchOneClampPerChannel) {
           for (std::size_t v = 0; v < kVehicles; ++v) {
             const std::size_t to = (v + kVehicles - 1) % kVehicles;
             m.send(v, to, t.queue.now());
-            nets[who]->send(v, to, ExistingMsg{});
+            nets[who]->beat(nets[who]->heartbeat_slot(v, to));
           }
         }
       }

@@ -9,6 +9,7 @@
 // at two worker threads is bit-identical, injections included.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -86,6 +87,67 @@ TEST_P(OnlineStress, PhysicalInvariantsHoldUnderChaos) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OnlineStress,
+                         ::testing::Range<std::uint64_t>(1, 26));
+
+// --- the monitoring cache ---------------------------------------------------
+//
+// FleetCore keeps the §3.2.5 ring's heartbeat slots and skips the timeout
+// scan between writes that could change them. check_monitor_cache()
+// rebuilds both from the fleet and throws when the cache disagrees, so a
+// writer that forgot to mark the cache stale surfaces here in every
+// build type, not only where Debug runs the check inside each round.
+
+class MonitorCache : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MonitorCache, MatchesRescanUnderChaos) {
+  Rng rng(GetParam() * 104729);
+  std::uint64_t ring_initiations = 0;
+  for (const std::int64_t stride : {1, 3}) {
+    // Undersized W: vehicles exhaust after a few jobs, the idle pool runs
+    // dry, and pairs go unrecoverable while the ring keeps changing.
+    OnlineConfig cfg;
+    cfg.capacity = rng.next_double(4.0, 9.0);
+    cfg.cube_side = rng.next_int(3, 6);
+    cfg.anchor = Point{0, 0};
+    cfg.seed = GetParam();
+    cfg.monitor_stride = stride;
+    const std::int64_t side = cfg.cube_side;
+    // Three cubes take turns on one lent transport.
+    Transport transport;
+    std::vector<std::unique_ptr<CubeServer>> cubes;
+    for (std::int64_t c = 0; c < 3; ++c)
+      cubes.push_back(std::make_unique<CubeServer>(2, cfg, Point{c * side, 0},
+                                                   transport));
+    for (std::int64_t index = 0; index < 300; ++index) {
+      CubeServer& cube = *cubes[rng.next_below(cubes.size())];
+      const Point corner = cube.corner();
+      const auto vertex = [&] {
+        return Point{corner[0] + rng.next_int(0, side - 1),
+                     corner[1] + rng.next_int(0, side - 1)};
+      };
+      // Failure injections between arrivals.
+      const std::uint64_t roll = rng.next_below(24);
+      if (roll == 0) cube.inject_silent_done(vertex());
+      if (roll == 1)
+        cube.inject_break_after(vertex(), rng.next_bool(0.3)
+                                              ? 0.0
+                                              : rng.next_double(0.1, 0.9));
+      cube.serve({vertex(), index}, nullptr);
+      ASSERT_NO_THROW(cube.core().check_monitor_cache())
+          << "stride " << stride << ", arrival " << index;
+    }
+    for (const auto& cube : cubes) {
+      cube->finish(nullptr);
+      ASSERT_NO_THROW(cube->core().check_monitor_cache())
+          << "stride " << stride << ", after finish";
+      ring_initiations += cube->metrics().monitor_initiations;
+    }
+  }
+  // The ring did act: it is what the cache feeds.
+  EXPECT_GT(ring_initiations, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MonitorCache,
                          ::testing::Range<std::uint64_t>(1, 26));
 
 // --- Algorithm 2 under the microscope ---------------------------------------

@@ -553,6 +553,52 @@ TEST(GoldenDigest, MonitoringHeavy4D) {
   EXPECT_EQ(stream_fingerprint(r), 10055833584392412749ULL);
 }
 
+TEST(GoldenDigest, RingHeavyStride1) {
+  // An undersized fleet (W = 5 on side-6 cubes) whose §3.2.5 ring keeps
+  // changing: silent-done homes leave pairs to ring-initiated searches,
+  // and break-after injections between ingest segments (one of them at
+  // longevity 0) kill vehicles mid-stream. Recorded on the engine that
+  // rescanned the whole ring every round.
+  const auto jobs = uniform_stream(2, 24, 3000, 23);
+  constexpr std::size_t kSegments = 5;
+  struct Pinned {
+    std::int64_t stride;
+    std::uint64_t served;
+    std::uint64_t messages;
+    std::uint64_t fingerprint;
+  };
+  for (const Pinned& pin : {Pinned{1, 1321, 875614, 12462715684536538314ULL},
+                            Pinned{3, 1330, 512479, 15591254774081063069ULL}}) {
+    const std::int64_t stride = pin.stride;
+    for (const int threads : {1, 2}) {
+      StreamEngine engine(2, pinned_config(2, 5.0, 6, stride, threads));
+      for (const Point& home : {Point{0, 0}, Point{7, 3}, Point{14, 20},
+                                Point{23, 11}, Point{9, 16}, Point{18, 5}})
+        engine.inject_silent_done(home);
+      Rng pick(29);
+      for (std::size_t s = 0; s < kSegments; ++s) {
+        for (int k = 0; k < 4; ++k) {
+          const Point home{pick.next_int(0, 23), pick.next_int(0, 23)};
+          const double longevity =
+              s == 2 && k == 0 ? 0.0 : pick.next_double(0.2, 0.9);
+          engine.inject_break_after(home, longevity);
+        }
+        const std::size_t begin = jobs.size() * s / kSegments;
+        const std::size_t end = jobs.size() * (s + 1) / kSegments;
+        engine.ingest(jobs.data() + begin, end - begin);
+      }
+      const StreamResult r = engine.finish();
+      SCOPED_TRACE(testing::Message()
+                   << "stride " << stride << ", threads " << threads);
+      EXPECT_GT(r.metrics.monitor_initiations, 0u);
+      EXPECT_GT(r.metrics.jobs_failed, 0u);
+      EXPECT_EQ(r.metrics.jobs_served, pin.served);
+      EXPECT_EQ(r.metrics.network.total(), pin.messages);
+      EXPECT_EQ(stream_fingerprint(r), pin.fingerprint);
+    }
+  }
+}
+
 TEST(GoldenDigest, ChromeTraceBytes) {
   const auto jobs = test_stream(16, 400, 17);
   StreamConfig cfg = test_config(8.0, 1);

@@ -2,9 +2,12 @@
 
 #include <deque>
 #include <set>
+#include <vector>
 
 #include "util/check.h"
 #include "util/fifo.h"
+#include "util/flat_map.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -47,6 +50,25 @@ TEST(Fifo, MatchesDequeAcrossWrapAndGrowth) {
     oracle.pop_front();
   }
   EXPECT_TRUE(fifo.empty());
+}
+
+TEST(FlatMap, SlotsStayValidAcrossGrowth) {
+  // A slot handed out early still names its key's value after the index
+  // has been rebuilt many times over: network heartbeat rings cache them.
+  FlatMap<std::uint64_t, int, U64Hash> map;
+  std::vector<std::uint32_t> slots;
+  for (std::uint64_t key = 0; key < 1000; ++key) {
+    slots.push_back(map.slot(key * 7919));
+    map.at(slots.back()) = static_cast<int>(key);
+  }
+  EXPECT_EQ(map.find_slot(3), (FlatMap<std::uint64_t, int, U64Hash>::kNoSlot));
+  EXPECT_EQ(map.size(), 1000u);
+  for (std::uint64_t key = 0; key < 1000; ++key) {
+    ASSERT_EQ(map.slot(key * 7919), slots[key]);  // found, not re-inserted
+    ASSERT_EQ(map.find_slot(key * 7919), slots[key]);
+    ASSERT_EQ(map.at(slots[key]), static_cast<int>(key));
+  }
+  EXPECT_EQ(map.size(), 1000u);
 }
 
 TEST(Rng, DeterministicForSeed) {
@@ -118,6 +140,18 @@ TEST(Rng, WeightedSamplingRespectsWeights) {
 TEST(Rng, NextBelowOneIsAlwaysZero) {
   Rng rng(41);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.next_below(1), 0u);
+}
+
+TEST(Rng, PowerOfTwoBoundTakesOneDrawAndMasksIt) {
+  // What the rejection loop returns for these bounds, without dividing:
+  // one draw per call (the streams stay aligned), reduced mod bound.
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{4},
+        std::uint64_t{1} << 20, std::uint64_t{1} << 63}) {
+    Rng a(53), b(53);
+    for (int i = 0; i < 100; ++i)
+      ASSERT_EQ(a.next_below(bound), b.next_u64() % bound) << bound;
+  }
 }
 
 TEST(Rng, NextIntDegenerateRange) {
