@@ -30,7 +30,7 @@ endfunction()
 
 # cmvrp_add_binary(<name> <source> [DEPS ...])
 #
-# One standalone executable (bench / example / tool). Warnings on, but no
+# One standalone executable (example / tool). Warnings on, but no
 # -Werror: these are drivers, not library code.
 function(cmvrp_add_binary name source)
   cmake_parse_arguments(ARG "" "" "DEPS" ${ARGN})

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "exp/suites.h"
 #include "util/check.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -244,49 +243,6 @@ int run_suite(const std::string& name, const RunOptions& options,
   const int rc = run.finish(os);
   if (doc_out != nullptr) *doc_out = run.to_json();
   return rc;
-}
-
-int bench_driver_main(const std::string& suite_name, int argc, char** argv) {
-  register_builtin_suites();
-  RunOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      CMVRP_CHECK_MSG(i + 1 < argc, arg << " needs a value");
-      return argv[++i];
-    };
-    try {
-      if (arg == "--reps") {
-        options.reps = std::stoi(value());
-      } else if (arg == "--warmup") {
-        options.warmup = std::stoi(value());
-      } else if (arg == "--filter") {
-        options.filter = value();
-      } else if (arg == "--json") {
-        options.json_path = value();
-      } else if (arg == "--list") {
-        for (const Suite* s : all_suites())
-          std::cout << s->name << "  —  " << s->description << "\n";
-        return 0;
-      } else if (arg == "--help" || arg == "-h") {
-        std::cout << "usage: bench_<suite> [--reps N] [--warmup N] "
-                     "[--filter S] [--json PATH] [--list]\n";
-        return 0;
-      } else {
-        std::cerr << "unknown flag: " << arg << "\n";
-        return 2;
-      }
-    } catch (const std::exception& e) {  // check_error, stoi failures
-      std::cerr << "error: bad value for " << arg << ": " << e.what() << "\n";
-      return 2;
-    }
-  }
-  try {
-    return run_suite(suite_name, options, std::cout);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
 }
 
 }  // namespace cmvrp

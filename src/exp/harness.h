@@ -159,9 +159,4 @@ std::vector<const Suite*> all_suites();
 int run_suite(const std::string& name, const RunOptions& options,
               std::ostream& os, Json* doc_out = nullptr);
 
-// main() body shared by the thin bench drivers: parses
-//   [--reps N] [--warmup N] [--filter S] [--json PATH] [--list]
-// registers the builtin suites, and runs `suite_name`.
-int bench_driver_main(const std::string& suite_name, int argc, char** argv);
-
 }  // namespace cmvrp

@@ -1136,7 +1136,7 @@ void suite_stream_scaling(BenchRun& b) {
                            .metric("cube slots", p.result.cube_slots)
                            .metric("route par", p.result.routed_parallel_batches)
                            .metric("route ser", p.result.routed_serial_batches)
-                           .metric("routing ms", p.result.routing_ms, 2)
+                           .metric("routing ms", p.result.stages.route_ms, 2)
                            .metric("jobs/sec", p.jobs_per_sec, 0)
                            .metric("speedup vs 1t",
                                    p.ms > 0.0 ? ms_at_1 / p.ms : 0.0, 2);
@@ -1665,7 +1665,7 @@ void suite_record_mux(BenchRun& b) {
           [&, threads, reversed](MetricRow& row) {
             StreamConfig c = cfg;
             c.threads = threads;
-            TraceMux m(2, c);
+            TraceMux m(2, static_cast<std::size_t>(c.batch_size));
             if (reversed) {
               for (auto it = source_paths.rbegin(); it != source_paths.rend();
                    ++it)
@@ -1673,8 +1673,10 @@ void suite_record_mux(BenchRun& b) {
             } else {
               for (const auto& path : source_paths) m.add_source(path);
             }
+            StreamEngine engine(2, c);
             WallTimer timer;
-            const StreamResult r = m.replay();
+            m.ingest(engine);
+            const StreamResult r = engine.finish();
             const double ms = timer.elapsed_ms();
             if (!same_stream_outcome(reference.result, r))
               b.fail("mux replay diverged from the in-memory merge at "

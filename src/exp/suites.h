@@ -1,6 +1,6 @@
-// The builtin experiment suites: every bench driver's scenario list and
-// metric lambdas, registered with the harness so the thin bench mains and
-// `cmvrp_cli bench` run the same code.
+// The builtin experiment suites: each suite's scenario list and metric
+// lambdas, registered with the harness; `cmvrp_cli bench --suite NAME`
+// runs them.
 //
 // Suite names: offline, online, square, line, point, broken, alg1,
 // transfer, baselines, ablations, graphs, substrates, smoke.

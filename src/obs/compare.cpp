@@ -39,10 +39,13 @@ bool is_rate_key(const std::string& key) {
 // `substrates` suite (`us/iter`, `ns/op`; lower is better), or is a
 // derived rate. Everything else in an artifact is a pure function of the
 // arrival sequence and seed.
+bool is_ms_key(const std::string& key) {
+  return ends_with(key, "_ms") || ends_with(key, " ms");
+}
+
 bool is_wall_key(const std::string& key) {
-  return ends_with(key, "_ms") || ends_with(key, " ms") ||
-         starts_with(key, "wall_") || key == "us/iter" || key == "ns/op" ||
-         is_rate_key(key);
+  return is_ms_key(key) || starts_with(key, "wall_") || key == "us/iter" ||
+         key == "ns/op" || is_rate_key(key);
 }
 
 bool name_in(const std::vector<std::string>& names, const std::string& key) {
@@ -201,7 +204,7 @@ class Comparator {
       const double margin =
           options_.noise_sigmas * (sa > sb ? sa : sb);
       if (std::abs(mb - ma) <= margin) return;
-      verdict_for_ratio(path, /*rate=*/false, ma, mb, a, b);
+      verdict_for_ratio(path, key, ma, mb, a, b);
       return;
     }
     if (!a->is_number() || !b->is_number()) {
@@ -210,17 +213,21 @@ class Comparator {
                "non-numeric wall field differs");
       return;
     }
-    verdict_for_ratio(path, is_rate_key(key), a->as_number(), b->as_number(),
-                      a, b);
+    verdict_for_ratio(path, key, a->as_number(), b->as_number(), a, b);
   }
 
   // Regression factor in the "worse" direction: time-like keys regress
   // upward (factor = B/A), rate-like keys regress downward (A/B).
-  void verdict_for_ratio(const std::string& path, bool rate, double va,
-                         double vb, const Json* a, const Json* b) {
+  void verdict_for_ratio(const std::string& path, const std::string& key,
+                         double va, double vb, const Json* a, const Json* b) {
     if (va == vb) return;
-    if (!rate && va < options_.min_wall_ms && vb < options_.min_wall_ms)
-      return;  // sub-floor timings are scheduler noise on both sides
+    // Sub-floor millisecond timings are scheduler noise on both sides. The
+    // floor is in milliseconds, so per-iteration timings (us/iter, ns/op)
+    // in their own units are always compared.
+    if (is_ms_key(key) && va < options_.min_wall_ms &&
+        vb < options_.min_wall_ms)
+      return;
+    const bool rate = is_rate_key(key);
     const double numer = rate ? va : vb;  // the side that grows when worse
     const double denom = rate ? vb : va;
     if (denom <= 0.0) {

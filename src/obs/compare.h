@@ -80,8 +80,9 @@ struct CompareOptions {
   // warn-only evidence, not a gate.
   double warn_ratio = 1.25;
   double fail_ratio = 0.0;
-  // Wall readings where both sides are below this many milliseconds are
-  // pure scheduler noise; they count as compared-and-clean.
+  // Millisecond readings (keys ending `_ms` or ` ms`) where both sides
+  // are below this floor are pure scheduler noise; they count as
+  // compared-and-clean. Other wall keys are never floored.
   double min_wall_ms = 5.0;
   // Bench `time_ms` blocks carry RunningStats (mean/stddev/reps): a mean
   // shift within `noise_sigmas` of the larger stddev is noise, not a

@@ -7,17 +7,9 @@
 
 namespace cmvrp {
 
-TraceMux::TraceMux(int dim, const StreamConfig& config)
-    : engine_(dim, config),
-      dim_(dim),
-      chunk_jobs_(static_cast<std::size_t>(config.batch_size)) {}
-
-void TraceMux::set_observer(StreamObserver* observer) {
-  engine_.set_observer(observer);
-}
-
-void TraceMux::set_snapshotter(StatsSnapshotter* snapshotter) {
-  engine_.set_snapshotter(snapshotter);
+TraceMux::TraceMux(int dim, std::size_t chunk_jobs)
+    : dim_(dim), chunk_jobs_(chunk_jobs) {
+  CMVRP_CHECK_MSG(chunk_jobs_ >= 1, "mux chunk must hold at least one job");
 }
 
 bool TraceMux::Source::refill() {
@@ -32,7 +24,7 @@ void TraceMux::add_source(const std::string& path) {
   source.reader = std::make_unique<TraceReader>(path);
   CMVRP_CHECK_MSG(source.reader->dim() == dim_,
                   "mux source dim " << source.reader->dim()
-                                    << " does not match engine dim " << dim_
+                                    << " does not match mux dim " << dim_
                                     << ": " << path);
   CMVRP_CHECK_MSG(!source.reader->has_failure_events(),
                   "mux sources must be pure job streams; trace carries "
@@ -47,7 +39,10 @@ bool TraceMux::merges_before(const Job& a, const Job& b) {
   return a.position < b.position;
 }
 
-StreamResult TraceMux::replay() {
+void TraceMux::ingest(StreamEngine& engine) {
+  CMVRP_CHECK_MSG(engine.dim() == dim_,
+                  "mux dim " << dim_ << " does not match engine dim "
+                             << engine.dim());
   // Live sources, by index into sources_. The pick loop scans linearly
   // (k is small); ties keep the lowest slot, which cannot affect the
   // merged sequence because tied heads are byte-identical records.
@@ -72,12 +67,11 @@ StreamResult TraceMux::replay() {
     ++src.head;
     if (!src.refill()) live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     if (n == out.size()) {
-      engine_.ingest(out.data(), n);
+      engine.ingest(out.data(), n);
       n = 0;
     }
   }
-  if (n > 0) engine_.ingest(out.data(), n);
-  return engine_.finish();
+  if (n > 0) engine.ingest(out.data(), n);
 }
 
 }  // namespace cmvrp

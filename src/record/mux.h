@@ -1,9 +1,10 @@
-// TraceMux: deterministic k-way replay of several traces into one engine.
+// TraceMux: deterministic k-way merge of several traces into one engine.
 //
 // Multi-source arrival merging (the multi-depot / multi-stream settings
 // of the CVRP literature): k traces — possibly written by different
 // generators, but sharing one dimension ℓ — are merged by ascending
-// arrival index into a single stream and served by one StreamEngine.
+// arrival index into a single stream and ingested into the caller's
+// StreamEngine, which the caller observes and finishes.
 // Merged arrivals are re-indexed 0..N-1 in merge order, so the result's
 // served/failed index sets refer to the merged arrival sequence.
 //
@@ -17,9 +18,9 @@
 // against an in-memory merge_streams reference).
 //
 // Memory: each source is cursored through TraceReader::next_batch with a
-// chunk of engine-batch-size jobs, and merged jobs flush into the engine
-// one batch at a time — O((k + threads) × batch) peak, independent of
-// trace lengths.
+// chunk of chunk_jobs jobs, and merged jobs flush into the engine one
+// chunk at a time — O((k + threads) × chunk) peak, independent of trace
+// lengths.
 #pragma once
 
 #include <cstddef>
@@ -35,10 +36,12 @@ namespace cmvrp {
 
 class TraceMux {
  public:
-  TraceMux(int dim, const StreamConfig& config);
+  // Sources are read, and merged jobs flushed, chunk_jobs at a time
+  // (>= 1; front ends pass the engine's batch size).
+  TraceMux(int dim, std::size_t chunk_jobs);
 
   // Opens and validates one source trace; throws check_error when the
-  // file is malformed or its dimension does not match the engine's.
+  // file is malformed or its dimension does not match the mux's.
   // Sources carrying v2 silent-done events are rejected: injection order
   // is only meaningful within one stream, not across a merge.
   void add_source(const std::string& path);
@@ -46,20 +49,10 @@ class TraceMux {
   std::size_t source_count() const { return sources_.size(); }
   std::uint64_t jobs_merged() const { return merged_; }
 
-  // Forwarded to the engine (e.g. an OutcomeRecorder: mux + record
-  // composes into a merged audit trail).
-  void set_observer(StreamObserver* observer);
-
-  // Forwarded to the engine: JSONL stats snapshots of the merged run
-  // (src/obs/snapshot.h).
-  void set_snapshotter(StatsSnapshotter* snapshotter);
-
-  // Merges every source to exhaustion into the engine and finishes it.
-  StreamResult replay();
-
-  // The underlying engine, for read-only post-run access (span export:
-  // the CLI pulls span_sources() after replay()).
-  const StreamEngine& engine() const { return engine_; }
+  // Merges every source to exhaustion into `engine` (whose dim must be
+  // the mux's) without finishing it. An observer attached to the engine
+  // sees the merged run (an OutcomeRecorder: a merged audit trail).
+  void ingest(StreamEngine& engine);
 
  private:
   struct Source {
@@ -74,7 +67,6 @@ class TraceMux {
   // True when a's head record merges before b's.
   static bool merges_before(const Job& a, const Job& b);
 
-  StreamEngine engine_;
   int dim_;
   std::size_t chunk_jobs_;
   std::vector<Source> sources_;

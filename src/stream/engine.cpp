@@ -151,7 +151,7 @@ void StreamEngine::run_batch(const Job* jobs, std::size_t count) {
     }
     ++routed_serial_batches_;
   }
-  routing_ms_ += route_timer.elapsed_ms();
+  stages_.route_ms += route_timer.elapsed_ms();
 
   // Fork/join barrier: every arrival of this batch is fully served (queue
   // drained, monitoring settled) before the next batch is admitted —
@@ -172,12 +172,9 @@ void StreamEngine::run_batch(const Job* jobs, std::size_t count) {
   jobs_ingested_ += count;
   ++batches_;
   stages_.ingest_ms += ingest_timer.elapsed_ms();
-  if (snapshotter_ != nullptr && snapshotter_->due(batches_)) {
-    StageTimes spans = stages_;
-    spans.route_ms = routing_ms_;
+  if (snapshotter_ != nullptr && snapshotter_->due(batches_))
     snapshotter_->write_sample(batches_, jobs_ingested_, fold_counters(),
-                               spans);
-  }
+                               stages_);
 }
 
 void StreamEngine::flush_outcomes() {
@@ -230,7 +227,6 @@ StreamResult StreamEngine::finish() {
   result.batches = batches_;
   result.cubes = cubes.size();
   result.cube_slots = table_.size();
-  result.routing_ms = routing_ms_;
   result.routed_parallel_batches = routed_parallel_batches_;
   result.routed_serial_batches = routed_serial_batches_;
   for (const auto& [corner, server] : cubes) {
@@ -257,7 +253,6 @@ StreamResult StreamEngine::finish() {
   std::sort(result.failed_jobs.begin(), result.failed_jobs.end());
   std::sort(result.shed_jobs.begin(), result.shed_jobs.end());
   stages_.monitor_ms += monitor_timer.elapsed_ms();
-  stages_.route_ms = routing_ms_;
   result.stages = stages_;
   if (snapshotter_ != nullptr)
     snapshotter_->write_final(jobs_ingested_, result.cubes, result.counters,

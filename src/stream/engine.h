@@ -72,7 +72,6 @@ struct StreamResult {
   std::uint64_t batches = 0;
   std::uint64_t cubes = 0;
   std::uint64_t cube_slots = 0;        // slot-table size (0 = overflow only)
-  double routing_ms = 0.0;             // total wall time in routing passes
   std::uint64_t routed_parallel_batches = 0;
   std::uint64_t routed_serial_batches = 0;
   std::vector<std::int64_t> served_jobs;  // sorted arrival indices
@@ -160,6 +159,7 @@ class StreamEngine {
   // (with empty backlogs).
   StreamResult finish();
 
+  int dim() const { return dim_; }
   int threads() const { return pool_.size(); }
   // Size of the cube-slot table (0 when no region is configured or the
   // region was too large to tabulate) — surfaced so bench/CLI artifacts
@@ -214,8 +214,7 @@ class StreamEngine {
   WorkerPool pool_;
   std::uint64_t jobs_ingested_ = 0;
   std::uint64_t batches_ = 0;
-  StageTimes stages_;  // Tier-B spans (route_ms mirrors routing_ms_)
-  double routing_ms_ = 0.0;
+  StageTimes stages_;  // Tier-B spans
   std::uint64_t routed_parallel_batches_ = 0;
   std::uint64_t routed_serial_batches_ = 0;
 };

@@ -3,43 +3,17 @@
 #include "util/check.h"
 
 namespace cmvrp {
+namespace {
 
-TraceReplayer::TraceReplayer(int dim, const StreamConfig& config)
-    : engine_(dim, config),
-      dim_(dim),
-      chunk_(static_cast<std::size_t>(config.batch_size)) {}
-
-void TraceReplayer::set_observer(StreamObserver* observer) {
-  engine_.set_observer(observer);
-}
-
-void TraceReplayer::set_snapshotter(StatsSnapshotter* snapshotter) {
-  engine_.set_snapshotter(snapshotter);
-}
-
-void TraceReplayer::ingest(TraceReader& reader) {
-  CMVRP_CHECK_MSG(reader.dim() == dim_,
-                  "trace dim " << reader.dim() << " does not match engine dim "
-                               << dim_ << ": " << reader.path());
-  if (reader.has_failure_events()) {
-    ingest_events(reader);
-    return;
-  }
-  while (true) {
-    const std::size_t n = reader.next_batch(chunk_.data(), chunk_.size());
-    if (n == 0) break;
-    engine_.ingest(chunk_.data(), n);
-  }
-}
-
-void TraceReplayer::ingest_events(TraceReader& reader) {
+void ingest_events(TraceReader& reader, StreamEngine& engine,
+                   std::vector<Job>& chunk) {
   // Event-aware path: arrivals buffer into the chunk; a silent-done
   // marker flushes the chunk (so the injection lands between exactly the
   // arrivals it sat between in the trace) and then marks the home.
   const TraceEventKind job_kind = reader.has_outcomes()
                                       ? TraceEventKind::kOutcome
                                       : TraceEventKind::kArrival;
-  std::vector<TraceEvent> events(chunk_.size());
+  std::vector<TraceEvent> events(chunk.size());
   std::size_t pending = 0;
   while (const std::size_t n =
              reader.next_events(events.data(), events.size())) {
@@ -47,21 +21,47 @@ void TraceReplayer::ingest_events(TraceReader& reader) {
       const TraceEvent& e = events[i];
       if (e.kind == TraceEventKind::kSilentDone) {
         if (pending > 0) {
-          engine_.ingest(chunk_.data(), pending);
+          engine.ingest(chunk.data(), pending);
           pending = 0;
         }
-        engine_.inject_silent_done(e.job.position);
+        engine.inject_silent_done(e.job.position);
         continue;
       }
       if (e.kind != job_kind) continue;
-      chunk_[pending++] = e.job;
-      if (pending == chunk_.size()) {
-        engine_.ingest(chunk_.data(), pending);
+      chunk[pending++] = e.job;
+      if (pending == chunk.size()) {
+        engine.ingest(chunk.data(), pending);
         pending = 0;
       }
     }
   }
-  if (pending > 0) engine_.ingest(chunk_.data(), pending);
+  if (pending > 0) engine.ingest(chunk.data(), pending);
+}
+
+}  // namespace
+
+void ingest_trace(TraceReader& reader, StreamEngine& engine,
+                  std::vector<Job>& chunk) {
+  CMVRP_CHECK_MSG(reader.dim() == engine.dim(),
+                  "trace dim " << reader.dim() << " does not match engine dim "
+                               << engine.dim() << ": " << reader.path());
+  if (reader.has_failure_events()) {
+    ingest_events(reader, engine, chunk);
+    return;
+  }
+  while (true) {
+    const std::size_t n = reader.next_batch(chunk.data(), chunk.size());
+    if (n == 0) break;
+    engine.ingest(chunk.data(), n);
+  }
+}
+
+TraceReplayer::TraceReplayer(int dim, const StreamConfig& config)
+    : engine_(dim, config),
+      chunk_(static_cast<std::size_t>(config.batch_size)) {}
+
+void TraceReplayer::set_observer(StreamObserver* observer) {
+  engine_.set_observer(observer);
 }
 
 StreamResult TraceReplayer::replay(TraceReader& reader) {

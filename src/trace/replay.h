@@ -1,13 +1,12 @@
-// TraceReplayer: bounded-memory replay of a job trace into the stream
-// engine.
+// Bounded-memory replay of a job trace into the stream engine.
 //
-// Drives StreamEngine::ingest() chunk by chunk straight off the mapping:
-// the only job storage is one reusable chunk buffer of engine-batch-size
-// Jobs, so peak memory is O(batch × threads) — independent of trace
-// length. Because the engine's results are batch-invariant (the PR 3
-// contract), replaying a trace is bit-identical to serving the same jobs
-// from one in-memory vector, at every thread count; tests/trace_test.cpp
-// enforces exactly that equivalence.
+// ingest_trace drives StreamEngine::ingest() chunk by chunk straight off
+// the mapping: the only job storage is one reusable chunk buffer, so
+// peak memory is O(batch × threads) — independent of trace length.
+// Because the engine's results are batch-invariant (stream/engine.h),
+// replaying a trace is bit-identical to serving the same jobs from one
+// in-memory vector, at every thread count; tests/trace_test.cpp enforces
+// exactly that equivalence.
 //
 // v2 traces replay by event kind: job-bearing records stream into the
 // engine as arrivals, and silent-done failure-injection markers flush
@@ -25,40 +24,40 @@
 
 namespace cmvrp {
 
+// Streams `reader` from its current cursor to end of trace into
+// `engine` without finishing it, `chunk.size()` records at a time
+// (chunk must be non-empty). The reader's dim must match the engine's.
+void ingest_trace(TraceReader& reader, StreamEngine& engine,
+                  std::vector<Job>& chunk);
+
+// An engine plus its chunk buffer: ingest_trace with the engine's batch
+// size as the chunk, so replay adds no buffering beyond what one ingest
+// batch already costs.
 class TraceReplayer {
  public:
-  // The chunk size equals the engine's batch size, so replay adds no
-  // buffering beyond what one ingest batch already costs.
   TraceReplayer(int dim, const StreamConfig& config);
 
   // Forwarded to the engine (e.g. an OutcomeRecorder; replay + record
   // re-audits a trace).
   void set_observer(StreamObserver* observer);
 
-  // Forwarded to the engine: JSONL stats snapshots of a replay — Tier-A
-  // lines bit-identical to the in-memory run's (src/obs/snapshot.h).
-  void set_snapshotter(StatsSnapshotter* snapshotter);
-
   // Replays `reader` from its current cursor to end of trace and
-  // finishes the engine. The reader's dim must match the engine's.
+  // finishes the engine.
   StreamResult replay(TraceReader& reader);
 
   // Streams one trace segment without finishing (incremental front ends).
-  void ingest(TraceReader& reader);
+  void ingest(TraceReader& reader) { ingest_trace(reader, engine_, chunk_); }
 
   StreamResult finish() { return engine_.finish(); }
 
   std::size_t chunk_jobs() const { return chunk_.size(); }
 
-  // The underlying engine, for read-only post-run access (span export:
-  // the CLI pulls span_sources() after replay()).
+  // The underlying engine, for read-only post-run access (span_sources()
+  // after replay()).
   const StreamEngine& engine() const { return engine_; }
 
  private:
-  void ingest_events(TraceReader& reader);
-
   StreamEngine engine_;
-  int dim_;
   std::vector<Job> chunk_;  // the only job buffer, reused every batch
 };
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "flow/dinic.h"
-#include "flow/min_cost_flow.h"
 #include "flow/transportation.h"
 #include "grid/demand_map.h"
 #include "util/rng.h"
@@ -80,25 +79,6 @@ TEST(Dinic, FlowConservationRandomGraphs) {
     for (std::size_t v = 1; v + 1 < n; ++v) EXPECT_EQ(net[v], 0);
     EXPECT_EQ(net[0], -net[n - 1]);
   }
-}
-
-TEST(MinCostFlow, PrefersCheapPath) {
-  MinCostFlow g(4);
-  g.add_edge(0, 1, 10, 1);
-  g.add_edge(1, 3, 10, 1);
-  g.add_edge(0, 2, 10, 5);
-  g.add_edge(2, 3, 10, 5);
-  const auto r = g.min_cost_flow(0, 3, 15);
-  EXPECT_EQ(r.flow, 15);
-  EXPECT_EQ(r.cost, 10 * 2 + 5 * 10);
-}
-
-TEST(MinCostFlow, RespectsLimit) {
-  MinCostFlow g(2);
-  g.add_edge(0, 1, 100, 3);
-  const auto r = g.min_cost_flow(0, 1, 7);
-  EXPECT_EQ(r.flow, 7);
-  EXPECT_EQ(r.cost, 21);
 }
 
 TEST(Transportation, SinglePointNeedsFullDemandAtRadiusZero) {

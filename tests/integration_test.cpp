@@ -8,9 +8,7 @@
 #include "core/cube_bound.h"
 #include "core/offline_planner.h"
 #include "core/omega.h"
-#include "flow/earthmover.h"
 #include "flow/transportation.h"
-#include "grid/neighborhood.h"
 #include "stream/engine.h"
 #include "stream/won_search.h"
 #include "util/rng.h"
@@ -94,30 +92,16 @@ TEST(Integration, ArrivalOrderDoesNotChangeOfflineBoundsButMayChangeWon) {
   EXPECT_LE(b.won_empirical, b.won_theory + 0.2);
 }
 
-// --- earthmover vs transportation -------------------------------------------
+// --- transportation oracle vs min_feasible_omega -----------------------------
 
-TEST(Integration, EarthmoverZeroWhenSupplyAtDemand) {
-  Rng rng(41);
-  const DemandMap d = uniform_demand(Box(Point{0, 0}, Point{5, 5}), 20, rng);
-  const auto r = earthmover(d, d);
-  ASSERT_TRUE(r.feasible);
-  EXPECT_NEAR(r.cost, 0.0, 1e-6);
-}
-
-TEST(Integration, UniformSupplyEarthmoverTracksOmegaScale) {
-  // Supplies ω at every vertex of N_r(support) make the transport
-  // feasible exactly when the oracle says so, and the earthmover cost is
-  // finite/zero accordingly — two independent flow formulations agree.
+TEST(Integration, TransportationFeasibleExactlyFromMinOmega) {
+  // The bisected minimal ω is where the transportation oracle flips:
+  // feasible just above it, infeasible once the supply is starved below.
   DemandMap demand(2);
   demand.set(Point{0, 0}, 10.0);
   const std::int64_t r = 2;
   const double omega = min_feasible_omega(demand, r, 1e-4);
-  DemandMap supply(2);
-  for (const auto& p : l1_ball_points(Point{0, 0}, r))
-    supply.set(p, omega + 1e-3);
-  const auto em = earthmover(supply, demand);
-  EXPECT_TRUE(em.feasible);
-  // And starving the supply below omega breaks the oracle.
+  EXPECT_TRUE(transportation_feasible(demand, r, omega + 1e-3).feasible);
   EXPECT_FALSE(transportation_feasible(demand, r, omega - 0.01).feasible);
 }
 

@@ -363,6 +363,22 @@ TEST(BenchCompare, PerIterationTimingsAreWallFields) {
             "sections[main].cases[network_send/heartbeat].metrics.value");
 }
 
+TEST(BenchCompare, PerIterationTimingsIgnoreTheMillisecondFloor) {
+  // 0.035 and 3.5 us/iter are both under min_wall_ms (5), but the floor
+  // is in milliseconds: a 100x slower loop must still warn.
+  const Json a = substrates_run(0.035, 19.5, 2000000.0);
+  const Json b = substrates_run(3.5, 19.5, 2000000.0);
+  const CompareReport rep = compare_bench_runs(a, b, defaults());
+  EXPECT_EQ(rep.warns, 1u);
+  EXPECT_EQ(rep.worst_wall_field,
+            "sections[main].cases[snake_index_round_trip/s=64].metrics."
+            "us/iter");
+  EXPECT_EQ(rep.exit_code(), 0);  // warn-only by default
+  CompareOptions gated;
+  gated.fail_ratio = 2.0;
+  EXPECT_EQ(compare_bench_runs(a, b, gated).exit_code(), 1);
+}
+
 TEST(BenchCompare, SuiteMismatchAborts) {
   const Json a = bench_run(100.0, 10.0, 20000, 1000.0);
   Json b = bench_run(100.0, 10.0, 20000, 1000.0);

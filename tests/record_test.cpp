@@ -492,6 +492,16 @@ std::vector<std::string> write_mux_sources(
   return paths;
 }
 
+// Merges every source of `mux` into a fresh engine (with `observer`
+// attached, when given) and finishes it.
+StreamResult serve_mux(TraceMux& mux, const StreamConfig& cfg,
+                       StreamObserver* observer = nullptr) {
+  StreamEngine engine(2, cfg);
+  engine.set_observer(observer);
+  mux.ingest(engine);
+  return engine.finish();
+}
+
 TEST(TraceMuxTest, MatchesInMemoryMergeAcrossThreadsBatchesAndOrderings) {
   const auto sources = mux_source_jobs();
   const auto paths = write_mux_sources(sources);
@@ -505,10 +515,11 @@ TEST(TraceMuxTest, MatchesInMemoryMergeAcrossThreadsBatchesAndOrderings) {
   // Thread counts and batch sizes.
   for (const int threads : {1, 2, 8}) {
     for (const std::int64_t batch : {64, 256, 1000}) {
-      TraceMux mux(2, stream_config(2, threads, batch));
+      const StreamConfig cfg = stream_config(2, threads, batch);
+      TraceMux mux(2, static_cast<std::size_t>(batch));
       for (const auto& path : paths) mux.add_source(path);
       EXPECT_EQ(mux.source_count(), paths.size());
-      const StreamResult r = mux.replay();
+      const StreamResult r = serve_mux(mux, cfg);
       expect_identical(reference, r);
       EXPECT_EQ(mux.jobs_merged(), merged.size());
     }
@@ -518,9 +529,9 @@ TEST(TraceMuxTest, MatchesInMemoryMergeAcrossThreadsBatchesAndOrderings) {
   const std::vector<std::vector<std::size_t>> orders = {
       {1, 2, 0}, {2, 0, 1}, {2, 1, 0}};
   for (const auto& order : orders) {
-    TraceMux mux(2, stream_config(2, 2));
+    TraceMux mux(2, 256);
     for (const std::size_t s : order) mux.add_source(paths[s]);
-    expect_identical(reference, mux.replay());
+    expect_identical(reference, serve_mux(mux, stream_config(2, 2)));
   }
 }
 
@@ -533,9 +544,10 @@ TEST(TraceMuxTest, SingleSourceEqualsPlainReplay) {
     writer.close();
   }
   const StreamResult plain = serve_stream(2, stream_config(2, 2), jobs);
-  TraceMux mux(2, stream_config(2, 2));
+  TraceMux mux(2, 256);
   mux.add_source(path);
-  expect_identical(plain, mux.replay());  // indices 0..N-1 re-index to selves
+  // indices 0..N-1 re-index to selves
+  expect_identical(plain, serve_mux(mux, stream_config(2, 2)));
 }
 
 TEST(TraceMuxTest, MixedDimAndFailureSourcesRejected) {
@@ -558,7 +570,7 @@ TEST(TraceMuxTest, MixedDimAndFailureSourcesRejected) {
     writer.append_event(silent_done_event(Point{0, 0}));
     writer.close();
   }
-  TraceMux mux(2, stream_config(2, 1));
+  TraceMux mux(2, 256);
   mux.add_source(flat);
   EXPECT_THROW(mux.add_source(solid), check_error);
   EXPECT_THROW(mux.add_source(faulty), check_error);
@@ -569,11 +581,10 @@ TEST(TraceMuxTest, MuxFeedsTheObserver) {
   const auto sources = mux_source_jobs();
   const auto paths = write_mux_sources(sources);
   const std::string audit = temp_path("mux_audit.trace");
-  TraceMux mux(2, stream_config(2, 2));
+  TraceMux mux(2, 256);
   for (const auto& path : paths) mux.add_source(path);
   OutcomeRecorder recorder(audit, 2);
-  mux.set_observer(&recorder);
-  const StreamResult r = mux.replay();
+  const StreamResult r = serve_mux(mux, stream_config(2, 2), &recorder);
   recorder.close();
   EXPECT_EQ(recorder.recorded(), r.jobs_ingested);
   EXPECT_EQ(recorder.served_digest(), index_set_digest(r.served_jobs));
@@ -598,11 +609,10 @@ TEST(TraceMuxTest, CountersSurviveMuxAndRecordComposition) {
   const std::string audit = temp_path("mux_obs_audit.trace");
   StreamConfig mcfg = stream_config(2, 8, 128, /*capacity=*/8.0);
   mcfg.online.obs.counters = true;
-  TraceMux mux(2, mcfg);
+  TraceMux mux(2, 128);
   for (const auto& path : paths) mux.add_source(path);
   OutcomeRecorder recorder(audit, 2);
-  mux.set_observer(&recorder);
-  const StreamResult r = mux.replay();
+  const StreamResult r = serve_mux(mux, mcfg, &recorder);
   recorder.close();
   expect_identical(reference, r);
   EXPECT_EQ(recorder.recorded(), r.jobs_ingested);

@@ -8,7 +8,7 @@
 //   cmvrp gen      --workload uniform|clustered|line|point|square
 //                  [--n N] [--count C] [--d D] [--seed S]  emit a demand file
 //   cmvrp fig41    --r1 R                                 Chapter 4 example
-//   cmvrp stream   [--scenario NAME | --file demand.txt | --trace t.bin]
+//   cmvrp stream   [--scenario NAME | --file demand.txt]
 //                  [--threads T] [--batch B] [--jobs J] [--n N] [--order o]
 //                  [--capacity W] [--side S] [--seed S] [--json PATH]
 //                  [--record out.trace] [--monitor-stride K]
@@ -16,11 +16,10 @@
 //                  [--service-ticks D] [--sample-stride K]
 //                  [--obs] [--stats s.jsonl] [--stats-stride K]
 //                  [--trace-spans f.json|f.bin] [--span-sample K] [--flight N]
-//   cmvrp record   --out outcomes.trace [stream flags]    serve + audit trail
 //   cmvrp trace    gen --out t.bin --generator g [--dim L] [--count N] ...
 //                  | info --file t.bin
-//                  | replay --file t.bin [--threads T] [--memory] ...
-//                  | mux t1.bin t2.bin ... [--threads T] [--record o.trace]
+//                  | replay --file t.bin [--memory] [stream flags]
+//                  | mux t1.bin t2.bin ... [stream flags]
 //   cmvrp stats    --file s.jsonl [--top K]   summarize a stats snapshot
 //   cmvrp prof     --file spans.bin|spans.json [--top K]  span-trace analyzer
 //   cmvrp compare  A B [--kind auto|stream|stats|bench|spans]
@@ -34,7 +33,7 @@
 // Demand files: lines of "x y demand" (see src/workload/io.h); traces are
 // the binary cmvrp-trace-v1/v2 formats (src/trace/format.h) — v2 carries
 // per-record event kinds (arrivals, silent-done failure markers, serving
-// outcomes), which is what `record` writes and `trace mux` merges.
+// outcomes), which is what --record writes and `trace replay` re-serves.
 //
 // Exit codes are uniform across subcommands: 0 success, 1 data or drift
 // failure (bad input files, failed jobs, comparator drift), 2 usage
@@ -279,6 +278,8 @@ std::string index_set_hash(const std::vector<std::int64_t>& indices) {
   return digest_hex(index_set_digest(indices));
 }
 
+constexpr const char* kStreamSchema = "cmvrp-stream-v3";
+
 const char* admission_name(AdmissionPolicy policy) {
   switch (policy) {
     case AdmissionPolicy::kUnbounded:
@@ -291,7 +292,7 @@ const char* admission_name(AdmissionPolicy policy) {
   return "unknown";
 }
 
-// Shared report for `stream` and `trace replay`: ASCII table plus the
+// Shared report of every serving front end: ASCII table plus the
 // cmvrp-stream-v3 JSON artifact (v2 added admission config echo, shed /
 // rejected counts and hash, latency percentiles + digest, and the
 // timeseries summary; v3 adds the Tier-A counter totals — messages by
@@ -319,7 +320,7 @@ int report_stream(const Args& args, const StreamConfig& cfg,
       .cell("routing passes")
       .cell(std::to_string(r.routed_parallel_batches) + " parallel / " +
             std::to_string(r.routed_serial_batches) + " serial");
-  t.row().cell("routing ms").cell(r.routing_ms);
+  t.row().cell("routing ms").cell(r.stages.route_ms);
   t.row().cell("served").cell(r.metrics.jobs_served);
   t.row().cell("failed").cell(r.metrics.jobs_failed);
   t.row().cell("shed").cell(r.jobs_shed);
@@ -353,7 +354,7 @@ int report_stream(const Args& args, const StreamConfig& cfg,
 
   if (args.has("json")) {
     Json doc = Json::object();
-    doc.set("schema", "cmvrp-stream-v3");
+    doc.set("schema", kStreamSchema);
     doc.set("threads", static_cast<std::int64_t>(cfg.threads));
     doc.set("batch_size", cfg.batch_size);
     doc.set("monitor_stride", cfg.online.monitor_stride);
@@ -370,7 +371,7 @@ int report_stream(const Args& args, const StreamConfig& cfg,
     doc.set("cube_slots", static_cast<std::int64_t>(r.cube_slots));
     doc.set("routed_parallel_batches", r.routed_parallel_batches);
     doc.set("routed_serial_batches", r.routed_serial_batches);
-    doc.set("routing_ms", r.routing_ms);
+    doc.set("routing_ms", r.stages.route_ms);
     doc.set("served", r.metrics.jobs_served);
     doc.set("failed", r.metrics.jobs_failed);
     doc.set("shed", r.jobs_shed);
@@ -445,7 +446,7 @@ int report_stream(const Args& args, const StreamConfig& cfg,
              : 1;
 }
 
-// Engine config shared by `stream` and `trace replay`: explicit
+// Engine config shared by every serving front end: explicit
 // --capacity/--side, or (default) the theory config sized from the
 // stream's induced demand — produced lazily so the trace path only pays
 // its extra bounded pass over the mapping when it is actually needed.
@@ -619,12 +620,6 @@ class SpanFile {
   bool flight_only_;
 };
 
-StreamConfig trace_stream_config(const Args& args, TraceReader& reader) {
-  return stream_config_from_args(args, reader.dim(), [&reader] {
-    return trace_demand(reader);
-  });
-}
-
 // Closes the recorder, audits its incremental digests against the
 // result's served/failed/shed sets (the bounded-memory run must leave a
 // trail bit-identical to the in-memory digests), and prints a summary.
@@ -646,45 +641,52 @@ void finish_recording(OutcomeRecorder& recorder, const StreamResult& r) {
             << "\n";
 }
 
-// Sharded streaming engine front end, shared by `stream` (record_path
-// optional, from --record) and `record` (record_path required, from
-// --out). The job stream comes from (in priority order) --trace t.bin
-// (bounded-memory replay off the mapping), --scenario NAME (registry),
-// --file demand.txt (expanded with --order/--seed), or a synthetic
-// uniform stream of --jobs arrivals on an --n x --n box.
-int run_stream_serving(const Args& args, const std::string& record_path) {
+// The one serving path behind `stream`, `trace replay` and `trace mux`.
+// It owns the engine and attaches the run's sinks: the --record outcome
+// trail, --stats snapshots and --trace-spans export. `feed` ingests the
+// front end's job source; the span rings are dumped post-mortem if it or
+// finish() throws. Returns the report's exit code.
+int serve_and_report(const Args& args, int dim, const StreamConfig& cfg,
+                     const std::function<void(StreamEngine&)>& feed) {
+  CLI_USAGE_CHECK(!args.has("record") || args.get("record", "") != "true",
+                  "--record needs a file path");
+  StatsFile stats(args);
+  std::optional<OutcomeRecorder> recorder;  // outlives the engine's pointer
+  WallTimer timer;
+  StreamEngine engine(dim, cfg);
+  if (args.has("record")) {
+    recorder.emplace(args.get("record", ""), dim);
+    engine.set_observer(&*recorder);
+  }
+  engine.set_snapshotter(stats.get());
+  SpanFile spans(args, dim);
+  StreamResult r;
+  try {
+    feed(engine);
+    r = engine.finish();
+  } catch (...) {
+    spans.dump_on_error(engine);
+    throw;
+  }
+  const double ms = timer.elapsed_ms();
+  if (recorder) finish_recording(*recorder, r);
+  stats.close(args);
+  const int rc = report_stream(args, cfg, r, ms);
+  spans.finish(engine, ms, rc == 0);
+  return rc;
+}
+
+// `stream`: serves --scenario NAME (registry), --file demand.txt
+// (expanded with --order/--seed), or a synthetic uniform stream of
+// --jobs arrivals on an --n x --n box.
+int cmd_stream(const Args& args) {
+  // Args ignores unknown flags, so without this check the retired
+  // `stream --trace` would quietly serve the synthetic stream instead.
+  CLI_USAGE_CHECK(!args.has("trace"),
+                  "stream --trace is retired; serve a trace with "
+                  "`trace replay --file <t.bin>`");
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1));
-  std::optional<OutcomeRecorder> recorder;
-
-  if (args.has("trace")) {
-    TraceReader reader(args.get("trace", ""));
-    CMVRP_CHECK_MSG(reader.job_count() > 0, "trace has no jobs");
-    const StreamConfig cfg = trace_stream_config(args, reader);
-    WallTimer timer;
-    TraceReplayer replayer(reader.dim(), cfg);
-    if (!record_path.empty()) {
-      recorder.emplace(record_path, reader.dim());
-      replayer.set_observer(&*recorder);
-    }
-    StatsFile stats(args);
-    if (stats.get() != nullptr) replayer.set_snapshotter(stats.get());
-    SpanFile spans(args, reader.dim());
-    StreamResult r;
-    try {
-      r = replayer.replay(reader);
-    } catch (...) {
-      spans.dump_on_error(replayer.engine());
-      throw;
-    }
-    const double ms = timer.elapsed_ms();
-    if (recorder) finish_recording(*recorder, r);
-    stats.close(args);
-    const int rc = report_stream(args, cfg, r, ms);
-    spans.finish(replayer.engine(), ms, rc == 0);
-    return rc;
-  }
-
   std::vector<Job> jobs;
   int dim = 2;
   std::optional<Box> scenario_region;
@@ -716,46 +718,9 @@ int run_stream_serving(const Args& args, const std::string& record_path) {
   // for the slot table (it covers the stream by construction, even where
   // the sampled demand happens to leave gaps).
   if (scenario_region.has_value()) cfg.region = scenario_region;
-
-  WallTimer timer;
-  StreamEngine engine(dim, cfg);
-  if (!record_path.empty()) {
-    recorder.emplace(record_path, dim);
-    engine.set_observer(&*recorder);
-  }
-  StatsFile stats(args);
-  if (stats.get() != nullptr) engine.set_snapshotter(stats.get());
-  SpanFile spans(args, dim);
-  StreamResult r;
-  try {
+  return serve_and_report(args, dim, cfg, [&jobs](StreamEngine& engine) {
     engine.ingest(jobs);
-    r = engine.finish();
-  } catch (...) {
-    spans.dump_on_error(engine);
-    throw;
-  }
-  const double ms = timer.elapsed_ms();
-  if (recorder) finish_recording(*recorder, r);
-  stats.close(args);
-  const int rc = report_stream(args, cfg, r, ms);
-  spans.finish(engine, ms, rc == 0);
-  return rc;
-}
-
-int cmd_stream(const Args& args) {
-  CLI_USAGE_CHECK(!args.has("record") || args.get("record", "") != "true",
-                  "--record needs a file path");
-  return run_stream_serving(args, args.get("record", ""));
-}
-
-// `record`: serve a stream with the engine-side OutcomeRecorder attached
-// — every job's outcome (served/failed + assigned cube corner) streams
-// to --out during serving as a cmvrp-trace-v2 audit trail, verified
-// bit-identical to the in-memory digests before the report prints.
-int cmd_record(const Args& args) {
-  CLI_USAGE_CHECK(args.has("out") && args.get("out", "") != "true",
-                  "--out <outcome trace> is required");
-  return run_stream_serving(args, args.get("out", ""));
+  });
 }
 
 // `trace gen`: run a streaming generator straight into a TraceWriter —
@@ -882,7 +847,7 @@ int cmd_trace_info(const Args& args) {
   // Schema version report: what this binary reads and what its sibling
   // subcommands write, so artifacts are self-describing end to end.
   t.row().cell("reads trace schemas").cell("cmvrp-trace-v1, cmvrp-trace-v2");
-  t.row().cell("writes stream schema").cell("cmvrp-stream-v3");
+  t.row().cell("writes stream schema").cell(kStreamSchema);
   t.row().cell("writes stats schema").cell(kStatsSchema);
   t.print(std::cout);
   return 0;
@@ -914,80 +879,37 @@ int cmd_trace_mux(const Args& args) {
     return merged;
   });
 
-  std::optional<OutcomeRecorder> recorder;
-  WallTimer timer;
-  TraceMux mux(dim, cfg);
+  // The batch size sizes the mux's chunks, so check it before the engine
+  // (constructed later, in serve_and_report) does.
+  CMVRP_CHECK_MSG(cfg.batch_size >= 1, "batch size must be >= 1");
+  TraceMux mux(dim, static_cast<std::size_t>(cfg.batch_size));
   for (const auto& path : paths) mux.add_source(path);
-  if (args.has("record")) {
-    CLI_USAGE_CHECK(args.get("record", "") != "true",
-                    "--record needs a file path");
-    recorder.emplace(args.get("record", ""), dim);
-    mux.set_observer(&*recorder);
-  }
-  StatsFile stats(args);
-  if (stats.get() != nullptr) mux.set_snapshotter(stats.get());
-  SpanFile spans(args, dim);
-  StreamResult r;
-  try {
-    r = mux.replay();
-  } catch (...) {
-    spans.dump_on_error(mux.engine());
-    throw;
-  }
-  const double ms = timer.elapsed_ms();
-  std::cout << "muxed " << paths.size() << " traces, " << mux.jobs_merged()
-            << " jobs merged by arrival index\n";
-  if (recorder) finish_recording(*recorder, r);
-  stats.close(args);
-  const int rc = report_stream(args, cfg, r, ms);
-  spans.finish(mux.engine(), ms, rc == 0);
-  return rc;
+  return serve_and_report(args, dim, cfg, [&](StreamEngine& engine) {
+    mux.ingest(engine);
+    std::cout << "muxed " << paths.size() << " traces, " << mux.jobs_merged()
+              << " jobs merged by arrival index\n";
+  });
 }
 
 // `trace replay`: bounded-memory replay (default) or, with --memory, an
 // in-memory serve of the same jobs — the two reports must agree on
-// everything but wall time (the CI round-trip diffs them).
+// everything but wall time (the cli_roundtrip test diffs them).
 int cmd_trace_replay(const Args& args) {
   CLI_USAGE_CHECK(args.has("file"), "--file <trace file> is required");
   TraceReader reader(args.get("file", ""));
   CMVRP_CHECK_MSG(reader.job_count() > 0, "trace has no jobs");
-  const StreamConfig cfg = trace_stream_config(args, reader);
-  StatsFile stats(args);
-  SpanFile spans(args, reader.dim());
-  if (args.has("memory")) {
-    const std::vector<Job> jobs = reader.read_all();
-    WallTimer timer;
-    StreamEngine engine(reader.dim(), cfg);
-    if (stats.get() != nullptr) engine.set_snapshotter(stats.get());
-    StreamResult r;
-    try {
-      engine.ingest(jobs);
-      r = engine.finish();
-    } catch (...) {
-      spans.dump_on_error(engine);
-      throw;
-    }
-    const double ms = timer.elapsed_ms();
-    stats.close(args);
-    const int rc = report_stream(args, cfg, r, ms);
-    spans.finish(engine, ms, rc == 0);
-    return rc;
-  }
-  WallTimer timer;
-  TraceReplayer replayer(reader.dim(), cfg);
-  if (stats.get() != nullptr) replayer.set_snapshotter(stats.get());
-  StreamResult r;
-  try {
-    r = replayer.replay(reader);
-  } catch (...) {
-    spans.dump_on_error(replayer.engine());
-    throw;
-  }
-  const double ms = timer.elapsed_ms();
-  stats.close(args);
-  const int rc = report_stream(args, cfg, r, ms);
-  spans.finish(replayer.engine(), ms, rc == 0);
-  return rc;
+  const StreamConfig cfg = stream_config_from_args(
+      args, reader.dim(), [&reader] { return trace_demand(reader); });
+  const bool memory = args.has("memory");
+  return serve_and_report(
+      args, reader.dim(), cfg, [&reader, &cfg, memory](StreamEngine& engine) {
+        if (memory) {
+          engine.ingest(reader.read_all());
+          return;
+        }
+        std::vector<Job> chunk(static_cast<std::size_t>(cfg.batch_size));
+        ingest_trace(reader, engine, chunk);
+      });
 }
 
 int cmd_trace(const Args& args) {
@@ -1511,15 +1433,15 @@ int cmd_bench(const Args& args) {
 
 int usage(std::ostream& os, int exit_code) {
   os << "usage: cmvrp "
-         "<bounds|plan|online|won|gen|fig41|stream|record|trace|stats|prof|"
-         "compare|bench> [--flags]\n"
+         "<bounds|plan|online|won|gen|fig41|stream|trace|stats|prof|compare|"
+         "bench> [--flags]\n"
          "  bounds --file d.txt            offline bounds (Thm 1.4.1)\n"
          "  plan   --file d.txt [--ascii]  Lemma 2.2.5 plan + verification\n"
          "  online --file d.txt [--capacity W] [--order o] [--seed s]\n"
          "  won    --file d.txt [--tol t]  bisect empirical Won\n"
          "  gen    --workload k [--n N] [--count C] [--d D] [--seed s]\n"
          "  fig41  --r1 R [--r2 R2]        Chapter 4 counterexample\n"
-         "  stream [--scenario name | --file d.txt | --trace t.bin]\n"
+         "  stream [--scenario name | --file d.txt]\n"
          "         [--threads T] [--batch B] [--jobs J] [--n N] [--order o]\n"
          "         [--capacity W] [--side S] [--seed s] [--json out]\n"
          "         [--record o.trace] [--monitor-stride K]\n"
@@ -1543,10 +1465,9 @@ int usage(std::ostream& os, int exit_code) {
          "                                 traces every K-th computation per\n"
          "                                 cube, --flight N keeps the last N\n"
          "                                 records per cube and dumps only\n"
-         "                                 on failure\n"
-         "  record --out o.trace [stream flags]\n"
-         "                                 serve + stream every outcome to a\n"
-         "                                 v2 audit trace (digest-verified)\n"
+         "                                 on failure; --record streams every\n"
+         "                                 outcome to a v2 audit trace\n"
+         "                                 (digest-verified)\n"
          "  trace gen --out t.bin [--generator boundary|hotspot|gradient]\n"
          "            [--dim L] [--count N] [--side S] [--cubes C]\n"
          "            [--burst B] [--sigma X] [--seed s]\n"
@@ -1556,16 +1477,10 @@ int usage(std::ostream& os, int exit_code) {
          "                                 v2 event-kind counts, and the\n"
          "                                 schema versions this binary\n"
          "                                 reads/writes)\n"
-         "  trace replay --file t.bin [--threads T] [--batch B] [--memory]\n"
-         "               [--capacity W] [--side S] [--seed s] [--json out]\n"
-         "               [--obs] [--stats s.jsonl] [--stats-stride K]\n"
-         "               [--trace-spans f] [--span-sample K] [--flight N]\n"
+         "  trace replay --file t.bin [--memory] [stream flags]\n"
          "                                 bounded-memory replay (or\n"
          "                                 --memory: in-memory reference)\n"
-         "  trace mux t1.bin t2.bin ... [--threads T] [--batch B]\n"
-         "            [--record o.trace] [--json out] [--obs]\n"
-         "            [--stats s.jsonl] [--stats-stride K]\n"
-         "            [--trace-spans f] [--span-sample K] [--flight N]\n"
+         "  trace mux t1.bin t2.bin ... [stream flags]\n"
          "                                 merge k traces by arrival index\n"
          "                                 into one engine (deterministic)\n"
          "  stats  --file s.jsonl [--top K]\n"
@@ -1616,7 +1531,9 @@ int main(int argc, char** argv) {
     if (args.command == "gen") return cmd_gen(args);
     if (args.command == "fig41") return cmd_fig41(args);
     if (args.command == "stream") return cmd_stream(args);
-    if (args.command == "record") return cmd_record(args);
+    if (args.command == "record")
+      throw usage_error(
+          "record is retired; record a run with `stream --record <o.trace>`");
     if (args.command == "trace") return cmd_trace(args);
     if (args.command == "stats") return cmd_stats(args);
     if (args.command == "prof") return cmd_prof(args);
