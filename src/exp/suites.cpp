@@ -739,9 +739,8 @@ void suite_substrates(BenchRun& b) {
   b.run_case("network_delivery/n=1000", [&](MetricRow& row) {
     looped(20,
            [] {
-             EventQueue q;
-             ClampTable flood;
-             Network net(q, flood, Rng(1), 3);
+             Transport t(/*max_delay=*/3);
+             Network net(t, Rng(1));
              std::size_t delivered = 0;
              net.set_receiver(
                  [](void* count, const Delivery&) {
@@ -751,7 +750,7 @@ void suite_substrates(BenchRun& b) {
              for (int i = 0; i < 1000; ++i)
                net.send(static_cast<std::size_t>(i % 7), (i + 1) % 7,
                         QueryMsg{});
-             q.run_to_quiescence();
+             t.queue.run_to_quiescence();
              return static_cast<double>(delivered);
            },
            row);
@@ -802,15 +801,15 @@ void suite_substrates(BenchRun& b) {
     constexpr std::int64_t kOps = 2'000'000;
     per_op(kOps,
            [&b] {
-             EventQueue q;
-             ClampTable flood;
-             Network net(q, flood, Rng(1), 3);
+             Transport t(/*max_delay=*/3);
+             Network net(t, Rng(1));
              std::vector<std::uint32_t> ring;
              for (std::size_t v = 0; v < 64; ++v)
                ring.push_back(net.heartbeat_slot(v, (v + 63) % 64));
              for (std::int64_t i = 0; i < kOps; ++i)
                net.beat(ring[static_cast<std::size_t>(i % 64)]);
-             if (!q.empty()) b.fail("an elided heartbeat entered the queue");
+             if (!t.queue.empty())
+               b.fail("an elided heartbeat entered the queue");
              return static_cast<double>(net.stats().heartbeat_skips);
            },
            row);
@@ -824,10 +823,10 @@ void suite_substrates(BenchRun& b) {
     cfg.capacity = 100.0;
     cfg.cube_side = 3;
     cfg.anchor = Point::origin(4);
-    Transport transport;
-    Network net(transport.queue, transport.flood, Rng(1),
-                cfg.max_message_delay);
-    FleetCore core(4, cfg, cfg.anchor, transport.queue, net);
+    const CubeParams params(4, cfg);
+    Transport transport(cfg.max_message_delay);
+    Network net(transport, Rng(1));
+    FleetCore core(params, cfg.anchor, net);
     core.bind_network();
     const Network::Lend lend(net);
     core.settle();  // builds the ring and runs the first scan
@@ -841,6 +840,59 @@ void suite_substrates(BenchRun& b) {
     if (core.metrics().monitor_initiations != 0)
       b.fail("a healthy fleet's ring initiated a search");
   });
+  // A cold cube against a warm one: the perfbench sparse-2d shape (a
+  // 256^2 uniform stream, 2.5 arrivals per point, sized by the program's
+  // rule: side 2, so 16,384 cubes of ~10 arrivals), served whole at
+  // threads 1 in two orders. `cold` is the arrival order, shuffled across
+  // cubes, so nearly every arrival finds its cube's state out of cache;
+  // `warm` is the same stream stable-sorted by cube, each cube's arrivals
+  // back to back. Every cube sees the same subsequence either way, so the
+  // served sets must agree; the gap is the cost of cold cube state. One
+  // op = one arrival, engine construction and finish() included.
+  struct CubeArrivals {
+    StreamConfig config;
+    std::vector<Job> order[2];                // [0] cold, [1] warm
+    std::optional<std::uint64_t> served[2];   // served-set digests
+  };
+  std::optional<CubeArrivals> arrivals;
+  const auto cube_arrivals = [&arrivals]() -> CubeArrivals& {
+    if (arrivals) return *arrivals;
+    arrivals.emplace();
+    const Box box(Point{0, 0}, Point{255, 255});
+    Rng rng(301);
+    const DemandMap d = uniform_demand(box, 163840, rng);
+    Rng order(302);
+    arrivals->order[0] = stream_from_demand(d, ArrivalOrder::kShuffled, order);
+    arrivals->config.online = default_online_config(d, 301);
+    arrivals->config.region = d.bounding_box();
+    const CubePairing pairing(2, arrivals->config.online.anchor,
+                              arrivals->config.online.cube_side);
+    arrivals->order[1] = arrivals->order[0];
+    std::stable_sort(arrivals->order[1].begin(), arrivals->order[1].end(),
+                     [&pairing](const Job& x, const Job& y) {
+                       return pairing.cube_corner(x.position) <
+                              pairing.cube_corner(y.position);
+                     });
+    return *arrivals;
+  };
+  for (const int warm : {0, 1}) {
+    b.run_case(warm ? "cube_arrival/warm-2d-s2" : "cube_arrival/cold-2d-s2",
+               [&, warm](MetricRow& row) {
+                 CubeArrivals& a = cube_arrivals();
+                 const std::vector<Job>& jobs = a.order[warm];
+                 per_op(static_cast<std::int64_t>(jobs.size()),
+                        [&] {
+                          const StreamResult r =
+                              serve_stream(2, a.config, jobs);
+                          a.served[warm] = index_set_digest(r.served_jobs);
+                          return static_cast<double>(r.served_jobs.size());
+                        },
+                        row);
+               });
+  }
+  if (arrivals && arrivals->served[0] && arrivals->served[1] &&
+      *arrivals->served[0] != *arrivals->served[1])
+    b.fail("cube_arrival: the cube-sorted stream served a different set");
   b.run_case("online_point_burst/n=50", [&](MetricRow& row) {
     std::vector<Job> jobs;
     for (int i = 0; i < 50; ++i) jobs.push_back({Point{2, 2}, i});

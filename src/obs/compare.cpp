@@ -43,9 +43,25 @@ bool is_ms_key(const std::string& key) {
   return ends_with(key, "_ms") || ends_with(key, " ms");
 }
 
+// The `substrates` suite's per-iteration timings: one timed loop per
+// case, with no spread of their own.
+bool is_per_iteration_key(const std::string& key) {
+  return key == "us/iter" || key == "ns/op";
+}
+
 bool is_wall_key(const std::string& key) {
-  return is_ms_key(key) || starts_with(key, "wall_") || key == "us/iter" ||
-         key == "ns/op" || is_rate_key(key);
+  return is_ms_key(key) || starts_with(key, "wall_") ||
+         is_per_iteration_key(key) || is_rate_key(key);
+}
+
+// A bench case's time_ms spread relative to its mean (0 without one).
+double relative_spread(const Json& bench_case) {
+  if (!bench_case.contains("time_ms")) return 0.0;
+  const Json& t = bench_case.at("time_ms");
+  if (!t.is_object() || !t.contains("mean") || !t.contains("stddev"))
+    return 0.0;
+  const double mean = t.at("mean").as_number();
+  return mean > 0.0 ? t.at("stddev").as_number() / mean : 0.0;
 }
 
 bool name_in(const std::vector<std::string>& names, const std::string& key) {
@@ -101,6 +117,12 @@ class Comparator {
   }
 
   CompareReport take() { return std::move(report_); }
+
+  // The relative noise margin of the per-iteration timings compared
+  // next (see compare_bench_runs); 0 outside a bench case.
+  void set_per_iteration_margin(double margin) {
+    per_iteration_margin_ = margin;
+  }
 
   FieldClass classify(const std::string& key) const {
     if (name_in(rules_.identity, key)) return FieldClass::kIdentity;
@@ -237,6 +259,8 @@ class Comparator {
     }
     const double factor = numer / denom;
     if (factor <= 1.0) return;  // improvement (or equal): never flagged
+    if (is_per_iteration_key(key) && factor <= 1.0 + per_iteration_margin_)
+      return;  // inside the case's measured noise
     if (factor > report_.worst_wall_ratio) {
       report_.worst_wall_ratio = factor;
       report_.worst_wall_field = path;
@@ -275,6 +299,7 @@ class Comparator {
   const CompareOptions& options_;
   const KindRules& rules_;
   CompareReport report_;
+  double per_iteration_margin_ = 0.0;
 };
 
 Json parse_artifact(const std::string& text, const std::string& label) {
@@ -549,6 +574,13 @@ CompareReport compare_bench_runs(const Json& a, const Json& b,
         c.compare_node(cpath, "missing_case", &case_a->at("name"), nullptr);
         continue;
       }
+      // A case's per-iteration timings come from one timed loop with no
+      // spread of their own, so they get the margin its time_ms block
+      // gets, as a ratio: noise_sigmas × the larger stddev / mean.
+      const double spread_a = relative_spread(*case_a);
+      const double spread_b = relative_spread(*case_b);
+      c.set_per_iteration_margin(options.noise_sigmas *
+                                 (spread_a > spread_b ? spread_a : spread_b));
       for (const auto& [key, va] : case_a->items()) {
         if (key == "name") continue;
         c.compare_node(cpath, key, &va,
@@ -557,6 +589,7 @@ CompareReport compare_bench_runs(const Json& a, const Json& b,
       for (const auto& [key, vb] : case_b->items())
         if (key != "name" && !case_a->contains(key))
           c.compare_node(cpath, key, nullptr, &vb);
+      c.set_per_iteration_margin(0.0);
     }
     for (const auto& [cname, case_b] : cases_b)
       if (find(cases_a, cname) == nullptr)

@@ -86,7 +86,10 @@ struct CompareOptions {
   double min_wall_ms = 5.0;
   // Bench `time_ms` blocks carry RunningStats (mean/stddev/reps): a mean
   // shift within `noise_sigmas` of the larger stddev is noise, not a
-  // regression, regardless of the ratio.
+  // regression, regardless of the ratio. A case's per-iteration timings
+  // (`us/iter`, `ns/op`) get the same margin as a ratio: a slowdown by a
+  // factor within 1 + noise_sigmas × stddev / mean is clean. One rep has
+  // no spread, so only multi-rep runs have a margin.
   double noise_sigmas = 3.0;
   // Keys skipped everywhere (matched by exact name at any depth) — the
   // per-call escape hatch for legitimately incomparable fields, e.g.

@@ -14,17 +14,15 @@ double won_upper_bound(double omega_c, int dim) {
          omega_c;
 }
 
-FleetCore::FleetCore(int dim, const OnlineConfig& config, const Point& corner,
-                     EventQueue& queue, Network& network)
-    : dim_(dim),
-      config_(config),
-      pairing_(dim, config.anchor, config.cube_side),
-      corner_(corner),
-      queue_(queue),
-      network_(network) {
+CubeParams::CubeParams(int dim, const OnlineConfig& config)
+    : dim(dim), config(config), pairing(dim, config.anchor, config.cube_side) {
   CMVRP_CHECK(config.capacity >= 0.0);
   CMVRP_CHECK_MSG(config.cube_side >= 2,
                   "cube side must be >= 2 so every pair has an idle partner");
+  // A vehicle's position is a CubeOffset of 32-bit lanes.
+  CMVRP_CHECK_MSG(config.cube_side <= INT32_MAX,
+                  "cube side " << config.cube_side
+                               << " exceeds 32-bit cube offsets");
   CMVRP_CHECK_MSG(config.monitor_stride >= 1,
                   "monitor stride must be >= 1 arrival between sweeps");
   if (config.admission != AdmissionPolicy::kUnbounded) {
@@ -35,24 +33,28 @@ FleetCore::FleetCore(int dim, const OnlineConfig& config, const Point& corner,
   }
   CMVRP_CHECK_MSG(config.sample_stride >= 0,
                   "sample stride must be >= 0 (0 = off)");
-  CMVRP_CHECK_MSG(pairing_.cube_corner(corner) == corner,
+  CMVRP_CHECK_MSG(pairing.cube_volume() < static_cast<std::int64_t>(kNoVehicle),
+                  "cube volume " << pairing.cube_volume()
+                                 << " exceeds 32-bit vehicle ids");
+}
+
+FleetCore::FleetCore(const CubeParams& params, const Point& corner,
+                     Network& network)
+    : params_(params), network_(network), corner_(corner) {
+  const CubePairing& pairing = params_.pairing;
+  CMVRP_CHECK_MSG(pairing.cube_corner(corner) == corner,
                   corner.to_string() << " is not a cube corner");
-  const std::int64_t volume = pairing_.cube_volume();
-  CMVRP_CHECK_MSG(volume < static_cast<std::int64_t>(kNoVehicle),
-                  "cube volume " << volume << " exceeds 32-bit vehicle ids");
-  const auto fleet = static_cast<std::size_t>(volume);
+  const auto fleet = static_cast<std::size_t>(pairing.cube_volume());
   pairs_.resize((fleet + 1) / 2);
   initiator_dest_.assign(fleet, kNoDest);
   // The fleet exists from t = 0: even snake indices (pair primaries)
   // start active, their partners idle.
   vehicles_.reserve(fleet);
-  Box::cube(corner, pairing_.side()).for_each_point([this](const Point& home) {
-    const std::int64_t k = pairing_.snake_index(home, corner_);
+  Box::cube(corner, pairing.side()).for_each_point([&](const Point& home) {
+    const std::int64_t k = pairing.snake_index(home, corner_);
     Vehicle v;
     v.id = static_cast<std::uint32_t>(vehicles_.size());
-    v.home = home;
-    v.pos = home;
-    v.capacity = config_.capacity;
+    v.pos = offset_of(home);
     if (k % 2 == 0) {
       v.s1 = WorkState::kActive;
       pairs_[static_cast<std::size_t>(k / 2)].active = v.id;
@@ -75,19 +77,49 @@ void FleetCore::set_spans(SpanRecorder* spans) {
   // Every vehicle, not just active ones: idle vehicles appear in traces
   // as relays and replacements.
   for (const Vehicle& v : vehicles_)
-    spans_->note_vehicle_pair(v.id, pairing_.snake_index(v.home, corner_) / 2);
+    spans_->note_vehicle_pair(
+        v.id, pairing().snake_index(home_of(v.id), corner_) / 2);
 }
 
 std::uint32_t FleetCore::id_of_home(const Point& home) const {
-  CMVRP_CHECK(home.dim() == dim_);
+  CMVRP_CHECK(home.dim() == params_.dim);
   // Axis 0 most significant: the order Box::for_each_point visits.
+  const std::int64_t side = pairing().side();
   std::int64_t id = 0;
-  for (int i = 0; i < dim_; ++i) {
+  for (int i = 0; i < params_.dim; ++i) {
     const std::int64_t o = home[i] - corner_[i];
-    if (o < 0 || o >= pairing_.side()) return kNoVehicle;
-    id = id * pairing_.side() + o;
+    if (o < 0 || o >= side) return kNoVehicle;
+    id = id * side + o;
   }
   return static_cast<std::uint32_t>(id);
+}
+
+CubeOffset FleetCore::offset_of(const Point& p) const {
+  CubeOffset off{};
+  for (int i = 0; i < params_.dim; ++i)
+    off[static_cast<std::size_t>(i)] =
+        static_cast<std::int32_t>(p[i] - corner_[i]);
+  return off;
+}
+
+Point FleetCore::home_of(std::size_t id) const {
+  CMVRP_CHECK(id < vehicles_.size());
+  const std::int64_t side = pairing().side();
+  Point p = corner_;
+  auto rest = static_cast<std::int64_t>(id);
+  for (int i = params_.dim - 1; i >= 0; --i) {
+    p[i] += rest % side;
+    rest /= side;
+  }
+  return p;
+}
+
+Point FleetCore::position_of(std::size_t id) const {
+  const CubeOffset& off = vehicles_.at(id).pos;
+  Point p = corner_;
+  for (int i = 0; i < params_.dim; ++i)
+    p[i] += off[static_cast<std::size_t>(i)];
+  return p;
 }
 
 void FleetCore::inject_silent_done(const Point& home) {
@@ -113,9 +145,10 @@ void FleetCore::inject_break_after(const Point& home, double longevity) {
   touch();
 }
 
-void FleetCore::neighbors_into(std::size_t vid,
-                               std::vector<std::size_t>& out) {
-  const Vehicle& v = vehicles_[vid];
+const std::vector<std::uint32_t>& FleetCore::neighbors_of(std::size_t vid) {
+  std::vector<std::uint32_t>& out = network_.transport().neighbors;
+  const CubeOffset at = vehicles_[vid].pos;
+  const std::int64_t radius = params_.config.neighbor_radius;
   const std::size_t volume = vehicles_.size();
   // Branch-free selection: whether a member is in range is a coin flip
   // the predictor cannot learn, so every member is written and the
@@ -123,12 +156,12 @@ void FleetCore::neighbors_into(std::size_t vid,
   out.resize(volume);
   std::size_t n = 0;
   for (std::size_t other = 0; other < volume; ++other) {
-    out[n] = other;
+    out[n] = static_cast<std::uint32_t>(other);
     n += static_cast<std::size_t>(
-        (other != vid) &
-        (l1_distance(vehicles_[other].pos, v.pos) <= config_.neighbor_radius));
+        (other != vid) & (l1_distance(vehicles_[other].pos, at) <= radius));
   }
   out.resize(n);
+  return out;
 }
 
 void FleetCore::spend_travel(Vehicle& v, std::int64_t dist) {
@@ -142,7 +175,7 @@ void FleetCore::check_longevity(Vehicle& v) {
   // all (the common case) skip it on the empty-array test.
   if (longevity_.empty() || v.dead) return;
   const double p = longevity_[v.id];
-  if (p >= 0.0 && v.spent() >= p * v.capacity - 1e-9) {
+  if (p >= 0.0 && v.spent() >= p * capacity() - 1e-9) {
     v.dead = true;
     touch();
   }
@@ -155,10 +188,10 @@ void FleetCore::release_pair(const Vehicle& v, std::int64_t k) {
 }
 
 bool FleetCore::serve_job(const Job& job) {
-  CMVRP_CHECK(job.position.dim() == dim_);
-  const SimTime now = queue_.now();
+  CMVRP_CHECK(job.position.dim() == params_.dim);
+  const SimTime now = network_.queue().now();
   last_timing_ = JobTiming{now, now, now, 0};
-  const std::int64_t k = pairing_.snake_index(job.position, corner_);
+  const std::int64_t k = pairing().snake_index(job.position, corner_);
   const PairSlot& pair = pairs_[static_cast<std::size_t>(k / 2)];
   const std::size_t vid = pair.active == kNoVehicle ? SIZE_MAX : pair.active;
   if (spans_ != nullptr) spans_->serve_begin(now, vid, job.index);
@@ -171,8 +204,9 @@ bool FleetCore::serve_job(const Job& job) {
     ++metrics_.jobs_failed;
     return false;
   }
-  const std::int64_t dist = l1_distance(v.pos, job.position);
-  if (v.remaining() < static_cast<double>(dist) + 1.0) {
+  const CubeOffset at = offset_of(job.position);
+  const std::int64_t dist = l1_distance(v.pos, at);
+  if (v.remaining(capacity()) < static_cast<double>(dist) + 1.0) {
     // The vehicle should have declared itself done before this point; an
     // undersized capacity surfaces here as a failed job.
     ++metrics_.jobs_failed;
@@ -180,7 +214,7 @@ bool FleetCore::serve_job(const Job& job) {
   }
   last_timing_.assigned_at = pair.since;
   spend_travel(v, dist);
-  v.pos = job.position;
+  v.pos = at;
   v.spent_service += 1.0;
   check_longevity(v);
   ++metrics_.jobs_served;
@@ -191,7 +225,7 @@ bool FleetCore::serve_job(const Job& job) {
 void FleetCore::after_serving(std::size_t vid, std::int64_t k) {
   // Fast exit for the common case (vehicle healthy, not exhausted).
   Vehicle& v = vehicles_[vid];
-  if (!v.dead && !v.exhausted()) return;
+  if (!v.dead && !v.exhausted(capacity())) return;
   // The vehicle leaves its pair: it broke mid-service (longevity), and
   // the monitoring ring must notice, or it is done.
   touch();
@@ -213,22 +247,22 @@ void FleetCore::initiate_computation(std::size_t initiator,
   v.init = next_init(static_cast<std::uint32_t>(initiator), v.init_seq);
   initiator_dest_[initiator] = static_cast<std::uint32_t>(dest);
   ++metrics_.computations_started;
-  auto& nb = neighbor_scratch_;
-  neighbors_into(initiator, nb);
+  const auto& nb = neighbors_of(initiator);
   v.num = static_cast<int>(nb.size());
   // The span must open before the sends (and before the degenerate
   // immediate finish) so every record tagged with this InitTag finds its
   // sampling decision already made.
   if (spans_ != nullptr)
-    spans_->comp_start(queue_.now(), packed_init(v.init), initiator,
+    spans_->comp_start(network_.queue().now(), packed_init(v.init), initiator,
                        nb.size());
   if (nb.empty()) {
     v.s2 = TransferState::kWaiting;
     finish_phase_one(initiator);
     return;
   }
-  for (std::size_t q : nb) network_.send(initiator, q, QueryMsg{v.init, 1});
-  if (config_.obs.counters) obs_note_queries(v.init, nb.size());
+  for (const std::uint32_t q : nb)
+    network_.send(initiator, q, QueryMsg{v.init, 1});
+  if (config().obs.counters) obs_note_queries(v.init, nb.size());
 }
 
 void FleetCore::obs_note_queries(const InitTag& init, std::size_t count) {
@@ -266,8 +300,7 @@ void FleetCore::on_query(std::size_t vid, std::size_t from,
     }
     // Active, done, or broken vehicles relay the search.
     v.s2 = TransferState::kSearching;
-    auto& nb = neighbor_scratch_;
-    neighbors_into(vid, nb);
+    const auto& nb = neighbors_of(vid);
     v.num = static_cast<int>(nb.size());
     if (v.num == 0) {
       // Degenerate: nobody else to ask.
@@ -275,12 +308,12 @@ void FleetCore::on_query(std::size_t vid, std::size_t from,
       network_.send(vid, from, ReplyMsg{false, q.init});
       return;
     }
-    for (std::size_t n : nb)
+    for (const std::uint32_t n : nb)
       network_.send(vid, n, QueryMsg{q.init, q.hop + 1});
-    if (config_.obs.counters) obs_note_queries(q.init, nb.size());
+    if (config().obs.counters) obs_note_queries(q.init, nb.size());
     if (spans_ != nullptr)
-      spans_->relay(queue_.now(), packed_init(q.init), vid, from, q.hop,
-                    nb.size());
+      spans_->relay(network_.queue().now(), packed_init(q.init), vid, from,
+                    q.hop, nb.size());
     return;
   }
   network_.send(vid, from, ReplyMsg{false, q.init});
@@ -310,10 +343,10 @@ void FleetCore::on_reply(std::size_t vid, std::size_t from,
 }
 
 void FleetCore::finish_phase_one(std::size_t vid) {
-  if (config_.obs.counters) ++obs_comps_finished_;
+  if (config().obs.counters) ++obs_comps_finished_;
   Vehicle& v = vehicles_[vid];
   if (spans_ != nullptr)
-    spans_->comp_finish(queue_.now(), packed_init(v.init), vid,
+    spans_->comp_finish(network_.queue().now(), packed_init(v.init), vid,
                         v.child != kNoVehicle);
   const std::uint32_t dest = initiator_dest_[vid];
   CMVRP_CHECK(dest != kNoDest);
@@ -334,10 +367,10 @@ void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
   Vehicle& v = vehicles_[vid];
   if (v.s1 == WorkState::kIdle && !v.dead) {
     const std::int64_t k = m.dest;
-    const Point dest = pairing_.snake_vertex(corner_, k);
+    const CubeOffset dest = offset_of(pairing().snake_vertex(corner_, k));
     PairSlot& pair = pairs_[m.dest / 2];
     const std::int64_t dist = l1_distance(v.pos, dest);
-    if (v.remaining() < static_cast<double>(dist)) {
+    if (v.remaining(capacity()) < static_cast<double>(dist)) {
       // Cannot afford the relocation; treat as a failed computation so the
       // monitoring ring can retry with another vehicle.
       ++metrics_.computations_failed;
@@ -352,15 +385,15 @@ void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
     }
     v.s1 = WorkState::kActive;
     pair.active = static_cast<std::uint32_t>(vid);
-    pair.since = queue_.now();
+    pair.since = network_.queue().now();
     pair.pending = false;
     ++metrics_.replacements;
     if (spans_ != nullptr)
-      spans_->cascade_step(queue_.now(), packed_init(m.init), vid, from,
+      spans_->cascade_step(pair.since, packed_init(m.init), vid, from,
                            metrics_.replacements);
     // A replacement that arrives already too drained to accept work hands
     // the pair off immediately (only reachable at undersized capacities).
-    if (v.exhausted()) {
+    if (v.exhausted(capacity())) {
       v.s1 = WorkState::kDone;
       release_pair(v, k);
       if (!v.silent_done) {
@@ -426,7 +459,8 @@ void FleetCore::monitor_sweep() {
     if (!timed_out(pair)) continue;
     if (pair.active != kNoVehicle) {
       const Vehicle& v = vehicles_[pair.active];
-      const std::int64_t k = pairing_.snake_index(v.pos, corner_);
+      const std::int64_t k =
+          pairing().snake_index(position_of(pair.active), corner_);
       CMVRP_CHECK_MSG(static_cast<std::size_t>(k / 2) == i,
                       "active vehicle stands outside its pair");
       touch();
@@ -440,7 +474,7 @@ void FleetCore::monitor_sweep() {
     initiate_computation(monitor, static_cast<std::int64_t>(2 * i + pair.last));
     // Serialize: let this computation finish before scanning on, so two
     // concurrent searches never race for the same idle vehicle.
-    queue_.run_to_quiescence();
+    network_.queue().run_to_quiescence();
   }
 }
 
@@ -492,7 +526,7 @@ void FleetCore::settle(int max_rounds) {
   for (int round = 0; round < max_rounds; ++round) {
     const auto before = metrics_.monitor_initiations;
     monitor_sweep();
-    queue_.run_to_quiescence();
+    network_.queue().run_to_quiescence();
     if (metrics_.monitor_initiations == before) break;
   }
 }
@@ -524,7 +558,7 @@ std::optional<std::size_t> FleetCore::active_of_pair(
   if (id_of_home(any_member) == kNoVehicle) return std::nullopt;
   const std::uint32_t vid =
       pairs_[static_cast<std::size_t>(
-                 pairing_.snake_index(any_member, corner_) / 2)]
+                 pairing().snake_index(any_member, corner_) / 2)]
           .active;
   if (vid == kNoVehicle) return std::nullopt;
   return vid;

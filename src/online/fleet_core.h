@@ -7,8 +7,9 @@
 // (neighbor lists never cross a cube boundary), so one core per cube is
 // the whole strategy, not an approximation of it: the streaming engine
 // (src/stream/) gives each cube its own core and per-cube seeded
-// network, and lends the cube its worker's event queue for each serve.
-// The queue and network are borrowed by reference.
+// network, and lends the cube its worker's transport for each serve.
+// The network and the cube constants (CubeParams) are borrowed by
+// reference.
 //
 // State is index-addressed. The fleet is created at construction in one
 // sized allocation, in Box::for_each_point order, so a vehicle's id is
@@ -23,11 +24,14 @@
 // Phase I diffusing computation floods the s^ℓ vehicles of the cube
 // through radius-r neighbor lists (O(s^ℓ · (2r+1)^ℓ) messages, realizing
 // Lemma 3.3.1's bounded-search claim), and Phase II relays one move
-// message along the computation tree. Between serves the core holds
-// O(s^ℓ) memory: messages in flight and flood clamps live in the lent
-// transport, which is empty at quiescence. Two things grow with the
-// cube's history instead: the network's heartbeat clamps (one per ring
-// channel ever beaconed) and the serving cube's outcome index vectors.
+// message along the computation tree. Between serves the core holds only
+// its cube's own O(s^ℓ) state: the fleet (64 bytes a vehicle), the pair
+// slots and the per-vehicle side arrays. Messages in flight, flood
+// clamps and the neighbor scratch live in the lent transport, which is
+// empty at quiescence; the deployment constants live in the shared
+// CubeParams; outcome indices live in the serving shard's log
+// (stream/shard.h). One thing grows with the cube's history instead:
+// the network's heartbeat clamps, one per ring channel ever beaconed.
 //
 // A §3.2.5 monitoring round costs O(ring) heartbeats and nothing else
 // while the fleet is unchanged. The core keeps the ring's beat slots
@@ -120,6 +124,20 @@ struct OnlineConfig {
   ObsConfig obs;
 };
 
+// The constants every cube of one deployment shares: the dimension, the
+// deployment parameters and the partition. The constructor validates
+// them, once per deployment rather than once per cube. A stream engine
+// holds one on the heap and lends it to every shard, server and core,
+// so a cube carries no copy; whoever builds a FleetCore or CubeServer
+// by hand owns the CubeParams it lends and keeps it alive as long.
+struct CubeParams {
+  CubeParams(int dim, const OnlineConfig& config);
+
+  int dim;
+  OnlineConfig config;
+  CubePairing pairing;
+};
+
 // Sim-time lifecycle of one arrival (§3.2: arrival → Phase I assignment
 // → serve), in the serving cube's protocol clock. arrived_at is the
 // clock when serve_job ran; assigned_at is when the vehicle that handled
@@ -195,11 +213,12 @@ struct OnlineMetrics {
 class FleetCore {
  public:
   // Builds the fleet of the cube whose corner is `corner` (which must be
-  // a corner of config's partition). `queue` and `network` are borrowed;
-  // the owner must bind this core as the network receiver (see
-  // bind_network) and outlive it.
-  FleetCore(int dim, const OnlineConfig& config, const Point& corner,
-            EventQueue& queue, Network& network);
+  // a corner of the params' partition). `params` and `network` are
+  // borrowed and must outlive the core; the network's transport carries
+  // the queue. The owner must bind this core as the network receiver
+  // (see bind_network).
+  FleetCore(const CubeParams& params, const Point& corner, Network& network);
+  FleetCore(CubeParams&&, const Point&, Network&) = delete;
   // bind_network hands the network this core's address.
   FleetCore(const FleetCore&) = delete;
   FleetCore& operator=(const FleetCore&) = delete;
@@ -237,8 +256,8 @@ class FleetCore {
   void finalize_metrics();
 
   const OnlineMetrics& metrics() const { return metrics_; }
-  const CubePairing& pairing() const { return pairing_; }
-  const OnlineConfig& config() const { return config_; }
+  const CubePairing& pairing() const { return params_.pairing; }
+  const OnlineConfig& config() const { return params_.config; }
   const Point& corner() const { return corner_; }
 
   // Lifecycle timestamps of the most recent serve_job call (valid until
@@ -270,8 +289,12 @@ class FleetCore {
 
   // Introspection for tests. vehicle_at_home is null for homes outside
   // the cube; active_of_pair is empty when the pair has no active vehicle.
+  // home_of and position_of give vehicle `id`'s depot and current vertex
+  // as Points (a Vehicle keeps neither).
   const std::vector<Vehicle>& vehicles() const { return vehicles_; }
   const Vehicle* vehicle_at_home(const Point& home) const;
+  Point home_of(std::size_t id) const;
+  Point position_of(std::size_t id) const;
   std::optional<std::size_t> active_of_pair(const Point& any_member) const;
 
   void on_message(std::size_t to, std::size_t from, const Message& m);
@@ -301,10 +324,13 @@ class FleetCore {
   // Row-major offset of `home` in the cube (= its vehicle id);
   // kNoVehicle when outside.
   std::uint32_t id_of_home(const Point& home) const;
-  // Fills `out` with vid's radius-r neighbors (callers pass a reused
-  // scratch buffer; the serve path runs one of these per protocol
-  // message, so per-call vector churn was measurable).
-  void neighbors_into(std::size_t vid, std::vector<std::size_t>& out);
+  // `p` (which must lie in the cube) as offsets from the corner.
+  CubeOffset offset_of(const Point& p) const;
+  double capacity() const { return params_.config.capacity; }
+  // Fills the lent transport's neighbor scratch with vid's radius-r
+  // neighbors and returns it (the serve path runs one of these per
+  // protocol message, so per-call vector churn was measurable).
+  const std::vector<std::uint32_t>& neighbors_of(std::size_t vid);
   void check_longevity(Vehicle& v);
 
   // Attributes `count` Query sends to computation `init` and updates
@@ -342,18 +368,15 @@ class FleetCore {
   // (healthy, in no search); kNoVehicle when there is none.
   std::uint32_t ring_monitor(std::size_t i) const;
 
-  int dim_;
+  const CubeParams& params_;  // borrowed deployment constants
+  Network& network_;          // borrowed; its transport holds the queue
+  Point corner_;
   // The monitoring cache's state (see the file comment): the beat slots
   // or the timeout scan may be stale; the ring had no member when last
-  // built. Beside dim_, in what would be padding.
+  // built.
   bool ring_dirty_ = true;
   bool scan_dirty_ = true;
   bool ring_empty_ = false;
-  OnlineConfig config_;
-  CubePairing pairing_;
-  Point corner_;
-  EventQueue& queue_;
-  Network& network_;
 
   std::vector<Vehicle> vehicles_;  // id = row-major offset of the home
   std::vector<PairSlot> pairs_;    // slot i = snake pair (2i, 2i+1)
@@ -364,8 +387,6 @@ class FleetCore {
   // empty until the first inject_break_after, so streams without
   // breakage pay nothing for the check.
   std::vector<double> longevity_;
-  // Reused scratch buffer for the message hot path.
-  std::vector<std::size_t> neighbor_scratch_;
   // The ring's heartbeats as beat slots, in send order; rebuilt only
   // when ring_dirty_.
   std::vector<std::uint32_t> beat_slots_;

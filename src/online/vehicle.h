@@ -6,8 +6,14 @@
 //
 // Plain constant-size state — every field is O(1); the Phase I members
 // (num, par, child, init) are exactly Algorithm 2's per-process locals.
+// A vehicle holds only what differs between vehicles: its home is its
+// id (the row-major offset of the home in the cube), W is the same for
+// every vehicle (OnlineConfig::capacity), and its position is an offset
+// from the cube's corner. FleetCore::home_of and position_of turn both
+// back into Points.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -48,6 +54,22 @@ inline const char* to_string(TransferState s) {
 // that a cube's volume fits below this.
 inline constexpr std::uint32_t kNoVehicle = UINT32_MAX;
 
+// A vertex of one cube as offsets from the cube's corner, one lane per
+// axis. Lanes past the cube's dimension stay 0, so a distance over all
+// four lanes is exact in every dimension. CubeParams checks that the
+// cube side fits a lane.
+using CubeOffset = std::array<std::int32_t, Point::kMaxDim>;
+
+// ‖a − b‖₁ over all four lanes: no dimension to read, no branch.
+inline std::int64_t l1_distance(const CubeOffset& a, const CubeOffset& b) {
+  std::int64_t s = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::int64_t d = std::int64_t{a[i]} - b[i];
+    s += d < 0 ? -d : d;
+  }
+  return s;
+}
+
 struct Vehicle {
   // The small fields first, so no padding sits between them.
   std::uint32_t id = kNoVehicle;
@@ -69,27 +91,27 @@ struct Vehicle {
   bool silent_done = false;  // scenario 2: fails to start its own
                              // diffusing computation when done
 
-  Point home;      // depot vertex (never changes)
-  Point pos;       // current vertex
+  CubeOffset pos{};  // current vertex, from the cube's corner
 
-  double capacity = 0.0;
   double spent_service = 0.0;
   double spent_travel = 0.0;
 
   double spent() const { return spent_service + spent_travel; }
-  double remaining() const { return capacity - spent(); }
+  // `capacity` is W, the energy every vehicle starts with.
+  double remaining(double capacity) const { return capacity - spent(); }
 
   // A vehicle must stop accepting work once it can no longer guarantee a
   // worst-case next job: walk <= 1 plus 1 unit of service.
-  bool exhausted() const { return remaining() < 2.0; }
+  bool exhausted(double capacity) const { return remaining(capacity) < 2.0; }
 
   bool can_serve() const {
     return s1 == WorkState::kActive && !dead;
   }
 };
 
-// 32 bytes of small fields, two 40-byte Points and three doubles: the
-// fleet array is most of a served cube's footprint.
-static_assert(sizeof(Vehicle) == 136, "Vehicle must stay 136 bytes");
+// 32 bytes of small fields, 16 of position and two doubles: one cache
+// line. The fleet array is most of a served cube's footprint, and the
+// Phase I neighbor scan reads every vehicle of it.
+static_assert(sizeof(Vehicle) <= 64, "Vehicle must fit one 64-byte line");
 
 }  // namespace cmvrp

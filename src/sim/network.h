@@ -46,11 +46,17 @@
 // clamp ahead of now, if any, is its heartbeat clamp. A heartbeat
 // ignores the flood table: at quiescence every flood clamp is at or
 // before now.
+//
+// Between lends a network keeps only what is its cube's own: its delay
+// generator, its message counts, its heartbeat clamps, its clock and its
+// receiver binding. The queue, the flood clamps, the neighbor scratch
+// and the delay bound belong to the Transport it borrows.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "obs/span.h"
 #include "sim/event_queue.h"
@@ -95,11 +101,21 @@ struct NetworkStats {
 // time scheduled on that channel.
 using ClampTable = FlatMap<std::uint64_t, SimTime, U64Hash>;
 
-// The transport one worker lends to the cube it is serving: the event
-// queue and the flood-clamp table (see Network::Lend).
+// The transport one worker lends to the cube it is serving (see
+// Network::Lend): the event queue, the flood-clamp table, and the
+// serving core's neighbor-list scratch, plus the delay bound every
+// network it carries draws under. Nothing in it outlives a serve, so
+// one transport serves every cube of a worker.
 struct Transport {
+  explicit Transport(SimTime max_delay) : max_delay(max_delay) {
+    CMVRP_CHECK(max_delay >= 0);
+  }
+
   EventQueue queue;
   ClampTable flood;
+  // FleetCore's Phase I fan-out list, rebuilt by every neighbor query.
+  std::vector<std::uint32_t> neighbors;
+  const SimTime max_delay;  // extra random per-message delay
 };
 
 class Network {
@@ -108,32 +124,27 @@ class Network {
   // receiving object), e.g. a FleetCore draining into on_message.
   using Receiver = EventQueue::Sink;
 
-  // `queue` and `flood` are borrowed and may be shared with other
-  // networks, one Lend at a time.
-  Network(EventQueue& queue, ClampTable& flood, Rng rng, SimTime max_delay)
-      : queue_(queue),
-        flood_(flood),
-        rng_(std::move(rng)),
-        max_delay_(max_delay) {
-    CMVRP_CHECK(max_delay >= 0);
-  }
+  // `transport` is borrowed and may be shared with other networks, one
+  // Lend at a time.
+  Network(Transport& transport, Rng rng)
+      : transport_(transport), rng_(std::move(rng)) {}
   // The queue may hold this network's address (see rebind).
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Lends the borrowed queue and flood table to this network for one
-  // scope that starts and ends at quiescence: resumes the queue at this
-  // network's clock and binds it here; on exit, keeps the queue's clock
-  // as this network's and clears the flood table.
+  // Lends the borrowed transport to this network for one scope that
+  // starts and ends at quiescence: resumes the queue at this network's
+  // clock and binds it here; on exit, keeps the queue's clock as this
+  // network's and clears the flood table.
   class Lend {
    public:
     explicit Lend(Network& net) : net_(net) {
-      net_.queue_.resume_at(net_.clock_);
+      net_.queue().resume_at(net_.clock_);
       net_.rebind();
     }
     ~Lend() {
-      net_.clock_ = net_.queue_.now();
-      net_.flood_.clear();
+      net_.clock_ = net_.queue().now();
+      net_.transport_.flood.clear();
     }
     Lend(const Lend&) = delete;
     Lend& operator=(const Lend&) = delete;
@@ -162,20 +173,20 @@ class Network {
     CMVRP_CHECK_MSG(receiver_, "network has no receiver bound");
     count(m);
     const SimTime delay = draw_delay();
-    const SimTime now = queue_.now();
+    const SimTime now = queue().now();
     const std::uint64_t key = channel_key(from, to);
-    SimTime& last = flood_[key];
+    SimTime& last = transport_.flood[key];
     if (last <= now) {
       const SimTime* beat = heartbeat_.find(key);
       if (beat != nullptr) last = *beat;
     }
     const SimTime at = advance(last, now + delay);
     if (spans_ != nullptr) {
-      spans_->message(queue_.now(), /*send=*/true, static_cast<int>(m.index()),
+      spans_->message(now, /*send=*/true, static_cast<int>(m.index()),
                       span_comp(m), from, to, span_hop(m));
     }
-    queue_.schedule(at, Delivery{static_cast<std::uint32_t>(to),
-                                 static_cast<std::uint32_t>(from), m});
+    queue().schedule(at, Delivery{static_cast<std::uint32_t>(to),
+                                  static_cast<std::uint32_t>(from), m});
   }
 
   // The beat slot of the heartbeat channel from -> to, created on first
@@ -195,22 +206,25 @@ class Network {
   void beat(std::uint32_t slot) {
     ++stats_.heartbeats;
     const SimTime delay = draw_delay();
-    CMVRP_CHECK_MSG(queue_.empty(), "heartbeat sent while deliveries are due");
-    advance(heartbeat_.at(slot), queue_.now() + delay);
+    CMVRP_CHECK_MSG(queue().empty(), "heartbeat sent while deliveries are due");
+    advance(heartbeat_.at(slot), queue().now() + delay);
     ++stats_.heartbeat_skips;
   }
 
   const NetworkStats& stats() const { return stats_; }
-  // The borrowed queue; while lent, its clock is this network's.
-  EventQueue& queue() const { return queue_; }
+  // The borrowed transport and its queue; while lent, the queue's clock
+  // is this network's.
+  Transport& transport() const { return transport_; }
+  EventQueue& queue() const { return transport_.queue; }
 
  private:
   // A delay in [1, 1 + max_delay]. At the default max_delay of 3 the
   // bound is 4, which Rng draws without dividing.
   SimTime draw_delay() {
-    if (max_delay_ == 0) return 1;
+    const SimTime max_delay = transport_.max_delay;
+    if (max_delay == 0) return 1;
     return 1 + static_cast<SimTime>(rng_.next_below(
-                   static_cast<std::uint64_t>(max_delay_) + 1));
+                   static_cast<std::uint64_t>(max_delay) + 1));
   }
 
   // Pushes `at` past the channel clamp `last` (preserving per-channel
@@ -225,14 +239,14 @@ class Network {
   // fires into deliver_traced, which records the delivery first.
   void rebind() {
     if (spans_ != nullptr)
-      queue_.bind(&Network::deliver_traced, this);
+      queue().bind(&Network::deliver_traced, this);
     else
-      queue_.bind(receiver_, receiver_ctx_);
+      queue().bind(receiver_, receiver_ctx_);
   }
 
   static void deliver_traced(void* self, const Delivery& d) {
     const auto& net = *static_cast<const Network*>(self);
-    net.spans_->message(net.queue_.now(), /*send=*/false,
+    net.spans_->message(net.queue().now(), /*send=*/false,
                         static_cast<int>(d.msg.index()), span_comp(d.msg),
                         d.from, d.to, span_hop(d.msg));
     net.receiver_(net.receiver_ctx_, d);
@@ -280,10 +294,8 @@ class Network {
            static_cast<std::uint64_t>(to);
   }
 
-  EventQueue& queue_;
-  ClampTable& flood_;  // borrowed flood clamps (see the file comment)
+  Transport& transport_;  // borrowed queue and flood clamps
   Rng rng_;
-  SimTime max_delay_;
   Receiver receiver_ = nullptr;
   void* receiver_ctx_ = nullptr;
   NetworkStats stats_;

@@ -14,12 +14,20 @@ namespace {
 // parallel routing pass costs more than the floor-divides it spreads out.
 constexpr std::size_t kMinJobsPerRouteWorker = 64;
 
+// Merges the sorted `run` into the sorted `out`.
+void merge_into(const std::vector<std::int64_t>& run,
+                std::vector<std::int64_t>& out) {
+  const auto middle = static_cast<std::ptrdiff_t>(out.size());
+  out.insert(out.end(), run.begin(), run.end());
+  std::inplace_merge(out.begin(), out.begin() + middle, out.end());
+}
+
 }  // namespace
 
 StreamEngine::StreamEngine(int dim, const StreamConfig& config)
     : dim_(dim),
       config_(config),
-      pairing_(dim, config.online.anchor, config.online.cube_side),
+      params_(std::make_unique<const CubeParams>(dim, config.online)),
       table_(CubeSlotTable::build(dim, config.online.anchor,
                                   config.online.cube_side, config.region)),
       pool_(config.threads) {
@@ -28,7 +36,7 @@ StreamEngine::StreamEngine(int dim, const StreamConfig& config)
   const auto shard_count = static_cast<std::size_t>(pool_.size());
   shards_.reserve(shard_count);
   for (int s = 0; s < pool_.size(); ++s)
-    shards_.emplace_back(dim_, config_.online, &table_, s, pool_.size());
+    shards_.emplace_back(*params_, &table_, s, pool_.size());
   routed_.resize(shard_count);
   scatter_.resize(shard_count);
   for (auto& per_thread : scatter_) per_thread.resize(shard_count);
@@ -78,7 +86,7 @@ std::size_t StreamEngine::route_of(const Point& position, Point* corner,
       return static_cast<std::size_t>(*slot) % shard_count;
   } else {
     *slot = CubeSlotTable::kNoSlot;
-    *corner = pairing_.cube_corner(position);
+    *corner = params_->pairing.cube_corner(position);
   }
   return CornerHash{}(*corner) % shard_count;
 }
@@ -231,15 +239,6 @@ StreamResult StreamEngine::finish() {
   result.routed_serial_batches = routed_serial_batches_;
   for (const auto& [corner, server] : cubes) {
     result.metrics.merge(server->metrics());
-    result.served_jobs.insert(result.served_jobs.end(),
-                              server->served_indices().begin(),
-                              server->served_indices().end());
-    result.failed_jobs.insert(result.failed_jobs.end(),
-                              server->failed_indices().begin(),
-                              server->failed_indices().end());
-    result.shed_jobs.insert(result.shed_jobs.end(),
-                            server->dropped_indices().begin(),
-                            server->dropped_indices().end());
     result.jobs_shed += server->jobs_shed();
     result.jobs_rejected += server->jobs_rejected();
     result.latency.merge(server->latency());
@@ -249,9 +248,12 @@ StreamResult StreamEngine::finish() {
       snapshotter_->write_cube(corner, server->counters(),
                                server->latency());
   }
-  std::sort(result.served_jobs.begin(), result.served_jobs.end());
-  std::sort(result.failed_jobs.begin(), result.failed_jobs.end());
-  std::sort(result.shed_jobs.begin(), result.shed_jobs.end());
+  for (auto& shard : shards_) {
+    const OutcomeLog& log = shard.sorted_log();
+    merge_into(log.served, result.served_jobs);
+    merge_into(log.failed, result.failed_jobs);
+    merge_into(log.dropped, result.shed_jobs);
+  }
   stages_.monitor_ms += monitor_timer.elapsed_ms();
   result.stages = stages_;
   if (snapshotter_ != nullptr)

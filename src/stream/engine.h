@@ -23,8 +23,9 @@
 //             barrier and handed to the observer on the ingest thread
 //             (the OutcomeRecorder streams them to disk at
 //             O(batch × threads) peak RSS),
-//   merge   — per-cube OnlineMetrics and served/failed index sets fold in
-//             ascending-corner order into one StreamResult.
+//   merge   — per-cube OnlineMetrics fold in ascending-corner order into
+//             one StreamResult; each shard's served/failed/dropped index
+//             log (stream/shard.h) merges into sorted index sets.
 //
 // Contract: results are bit-identical for every thread count and batch
 // size, because all nondeterminism lives in per-cube seeds and each
@@ -36,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -156,7 +158,8 @@ class StreamEngine {
   // so waiting jobs get served back to back), delivering those trailing
   // outcomes to the observer as one final batch. The engine stays
   // usable: further ingest() calls continue from the same fleet state
-  // (with empty backlogs).
+  // (with empty backlogs), and a later finish() reports every arrival
+  // since construction.
   StreamResult finish();
 
   int dim() const { return dim_; }
@@ -198,7 +201,10 @@ class StreamEngine {
 
   int dim_;
   StreamConfig config_;
-  CubePairing pairing_;  // routing: job position -> cube corner
+  // The cube constants every shard, server and core borrows (and the
+  // routing pairing: job position -> cube corner). Heap-held, so the
+  // borrowers' references survive a move of the engine.
+  std::unique_ptr<const CubeParams> params_;
   CubeSlotTable table_;  // cube corner -> dense slot (may be empty)
   std::vector<CubeShard> shards_;
   // Per-shard routing buffers, reused across batches.

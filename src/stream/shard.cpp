@@ -20,14 +20,13 @@ std::uint64_t cube_stream_seed(std::uint64_t engine_seed,
   return h;
 }
 
-CubeServer::CubeServer(int dim, const OnlineConfig& config,
-                       const Point& corner, Transport& transport)
-    : network_(transport.queue, transport.flood,
-               Rng(cube_stream_seed(config.seed, corner)),
-               config.max_message_delay),
-      core_(dim, config, corner, transport.queue, network_),
-      series_(config.sample_stride),
-      obs_(config.obs.counters) {
+CubeServer::CubeServer(const CubeParams& params, const Point& corner,
+                       Transport& transport)
+    : network_(transport, Rng(cube_stream_seed(params.config.seed, corner))),
+      core_(params, corner, network_),
+      series_(params.config.sample_stride),
+      obs_(params.config.obs.counters) {
+  const OnlineConfig& config = params.config;
   core_.bind_network();
   if (config.obs.spans) {
     spans_rec_ = std::make_unique<SpanRecorder>(config.obs.span_sample,
@@ -45,7 +44,7 @@ void CubeServer::settle_if_due() {
 }
 
 void CubeServer::serve_now(const Job& job, SimTime queue_wait,
-                           std::vector<JobOutcome>* out) {
+                           OutcomeLog& log, std::vector<JobOutcome>* out) {
   // Cascade attribution brackets exactly the serve + drain: the
   // replacements a deferred monitor settle completes below belong to
   // the ring, not to this job.
@@ -65,7 +64,7 @@ void CubeServer::serve_now(const Job& job, SimTime queue_wait,
     spans_rec_->serve_end(timing.done_at, job.index, ok);
   timing.queue_wait = queue_wait;
   settle_if_due();
-  (ok ? served_ : failed_).push_back(job.index);
+  (ok ? log.served : log.failed).push_back(job.index);
   if (ok) latency_.add(timing.latency());
   if (out != nullptr)
     out->push_back(
@@ -74,8 +73,8 @@ void CubeServer::serve_now(const Job& job, SimTime queue_wait,
 }
 
 void CubeServer::drop(const Job& job, OutcomeKind kind, SimTime queue_wait,
-                      std::vector<JobOutcome>* out) {
-  dropped_.push_back(job.index);
+                      OutcomeLog& log, std::vector<JobOutcome>* out) {
+  log.dropped.push_back(job.index);
   ++(kind == OutcomeKind::kShed ? jobs_shed_ : jobs_rejected_);
   if (out != nullptr) {
     JobTiming timing;
@@ -84,7 +83,8 @@ void CubeServer::drop(const Job& job, OutcomeKind kind, SimTime queue_wait,
   }
 }
 
-void CubeServer::drain_completed(SimTime now, std::vector<JobOutcome>* out) {
+void CubeServer::drain_completed(SimTime now, OutcomeLog& log,
+                                 std::vector<JobOutcome>* out) {
   const SimTime ticks = core_.config().service_ticks;
   while (!backlog_.empty()) {
     // Shedding can promote a later arrival to the front of the queue, so
@@ -94,7 +94,7 @@ void CubeServer::drain_completed(SimTime now, std::vector<JobOutcome>* out) {
     if (start + ticks > now) break;
     const Waiting w = backlog_.front();
     backlog_.pop_front();
-    serve_now(w.job, start - w.enqueued_at, out);
+    serve_now(w.job, start - w.enqueued_at, log, out);
     free_at_ = start + ticks;
   }
 }
@@ -105,7 +105,8 @@ void CubeServer::sample_if_due() {
                  core_.exhausted_permille());
 }
 
-void CubeServer::serve(const Job& job, std::vector<JobOutcome>* out) {
+void CubeServer::serve(const Job& job, OutcomeLog& log,
+                       std::vector<JobOutcome>* out) {
   const Network::Lend lend(network_);
   if (arrivals_ == 0 && core_.config().enable_monitoring) {
     // The fleet exists from t = 0 and heartbeats precede the first
@@ -117,7 +118,7 @@ void CubeServer::serve(const Job& job, std::vector<JobOutcome>* out) {
   const OnlineConfig& cfg = core_.config();
   if (cfg.admission == AdmissionPolicy::kUnbounded) {
     // Historical path: serve the instant it lands, no queue state at all.
-    serve_now(job, 0, out);
+    serve_now(job, 0, log, out);
     sample_if_due();
     return;
   }
@@ -125,21 +126,21 @@ void CubeServer::serve(const Job& job, std::vector<JobOutcome>* out) {
   // pure function of this cube's arrival subsequence: materialize what
   // completed, then admit / queue / drop the newcomer.
   const SimTime t = job.index;
-  drain_completed(t, out);
+  drain_completed(t, log, out);
   if (backlog_.empty() && free_at_ <= t) {
-    serve_now(job, 0, out);
+    serve_now(job, 0, log, out);
     free_at_ = t + cfg.service_ticks;
   } else if (static_cast<std::int64_t>(backlog_.size()) < cfg.queue_limit) {
     backlog_.push_back({job, t});
     note_enqueued();
   } else if (cfg.admission == AdmissionPolicy::kReject) {
-    drop(job, OutcomeKind::kRejected, 0, out);
+    drop(job, OutcomeKind::kRejected, 0, log, out);
   } else {
     // kShed: the oldest waiting job makes room for the newest — it has
     // already waited t − enqueued_at for nothing.
     const Waiting oldest = backlog_.front();
     backlog_.pop_front();
-    drop(oldest.job, OutcomeKind::kShed, t - oldest.enqueued_at, out);
+    drop(oldest.job, OutcomeKind::kShed, t - oldest.enqueued_at, log, out);
     backlog_.push_back({job, t});
     note_enqueued();
   }
@@ -164,8 +165,9 @@ CubeCounters CubeServer::counters() const {
   c.replacements = m.replacements;
   c.max_queries_per_comp = core_.obs_max_queries_per_comp();
   c.arrivals = static_cast<std::uint64_t>(arrivals_);
-  c.served = served_.size();
-  c.failed = failed_.size();
+  // Every served (failed) arrival is one jobs_served (jobs_failed).
+  c.served = m.jobs_served;
+  c.failed = m.jobs_failed;
   c.enqueued = enqueued_;
   c.shed = jobs_shed_;
   c.rejected = jobs_rejected_;
@@ -180,7 +182,7 @@ CubeCounters CubeServer::counters() const {
   return c;
 }
 
-void CubeServer::finish(std::vector<JobOutcome>* out) {
+void CubeServer::finish(OutcomeLog& log, std::vector<JobOutcome>* out) {
   const Network::Lend lend(network_);
   // End of stream: whatever still waits gets served back to back (the
   // paper's arrivals have stopped, so the cube works the queue off).
@@ -188,7 +190,7 @@ void CubeServer::finish(std::vector<JobOutcome>* out) {
     const Waiting w = backlog_.front();
     backlog_.pop_front();
     const SimTime start = std::max(free_at_, w.enqueued_at);
-    serve_now(w.job, start - w.enqueued_at, out);
+    serve_now(w.job, start - w.enqueued_at, log, out);
     free_at_ = start + core_.config().service_ticks;
   }
   // Catch-up settle: a stride > 1 may have deferred the detection of a
@@ -200,14 +202,14 @@ void CubeServer::finish(std::vector<JobOutcome>* out) {
   core_.finalize_metrics();
 }
 
-CubeShard::CubeShard(int dim, const OnlineConfig& config,
-                     const CubeSlotTable* table, int shard_index,
-                     int shard_count)
-    : dim_(dim),
-      config_(config),
+CubeShard::CubeShard(const CubeParams& params, const CubeSlotTable* table,
+                     int shard_index, int shard_count)
+    : params_(params),
       table_(table),
       shard_index_(shard_index),
-      shard_count_(shard_count) {
+      shard_count_(shard_count),
+      transport_(std::make_unique<Transport>(
+          params.config.max_message_delay)) {
   CMVRP_CHECK(shard_count >= 1 && shard_index >= 0 &&
               shard_index < shard_count);
   if (table_ != nullptr && !table_->empty()) {
@@ -226,15 +228,14 @@ CubeServer& CubeShard::server_for(const Point& corner, std::uint32_t slot) {
         slot / static_cast<std::uint32_t>(shard_count_));
     auto& server = slots_[local];
     if (server == nullptr) {
-      server = std::make_unique<CubeServer>(dim_, config_, corner,
-                                            *transport_);
+      server = std::make_unique<CubeServer>(params_, corner, *transport_);
       ++materialized_;
     }
     return *server;
   }
   auto& server = overflow_[corner];
   if (server == nullptr) {
-    server = std::make_unique<CubeServer>(dim_, config_, corner, *transport_);
+    server = std::make_unique<CubeServer>(params_, corner, *transport_);
     ++materialized_;
   }
   return *server;
@@ -244,15 +245,22 @@ void CubeShard::process(const RoutedJob* jobs, std::size_t count,
                         std::vector<JobOutcome>* outcomes) {
   for (std::size_t i = 0; i < count; ++i) {
     const RoutedJob& r = jobs[i];
-    server_for(r.corner, r.slot).serve(r.job, outcomes);
+    server_for(r.corner, r.slot).serve(r.job, log_, outcomes);
     ++jobs_processed_;
   }
 }
 
 void CubeShard::finish(std::vector<JobOutcome>* outcomes) {
   for (auto& server : slots_)
-    if (server != nullptr) server->finish(outcomes);
-  for (auto& [corner, server] : overflow_) server->finish(outcomes);
+    if (server != nullptr) server->finish(log_, outcomes);
+  for (auto& [corner, server] : overflow_) server->finish(log_, outcomes);
+}
+
+const OutcomeLog& CubeShard::sorted_log() {
+  for (auto* run : {&log_.served, &log_.failed, &log_.dropped})
+    if (!std::is_sorted(run->begin(), run->end()))
+      std::sort(run->begin(), run->end());
+  return log_;
 }
 
 void CubeShard::collect(

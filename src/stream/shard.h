@@ -12,13 +12,20 @@
 // engine's bit-identical-across-thread-counts contract, enforced by
 // tests/stream_test.cpp.
 //
-// What a cube needs only while messages are in flight, it borrows: each
-// CubeShard owns one Transport (an EventQueue and a flood-clamp table)
-// and lends it to the cube it is serving for the span of serve() and
-// finish() (Network::Lend). Every serve and settle ends in quiescence,
-// so the queue is empty at each hand-off; between serves a cube keeps
-// only its clock and its heartbeat clamps (see sim/network.h for why
-// that is exact).
+// A cube holds only its own state: its fleet, its clock, its delay
+// generator, its ring (the heartbeat clamps) and its admission backlog.
+// Everything else it borrows:
+//   * the deployment constants — OnlineConfig and CubePairing — from the
+//     engine's one CubeParams, shared by every shard, server and core;
+//   * what it needs only while messages are in flight — the event queue,
+//     the flood clamps and the neighbor scratch — from its shard's one
+//     Transport, lent to the cube being served for the span of serve()
+//     and finish() (Network::Lend). Every serve and settle ends in
+//     quiescence, so the queue is empty at each hand-off (see
+//     sim/network.h for why that is exact);
+//   * where its outcomes go — the arrival indices it served, failed and
+//     dropped — from its shard's OutcomeLog, appended in processing
+//     order and merged by the engine's finish().
 //
 // Cube resolution is two-tier. Slots the engine's CubeSlotTable covers
 // live in a dense per-shard array (a shard owns the slots congruent to
@@ -115,24 +122,36 @@ struct JobOutcome {
   JobTiming timing;    // zero-initialized for admission drops
 };
 
+// Arrival indices by how they ended, each in processing order. One per
+// shard, shared by all its cubes and kept for the engine's lifetime;
+// the engine's finish() merges the shards' logs into sorted result sets.
+struct OutcomeLog {
+  std::vector<std::int64_t> served;
+  std::vector<std::int64_t> failed;
+  std::vector<std::int64_t> dropped;  // admission drops: shed + rejected
+};
+
 // A single cube served online: own clock, own network, own fleet — and,
 // under a bounded admission policy, its own backlog on the arrival clock.
 // The event queue and flood clamps are borrowed from `transport` for the
 // span of each serve() and finish().
 class CubeServer {
  public:
-  // `transport` is borrowed: it must outlive the server, and may be
-  // shared with other servers served on the same thread.
-  CubeServer(int dim, const OnlineConfig& config, const Point& corner,
+  // `params` and `transport` are borrowed and must outlive the server;
+  // both may be shared with other servers (the transport only with
+  // servers served on the same thread).
+  CubeServer(const CubeParams& params, const Point& corner,
              Transport& transport);
+  CubeServer(CubeParams&&, const Point&, Transport&) = delete;
 
   // Admits one arrival (which must lie in this cube): serves it
   // immediately (kUnbounded, or an idle cube), queues it, or drops it —
   // and first materializes every backlog service that completed by the
-  // arrival's clock. Appends one JobOutcome per *materialized* outcome
-  // to `out` when non-null. Serving drains the cube's queue; the
-  // monitoring ring settles every monitor_stride-th service.
-  void serve(const Job& job, std::vector<JobOutcome>* out);
+  // arrival's clock. Appends each *materialized* outcome's index to
+  // `log`, and its JobOutcome to `out` when non-null. Serving drains the
+  // cube's queue; the monitoring ring settles every monitor_stride-th
+  // service.
+  void serve(const Job& job, OutcomeLog& log, std::vector<JobOutcome>* out);
 
   // Failure injection into the vehicle homed at `home` (which must lie
   // in this cube), effective for all subsequent arrivals. Silent-done:
@@ -144,18 +163,14 @@ class CubeServer {
     core_.inject_break_after(home, longevity);
   }
 
-  // Drains the admission backlog (appending those outcomes to `out`
-  // when non-null), runs any monitoring rounds deferred by the stride,
-  // then finalizes metrics (network stats + energy aggregates).
-  void finish(std::vector<JobOutcome>* out);
+  // Drains the admission backlog (recording those outcomes as serve()
+  // does), runs any monitoring rounds deferred by the stride, then
+  // finalizes metrics (network stats + energy aggregates).
+  void finish(OutcomeLog& log, std::vector<JobOutcome>* out);
 
   const Point& corner() const { return core_.corner(); }
   const FleetCore& core() const { return core_; }
   const OnlineMetrics& metrics() const { return core_.metrics(); }
-  const std::vector<std::int64_t>& served_indices() const { return served_; }
-  const std::vector<std::int64_t>& failed_indices() const { return failed_; }
-  // Admission drops (shed + rejected), in drop order.
-  const std::vector<std::int64_t>& dropped_indices() const { return dropped_; }
   std::uint64_t jobs_shed() const { return jobs_shed_; }
   std::uint64_t jobs_rejected() const { return jobs_rejected_; }
   // Latencies of this cube's served jobs (queue wait + protocol delta).
@@ -173,13 +188,14 @@ class CubeServer {
  private:
   void settle_if_due();
   // Hands one job to the protocol, drains, stamps timing, records.
-  void serve_now(const Job& job, SimTime queue_wait,
+  void serve_now(const Job& job, SimTime queue_wait, OutcomeLog& log,
                  std::vector<JobOutcome>* out);
   // Records an admission drop (the job never touches the FleetCore).
   void drop(const Job& job, OutcomeKind kind, SimTime queue_wait,
-            std::vector<JobOutcome>* out);
+            OutcomeLog& log, std::vector<JobOutcome>* out);
   // Materializes backlog services whose clock completed by `now`.
-  void drain_completed(SimTime now, std::vector<JobOutcome>* out);
+  void drain_completed(SimTime now, OutcomeLog& log,
+                       std::vector<JobOutcome>* out);
   void sample_if_due();
   // Obs-gated backlog gauges, called after every backlog push.
   void note_enqueued() {
@@ -203,9 +219,6 @@ class CubeServer {
   std::int64_t arrivals_ = 0;      // arrivals admitted to this cube
   Fifo<Waiting> backlog_;          // bounded admission queue
   SimTime free_at_ = 0;            // arrival clock: next service may start
-  std::vector<std::int64_t> served_;  // arrival indices, in service order
-  std::vector<std::int64_t> failed_;
-  std::vector<std::int64_t> dropped_;
   std::uint64_t jobs_shed_ = 0;
   std::uint64_t jobs_rejected_ = 0;
   LatencyHistogram latency_;
@@ -218,15 +231,20 @@ class CubeServer {
   LatencyHistogram cascade_{CubeCounters::kCascadeMaxValue};
 };
 
+// A cold cube's fixed footprint (its vectors' heap aside): no config,
+// pairing or outcome log of its own.
+static_assert(sizeof(CubeServer) <= 896, "CubeServer must stay <= 896 bytes");
+
 // Everything one worker owns: the cubes assigned to it by the engine's
-// slot (or corner-hash) routing. Jobs are processed strictly in the
-// order given.
+// slot (or corner-hash) routing, the transport it lends them and the log
+// of their outcomes. Jobs are processed strictly in the order given.
 class CubeShard {
  public:
-  // `table` is borrowed from the engine (shared by all shards, read-only
-  // during serving); `shard_index` / `shard_count` define which table
-  // slots this shard owns (slot % shard_count == shard_index).
-  CubeShard(int dim, const OnlineConfig& config, const CubeSlotTable* table,
+  // `params` and `table` are borrowed from the engine (shared by all
+  // shards, read-only during serving); `shard_index` / `shard_count`
+  // define which table slots this shard owns (slot % shard_count ==
+  // shard_index).
+  CubeShard(const CubeParams& params, const CubeSlotTable* table,
             int shard_index, int shard_count);
 
   // Serves a routed job slice in order, creating cube servers on first
@@ -244,6 +262,11 @@ class CubeShard {
 
   std::size_t cube_count() const { return materialized_; }
   std::uint64_t jobs_processed() const { return jobs_processed_; }
+  // Every outcome index of this shard's cubes since construction, each
+  // run sorted. A run is appended in processing order, which ascends
+  // unless admission was bounded or the stream's indices do not, so it
+  // is sorted (in place) only when out of order.
+  const OutcomeLog& sorted_log();
 
   // Drains every cube's admission backlog (outcomes appended to
   // `outcomes` when non-null) and finalizes its metrics.
@@ -255,14 +278,14 @@ class CubeShard {
   void collect(std::vector<std::pair<Point, const CubeServer*>>& out) const;
 
  private:
-  int dim_;
-  OnlineConfig config_;
+  const CubeParams& params_;     // borrowed from the engine
   const CubeSlotTable* table_;  // borrowed; may be empty
   int shard_index_;
   int shard_count_;
   // Lent to whichever cube is being served. Heap-held, so the servers'
   // references survive a move of the shard.
-  std::unique_ptr<Transport> transport_ = std::make_unique<Transport>();
+  std::unique_ptr<Transport> transport_;
+  OutcomeLog log_;
   // Dense tier: this shard's table slots, at local index slot / count.
   std::vector<std::unique_ptr<CubeServer>> slots_;
   // Overflow tier: cubes outside the table, keyed by corner.

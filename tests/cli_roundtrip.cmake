@@ -28,6 +28,10 @@ cli(0 trace info --file ci.trace)
 cli(0 trace replay --file ci.trace --threads 2 --obs --json replay.json)
 cli(0 trace replay --file ci.trace --threads 2 --obs --memory
       --json memory.json)
+# A flag its subcommand does not declare is a usage error, not an effect
+# silently dropped: misspelled, --memory would serve the bounded path.
+cli(2 trace replay --file ci.trace --threads 2 --obs --memroy
+      --json misspelled.json)
 cli(0 compare replay.json memory.json)
 
 # Record round trip: the outcome trail replays to the recorded run, and

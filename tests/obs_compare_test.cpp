@@ -308,16 +308,19 @@ TEST(BenchCompare, MissingCaseIsDriftAndContextFieldsAreNot) {
 
 // A `substrates`-shaped run: one looped case (us/iter) and one layer
 // case (ns/op), each with the deterministic `value` it computed.
-Json substrates_run(double us_per_iter, double ns_per_op, double value) {
-  const auto timed_case = [](const std::string& name, const char* count_key,
-                             const char* timing_key, double timing,
-                             double v) {
+// `time_stddev` is each case's time_ms spread around its 40-ms mean.
+Json substrates_run(double us_per_iter, double ns_per_op, double value,
+                    double time_stddev = 0.0) {
+  const auto timed_case = [time_stddev](const std::string& name,
+                                        const char* count_key,
+                                        const char* timing_key, double timing,
+                                        double v) {
     Json c = Json::object();
     c.set("name", name);
     Json t = Json::object();
-    t.set("reps", 1);
+    t.set("reps", time_stddev > 0.0 ? 3 : 1);
     t.set("mean", 40.0);
-    t.set("stddev", 0.0);
+    t.set("stddev", time_stddev);
     t.set("min", 40.0);
     t.set("max", 40.0);
     c.set("time_ms", t);
@@ -377,6 +380,27 @@ TEST(BenchCompare, PerIterationTimingsIgnoreTheMillisecondFloor) {
   CompareOptions gated;
   gated.fail_ratio = 2.0;
   EXPECT_EQ(compare_bench_runs(a, b, gated).exit_code(), 1);
+  // A measured spread does not hide a 100x slowdown either.
+  const Json noisy_a = substrates_run(0.035, 19.5, 2000000.0, 6.0);
+  const Json noisy_b = substrates_run(3.5, 19.5, 2000000.0, 6.0);
+  EXPECT_EQ(compare_bench_runs(noisy_a, noisy_b, defaults()).warns, 1u);
+  EXPECT_EQ(compare_bench_runs(noisy_a, noisy_b, gated).exit_code(), 1);
+}
+
+TEST(BenchCompare, PerIterationShiftInsideTheCaseSpreadIsClean) {
+  // Both timings 1.4x slower: past the 1.25 warn ratio, but inside
+  // 3 sigmas of a case whose time_ms spreads 15% (6 ms of 40).
+  const Json a = substrates_run(0.035, 19.5, 2000000.0, 6.0);
+  const Json b = substrates_run(0.049, 27.3, 2000000.0, 6.0);
+  const CompareReport rep = compare_bench_runs(a, b, defaults());
+  EXPECT_TRUE(rep.clean());
+  EXPECT_EQ(rep.warns, 0u);
+  // Without a spread (one rep) the same shift warns on both readings.
+  const Json one_a = substrates_run(0.035, 19.5, 2000000.0);
+  const Json one_b = substrates_run(0.049, 27.3, 2000000.0);
+  EXPECT_EQ(compare_bench_runs(one_a, one_b, defaults()).warns, 2u);
+  // The larger side's spread counts: B alone measured the noise.
+  EXPECT_EQ(compare_bench_runs(one_a, b, defaults()).warns, 0u);
 }
 
 TEST(BenchCompare, SuiteMismatchAborts) {

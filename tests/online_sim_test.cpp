@@ -97,9 +97,9 @@ TEST(EventQueue, DetectsLivelock) {
 }
 
 TEST(EventQueue, GrowsWhenFifoClampSchedulesPastSpan) {
-  EventQueue q;
-  ClampTable flood;
-  Network net(q, flood, Rng(5), /*max_delay=*/3);
+  Transport t(/*max_delay=*/3);
+  EventQueue& q = t.queue;
+  Network net(t, Rng(5));
   Inbox in(q);
   net.set_receiver(&Inbox::receive, &in);
   // Move the clock off zero first, so growth has to re-bucket lists
@@ -189,9 +189,9 @@ TEST(EventQueue, RandomSchedulesMatchStableSortByTime) {
 
 TEST(Network, ChannelsAreFifo) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    EventQueue q;
-    ClampTable flood;
-    Network net(q, flood, Rng(seed), /*max_delay=*/7);
+    Transport t(/*max_delay=*/7);
+    EventQueue& q = t.queue;
+    Network net(t, Rng(seed));
     Inbox in(q);
     net.set_receiver(&Inbox::receive, &in);
     for (std::uint32_t i = 0; i < 30; ++i)
@@ -205,9 +205,9 @@ TEST(Network, ChannelsAreFifo) {
 }
 
 TEST(Network, CountsByKind) {
-  EventQueue q;
-  ClampTable flood;
-  Network net(q, flood, Rng(3), 2);
+  Transport t(/*max_delay=*/2);
+  EventQueue& q = t.queue;
+  Network net(t, Rng(3));
   Inbox in(q);
   net.set_receiver(&Inbox::receive, &in);
   // Heartbeats go out at quiescence only, so this one is sent first.
@@ -240,8 +240,8 @@ TEST(InitTag, SequenceLimitIsCheckedAtTheIncrement) {
 }
 
 TEST(LentTransport, HeartbeatWhileDeliveryIsDueThrows) {
-  Transport t;
-  Network net(t.queue, t.flood, Rng(1), 2);
+  Transport t(/*max_delay=*/2);
+  Network net(t, Rng(1));
   Inbox in(t.queue);
   net.set_receiver(&Inbox::receive, &in);
   net.send(0, 1, QueryMsg{});
@@ -279,10 +279,10 @@ TEST(LentTransport, DeliveryTimesMatchOneClampPerChannel) {
   constexpr std::size_t kVehicles = 4;
   constexpr SimTime kDelay = OneClampPerChannel::kMaxDelay;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    Transport t;
+    Transport t(kDelay);
     Inbox in(t.queue);
-    Network a(t.queue, t.flood, Rng(seed), kDelay);
-    Network b(t.queue, t.flood, Rng(seed + 1000), kDelay);
+    Network a(t, Rng(seed));
+    Network b(t, Rng(seed + 1000));
     a.set_receiver(&Inbox::receive, &in);
     b.set_receiver(&Inbox::receive, &in);
     Network* nets[2] = {&a, &b};
@@ -379,8 +379,8 @@ TEST(OnlineServe, VehicleIdsAreRowMajorHomeOffsets) {
   // The fleet exists from construction, ids in Box::for_each_point order;
   // even snake indices (pair primaries) start active, their partners idle.
   const OnlineConfig cfg = small_config(10.0, /*side=*/3);
-  Transport transport;
-  CubeServer cube(2, cfg, Point{3, 6}, transport);
+  TestCube owned(2, cfg, Point{3, 6});
+  CubeServer& cube = owned.server;
   const FleetCore& core = cube.core();
   ASSERT_EQ(core.vehicles().size(), 9u);
   std::size_t id = 0;
@@ -388,17 +388,32 @@ TEST(OnlineServe, VehicleIdsAreRowMajorHomeOffsets) {
     const Vehicle* v = core.vehicle_at_home(home);
     ASSERT_NE(v, nullptr);
     EXPECT_EQ(v->id, id++);
-    EXPECT_EQ(v->pos, home);
+    EXPECT_EQ(core.home_of(v->id), home);
+    EXPECT_EQ(core.position_of(v->id), home);
     const bool primary = core.pairing().is_primary(home);
     EXPECT_EQ(v->s1, primary ? WorkState::kActive : WorkState::kIdle);
     const auto active = core.active_of_pair(home);
     ASSERT_TRUE(active.has_value());
-    EXPECT_EQ(core.vehicles()[*active].home, core.pairing().primary(home));
+    EXPECT_EQ(core.home_of(*active), core.pairing().primary(home));
   });
   EXPECT_EQ(core.vehicle_at_home(Point{2, 6}), nullptr);
   EXPECT_EQ(core.vehicle_at_home(Point{3, 9}), nullptr);
   EXPECT_FALSE(core.active_of_pair(Point{6, 6}).has_value());
   EXPECT_THROW(cube.inject_silent_done(Point{0, 0}), check_error);
+}
+
+TEST(CubeParams, RejectsCubesPastThe32BitLimits) {
+  // A position lane is 32 bits, and so is a vehicle id. Both limits are
+  // checked once per deployment, before any fleet is built.
+  OnlineConfig cfg = small_config(10.0);
+  cfg.anchor = Point{0};
+  cfg.cube_side = INT32_MAX;
+  EXPECT_NO_THROW(CubeParams(1, cfg));
+  cfg.cube_side = std::int64_t{INT32_MAX} + 1;
+  EXPECT_THROW(CubeParams(1, cfg), check_error);
+  cfg.anchor = Point{0, 0};
+  cfg.cube_side = std::int64_t{1} << 16;  // 2^32 vehicles
+  EXPECT_THROW(CubeParams(2, cfg), check_error);
 }
 
 // --- diffusing computation & replacement ------------------------------------
@@ -514,11 +529,11 @@ TEST(OnlineServe, SilentDoneWithoutMonitoringLosesJobs) {
 }
 
 TEST(OnlineServe, BrokenActiveVehicleIsReplaced) {
-  Transport transport;
-  CubeServer cube(2, small_config(20.0), Point{0, 0}, transport);
+  TestCube owned(2, small_config(20.0), Point{0, 0});
+  CubeServer& cube = owned.server;
   // Vehicle at (0,0) breaks after spending 20% of its capacity.
   cube.inject_break_after(Point{0, 0}, 0.2);
-  serve_all(cube, repeated(Point{0, 0}, 12));
+  serve_all(owned, repeated(Point{0, 0}, 12));
   EXPECT_EQ(cube.metrics().jobs_served, 12u);
   EXPECT_GE(cube.metrics().monitor_initiations, 1u);
   const Vehicle* broken = cube.core().vehicle_at_home(Point{0, 0});
@@ -530,10 +545,10 @@ TEST(OnlineServe, BrokenActiveVehicleIsReplaced) {
 TEST(OnlineServe, ZeroLongevityVehicleReplacedBeforeFirstJob) {
   // p_i = 0 vehicles are dead from the start; the heartbeat round that
   // precedes a cube's first arrival detects this, so no job is lost.
-  Transport transport;
-  CubeServer cube(2, small_config(20.0), Point{0, 0}, transport);
+  TestCube owned(2, small_config(20.0), Point{0, 0});
+  CubeServer& cube = owned.server;
   cube.inject_break_after(Point{0, 0}, 0.0);
-  serve_all(cube, repeated(Point{0, 0}, 2));
+  serve_all(owned, repeated(Point{0, 0}, 2));
   EXPECT_EQ(cube.metrics().jobs_served, 2u);
   EXPECT_GE(cube.metrics().monitor_initiations, 1u);
   const Vehicle* v = cube.core().vehicle_at_home(Point{0, 0});

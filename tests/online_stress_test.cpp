@@ -113,11 +113,13 @@ TEST_P(MonitorCache, MatchesRescanUnderChaos) {
     cfg.monitor_stride = stride;
     const std::int64_t side = cfg.cube_side;
     // Three cubes take turns on one lent transport.
-    Transport transport;
+    const CubeParams params(2, cfg);
+    Transport transport(cfg.max_message_delay);
+    OutcomeLog log;
     std::vector<std::unique_ptr<CubeServer>> cubes;
     for (std::int64_t c = 0; c < 3; ++c)
-      cubes.push_back(std::make_unique<CubeServer>(2, cfg, Point{c * side, 0},
-                                                   transport));
+      cubes.push_back(
+          std::make_unique<CubeServer>(params, Point{c * side, 0}, transport));
     for (std::int64_t index = 0; index < 300; ++index) {
       CubeServer& cube = *cubes[rng.next_below(cubes.size())];
       const Point corner = cube.corner();
@@ -132,12 +134,12 @@ TEST_P(MonitorCache, MatchesRescanUnderChaos) {
         cube.inject_break_after(vertex(), rng.next_bool(0.3)
                                               ? 0.0
                                               : rng.next_double(0.1, 0.9));
-      cube.serve({vertex(), index}, nullptr);
+      cube.serve({vertex(), index}, log, nullptr);
       ASSERT_NO_THROW(cube.core().check_monitor_cache())
           << "stride " << stride << ", arrival " << index;
     }
     for (const auto& cube : cubes) {
-      cube->finish(nullptr);
+      cube->finish(log, nullptr);
       ASSERT_NO_THROW(cube->core().check_monitor_cache())
           << "stride " << stride << ", after finish";
       ring_initiations += cube->metrics().monitor_initiations;
@@ -166,10 +168,11 @@ void expect_pair_invariants(const FleetCore& core) {
     if (!vid.has_value()) continue;
     EXPECT_TRUE(seen.insert(*vid).second)
         << "vehicle " << *vid << " is active for two pairs";
-    const Vehicle& v = core.vehicles()[*vid];
-    EXPECT_EQ(v.s1, WorkState::kActive) << primary.to_string();
-    EXPECT_EQ(pairing.primary(v.pos), primary)
-        << "active vehicle " << *vid << " at " << v.pos.to_string()
+    const Point pos = core.position_of(*vid);
+    EXPECT_EQ(core.vehicles()[*vid].s1, WorkState::kActive)
+        << primary.to_string();
+    EXPECT_EQ(pairing.primary(pos), primary)
+        << "active vehicle " << *vid << " at " << pos.to_string()
         << " outside pair " << primary.to_string();
   }
 }
@@ -180,9 +183,9 @@ TEST(Algorithm2Microscope, SingleComputationTreeAndRelay) {
   cfg.cube_side = 2;
   cfg.anchor = Point{0, 0};
   cfg.seed = 3;
-  Transport transport;
-  CubeServer cube(2, cfg, Point{0, 0}, transport);
-  serve_all(cube, repeated(Point{0, 0}, 3));
+  TestCube owned(2, cfg, Point{0, 0});
+  const CubeServer& cube = owned.server;
+  serve_all(owned, repeated(Point{0, 0}, 3));
   const auto& m = cube.metrics();
   EXPECT_EQ(m.jobs_served, 3u);
 
@@ -206,7 +209,7 @@ TEST(Algorithm2Microscope, SingleComputationTreeAndRelay) {
   const FleetCore& core = cube.core();
   const auto active = core.active_of_pair(Point{0, 0});
   ASSERT_TRUE(active.has_value());
-  EXPECT_EQ(core.vehicles()[*active].pos, (Point{0, 0}));
+  EXPECT_EQ(core.position_of(*active), (Point{0, 0}));
   // The original vehicle is done. Job vertex (0,0) is the primary (snake
   // index 0 is even), so the original active vehicle lived at home (0,0)
   // and exhausted there.
@@ -228,9 +231,9 @@ TEST(Algorithm2Microscope, FailedSearchLeavesCleanState) {
   cfg.anchor = Point{0, 0};
   cfg.seed = 5;
   cfg.enable_monitoring = false;
-  Transport transport;
-  CubeServer cube(2, cfg, Point{0, 0}, transport);
-  serve_all(cube, repeated(Point{0, 0}, 12));
+  TestCube owned(2, cfg, Point{0, 0});
+  const CubeServer& cube = owned.server;
+  serve_all(owned, repeated(Point{0, 0}, 12));
   const auto& m = cube.metrics();
   EXPECT_GT(m.jobs_failed, 0u);
   EXPECT_GT(m.computations_failed, 0u);
@@ -258,44 +261,45 @@ TEST(Algorithm2Microscope, RingRescueReturnsToLastServedVertex) {
   cfg.anchor = Point{0, 0};
   cfg.seed = 3;
   const Point corner{0, 0};
-  Transport transport;
-  CubeServer cube(2, cfg, corner, transport);
-  const FleetCore& core = cube.core();
+  TestCube cube(2, cfg, corner);
+  const FleetCore& core = cube.server.core();
   const CubePairing& pairing = core.pairing();
   // The ring's last slot (snake pair 34/35), so the sweep meets the
   // other slots' rescues first.
   const Point a = pairing.snake_vertex(corner, 34);
   const Point b = pairing.snake_vertex(corner, 35);
   Box::cube(corner, 6).for_each_point(
-      [&](const Point& home) { cube.inject_silent_done(home); });
+      [&](const Point& home) { cube.server.inject_silent_done(home); });
 
   // The pair's own vehicle exhausts at a; the ring sends a replacement
   // to a.
   std::int64_t index = 0;
-  for (int k = 0; k < 13; ++k) cube.serve({a, index++}, nullptr);
-  ASSERT_EQ(cube.metrics().replacements, 1u);
+  for (int k = 0; k < 13; ++k) cube.serve({a, index++});
+  ASSERT_EQ(core.metrics().replacements, 1u);
   // The replacement walks to b and serves there until one more job
   // exhausts it.
   const auto replacement = core.active_of_pair(a);
   ASSERT_TRUE(replacement.has_value());
   const Vehicle& r = core.vehicles()[*replacement];
-  while (r.remaining() - (r.pos == b ? 1.0 : 2.0) >= 2.0)
-    cube.serve({b, index++}, nullptr);
+  while (r.remaining(cfg.capacity) -
+             (core.position_of(*replacement) == b ? 1.0 : 2.0) >=
+         2.0)
+    cube.serve({b, index++});
   // Twelve other pairs lose their vehicles at once, so the sweep after
   // the next job rescues them before it reaches the last slot.
   for (std::int64_t k = 0; k < 24; k += 2)
-    cube.inject_break_after(pairing.snake_vertex(corner, k), 0.0);
-  cube.serve({b, index++}, nullptr);
-  cube.finish(nullptr);
+    cube.server.inject_break_after(pairing.snake_vertex(corner, k), 0.0);
+  cube.serve({b, index++});
+  cube.finish();
 
   EXPECT_EQ(r.s1, WorkState::kDone);
-  EXPECT_EQ(r.pos, b);
-  EXPECT_EQ(cube.metrics().jobs_failed, 0u);
-  EXPECT_EQ(cube.metrics().replacements, 14u);
+  EXPECT_EQ(core.position_of(*replacement), b);
+  EXPECT_EQ(core.metrics().jobs_failed, 0u);
+  EXPECT_EQ(core.metrics().replacements, 14u);
   const auto active = core.active_of_pair(a);
   ASSERT_TRUE(active.has_value());
   EXPECT_NE(*active, *replacement);
-  EXPECT_EQ(core.vehicles()[*active].pos, b);
+  EXPECT_EQ(core.position_of(*active), b);
   expect_pair_invariants(core);
 }
 

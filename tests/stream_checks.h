@@ -30,10 +30,28 @@ inline void expect_identical(const StreamResult& a, const StreamResult& b) {
   EXPECT_EQ(a.jobs_ingested, b.jobs_ingested);
 }
 
-// Serves `jobs` (all inside `cube`) on one CubeServer and finishes it.
-inline void serve_all(CubeServer& cube, const std::vector<Job>& jobs) {
-  for (const Job& job : jobs) cube.serve(job, nullptr);
-  cube.finish(nullptr);
+// One hand-built cube with everything a stream engine would lend it:
+// the cube constants, a transport and an outcome log, owned here so they
+// outlive the server.
+struct TestCube {
+  TestCube(int dim, const OnlineConfig& config, const Point& corner)
+      : params(dim, config),
+        transport(config.max_message_delay),
+        server(params, corner, transport) {}
+
+  void serve(const Job& job) { server.serve(job, log, nullptr); }
+  void finish() { server.finish(log, nullptr); }
+
+  CubeParams params;
+  Transport transport;
+  OutcomeLog log;
+  CubeServer server;
+};
+
+// Serves `jobs` (all inside the cube) and finishes the cube.
+inline void serve_all(TestCube& cube, const std::vector<Job>& jobs) {
+  for (const Job& job : jobs) cube.serve(job);
+  cube.finish();
 }
 
 // `count` arrivals at `p`, indexed from `first`.

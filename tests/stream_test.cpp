@@ -342,6 +342,128 @@ TEST(StreamAdmission, PoliciesProduceDistinctOutcomes) {
   EXPECT_NE(reject.shed_jobs, shed.shed_jobs);
 }
 
+// --- the per-shard outcome logs ---------------------------------------------
+//
+// Each shard logs its cubes' outcome indices in processing order, and
+// finish() merges the shards' runs, sorting a run only when it is out
+// of order. These pin what the merge must keep: sorted sets whatever
+// the processing order, and a finish() that can be repeated.
+
+bool sorted(const std::vector<std::int64_t>& v) {
+  return std::is_sorted(v.begin(), v.end());
+}
+
+TEST(StreamOutcomeLog, SecondFinishReportsEveryArrivalSinceConstruction) {
+  struct Case {
+    std::vector<Job> jobs;
+    StreamConfig cfg;
+  };
+  // Undersized W, so both ingests fail some jobs; and bounded admission,
+  // so each finish() drains backlogs into the logs.
+  const Case cases[] = {
+      {test_stream(16, 600, 47), test_config(3.0, 4, 32)},
+      {burst_stream(240),
+       admission_config(40.0, 4, 32, AdmissionPolicy::kShed)}};
+  for (const Case& c : cases) {
+    const std::size_t cut = c.jobs.size() / 2;
+    StreamEngine engine(2, c.cfg);
+    engine.ingest(c.jobs.data(), cut);
+    const StreamResult first = engine.finish();
+    engine.ingest(c.jobs.data() + cut, c.jobs.size() - cut);
+    const StreamResult second = engine.finish();
+    EXPECT_EQ(first.served_jobs.size() + first.failed_jobs.size() +
+                  first.shed_jobs.size(),
+              cut);
+    EXPECT_GT(second.failed_jobs.size() + second.shed_jobs.size(), 0u);
+    for (const StreamResult* r : {&first, &second})
+      for (const auto* set : {&r->served_jobs, &r->failed_jobs, &r->shed_jobs})
+        EXPECT_TRUE(sorted(*set));
+    // The second result partitions the arrivals of both ingests...
+    std::vector<std::int64_t> all = second.served_jobs;
+    all.insert(all.end(), second.failed_jobs.begin(),
+               second.failed_jobs.end());
+    all.insert(all.end(), second.shed_jobs.begin(), second.shed_jobs.end());
+    std::sort(all.begin(), all.end());
+    std::vector<std::int64_t> arrivals;
+    for (const Job& job : c.jobs) arrivals.push_back(job.index);
+    std::sort(arrivals.begin(), arrivals.end());
+    EXPECT_EQ(all, arrivals);
+    // ...and keeps every outcome the first one reported.
+    const auto contains = [](const std::vector<std::int64_t>& outer,
+                             const std::vector<std::int64_t>& inner) {
+      return std::includes(outer.begin(), outer.end(), inner.begin(),
+                           inner.end());
+    };
+    EXPECT_TRUE(contains(second.served_jobs, first.served_jobs));
+    EXPECT_TRUE(contains(second.failed_jobs, first.failed_jobs));
+    EXPECT_TRUE(contains(second.shed_jobs, first.shed_jobs));
+  }
+}
+
+TEST(StreamOutcomeLog, OutOfOrderRunsMergeSortedAtEveryThreadAndBatch) {
+  // Runs a shard logs out of order: a stream whose indices descend, and
+  // bounded admission, which serves queued jobs after later arrivals.
+  std::vector<Job> descending = test_stream(8, 250, 53);
+  for (std::size_t i = 0; i < descending.size(); ++i)
+    descending[i].index = static_cast<std::int64_t>(descending.size() - i);
+  struct Case {
+    const std::vector<Job>* jobs;
+    StreamConfig (*config)(int threads, std::int64_t batch);
+  };
+  const std::vector<Job> bursts = burst_stream(240);
+  const Case cases[] = {
+      {&descending,
+       [](int t, std::int64_t b) { return test_config(3.0, t, b); }},
+      {&bursts,
+       [](int t, std::int64_t b) {
+         return admission_config(40.0, t, b, AdmissionPolicy::kShed);
+       }},
+      {&bursts, [](int t, std::int64_t b) {
+         return admission_config(40.0, t, b, AdmissionPolicy::kReject);
+       }}};
+  for (const Case& c : cases) {
+    const StreamResult ref = serve_stream(2, c.config(1, 1), *c.jobs);
+    EXPECT_GT(ref.failed_jobs.size() + ref.shed_jobs.size(), 0u);
+    EXPECT_TRUE(sorted(ref.served_jobs));
+    EXPECT_TRUE(sorted(ref.failed_jobs));
+    EXPECT_TRUE(sorted(ref.shed_jobs));
+    for (const int threads : {1, 2, 4})
+      for (const std::int64_t batch : {1, 32, 256})
+        expect_identical(ref, serve_stream(2, c.config(threads, batch),
+                                           *c.jobs));
+  }
+}
+
+TEST(StreamOutcomeLog, CubeOrderedStreamMatchesShuffled) {
+  // By §3.2's decentralization a cube's outcome depends only on its own
+  // arrival subsequence, so regrouping the stream by cube (a stable sort,
+  // which keeps each cube's order) changes nothing but processing order.
+  const auto shuffled = test_stream(12, 400, 59);
+  const CubePairing pairing(2, Point{0, 0}, 4);
+  std::vector<Job> grouped = shuffled;
+  std::stable_sort(grouped.begin(), grouped.end(),
+                   [&pairing](const Job& a, const Job& b) {
+                     return pairing.cube_corner(a.position) <
+                            pairing.cube_corner(b.position);
+                   });
+  // The premise: regrouped, the indices no longer ascend.
+  ASSERT_FALSE(std::is_sorted(
+      grouped.begin(), grouped.end(),
+      [](const Job& a, const Job& b) { return a.index < b.index; }));
+  for (const int threads : {1, 4}) {
+    const StreamResult a = serve_stream(2, test_config(3.0, threads), shuffled);
+    const StreamResult b = serve_stream(2, test_config(3.0, threads), grouped);
+    EXPECT_GT(a.failed_jobs.size(), 0u);
+    EXPECT_EQ(index_set_digest(a.served_jobs),
+              index_set_digest(b.served_jobs));
+    EXPECT_EQ(index_set_digest(a.failed_jobs),
+              index_set_digest(b.failed_jobs));
+    EXPECT_TRUE(a.metrics == b.metrics);
+    EXPECT_EQ(a.counters.digest(), b.counters.digest());
+    expect_identical(a, b);
+  }
+}
+
 // --- the ascending-corner fold pin ------------------------------------------
 
 TEST(StreamFoldOrder, PerCubeMetricsFoldReproducesResultBitForBit) {
@@ -386,7 +508,7 @@ TEST(StreamFoldOrder, MergeOrderMovesDoubleSums) {
 // with others on one shard serves exactly as it does alone.
 
 // Collects every outcome the engine reports, in report order.
-struct OutcomeLog : StreamObserver {
+struct OutcomeCollector : StreamObserver {
   std::vector<JobOutcome> outcomes;
   void on_batch(const JobOutcome* batch, std::size_t count) override {
     outcomes.insert(outcomes.end(), batch, batch + count);
@@ -412,7 +534,7 @@ TEST(StreamLentTransport, InterleavedCubesServeAsIfAlone) {
     for (const Point& corner : corners) arrive(corner);
 
   const StreamConfig cfg = test_config(8.0, 1);
-  OutcomeLog shared_log;
+  OutcomeCollector shared_log;
   StreamEngine shared(2, cfg);
   shared.set_observer(&shared_log);
   shared.ingest(jobs);
@@ -438,7 +560,7 @@ TEST(StreamLentTransport, InterleavedCubesServeAsIfAlone) {
     for (const Job& job : jobs)
       if (pairing.cube_corner(job.position) == corner)
         alone_jobs.push_back(job);
-    OutcomeLog alone_log;
+    OutcomeCollector alone_log;
     StreamEngine alone(2, cfg);
     alone.set_observer(&alone_log);
     alone.ingest(alone_jobs);

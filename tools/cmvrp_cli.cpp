@@ -37,7 +37,7 @@
 //
 // Exit codes are uniform across subcommands: 0 success, 1 data or drift
 // failure (bad input files, failed jobs, comparator drift), 2 usage
-// (malformed flags — usage_error from util/check.h).
+// (malformed or unknown flags — usage_error from util/check.h).
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -46,6 +46,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -100,13 +101,16 @@ struct Args {
   std::string command;
   std::vector<std::string> positional;  // non-flag tokens ("trace gen ...")
   std::map<std::string, std::string> flags;
+  // The flags the dispatched command declares (see Command); null until
+  // main dispatches.
+  const std::vector<std::string>* declared = nullptr;
 
   std::string get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
+    auto it = lookup(key);
     return it == flags.end() ? fallback : it->second;
   }
   double get_double(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
+    auto it = lookup(key);
     if (it == flags.end()) return fallback;
     try {
       return std::stod(it->second);
@@ -116,7 +120,7 @@ struct Args {
     }
   }
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
-    auto it = flags.find(key);
+    auto it = lookup(key);
     if (it == flags.end()) return fallback;
     try {
       return std::stoll(it->second);
@@ -125,7 +129,18 @@ struct Args {
                         it->second + "\"");
     }
   }
-  bool has(const std::string& key) const { return flags.count(key) > 0; }
+  bool has(const std::string& key) const { return lookup(key) != flags.end(); }
+
+ private:
+  // Handlers read their flags whether or not they were given, so a read
+  // of a flag the command does not declare fails every run through it.
+  std::map<std::string, std::string>::const_iterator lookup(
+      const std::string& key) const {
+    if (declared != nullptr &&
+        std::find(declared->begin(), declared->end(), key) == declared->end())
+      throw std::logic_error("flag --" + key + " is read but not declared");
+    return flags.find(key);
+  }
 };
 
 Args parse_args(int argc, char** argv) {
@@ -680,8 +695,7 @@ int serve_and_report(const Args& args, int dim, const StreamConfig& cfg,
 // (expanded with --order/--seed), or a synthetic uniform stream of
 // --jobs arrivals on an --n x --n box.
 int cmd_stream(const Args& args) {
-  // Args ignores unknown flags, so without this check the retired
-  // `stream --trace` would quietly serve the synthetic stream instead.
+  // The retired `stream --trace` names its replacement.
   CLI_USAGE_CHECK(!args.has("trace"),
                   "stream --trace is retired; serve a trace with "
                   "`trace replay --file <t.bin>`");
@@ -910,18 +924,6 @@ int cmd_trace_replay(const Args& args) {
         std::vector<Job> chunk(static_cast<std::size_t>(cfg.batch_size));
         ingest_trace(reader, engine, chunk);
       });
-}
-
-int cmd_trace(const Args& args) {
-  const std::string action =
-      args.positional.empty() ? "" : args.positional.front();
-  if (action == "gen") return cmd_trace_gen(args);
-  if (action == "info") return cmd_trace_info(args);
-  if (action == "replay") return cmd_trace_replay(args);
-  if (action == "mux") return cmd_trace_mux(args);
-  CLI_USAGE_CHECK(
-      false, "trace needs an action: trace gen|info|replay|mux [--flags]");
-  return 2;
 }
 
 std::string corner_string(const Json& corner) {
@@ -1516,30 +1518,101 @@ int usage(std::ostream& os, int exit_code) {
   return exit_code;
 }
 
+// A subcommand: its name ("trace" actions are commands of their own,
+// such as "trace replay"), every flag its handler and the helpers it
+// calls read, and the handler. main rejects any other flag before
+// dispatch, so a misspelled flag is a usage error, not an effect
+// silently dropped.
+struct Command {
+  std::string name;
+  std::vector<std::string> flags;
+  int (*run)(const Args&);
+};
+
+// `items` followed by `more`.
+std::vector<std::string> joined(std::vector<std::string> items,
+                                const std::vector<std::string>& more) {
+  items.insert(items.end(), more.begin(), more.end());
+  return items;
+}
+
+const std::vector<Command>& commands() {
+  // What serve_and_report and its helpers read (stream_config_from_args,
+  // StatsFile, SpanFile, report_stream): shared by every serving front end.
+  static const std::vector<std::string> serve = {
+      "seed", "threads", "batch", "capacity", "side", "monitor-stride",
+      "admission", "queue-limit", "service-ticks", "sample-stride", "obs",
+      "trace-spans", "span-sample", "flight", "stats", "stats-stride",
+      "record", "json"};
+  // compare_options_from_args.
+  static const std::vector<std::string> thresholds = {
+      "warn-ratio", "fail-ratio", "min-wall-ms", "noise-sigmas", "ignore"};
+  static const std::vector<Command> table = {
+      {"bounds", {"file", "dim"}, cmd_bounds},
+      {"plan", {"file", "dim", "ascii"}, cmd_plan},
+      {"online", {"file", "dim", "order", "seed", "capacity"}, cmd_online},
+      {"won", {"file", "dim", "seed", "tol"}, cmd_won},
+      {"gen", {"workload", "n", "count", "d", "seed"}, cmd_gen},
+      {"fig41", {"r1", "r2"}, cmd_fig41},
+      // --trace is read only to reject it with its replacement.
+      {"stream",
+       joined({"scenario", "file", "dim", "order", "n", "jobs", "trace"},
+              serve),
+       cmd_stream},
+      {"trace gen",
+       {"out", "generator", "dim", "count", "side", "cubes", "burst", "sigma",
+        "seed"},
+       cmd_trace_gen},
+      {"trace info", {"file"}, cmd_trace_info},
+      {"trace replay", joined({"file", "memory"}, serve), cmd_trace_replay},
+      {"trace mux", serve, cmd_trace_mux},
+      {"stats", {"file", "top"}, cmd_stats},
+      {"prof", {"file", "top"}, cmd_prof},
+      {"compare", joined({"kind", "json"}, thresholds), cmd_compare},
+      {"bench",
+       joined({"suite", "reps", "warmup", "filter", "json", "baseline",
+               "diff-json", "list", "scenarios"},
+              thresholds),
+       cmd_bench},
+  };
+  return table;
+}
+
+// The command `args` names, or null.
+const Command* find_command(const Args& args) {
+  std::string name = args.command;
+  if (name == "trace" && !args.positional.empty())
+    name += " " + args.positional.front();
+  for (const Command& c : commands())
+    if (c.name == name) return &c;
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
+  Args args = parse_args(argc, argv);
   try {
     if (args.command == "help" || args.command == "--help" ||
         args.command == "-h")
       return usage(std::cout, 0);
-    if (args.command == "bounds") return cmd_bounds(args);
-    if (args.command == "plan") return cmd_plan(args);
-    if (args.command == "online") return cmd_online(args);
-    if (args.command == "won") return cmd_won(args);
-    if (args.command == "gen") return cmd_gen(args);
-    if (args.command == "fig41") return cmd_fig41(args);
-    if (args.command == "stream") return cmd_stream(args);
     if (args.command == "record")
       throw usage_error(
           "record is retired; record a run with `stream --record <o.trace>`");
-    if (args.command == "trace") return cmd_trace(args);
-    if (args.command == "stats") return cmd_stats(args);
-    if (args.command == "prof") return cmd_prof(args);
-    if (args.command == "compare") return cmd_compare(args);
-    if (args.command == "bench") return cmd_bench(args);
-    return usage(std::cerr, 2);
+    const Command* command = find_command(args);
+    if (command == nullptr) {
+      CLI_USAGE_CHECK(args.command != "trace",
+                      "trace needs an action: trace gen|info|replay|mux "
+                      "[--flags]");
+      return usage(std::cerr, 2);
+    }
+    const auto& known = command->flags;
+    for (const auto& [flag, value] : args.flags)
+      CLI_USAGE_CHECK(
+          std::find(known.begin(), known.end(), flag) != known.end(),
+          "unknown flag --" << flag << " for '" << command->name << "'");
+    args.declared = &known;
+    return command->run(args);
   } catch (const usage_error& e) {  // malformed flags: exit 2
     std::cerr << "usage error: " << e.what() << "\n";
     return 2;
