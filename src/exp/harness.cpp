@@ -1,5 +1,6 @@
 #include "exp/harness.h"
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -66,12 +67,37 @@ void BenchSection::run_case(const std::string& case_name, const CaseFn& fn) {
     MetricRow scratch;
     fn(scratch);
   }
-  for (int i = 0; i < opts.reps; ++i) {
-    MetricRow row;
+  std::vector<MetricRow> reps(static_cast<std::size_t>(opts.reps));
+  for (MetricRow& row : reps) {
     WallTimer timer;
     fn(row);
     record.time_ms.add(timer.elapsed_ms());
-    record.row = std::move(row);  // deterministic: keep the final rep
+  }
+  // Each numeric metric keeps the cell of its median rep (the lower
+  // middle for an even count), so one slow rep cannot become the
+  // reported per-iteration timing; deterministic metrics agree across
+  // reps and keep their value. Other cells keep the final rep's.
+  const auto& last = reps.back().cells_;
+  for (std::size_t r = 0; r < reps.size(); ++r) {
+    const auto& cells = reps[r].cells_;
+    bool same = cells.size() == last.size();
+    for (std::size_t c = 0; same && c < cells.size(); ++c)
+      same = cells[c].name == last[c].name;
+    CMVRP_CHECK_MSG(same, "case " << name_ << "/" << case_name
+                                  << " emitted different metrics on rep "
+                                  << r + 1 << " than on rep " << reps.size());
+  }
+  record.row = reps.back();
+  std::vector<const MetricRow::Cell*> column(reps.size());
+  for (std::size_t c = 0; c < last.size(); ++c) {
+    if (!last[c].value.is_number()) continue;
+    for (std::size_t r = 0; r < reps.size(); ++r)
+      column[r] = &reps[r].cells_[c];
+    std::sort(column.begin(), column.end(),
+              [](const MetricRow::Cell* a, const MetricRow::Cell* b) {
+                return a->value.as_number() < b->value.as_number();
+              });
+    record.row.cells_[c] = *column[(column.size() - 1) / 2];
   }
   cases_.push_back(std::move(record));
 }

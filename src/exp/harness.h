@@ -4,9 +4,11 @@
 // A *suite* is a function that fills a BenchRun with sections and cases.
 // Each case is a closure that recomputes its workload from baked-in seeds
 // and records named metrics; the runner executes it `warmup` untimed plus
-// `reps` timed repetitions (wall time feeding RunningStats), keeps the
-// metrics of the final repetition (all case closures are deterministic,
-// so repetitions agree), and renders
+// `reps` timed repetitions (wall time feeding RunningStats), reports each
+// numeric metric as its median over the reps (the lower middle for an
+// even count: deterministic metrics agree across reps, per-iteration
+// timings get one rep's outlier filtered out; every rep must emit the
+// same metric names), and renders
 //   * one ASCII table per section — columns are the union of metric names
 //     in first-seen order, exactly the pre-harness bench tables — and
 //   * one JSON document per run with schema "cmvrp-bench-v1":
@@ -71,8 +73,10 @@ class BenchSection {
   const std::string& name() const { return name_; }
 
   // Runs `fn` under the suite's warmup/reps options and records the
-  // result. A case whose "section/case" name misses the filter is
-  // skipped entirely (not executed, absent from table and JSON).
+  // result: each numeric metric's median rep, every other metric's final
+  // rep. Throws check_error when two reps emit different metric names. A
+  // case whose "section/case" name misses the filter is skipped entirely
+  // (not executed, absent from table and JSON).
   void run_case(const std::string& case_name, const CaseFn& fn);
 
   std::size_t case_count() const { return cases_.size(); }

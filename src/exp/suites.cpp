@@ -18,7 +18,6 @@
 #include "core/bounds.h"
 #include "core/closed_forms.h"
 #include "core/cube_bound.h"
-#include "core/incremental_omega.h"
 #include "core/offline_planner.h"
 #include "core/omega.h"
 #include "exp/harness.h"
@@ -649,30 +648,6 @@ void suite_substrates(BenchRun& b) {
     const Box box = Box::cube(Point{0, 0}, 64);
     looped(200, [&box] { return omega_for_box(box, 1e9); }, row);
   });
-  b.run_case("omega_incremental/s=64", [&](MetricRow& row) {
-    // Incremental point-delta ω vs the from-scratch DP: 200 random deltas
-    // on a fixed box, each answer cross-checked against omega_for_box.
-    const Box box = Box::cube(Point{0, 0}, 64);
-    looped(5,
-           [&box, &b] {
-             Rng rng(11);
-             BoxOmega inc(box);
-             double sum = 0.0;
-             double last = 0.0;
-             for (int i = 0; i < 200; ++i) {
-               const double delta =
-                   static_cast<double>(rng.next_int(1, 1 << 20));
-               inc.add(delta);
-               sum += delta;
-               last = inc.omega();
-               const double full = omega_for_box(box, sum);
-               if (std::abs(last - full) > 1e-6 * std::max(1.0, full))
-                 b.fail("incremental omega diverged from omega_for_box");
-             }
-             return last;
-           },
-           row);
-  });
   b.run_case("prefix_sums/n=256", [&](MetricRow& row) {
     Rng rng(3);
     DemandMap d(2);
@@ -1243,14 +1218,10 @@ void suite_stream_scaling(BenchRun& b) {
       b.fail("Lemma 3.3.1 violated at l = 2: a computation sent " +
              std::to_string(k.max_queries_per_comp) + " queries, bound " +
              std::to_string(bound));
-    const double mpr =
-        k.replacements > 0 ? static_cast<double>(k.messages_total()) /
-                                 static_cast<double>(k.replacements)
-                           : 0.0;
     row.metric("l", 2)
         .metric("messages", k.messages_total())
         .metric("replacements", k.replacements)
-        .metric("msgs/replacement", mpr, 1)
+        .metric("msgs/replacement", k.messages_per_replacement(), 1)
         .metric("max queries/comp", k.max_queries_per_comp)
         .metric("flood bound", bound)
         .metric("cascade p99", p.result.counters.cascade.percentile(99.0));
@@ -1283,15 +1254,11 @@ void suite_stream_scaling(BenchRun& b) {
                             std::to_string(dsc.dim) + ": a computation sent " +
                             std::to_string(k.max_queries_per_comp) +
                             " queries, bound " + std::to_string(bound));
-                   const double mpr =
-                       k.replacements > 0
-                           ? static_cast<double>(k.messages_total()) /
-                                 static_cast<double>(k.replacements)
-                           : 0.0;
                    row.metric("l", dsc.dim)
                        .metric("messages", k.messages_total())
                        .metric("replacements", k.replacements)
-                       .metric("msgs/replacement", mpr, 1)
+                       .metric("msgs/replacement", k.messages_per_replacement(),
+                               1)
                        .metric("max queries/comp", k.max_queries_per_comp)
                        .metric("flood bound", bound);
                  });

@@ -88,18 +88,6 @@ std::int64_t box_neighborhood_volume(const std::vector<std::int64_t>& sides,
   return narrow_to_int64(total);
 }
 
-std::vector<std::int64_t> box_neighborhood_volumes(
-    const std::vector<std::int64_t>& sides, std::int64_t r) {
-  const auto g = outside_distance_counts(sides, r);
-  std::vector<std::int64_t> vols(g.size());
-  unsigned __int128 running = 0;
-  for (std::size_t t = 0; t < g.size(); ++t) {
-    running += g[t];
-    vols[t] = narrow_to_int64(running);
-  }
-  return vols;
-}
-
 PointSet neighborhood(const PointSet& t, std::int64_t r) {
   std::vector<Point> seeds(t.begin(), t.end());
   return neighborhood(seeds, r);

@@ -32,15 +32,6 @@ inline std::int64_t box_neighborhood_volume(const Box& b, std::int64_t r) {
   return box_neighborhood_volume(b.sides(), r);
 }
 
-// All of |N_0(B)| … |N_r(B)| from ONE DP pass: the radius-r DP's g(t)
-// array counts outside-distance vectors summing to exactly t, and each
-// g(t), t <= r, is already exact (capping the array at r only truncates
-// larger distances), so vol(k) = Σ_{t<=k} g(t) is a prefix sum. O(ℓ·r)
-// for all r+1 answers, where repeated box_neighborhood_volume calls cost
-// O(ℓ·r²) — this is what makes the incremental ω table cheap to extend.
-std::vector<std::int64_t> box_neighborhood_volumes(
-    const std::vector<std::int64_t>& sides, std::int64_t r);
-
 // N_r(T) for an arbitrary finite set T, by multi-source BFS on the infinite
 // lattice. Returns the full point set; use neighborhood_volume when only the
 // cardinality is needed (same cost, less memory churn).

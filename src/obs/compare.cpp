@@ -3,9 +3,9 @@
 #include <cmath>
 #include <cstddef>
 #include <map>
-#include <sstream>
 #include <utility>
 
+#include "obs/snapshot.h"
 #include "util/check.h"
 
 namespace cmvrp {
@@ -312,70 +312,14 @@ Json parse_artifact(const std::string& text, const std::string& label) {
   std::abort();  // unreachable; CMVRP_CHECK_MSG throws
 }
 
-// --- stats (JSONL) ----------------------------------------------------------
-
-struct StatsDoc {
-  Json header;
-  std::vector<Json> samples;
-  // Ascending-corner writer order makes the map key (the rendered corner
-  // array) deterministic; std::map keeps the walk order stable.
-  std::map<std::string, Json> cubes;
-  Json final_line;
-  bool have_header = false;
-  bool have_final = false;
-};
-
-StatsDoc parse_stats(const std::string& text, const std::string& label) {
-  StatsDoc doc;
-  CMVRP_CHECK_MSG(!text.empty(), "stats stream " << label
-                                                 << " is empty (0 bytes)");
-  std::istringstream in(text);
-  std::string line;
-  std::uint64_t offset = 0;
-  std::uint64_t lines = 0;
-  while (std::getline(in, line)) {
-    const std::uint64_t line_start = offset;
-    offset += line.size() + 1;
-    ++lines;
-    if (line.empty()) continue;
-    Json j;
-    try {
-      j = Json::parse(line);
-    } catch (const std::exception& e) {
-      CMVRP_CHECK_MSG(false, "stats stream " << label << " line " << lines
-                                             << " at byte " << line_start
-                                             << " does not parse ("
-                                             << e.what() << ")");
-    }
-    CMVRP_CHECK_MSG(j.is_object() && j.contains("kind"),
-                    "stats stream " << label << " line " << lines
-                                    << " at byte " << line_start
-                                    << " has no \"kind\" field");
-    const std::string& kind = j.at("kind").as_string();
-    if (kind == "header") {
-      doc.header = std::move(j);
-      doc.have_header = true;
-    } else if (kind == "sample") {
-      doc.samples.push_back(std::move(j));
-    } else if (kind == "cube") {
-      std::string corner = j.at("corner").dump();
-      doc.cubes.emplace(std::move(corner), std::move(j));
-    } else if (kind == "final") {
-      doc.final_line = std::move(j);
-      doc.have_final = true;
-    }
-  }
-  CMVRP_CHECK_MSG(doc.have_header, "stats stream "
-                                       << label << " has no header line in "
-                                       << offset << " bytes (" << lines
-                                       << " lines) — not a cmvrp-stats "
-                                          "JSONL stream");
-  CMVRP_CHECK_MSG(doc.have_final, "stats stream "
-                                      << label << " has no final line after "
-                                      << offset << " bytes (" << lines
-                                      << " lines) — truncated? the run did "
-                                         "not finish()");
-  return doc;
+// Cube lines by their rendered corner: the writer's ascending-corner
+// order makes the key deterministic, and std::map keeps the walk order
+// stable.
+std::map<std::string, const Json*> cubes_by_corner(const StatsDoc& doc) {
+  std::map<std::string, const Json*> out;
+  for (const Json& cube : doc.cubes)
+    out.emplace(cube.at("corner").dump(), &cube);
+  return out;
 }
 
 // --- spans (Chrome trace-event JSON) ----------------------------------------
@@ -632,8 +576,8 @@ CompareReport compare_stats_streams(const std::string& a_text,
                                     const CompareOptions& options,
                                     const std::string& a_label,
                                     const std::string& b_label) {
-  const StatsDoc a = parse_stats(a_text, a_label);
-  const StatsDoc b = parse_stats(b_text, b_label);
+  const StatsDoc a = read_stats(a_text, a_label);
+  const StatsDoc b = read_stats(b_text, b_label);
   Comparator c(CompareKind::kStats, options);
   c.compare_object("header", a.header, b.header);
   // Samples fire every `stride` *batches*, so two runs with different
@@ -671,19 +615,21 @@ CompareReport compare_stats_streams(const std::string& a_text,
         c.compare_node("sample[jobs=" + sample_key(s) + "]", "extra_sample",
                        nullptr, &s.at("jobs"));
   }
-  for (const auto& [corner, cube_a] : a.cubes) {
-    const auto it = b.cubes.find(corner);
-    if (it == b.cubes.end()) {
-      c.compare_node("cube" + corner, "missing_cube", &cube_a.at("corner"),
+  const auto cubes_a = cubes_by_corner(a);
+  const auto cubes_b = cubes_by_corner(b);
+  for (const auto& [corner, cube_a] : cubes_a) {
+    const auto it = cubes_b.find(corner);
+    if (it == cubes_b.end()) {
+      c.compare_node("cube" + corner, "missing_cube", &cube_a->at("corner"),
                      nullptr);
       continue;
     }
-    c.compare_object("cube" + corner, cube_a, it->second);
+    c.compare_object("cube" + corner, *cube_a, *it->second);
   }
-  for (const auto& [corner, cube_b] : b.cubes)
-    if (a.cubes.find(corner) == a.cubes.end())
+  for (const auto& [corner, cube_b] : cubes_b)
+    if (cubes_a.find(corner) == cubes_a.end())
       c.compare_node("cube" + corner, "extra_cube", nullptr,
-                     &cube_b.at("corner"));
+                     &cube_b->at("corner"));
   c.compare_object("final", a.final_line, b.final_line);
   return c.take();
 }

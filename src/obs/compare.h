@@ -1,7 +1,7 @@
 // Differential observability: a structural comparator for every artifact
 // schema the repo emits —
 //
-//   * `cmvrp-stream-v3` run reports   (tools/cmvrp_cli stream/record/trace)
+//   * `cmvrp-stream-v4` run reports   (tools/cmvrp_cli stream/trace)
 //   * `cmvrp-stats-v1`  JSONL streams (obs/snapshot.h)
 //   * `cmvrp-bench-v1`  suite runs    (exp/harness.h)
 //   * Chrome trace-event span exports (obs/span_export.h)

@@ -7,28 +7,12 @@
 namespace cmvrp {
 
 void CubeCounters::merge(const CubeCounters& other) {
-  msg_queries += other.msg_queries;
-  msg_replies += other.msg_replies;
-  msg_moves += other.msg_moves;
-  msg_heartbeats += other.msg_heartbeats;
-  msg_heartbeat_skips += other.msg_heartbeat_skips;
-  comps_started += other.comps_started;
-  comps_finished += other.comps_finished;
-  comps_failed += other.comps_failed;
-  monitor_initiations += other.monitor_initiations;
-  replacements += other.replacements;
-  max_queries_per_comp =
-      std::max(max_queries_per_comp, other.max_queries_per_comp);
-  arrivals += other.arrivals;
-  served += other.served;
-  failed += other.failed;
-  enqueued += other.enqueued;
-  shed += other.shed;
-  rejected += other.rejected;
-  backlog_peak = std::max(backlog_peak, other.backlog_peak);
-  spans_emitted += other.spans_emitted;
-  spans_sampled_out += other.spans_sampled_out;
-  spans_ring_evicted += other.spans_ring_evicted;
+  for (const CounterField& f : kCounterFields) {
+    std::uint64_t& mine = this->*f.member;
+    const std::uint64_t theirs = other.*f.member;
+    mine = f.fold == CounterFold::kSum ? mine + theirs
+                                        : std::max(mine, theirs);
+  }
   cascade.merge(other.cascade);
 }
 
@@ -36,35 +20,14 @@ std::uint64_t CubeCounters::digest() const {
   // Positional mix64 chain: every field lands at a distinct position, so
   // (unlike a plain sum) two fields cannot trade values unnoticed.
   std::uint64_t h = 0x6f627331u;  // "obs1"
-  const std::uint64_t fields[] = {
-      msg_queries,   msg_replies,       msg_moves,  msg_heartbeats,
-      msg_heartbeat_skips, comps_started, comps_finished, comps_failed,
-      monitor_initiations, replacements,  max_queries_per_comp, arrivals,
-      served,        failed,            enqueued,   shed,
-      rejected,      backlog_peak,      spans_emitted, spans_sampled_out,
-      spans_ring_evicted, cascade.digest()};
-  for (const std::uint64_t f : fields) h = mix64(h ^ f);
-  return h;
+  for (const CounterField& f : kCounterFields) h = mix64(h ^ (this->*f.member));
+  return mix64(h ^ cascade.digest());
 }
 
 bool operator==(const CubeCounters& a, const CubeCounters& b) {
-  return a.msg_queries == b.msg_queries && a.msg_replies == b.msg_replies &&
-         a.msg_moves == b.msg_moves && a.msg_heartbeats == b.msg_heartbeats &&
-         a.msg_heartbeat_skips == b.msg_heartbeat_skips &&
-         a.comps_started == b.comps_started &&
-         a.comps_finished == b.comps_finished &&
-         a.comps_failed == b.comps_failed &&
-         a.monitor_initiations == b.monitor_initiations &&
-         a.replacements == b.replacements &&
-         a.max_queries_per_comp == b.max_queries_per_comp &&
-         a.arrivals == b.arrivals && a.served == b.served &&
-         a.failed == b.failed && a.enqueued == b.enqueued &&
-         a.shed == b.shed && a.rejected == b.rejected &&
-         a.backlog_peak == b.backlog_peak &&
-         a.spans_emitted == b.spans_emitted &&
-         a.spans_sampled_out == b.spans_sampled_out &&
-         a.spans_ring_evicted == b.spans_ring_evicted &&
-         a.cascade == b.cascade;
+  for (const CounterField& f : kCounterFields)
+    if (a.*f.member != b.*f.member) return false;
+  return a.cascade == b.cascade;
 }
 
 std::uint64_t query_flood_bound(std::int64_t cube_side,

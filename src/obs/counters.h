@@ -16,9 +16,16 @@
 // per-computation query attribution, the cascade histogram, and the
 // admission-queue gauges are extra bookkeeping the serve hot path only
 // pays when asked to.
+//
+// kCounterFields below is the one definition of the scalar fields: their
+// artifact keys, their folds, and their digest order. merge, digest,
+// operator==, the stats JSONL (obs/snapshot.h) and the stream report all
+// walk it, so a new counter is a member, its row, and its source in
+// CubeServer::counters().
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 
 #include "metrics/latency_histogram.h"
 
@@ -88,8 +95,11 @@ struct CubeCounters {
   // vehicles relays at most once, sending at most (2r+1)^ℓ queries.
   std::uint64_t max_queries_per_comp = 0;
 
-  // Admission / queue events (obs-gated except served/failed/arrivals,
-  // which restate always-on engine state for self-contained snapshots).
+  // Admission / queue events. arrivals, served, failed, shed and
+  // rejected restate always-on engine state (served and failed are
+  // OnlineMetrics' jobs_served / jobs_failed, shed and rejected the
+  // StreamResult drop counts), so snapshots are self-contained; the two
+  // backlog gauges are obs-gated.
   std::uint64_t arrivals = 0;
   std::uint64_t served = 0;
   std::uint64_t failed = 0;
@@ -114,12 +124,19 @@ struct CubeCounters {
   std::uint64_t messages_total() const {
     return msg_queries + msg_replies + msg_moves + msg_heartbeats;
   }
+  // Messages of every kind per completed replacement (0 without one).
+  double messages_per_replacement() const {
+    return replacements == 0 ? 0.0
+                              : static_cast<double>(messages_total()) /
+                                    static_cast<double>(replacements);
+  }
 
-  // Commutative fold: sums, maxes, histogram bucket sums.
+  // Commutative fold: each row's sum or max, histogram bucket sums.
   void merge(const CubeCounters& other);
 
-  // Order-invariant 64-bit digest over every field (cascade via its own
-  // digest) — the CI counter-diff guard's one-line equality witness.
+  // Order-invariant 64-bit digest over every row in table order, then
+  // the cascade's own digest — the CI counter-diff guard's one-line
+  // equality witness.
   std::uint64_t digest() const;
 
   friend bool operator==(const CubeCounters& a, const CubeCounters& b);
@@ -127,6 +144,55 @@ struct CubeCounters {
     return !(a == b);
   }
 };
+
+// How a scalar counter folds across cubes.
+enum class CounterFold { kSum, kMax };
+
+// One scalar CubeCounters field: the key it carries in the stream report
+// and every stats line, its member, and its fold.
+struct CounterField {
+  const char* key;
+  std::uint64_t CubeCounters::*member;
+  CounterFold fold;
+};
+
+// Every scalar field, in declaration order — which is digest() order, so
+// a row never moves and a new one goes last.
+inline constexpr CounterField kCounterFields[] = {
+    {"msg_queries", &CubeCounters::msg_queries, CounterFold::kSum},
+    {"msg_replies", &CubeCounters::msg_replies, CounterFold::kSum},
+    {"msg_moves", &CubeCounters::msg_moves, CounterFold::kSum},
+    {"msg_heartbeats", &CubeCounters::msg_heartbeats, CounterFold::kSum},
+    {"msg_heartbeat_skips", &CubeCounters::msg_heartbeat_skips,
+     CounterFold::kSum},
+    {"comps_started", &CubeCounters::comps_started, CounterFold::kSum},
+    {"comps_finished", &CubeCounters::comps_finished, CounterFold::kSum},
+    {"comps_failed", &CubeCounters::comps_failed, CounterFold::kSum},
+    {"monitor_initiations", &CubeCounters::monitor_initiations,
+     CounterFold::kSum},
+    {"replacements", &CubeCounters::replacements, CounterFold::kSum},
+    {"max_queries_per_comp", &CubeCounters::max_queries_per_comp,
+     CounterFold::kMax},
+    {"arrivals", &CubeCounters::arrivals, CounterFold::kSum},
+    {"served", &CubeCounters::served, CounterFold::kSum},
+    {"failed", &CubeCounters::failed, CounterFold::kSum},
+    {"enqueued", &CubeCounters::enqueued, CounterFold::kSum},
+    {"shed", &CubeCounters::shed, CounterFold::kSum},
+    {"rejected", &CubeCounters::rejected, CounterFold::kSum},
+    {"backlog_peak", &CubeCounters::backlog_peak, CounterFold::kMax},
+    {"spans_emitted", &CubeCounters::spans_emitted, CounterFold::kSum},
+    {"spans_sampled_out", &CubeCounters::spans_sampled_out,
+     CounterFold::kSum},
+    {"spans_ring_evicted", &CubeCounters::spans_ring_evicted,
+     CounterFold::kSum},
+};
+
+// Every scalar member has its row: the scalars are all 64-bit, so a
+// member added without one grows the struct past this sum.
+static_assert(sizeof(CubeCounters) ==
+                  std::size(kCounterFields) * sizeof(std::uint64_t) +
+                      sizeof(LatencyHistogram),
+              "a CubeCounters scalar has no kCounterFields row");
 
 // Lemma 3.3.1 flood ceiling on per-computation queries: s^ℓ vehicles,
 // each relaying to at most (2r+1)^ℓ − 1 neighbors plus the initiator's

@@ -15,7 +15,6 @@ ProfReport profile_spans(const std::vector<CubeSpans>& cubes,
   std::vector<CompProfile> profiles;
 
   for (const CubeSpans& cube : cubes) {
-    report.totals.merge(cube.totals);
     report.events += cube.events.size();
     // InitTags are unique within one cube, so grouping is per cube:
     // first pass creates a profile per start record, second pass

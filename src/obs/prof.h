@@ -63,7 +63,6 @@ struct ProfReport {
   LatencyHistogram critical{1 << 20};        // per-comp critical path
   LatencyHistogram flood_width{1 << 20};     // per-comp query count
   std::vector<CompProfile> widest;           // top-k by queries, desc
-  SpanTotals totals;
 
   double attribution_ratio() const {
     return query_sends == 0 ? 1.0
@@ -72,9 +71,11 @@ struct ProfReport {
   }
 };
 
-// Profiles a trace read back by read_span_spool (or assembled from
-// Chrome JSON by the CLI). `top_k` bounds the widest-floods list; ties
-// break on (pid, comp) so the report is deterministic.
+// Profiles the cubes of a trace read back by read_span_spool or
+// read_chrome_trace (obs/span_export.h); the report is the same for both
+// exports of one run. The run's record totals are the SpanSpool's own.
+// `top_k` bounds the widest-floods list; ties break on (pid, comp) so
+// the report is deterministic.
 ProfReport profile_spans(const std::vector<CubeSpans>& cubes,
                          std::size_t top_k);
 

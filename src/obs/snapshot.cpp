@@ -2,6 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <exception>
+#include <utility>
 
 #include "util/check.h"
 #include "util/digest.h"
@@ -55,31 +57,13 @@ void field_bool(std::string* line, const char* key, bool value) {
   line->push_back(',');
 }
 
-// The Tier-A block shared by sample / cube / final lines. Every field
-// here is deterministic; the wall-clock block is appended separately.
+// The Tier-A block shared by sample / cube / final lines: one key per
+// counter row, then what derives from them. Every field here is
+// deterministic; the wall-clock block is appended separately.
 void counter_fields(std::string* line, const CubeCounters& c) {
-  field_u64(line, "msg_queries", c.msg_queries);
-  field_u64(line, "msg_replies", c.msg_replies);
-  field_u64(line, "msg_moves", c.msg_moves);
-  field_u64(line, "msg_heartbeats", c.msg_heartbeats);
-  field_u64(line, "msg_heartbeat_skips", c.msg_heartbeat_skips);
+  for (const CounterField& f : kCounterFields)
+    field_u64(line, f.key, c.*f.member);
   field_u64(line, "msg_total", c.messages_total());
-  field_u64(line, "comps_started", c.comps_started);
-  field_u64(line, "comps_finished", c.comps_finished);
-  field_u64(line, "comps_failed", c.comps_failed);
-  field_u64(line, "monitor_initiations", c.monitor_initiations);
-  field_u64(line, "replacements", c.replacements);
-  field_u64(line, "max_queries_per_comp", c.max_queries_per_comp);
-  field_u64(line, "arrivals", c.arrivals);
-  field_u64(line, "served", c.served);
-  field_u64(line, "failed", c.failed);
-  field_u64(line, "enqueued", c.enqueued);
-  field_u64(line, "shed", c.shed);
-  field_u64(line, "rejected", c.rejected);
-  field_u64(line, "backlog_peak", c.backlog_peak);
-  field_u64(line, "spans_emitted", c.spans_emitted);
-  field_u64(line, "spans_sampled_out", c.spans_sampled_out);
-  field_u64(line, "spans_ring_evicted", c.spans_ring_evicted);
   field_u64(line, "cascade_count", c.cascade.count());
   field_i64(line, "cascade_p50", c.cascade.percentile(50.0));
   field_i64(line, "cascade_p99", c.cascade.percentile(99.0));
@@ -174,15 +158,75 @@ void StatsSnapshotter::write_final(std::uint64_t jobs_ingested,
   counter_fields(&line, totals);
   // Derived ratio, still Tier A: both operands are deterministic
   // counters, and the fixed-precision rendering is reproducible.
-  const double mpr =
-      totals.replacements == 0
-          ? 0.0
-          : static_cast<double>(totals.messages_total()) /
-                static_cast<double>(totals.replacements);
-  field_ms(&line, "messages_per_replacement", mpr);
+  field_ms(&line, "messages_per_replacement",
+           totals.messages_per_replacement());
   stage_fields(&line, stages);
   finish_line(&line, out_);
   ++lines_;
+}
+
+StatsDoc read_stats(const std::string& text, const std::string& label) {
+  CMVRP_CHECK_MSG(!text.empty(),
+                  "stats stream " << label << " at byte 0: empty (0 bytes)");
+  StatsDoc doc;  // header and final_line stay null until their lines
+  std::uint64_t header_at = 0;
+  std::uint64_t lines = 0;
+  std::size_t at = 0;  // byte offset of the current line
+  while (at < text.size()) {
+    std::size_t eol = text.find('\n', at);
+    if (eol == std::string::npos) eol = text.size();
+    const std::string line = text.substr(at, eol - at);
+    ++lines;
+    if (!line.empty()) {
+      Json j;
+      try {
+        j = Json::parse(line);
+      } catch (const std::exception& e) {
+        CMVRP_CHECK_MSG(false, "stats stream " << label << " at byte " << at
+                                               << " (line " << lines
+                                               << "): does not parse ("
+                                               << e.what() << ")");
+      }
+      CMVRP_CHECK_MSG(j.is_object() && j.contains("kind") &&
+                          j.at("kind").is_string(),
+                      "stats stream " << label << " at byte " << at
+                                      << " (line " << lines
+                                      << "): no \"kind\" field");
+      const std::string kind = j.at("kind").as_string();
+      if (kind == "header") {
+        doc.header = std::move(j);
+        header_at = at;
+      } else if (kind == "sample") {
+        doc.samples.push_back(std::move(j));
+      } else if (kind == "cube") {
+        doc.cubes.push_back(std::move(j));
+      } else if (kind == "final") {
+        doc.final_line = std::move(j);
+      }
+    }
+    at = eol + 1;
+  }
+  const std::size_t bytes = text.size();
+  CMVRP_CHECK_MSG(doc.header.is_object(),
+                  "stats stream " << label << " at byte " << bytes
+                                  << ": no header line in " << bytes
+                                  << " bytes (" << lines
+                                  << " lines) — not a cmvrp-stats JSONL "
+                                     "stream");
+  const Json schema =
+      doc.header.contains("schema") ? doc.header.at("schema") : Json();
+  CMVRP_CHECK_MSG(schema == Json(kStatsSchema),
+                  "stats stream " << label << " at byte " << header_at
+                                  << ": unsupported schema " << schema.dump()
+                                  << " (this reader reads " << kStatsSchema
+                                  << ")");
+  CMVRP_CHECK_MSG(doc.final_line.is_object(),
+                  "stats stream " << label << " at byte " << bytes
+                                  << ": no final line after " << bytes
+                                  << " bytes (" << lines
+                                  << " lines) — truncated? the run did not "
+                                     "finish()");
+  return doc;
 }
 
 }  // namespace cmvrp

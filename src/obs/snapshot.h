@@ -20,20 +20,26 @@
 // from per-cube state. The CI counter-diff guard runs
 // `cmvrp_cli compare --kind stats` over exactly that contract.
 //
+// Every sample, cube and final line carries one key per kCounterFields
+// row (obs/counters.h), then the derived msg_total, the cascade summary
+// and counters_hash.
+//
 // This layer deliberately serializes by hand instead of using
 // util/json.h's document model: building a Json per line would allocate
-// on the serving path. The readers (`cmvrp_cli stats`, obs/compare.h)
-// parse the lines back with util/json.h.
+// on the serving path. read_stats below parses the lines back with
+// util/json.h; `cmvrp_cli stats` and obs/compare.h both read through it.
 #pragma once
 
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "grid/point.h"
 #include "metrics/latency_histogram.h"
 #include "obs/counters.h"
 #include "obs/stage_timer.h"
+#include "util/json.h"
 
 namespace cmvrp {
 
@@ -67,5 +73,21 @@ class StatsSnapshotter {
   std::int64_t stride_;
   std::uint64_t lines_ = 0;
 };
+
+// A stats stream read back: its lines by kind, each kind in file order
+// (so cubes stay in the writer's ascending-corner order). Lines of an
+// unknown kind are skipped.
+struct StatsDoc {
+  Json header;
+  std::vector<Json> samples;
+  std::vector<Json> cubes;
+  Json final_line;
+};
+
+// Parses a whole stats stream. Throws check_error naming `label` and the
+// byte offset of the problem when the stream is empty, a line does not
+// parse or has no "kind", there is no header line, the header's schema
+// is not kStatsSchema, or there is no final line.
+StatsDoc read_stats(const std::string& text, const std::string& label);
 
 }  // namespace cmvrp

@@ -3,8 +3,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <utility>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace cmvrp {
 namespace {
@@ -359,6 +363,91 @@ SpanSpool read_span_spool(const std::string& path) {
   CMVRP_CHECK_MSG(at == size, "span spool has " << size - at
                                                 << " trailing bytes at byte "
                                                 << at << ": " << path);
+  return spool;
+}
+
+SpanSpool read_chrome_trace(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  CMVRP_CHECK_MSG(in.good(), "cannot open span trace: " << path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  Json doc;
+  try {
+    doc = Json::parse(text);
+  } catch (const check_error& e) {
+    CMVRP_CHECK_MSG(false, "span trace does not parse (" << e.what()
+                                                         << "): " << path);
+  }
+  CMVRP_CHECK_MSG(doc.is_array(),
+                  "span trace is not a JSON event array: " << path);
+
+  const auto u64 = [](const Json& j) {
+    return static_cast<std::uint64_t>(j.as_number());
+  };
+  const auto actor32 = [](const Json& j) {
+    const auto v = static_cast<std::int64_t>(j.as_number());
+    return v < 0 ? SpanEvent::kNoActor : static_cast<std::uint32_t>(v);
+  };
+
+  SpanSpool spool;
+  bool have_trailer = false;
+  std::map<std::uint64_t, CubeSpans> by_pid;  // ordered -> deterministic
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    const Json& ev = doc.at(i);
+    const std::string& ph = ev.at("ph").as_string();
+    if (ph == "M") {  // metadata: naming, wall_ms, or the totals trailer
+      if (ev.at("name").as_string() == "cmvrp_span_totals") {
+        const Json& a = ev.at("args");
+        spool.dim = static_cast<int>(a.at("dim").as_number());
+        spool.totals.emitted = u64(a.at("emitted"));
+        spool.totals.sampled_out = u64(a.at("sampled_out"));
+        spool.totals.ring_evicted = u64(a.at("ring_evicted"));
+        have_trailer = true;
+      }
+      continue;
+    }
+    SpanKind kind;
+    if (ph == "b") {
+      kind = SpanKind::kCompStart;
+    } else if (ph == "e") {
+      kind = SpanKind::kCompFinish;
+    } else if (ph == "s") {
+      kind = SpanKind::kSend;
+    } else if (ph == "f") {
+      kind = SpanKind::kDeliver;
+    } else if (ph == "i") {
+      kind = ev.at("cat").as_string() == "cascade" ? SpanKind::kCascadeStep
+                                                   : SpanKind::kRelay;
+    } else if (ph == "B") {
+      kind = SpanKind::kServeBegin;
+    } else if (ph == "E") {
+      kind = SpanKind::kServeEnd;
+    } else {
+      CMVRP_CHECK_MSG(false, "span trace event " << i
+                                                 << " has unexpected phase \""
+                                                 << ph << "\": " << path);
+    }
+    const Json& a = ev.at("args");
+    SpanEvent e;
+    e.kind = static_cast<std::uint8_t>(kind);
+    e.clock = static_cast<std::int64_t>(ev.at("ts").as_number());
+    e.comp = u64(a.at("comp"));
+    e.data = u64(a.at("data"));
+    e.actor = actor32(a.at("actor"));
+    e.parent = actor32(a.at("parent"));
+    e.hop = static_cast<std::uint16_t>(u64(a.at("hop")));
+    e.aux = static_cast<std::uint8_t>(u64(a.at("aux")));
+    const std::uint64_t pid = u64(ev.at("pid"));
+    CubeSpans& cube = by_pid[pid];
+    cube.pid = pid;
+    cube.events.push_back(e);
+  }
+  CMVRP_CHECK_MSG(have_trailer,
+                  "span trace has no cmvrp_span_totals trailer (truncated, or "
+                  "not a cmvrp export): "
+                      << path);
+  spool.cubes.reserve(by_pid.size());
+  for (auto& [pid, cube] : by_pid) spool.cubes.push_back(std::move(cube));
   return spool;
 }
 

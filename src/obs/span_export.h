@@ -26,10 +26,14 @@
 //   "i" instants = relay hops and replacement-cascade steps
 //   "M" metadata = process/thread naming (cube corner, vehicle pair)
 //
-// The binary spool ("cmvrpspn") is the compact form `cmvrp_cli prof`
-// reads back: little-endian, fixed-width records, one pair-registry +
-// record block per cube. Readers reject malformed files with the byte
-// offset (same contract as trace/format.h readers).
+// The binary spool ("cmvrpspn") is the compact form: little-endian,
+// fixed-width records, one pair-registry + record block per cube.
+// Readers reject malformed files with the byte offset (same contract as
+// trace/format.h readers).
+//
+// Each format has its reader here, beside its writer: read_span_spool and
+// read_chrome_trace both return a SpanSpool, which is what `cmvrp_cli
+// prof` (obs/prof.h) analyzes.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +68,8 @@ struct CubeSpanSource {
 
 // One cube's spans as read back from a spool or Chrome JSON — the
 // analyzer-side mirror of CubeSpanSource (obs/prof.h consumes this).
+// read_chrome_trace fills only pid and events: a Chrome export carries
+// corners and pair lanes only as display names, and no per-cube totals.
 struct CubeSpans {
   Point corner;
   std::uint64_t pid = 0;
@@ -83,13 +89,23 @@ void export_chrome_trace(std::ostream& out, int dim,
 void write_span_spool(std::ostream& out, int dim,
                       const std::vector<CubeSpanSource>& sources);
 
-// Reads a spool back; check_errors on truncation / bad magic / bad
-// version, naming the byte offset of the problem.
+// A span trace read back: the run's dim and totals, and one entry per
+// cube (ascending corner from a spool, ascending pid from Chrome JSON).
 struct SpanSpool {
   int dim = 0;
   SpanTotals totals;
   std::vector<CubeSpans> cubes;
 };
+
+// Reads a spool back; check_errors on truncation / bad magic / bad
+// version, naming the byte offset of the problem.
 SpanSpool read_span_spool(const std::string& path);
+
+// Reads a Chrome trace-event export back — the inverse of
+// export_chrome_trace's mapping. Every span event carries its full record
+// in its args block; dim and totals come from the trailer. check_errors
+// on a file that does not parse, an event of an unknown phase, or a
+// missing trailer, naming the path.
+SpanSpool read_chrome_trace(const std::string& path);
 
 }  // namespace cmvrp

@@ -27,14 +27,6 @@ struct StageTimes {
   double serve_ms = 0.0;
   double fold_ms = 0.0;
   double monitor_ms = 0.0;
-
-  void merge(const StageTimes& other) {
-    ingest_ms += other.ingest_ms;
-    route_ms += other.route_ms;
-    serve_ms += other.serve_ms;
-    fold_ms += other.fold_ms;
-    monitor_ms += other.monitor_ms;
-  }
 };
 
 // Current resident set size in kB (VmRSS from /proc/self/status); 0 on

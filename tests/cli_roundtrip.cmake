@@ -59,7 +59,25 @@ cli(0 trace mux mux_a.trace mux_b.trace --threads 2 --obs --json mux_ab.json)
 cli(0 trace mux mux_b.trace mux_a.trace --threads 2 --obs --json mux_ba.json)
 cli(0 compare mux_ab.json mux_ba.json)
 
+# The artifact readers beside their writers (src/obs/): one flooding run
+# (undersized W, so Phase I floods occur) writes its stats JSONL and its
+# span trace as Chrome JSON, then once more as a spool; `stats` reads the
+# JSONL back through read_stats and `prof` reads both span formats.
+cli(0 stream --jobs 2000 --n 32 --capacity 8 --side 4 --obs
+      --stats s.jsonl --trace-spans sp.json --json flood.json)
+cli(0 stream --jobs 2000 --n 32 --capacity 8 --side 4 --obs
+      --trace-spans sp.spool)
+cli(0 stats --file s.jsonl)
+cli(0 prof --file sp.json)
+cli(0 prof --file sp.spool)
+
 # Retired front ends are usage errors that name their replacement, not
 # silent fallbacks to another job source.
 cli(2 record --scenario hotspot/s4c8/n4000/b64 --out retired.trace)
 cli(2 stream --trace ci.trace)
+
+# A positional token a command does not take is a usage error: `stream
+# stray.txt` (a forgotten --file) would otherwise serve the synthetic
+# stream, and `fig41 --r1 2 extra` would drop `extra` unread.
+cli(2 stream stray.txt)
+cli(2 fig41 --r1 2 extra)

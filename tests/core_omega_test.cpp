@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/closed_forms.h"
-#include "core/incremental_omega.h"
 #include "core/cube_bound.h"
 #include "core/omega.h"
 #include "grid/dense_grid.h"
@@ -291,40 +290,6 @@ TEST(ClosedForms, W2ApproachesLineOmegaAsLineGrows) {
     prev_gap = gap;
   }
   EXPECT_LT(prev_gap, 0.2);
-}
-
-// --- incremental omega vs the from-scratch DP -------------------------------
-
-TEST(BoxOmegaIncremental, RandomizedDeltasMatchFullRecompute) {
-  // Point-delta updates on a fixed box, every answer cross-checked
-  // against omega_for_box — at l = 2, 3, 4, with occasional negative
-  // deltas (demand consumed) so the hint walks both directions.
-  for (const int dim : {2, 3, 4}) {
-    const std::int64_t side = dim == 2 ? 32 : dim == 3 ? 8 : 4;
-    const Box box = Box::cube(Point::origin(dim), side);
-    Rng rng(900 + static_cast<std::uint64_t>(dim));
-    BoxOmega inc(box);
-    double sum = 0.0;
-    for (int i = 0; i < 250; ++i) {
-      double delta = rng.next_double(0.0, 40.0);
-      if (sum > 20.0 && rng.next_int(0, 3) == 0)
-        delta = -rng.next_double(0.0, sum * 0.5);
-      inc.add(delta);
-      sum += delta;
-      const double full = omega_for_box(box, sum);
-      EXPECT_NEAR(inc.omega(), full, 1e-9 * std::max(1.0, full))
-          << "dim=" << dim << " step=" << i << " sum=" << sum;
-    }
-    // omega_for_sum probes without disturbing the tracked state — even
-    // far past the current sum (the volume table grows on demand).
-    const double probe_sum = sum * 4.0 + 1.0;
-    const double probe = inc.omega_for_sum(probe_sum);
-    EXPECT_NEAR(probe, omega_for_box(box, probe_sum),
-                1e-9 * std::max(1.0, probe));
-    EXPECT_DOUBLE_EQ(inc.sum(), sum);
-    EXPECT_NEAR(inc.omega(), omega_for_box(box, sum),
-                1e-9 * std::max(1.0, inc.omega()));
-  }
 }
 
 }  // namespace

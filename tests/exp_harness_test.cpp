@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/harness.h"
 #include "util/json.h"
@@ -104,8 +106,66 @@ TEST(BenchRun, WarmupPlusRepsExecutionsAndTimedStats) {
   const Json& c = doc.at("sections").at(std::size_t{0}).at("cases").at(
       std::size_t{0});
   EXPECT_EQ(c.at("time_ms").at("reps").as_number(), 3.0);
-  // Metrics come from the final (5th) execution.
-  EXPECT_EQ(c.at("metrics").at("calls so far").as_number(), 5.0);
+  // A numeric metric is the median over the timed executions (3, 4, 5).
+  EXPECT_EQ(c.at("metrics").at("calls so far").as_number(), 4.0);
+}
+
+// One slow rep must not become the reported reading: a metric that reads
+// 5, 100 and 7 on its three reps, in any order, is recorded as 7, its
+// cell rendered from that rep; a label keeps the final rep's value.
+TEST(BenchRun, NumericMetricIsTheMedianRep) {
+  std::vector<double> readings = {5.0, 100.0, 7.0};
+  std::sort(readings.begin(), readings.end());
+  do {
+    RunOptions opts;
+    opts.reps = 3;
+    BenchRun run("t", opts);
+    int rep = 0;
+    run.run_case("case", [&](MetricRow& row) {
+      row.metric("us/iter", readings[rep], 1)
+          .metric("served", std::uint64_t{42})
+          .metric("label", "rep " + std::to_string(rep));
+      ++rep;
+    });
+    const Json doc = run.to_json();
+    const Json& m = doc.at("sections").at(std::size_t{0}).at("cases").at(
+        std::size_t{0}).at("metrics");
+    const std::string order = std::to_string(readings[0]) + "," +
+                              std::to_string(readings[1]) + "," +
+                              std::to_string(readings[2]);
+    EXPECT_EQ(m.at("us/iter").as_number(), 7.0) << order;
+    EXPECT_EQ(m.at("served").as_number(), 42.0) << order;
+    EXPECT_EQ(m.at("label").as_string(), "rep 2") << order;
+    std::ostringstream table;
+    run.print(table);
+    EXPECT_NE(table.str().find("| 7.0 "), std::string::npos) << table.str();
+  } while (std::next_permutation(readings.begin(), readings.end()));
+}
+
+TEST(BenchRun, EvenRepCountTakesTheLowerMiddle) {
+  RunOptions opts;
+  opts.reps = 4;
+  BenchRun run("t", opts);
+  const double readings[] = {9.0, 4.0, 8.0, 3.0};
+  int rep = 0;
+  run.run_case("case",
+               [&](MetricRow& row) { row.metric("ns/op", readings[rep++]); });
+  const Json doc = run.to_json();
+  EXPECT_EQ(doc.at("sections").at(std::size_t{0}).at("cases").at(
+                std::size_t{0}).at("metrics").at("ns/op").as_number(),
+            4.0);
+}
+
+TEST(BenchRun, RepsEmittingDifferentMetricsFailACheck) {
+  RunOptions opts;
+  opts.reps = 2;
+  BenchRun run("t", opts);
+  int rep = 0;
+  EXPECT_THROW(run.run_case("case",
+                            [&](MetricRow& row) {
+                              row.metric(rep++ == 0 ? "a" : "b", 1);
+                            }),
+               check_error);
 }
 
 TEST(BenchRun, FilterSkipsNonMatchingCasesEntirely) {

@@ -3,18 +3,20 @@
 #include <string>
 
 #include "obs/compare.h"
+#include "obs/counters.h"
+#include "obs/snapshot.h"
 #include "util/check.h"
 #include "util/json.h"
 
 namespace cmvrp {
 namespace {
 
-// Minimal cmvrp-stream-v3-shaped report: the comparator walks whatever
+// Minimal cmvrp-stream-v4-shaped report: the comparator walks whatever
 // keys exist, so a handful of fields per class is a full exercise.
 Json stream_report(std::int64_t threads, std::uint64_t msg_queries,
                    double wall_ms, double jobs_per_sec) {
   Json doc = Json::object();
-  doc.set("schema", "cmvrp-stream-v3");
+  doc.set("schema", "cmvrp-stream-v4");
   doc.set("seed", std::uint64_t{7});
   doc.set("threads", threads);
   doc.set("served", std::uint64_t{20000});
@@ -62,6 +64,23 @@ TEST(StreamCompare, DeterministicCounterDriftExitsOne) {
   EXPECT_EQ(rep.diffs[0].path, "msg_queries");
   EXPECT_EQ(rep.diffs[0].cls, FieldClass::kDeterministic);
   EXPECT_EQ(rep.diffs[0].verdict, FieldVerdict::kFail);
+}
+
+// Every counter row is a deterministic field to the comparator: no row
+// key has a wall- or context-style name, so a drift in any one fails.
+TEST(StreamCompare, EveryCounterRowIsDeterministic) {
+  for (const CounterField& f : kCounterFields) {
+    Json a = stream_report(1, 100, 10.0, 2000.0);
+    Json b = stream_report(1, 100, 10.0, 2000.0);
+    a.set(f.key, std::uint64_t{5});
+    b.set(f.key, std::uint64_t{6});
+    const CompareReport rep = compare_stream_reports(a, b, defaults());
+    EXPECT_EQ(rep.exit_code(), 1) << f.key;
+    EXPECT_EQ(rep.drift, 1u) << f.key;
+    ASSERT_EQ(rep.diffs.size(), 1u) << f.key;
+    EXPECT_EQ(rep.diffs[0].path, f.key);
+    EXPECT_EQ(rep.diffs[0].cls, FieldClass::kDeterministic) << f.key;
+  }
 }
 
 TEST(StreamCompare, DigestDriftExitsOne) {
@@ -196,7 +215,7 @@ TEST(KindDetection, EmptyInputThrowsNamingTheLabel) {
 
 TEST(KindDetection, TruncatedJsonThrowsNamingTheOffset) {
   try {
-    detect_compare_kind("{\"schema\":\"cmvrp-stream-v3\",\"served\":", "t");
+    detect_compare_kind("{\"schema\":\"cmvrp-stream-v4\",\"served\":", "t");
     FAIL() << "expected check_error";
   } catch (const check_error& e) {
     EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);
@@ -488,6 +507,53 @@ TEST(StatsCompare, TruncatedStreamFailsNamingBytesAndLines) {
   } catch (const check_error& e) {
     EXPECT_NE(std::string(e.what()).find("byte"), std::string::npos);
   }
+}
+
+// read_stats rejects what is not a whole cmvrp-stats-v1 stream, naming
+// the stream and the byte offset of the problem.
+void expect_stats_error(const std::string& text, std::size_t at,
+                        const std::string& problem) {
+  try {
+    read_stats(text, "s.jsonl");
+    FAIL() << "accepted: " << text;
+  } catch (const check_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("s.jsonl"), std::string::npos) << what;
+    EXPECT_NE(what.find("at byte " + std::to_string(at)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(problem), std::string::npos) << what;
+  }
+}
+
+TEST(ReadStats, ErrorsNameTheStreamAndTheByteOffset) {
+  const std::string header =
+      "{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v1\"}\n";
+  const std::string final_line = "{\"kind\":\"final\",\"jobs\":1}\n";
+  ASSERT_NO_THROW(read_stats(header + final_line, "s.jsonl"));
+  expect_stats_error("", 0, "empty");
+  expect_stats_error(header + "{not json\n" + final_line, header.size(),
+                     "does not parse");
+  expect_stats_error(final_line, final_line.size(), "no header line");
+  expect_stats_error(header, header.size(), "no final line");
+  expect_stats_error(
+      final_line + "{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v9\"}\n",
+      final_line.size(), "unsupported schema");
+}
+
+TEST(ReadStats, KeepsEachKindInFileOrderAndSkipsBlankLines) {
+  const std::string text =
+      "{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v1\"}\n\n"
+      "{\"kind\":\"cube\",\"corner\":[4,0]}\n"
+      "{\"kind\":\"sample\",\"jobs\":8}\n"
+      "{\"kind\":\"cube\",\"corner\":[0,0]}\n"
+      "{\"kind\":\"later\"}\n"
+      "{\"kind\":\"final\",\"jobs\":9}";
+  const StatsDoc doc = read_stats(text, "s.jsonl");
+  ASSERT_EQ(doc.cubes.size(), 2u);
+  EXPECT_EQ(doc.cubes[0].at("corner").dump(), "[4,0]");
+  EXPECT_EQ(doc.cubes[1].at("corner").dump(), "[0,0]");
+  ASSERT_EQ(doc.samples.size(), 1u);
+  EXPECT_EQ(doc.final_line.at("jobs").as_number(), 9.0);
 }
 
 // --- span traces -------------------------------------------------------------

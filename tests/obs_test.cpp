@@ -1,14 +1,20 @@
-// Protocol observability layer (src/obs/): Tier-A counter determinism
+// Protocol observability layer (src/obs/): the counter table behind
+// merge, digest, == and the stats lines, Tier-A counter determinism
 // across thread counts and batch sizes, the off-by-default fast path,
 // the Lemma 3.3.1 per-computation query-flood bound, the JSONL stats
-// snapshotter's schema + thread-invariance contract, and the Tier-C
-// span layer: byte-identical exports across threads/batches, sampling
-// and flight-ring semantics, spool round-trips, and the prof analyzer's
-// attribution contract.
+// snapshotter's schema + thread-invariance contract and its reader, and
+// the Tier-C span layer: byte-identical exports across threads/batches,
+// sampling and flight-ring semantics, spool round-trips, the Chrome and
+// spool readers' agreement, and the prof analyzer's attribution
+// contract.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +27,8 @@
 #include "obs/stage_timer.h"
 #include "stream/engine.h"
 #include "util/check.h"
+#include "util/digest.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 #include "workload/stream_gen.h"
@@ -102,6 +110,86 @@ TEST(CubeCounters, DigestIsPositional) {
   EXPECT_FALSE(q == r);
   CubeCounters empty;
   EXPECT_NE(q.digest(), empty.digest());
+}
+
+// --- the counter table ------------------------------------------------------
+
+// A record whose every row holds a distinct value (and a non-empty
+// cascade), so a dropped, duplicated or swapped row cannot pass unseen.
+CubeCounters distinct_counters() {
+  CubeCounters c;
+  std::uint64_t v = 1000;
+  for (const CounterField& f : kCounterFields) c.*f.member = v += 17;
+  c.cascade.add(2);
+  return c;
+}
+
+// Rows name distinct members in declaration order, which is the digest
+// order the golden digests were recorded under, and distinct keys.
+TEST(CounterTable, RowsCoverTheScalarsInDeclarationOrder) {
+  const CubeCounters c;
+  const char* base = reinterpret_cast<const char*>(&c);
+  std::set<std::string> keys;
+  for (std::size_t i = 0; i < std::size(kCounterFields); ++i) {
+    const CounterField& f = kCounterFields[i];
+    EXPECT_EQ(reinterpret_cast<const char*>(&(c.*f.member)) - base,
+              static_cast<std::ptrdiff_t>(i * sizeof(std::uint64_t)))
+        << f.key;
+    EXPECT_TRUE(keys.insert(f.key).second) << "duplicate key " << f.key;
+  }
+}
+
+TEST(CounterTable, EachRowSeparatesEqualityAndDigest) {
+  const CubeCounters base = distinct_counters();
+  for (const CounterField& f : kCounterFields) {
+    CubeCounters other = base;
+    other.*f.member += 1;
+    EXPECT_FALSE(base == other) << f.key;
+    EXPECT_TRUE(base != other) << f.key;
+    EXPECT_NE(base.digest(), other.digest()) << f.key;
+  }
+  EXPECT_TRUE(base == distinct_counters());
+  EXPECT_EQ(base.digest(), distinct_counters().digest());
+}
+
+TEST(CounterTable, MergeFoldsEachRowAsItsRowSays) {
+  for (const CounterField& f : kCounterFields) {
+    for (const bool larger_first : {true, false}) {
+      CubeCounters a, b;
+      a.*f.member = larger_first ? 5 : 3;
+      b.*f.member = larger_first ? 3 : 5;
+      a.merge(b);
+      EXPECT_EQ(a.*f.member, f.fold == CounterFold::kSum ? 8u : 5u) << f.key;
+      for (const CounterField& g : kCounterFields) {
+        if (g.member == f.member) continue;
+        EXPECT_EQ(a.*g.member, 0u) << g.key;
+      }
+    }
+  }
+}
+
+// The stats writer and read_stats agree on every row: each value comes
+// back under its row's key on the sample, cube and final lines.
+TEST(CounterTable, SnapshotLinesCarryEveryRowUnderItsKey) {
+  const CubeCounters c = distinct_counters();
+  std::ostringstream out;
+  StatsSnapshotter snap(out, 1);
+  snap.write_header(2, 1, 64, 7, true);
+  snap.write_sample(1, 64, c, StageTimes{});
+  snap.write_cube(Point{4, 8}, c, LatencyHistogram{});
+  snap.write_final(64, 1, c, StageTimes{});
+  const StatsDoc doc = read_stats(out.str(), "rows");
+  ASSERT_EQ(doc.samples.size(), 1u);
+  ASSERT_EQ(doc.cubes.size(), 1u);
+  for (const Json* line : {&doc.samples[0], &doc.cubes[0], &doc.final_line}) {
+    for (const CounterField& f : kCounterFields)
+      EXPECT_EQ(line->at(f.key).as_number(),
+                static_cast<double>(c.*f.member))
+          << f.key;
+    EXPECT_EQ(line->at("msg_total").as_number(),
+              static_cast<double>(c.messages_total()));
+    EXPECT_EQ(line->at("counters_hash").as_string(), digest_hex(c.digest()));
+  }
 }
 
 TEST(QueryFloodBound, MatchesLemma331ClosedForm) {
@@ -256,6 +344,36 @@ TEST(Snapshotter, TierALinesAreThreadCountInvariant) {
   // every other line with the Tier-B wall suffix stripped.
   for (std::size_t i = 1; i < one.size(); ++i)
     EXPECT_EQ(tier_a_prefix(one[i]), tier_a_prefix(two[i])) << "line " << i;
+}
+
+// read_stats gives back what an engine run wrote: one cube line per
+// cube in the writer's ascending-corner order, every sample, and final
+// totals equal to the run's own counters.
+TEST(Snapshotter, ReadStatsReturnsTheRunInFileOrder) {
+  const auto jobs = test_stream(16, 600, 37);
+  std::ostringstream out;
+  StatsSnapshotter snap(out, 2);
+  StreamEngine engine(2, obs_config(2, 2, 64, true));
+  engine.set_snapshotter(&snap);
+  engine.ingest(jobs);
+  const StreamResult r = engine.finish();
+  const StatsDoc doc = read_stats(out.str(), "run");
+  EXPECT_EQ(doc.header.at("schema").as_string(), kStatsSchema);
+  EXPECT_EQ(doc.samples.size(), 5u);
+  ASSERT_EQ(doc.cubes.size(), r.cubes);
+  const auto per_cube = engine.per_cube_metrics();
+  ASSERT_EQ(per_cube.size(), doc.cubes.size());
+  for (std::size_t i = 0; i < doc.cubes.size(); ++i) {
+    const Json& corner = doc.cubes[i].at("corner");
+    EXPECT_EQ(corner.at(0).as_number(),
+              static_cast<double>(per_cube[i].first[0]));
+    EXPECT_EQ(corner.at(1).as_number(),
+              static_cast<double>(per_cube[i].first[1]));
+  }
+  for (const CounterField& f : kCounterFields)
+    EXPECT_EQ(doc.final_line.at(f.key).as_number(),
+              static_cast<double>(r.counters.*f.member))
+        << f.key;
 }
 
 TEST(Snapshotter, StrideMustBePositive) {
@@ -416,6 +534,77 @@ TEST(SpanSpoolReader, RejectsTruncationNamingTheByteOffset) {
   bad[0] = 'X';
   const std::string bad_path = span_temp_file("obs_badmagic.bin", bad);
   EXPECT_THROW(read_span_spool(bad_path), check_error);
+}
+
+std::map<std::uint64_t, std::vector<SpanEvent>> events_by_pid(
+    const SpanSpool& spool) {
+  std::map<std::uint64_t, std::vector<SpanEvent>> out;
+  for (const CubeSpans& cube : spool.cubes) out[cube.pid] = cube.events;
+  return out;
+}
+
+// One run exported both ways reads back the same: events per pid, the
+// run's dim and totals, and every number prof derives from them — so
+// `prof` reports the same on either file.
+TEST(SpanReaders, ChromeAndSpoolReadBackTheSameRun) {
+  const auto jobs = test_stream(32, 1500, 23);
+  for (const std::int64_t sample : {1, 4}) {
+    const SpanRun run = span_run(jobs, 2, 64, sample, sample == 1 ? 0 : 16);
+    const SpanSpool spool =
+        read_span_spool(span_temp_file("obs_formats.bin", run.spool));
+    const SpanSpool chrome =
+        read_chrome_trace(span_temp_file("obs_formats.json", run.chrome));
+    ASSERT_FALSE(spool.cubes.empty());
+    EXPECT_EQ(chrome.dim, spool.dim);
+    EXPECT_EQ(chrome.totals.emitted, spool.totals.emitted);
+    EXPECT_EQ(chrome.totals.sampled_out, spool.totals.sampled_out);
+    EXPECT_EQ(chrome.totals.ring_evicted, spool.totals.ring_evicted);
+    EXPECT_EQ(spool.totals.emitted, run.result.counters.spans_emitted);
+    EXPECT_TRUE(events_by_pid(chrome) == events_by_pid(spool))
+        << "sample=" << sample;
+
+    const ProfReport a = profile_spans(spool.cubes, 5);
+    const ProfReport b = profile_spans(chrome.cubes, 5);
+    EXPECT_EQ(a.cubes, b.cubes);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.comps, b.comps);
+    EXPECT_EQ(a.comps_finished, b.comps_finished);
+    EXPECT_EQ(a.comps_found, b.comps_found);
+    EXPECT_EQ(a.query_sends, b.query_sends);
+    EXPECT_EQ(a.attributed_queries, b.attributed_queries);
+    EXPECT_EQ(a.replacements, b.replacements);
+    EXPECT_EQ(a.breadth_by_hop, b.breadth_by_hop);
+    EXPECT_TRUE(a.depth == b.depth);
+    EXPECT_TRUE(a.critical == b.critical);
+    EXPECT_TRUE(a.flood_width == b.flood_width);
+    ASSERT_EQ(a.widest.size(), b.widest.size());
+    for (std::size_t i = 0; i < a.widest.size(); ++i) {
+      EXPECT_EQ(a.widest[i].pid, b.widest[i].pid);
+      EXPECT_EQ(a.widest[i].comp, b.widest[i].comp);
+      EXPECT_EQ(a.widest[i].queries, b.widest[i].queries);
+      EXPECT_EQ(a.widest[i].relays, b.widest[i].relays);
+      EXPECT_EQ(a.widest[i].depth, b.widest[i].depth);
+      EXPECT_EQ(a.widest[i].critical_path, b.widest[i].critical_path);
+      EXPECT_EQ(a.widest[i].finished, b.widest[i].finished);
+      EXPECT_EQ(a.widest[i].found, b.widest[i].found);
+    }
+  }
+}
+
+TEST(SpanReaders, ChromeReaderRejectsAnExportWithoutItsTrailer) {
+  const std::string path =
+      span_temp_file("obs_no_trailer.json", "[\n{\"ph\":\"M\",\"pid\":0,"
+                                            "\"name\":\"wall_ms\",\"args\":"
+                                            "{\"wall_ms\":1.0}}\n]\n");
+  try {
+    read_chrome_trace(path);
+    FAIL() << "an export without its totals trailer was accepted";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(read_chrome_trace(span_temp_file("obs_cut.json", "[\n{\"ph\"")),
+               check_error);
 }
 
 // The prof acceptance bar: at sampling K=1, >= 95% of counted Phase I

@@ -293,7 +293,7 @@ std::string index_set_hash(const std::vector<std::int64_t>& indices) {
   return digest_hex(index_set_digest(indices));
 }
 
-constexpr const char* kStreamSchema = "cmvrp-stream-v3";
+constexpr const char* kStreamSchema = "cmvrp-stream-v4";
 
 const char* admission_name(AdmissionPolicy policy) {
   switch (policy) {
@@ -308,12 +308,13 @@ const char* admission_name(AdmissionPolicy policy) {
 }
 
 // Shared report of every serving front end: ASCII table plus the
-// cmvrp-stream-v3 JSON artifact (v2 added admission config echo, shed /
+// cmvrp-stream-v4 JSON artifact (v2 added admission config echo, shed /
 // rejected counts and hash, latency percentiles + digest, and the
-// timeseries summary; v3 adds the Tier-A counter totals — messages by
+// timeseries summary; v3 added the Tier-A counter totals — messages by
 // kind, Phase I computation counts, cascade stats, admission gauges,
 // one counters_hash — plus Tier-B stage spans, which carry the *_ms /
-// wall_* naming the CI exclusion list strips). Exit code 0 iff no job
+// wall_* naming the CI exclusion list strips; v4 writes one key per
+// kCounterFields row, which adds `arrivals`). Exit code 0 iff no job
 // failed or was dropped.
 int report_stream(const Args& args, const StreamConfig& cfg,
                   const StreamResult& r, double ms) {
@@ -346,11 +347,7 @@ int report_stream(const Args& args, const StreamConfig& cfg,
   t.row().cell("latency max").cell(r.latency.observed_max());
   t.row().cell("replacements").cell(r.metrics.replacements);
   t.row().cell("messages total").cell(r.metrics.network.total());
-  const double mpr =
-      r.counters.replacements == 0
-          ? 0.0
-          : static_cast<double>(r.counters.messages_total()) /
-                static_cast<double>(r.counters.replacements);
+  const double mpr = r.counters.messages_per_replacement();
   t.row().cell("messages/replacement").cell(mpr);
   if (cfg.online.obs.counters) {
     t.row().cell("max queries/computation").cell(
@@ -387,10 +384,14 @@ int report_stream(const Args& args, const StreamConfig& cfg,
     doc.set("routed_parallel_batches", r.routed_parallel_batches);
     doc.set("routed_serial_batches", r.routed_serial_batches);
     doc.set("routing_ms", r.stages.route_ms);
-    doc.set("served", r.metrics.jobs_served);
-    doc.set("failed", r.metrics.jobs_failed);
-    doc.set("shed", r.jobs_shed);
-    doc.set("rejected", r.jobs_rejected);
+    // Tier-A counter totals, one key per CubeCounters row (deterministic,
+    // guarded by the CI counter-diff): messages by kind, Phase I
+    // computations, the served / failed / shed / rejected partition of
+    // the arrivals, admission gauges and span bookkeeping. The obs-gated
+    // rows are zero when obs_counters is false, the span rows unless
+    // --trace-spans turned the recorders on.
+    for (const CounterField& f : kCounterFields)
+      doc.set(f.key, r.counters.*f.member);
     doc.set("served_hash", index_set_hash(r.served_jobs));
     doc.set("failed_hash", index_set_hash(r.failed_jobs));
     doc.set("shed_hash", index_set_hash(r.shed_jobs));
@@ -405,33 +406,11 @@ int report_stream(const Args& args, const StreamConfig& cfg,
     doc.set("ts_max_queue_depth", r.timeseries.max_queue_depth);
     doc.set("ts_max_occupancy_pm", r.timeseries.max_occupancy_pm);
     doc.set("ts_hash", digest_hex(r.timeseries.digest));
-    doc.set("replacements", r.metrics.replacements);
     doc.set("messages", r.metrics.network.total());
-    // v3 Tier-A counter totals (deterministic, guarded by the CI
-    // counter-diff): messages by kind, Phase I computations, cascade
-    // stats, admission gauges, and one order-invariant hash over all of
-    // them. The obs-gated fields are zero when obs_counters is false.
     doc.set("obs_counters", cfg.online.obs.counters);
-    doc.set("msg_queries", r.counters.msg_queries);
-    doc.set("msg_replies", r.counters.msg_replies);
-    doc.set("msg_moves", r.counters.msg_moves);
-    doc.set("msg_heartbeats", r.counters.msg_heartbeats);
-    doc.set("msg_heartbeat_skips", r.counters.msg_heartbeat_skips);
-    doc.set("comps_started", r.counters.comps_started);
-    doc.set("comps_finished", r.counters.comps_finished);
-    doc.set("comps_failed", r.counters.comps_failed);
-    doc.set("monitor_initiations", r.counters.monitor_initiations);
-    doc.set("max_queries_per_comp", r.counters.max_queries_per_comp);
-    doc.set("enqueued", r.counters.enqueued);
-    doc.set("backlog_peak", r.counters.backlog_peak);
-    // Tier-C span bookkeeping (deterministic like the counters above;
-    // all zero unless --trace-spans turned the recorders on).
     doc.set("obs_spans", cfg.online.obs.spans);
     doc.set("span_sample", cfg.online.obs.span_sample);
     doc.set("flight", cfg.online.obs.flight);
-    doc.set("spans_emitted", r.counters.spans_emitted);
-    doc.set("spans_sampled_out", r.counters.spans_sampled_out);
-    doc.set("spans_ring_evicted", r.counters.spans_ring_evicted);
     doc.set("cascade_count", r.counters.cascade.count());
     doc.set("cascade_p50", r.counters.cascade.percentile(50.0));
     doc.set("cascade_p99", r.counters.cascade.percentile(99.0));
@@ -926,6 +905,16 @@ int cmd_trace_replay(const Args& args) {
       });
 }
 
+// Reads a whole artifact file; check_error (exit 1) when unreadable —
+// a missing baseline or input is a data failure, not a usage slip.
+std::string read_text_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  CMVRP_CHECK_MSG(in.good(), "cannot open " << path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 std::string corner_string(const Json& corner) {
   std::string out = "(";
   for (std::size_t i = 0; i < corner.size(); ++i) {
@@ -935,9 +924,9 @@ std::string corner_string(const Json& corner) {
   return out + ")";
 }
 
-// Top-k cube lines by one numeric JSONL field, ties broken by corner
-// (the lines arrive in ascending-corner order, so the sort is stable
-// and deterministic).
+// Top-k cube lines by one numeric JSONL field, ties broken by file
+// order (the lines arrive in ascending-corner order, so the stable sort
+// is deterministic).
 std::vector<const Json*> top_cubes(const std::vector<Json>& cubes,
                                    const std::string& field,
                                    std::size_t k) {
@@ -954,85 +943,34 @@ std::vector<const Json*> top_cubes(const std::vector<Json>& cubes,
 }
 
 // `stats`: summarize a cmvrp-stats-v1 JSONL snapshot file (written by
-// `stream --stats FILE`): run header, final Tier-A totals and
-// messages-per-replacement, the Tier-B stage-time breakdown, and the
-// top-k hotspot cubes by latency p99, backlog peak, and message volume.
+// `stream --stats FILE`, read by read_stats): run header, final Tier-A
+// totals and messages-per-replacement, the Tier-B stage-time breakdown,
+// and the top-k hotspot cubes by latency p99, backlog peak, and message
+// volume.
 int cmd_stats(const Args& args) {
   CLI_USAGE_CHECK(args.has("file"), "--file <stats.jsonl> is required");
   CLI_USAGE_CHECK(args.get_int("top", 5) >= 1,
                   "--top must be >= 1, got " << args.get_int("top", 5));
   const auto top_k = static_cast<std::size_t>(args.get_int("top", 5));
-  std::ifstream in(args.get("file", ""));
-  CMVRP_CHECK_MSG(in.good(), "cannot open --file " << args.get("file", ""));
-
-  std::optional<Json> header, final_line;
-  std::vector<Json> cubes;
-  std::uint64_t samples = 0;
-  std::string line;
-  // Byte-offset accounting: malformed input (truncated lines, non-JSONL
-  // files) fails with the offset of the offending line, not a bare parse
-  // error — same contract as the binary trace readers.
-  std::uint64_t offset = 0;
-  std::uint64_t lines = 0;
   const std::string path = args.get("file", "");
-  while (std::getline(in, line)) {
-    const std::uint64_t line_start = offset;
-    offset += line.size() + 1;  // + the newline getline consumed
-    ++lines;
-    if (line.empty()) continue;
-    Json j;
-    try {
-      j = Json::parse(line);
-    } catch (const std::exception& e) {
-      CMVRP_CHECK_MSG(false, "not a cmvrp-stats JSONL file — line " << lines
-                                 << " at byte " << line_start
-                                 << " does not parse (" << e.what()
-                                 << "): " << path);
-    }
-    CMVRP_CHECK_MSG(j.is_object() && j.contains("kind"),
-                    "not a cmvrp-stats JSONL file — line "
-                        << lines << " at byte " << line_start
-                        << " has no \"kind\" field: " << path);
-    const std::string& kind = j.at("kind").as_string();
-    if (kind == "header") {
-      header = std::move(j);
-    } else if (kind == "sample") {
-      ++samples;
-    } else if (kind == "cube") {
-      cubes.push_back(std::move(j));
-    } else if (kind == "final") {
-      final_line = std::move(j);
-    }
-  }
-  CMVRP_CHECK_MSG(offset > 0, "stats file is empty (0 bytes): " << path);
-  CMVRP_CHECK_MSG(header.has_value(),
-                  "no header line in " << offset << " bytes (" << lines
-                                       << " lines) — not a cmvrp-stats "
-                                          "JSONL file: "
-                                       << path);
-  const std::string& schema = header->at("schema").as_string();
-  std::cout << "stats schema: " << schema << " (reader supports "
-            << kStatsSchema << ")\n";
-  CMVRP_CHECK_MSG(schema == kStatsSchema,
-                  "unsupported stats schema: " << schema);
-  CMVRP_CHECK_MSG(final_line.has_value(),
-                  "no final line after " << offset << " bytes (" << lines
-                                         << " lines) — truncated? the run "
-                                            "did not finish(): "
-                                         << path);
+  const StatsDoc doc = read_stats(read_text_file(path), path);
+  const Json& header = doc.header;
+  std::cout << "stats schema: " << header.at("schema").as_string()
+            << " (reader supports " << kStatsSchema << ")\n";
 
-  const Json& f = *final_line;
+  const Json& f = doc.final_line;
   Table t({"metric", "value"});
   t.row().cell("dim").cell(
-      static_cast<std::int64_t>(header->at("dim").as_number()));
+      static_cast<std::int64_t>(header.at("dim").as_number()));
   t.row().cell("threads").cell(
-      static_cast<std::int64_t>(header->at("threads").as_number()));
+      static_cast<std::int64_t>(header.at("threads").as_number()));
   t.row().cell("batch size").cell(
-      static_cast<std::int64_t>(header->at("batch_size").as_number()));
-  t.row().cell("counters").cell(header->at("counters").as_bool() ? "on"
-                                                                 : "off");
-  t.row().cell("samples / cubes").cell(std::to_string(samples) + " / " +
-                                       std::to_string(cubes.size()));
+      static_cast<std::int64_t>(header.at("batch_size").as_number()));
+  t.row().cell("counters").cell(header.at("counters").as_bool() ? "on"
+                                                                : "off");
+  t.row().cell("samples / cubes").cell(
+      std::to_string(doc.samples.size()) + " / " +
+      std::to_string(doc.cubes.size()));
   t.row().cell("jobs").cell(json_number_to_string(f.at("jobs").as_number()));
   t.row().cell("served / failed").cell(
       json_number_to_string(f.at("served").as_number()) + " / " +
@@ -1058,7 +996,7 @@ int cmd_stats(const Args& args) {
   t.row().cell("wall_rss_kb").cell(f.at("wall_rss_kb").as_number());
   t.print(std::cout);
 
-  if (!cubes.empty()) {
+  if (!doc.cubes.empty()) {
     struct Ranking {
       const char* title;
       const char* field;
@@ -1071,7 +1009,7 @@ int cmd_stats(const Args& args) {
     for (const Ranking& rank : rankings) {
       std::cout << "\n" << rank.title << " (top " << top_k << "):\n";
       Table ct({"cube", rank.field, "arrivals", "served", "replacements"});
-      for (const Json* c : top_cubes(cubes, rank.field, top_k)) {
+      for (const Json* c : top_cubes(doc.cubes, rank.field, top_k)) {
         ct.row()
             .cell(corner_string(c->at("corner")))
             .cell(json_number_to_string(c->at(rank.field).as_number()))
@@ -1083,83 +1021,6 @@ int cmd_stats(const Args& args) {
     }
   }
   return 0;
-}
-
-// Rebuilds analyzer-side cube spans from a Chrome trace-event JSON
-// export — the inverse of export_chrome_trace's mapping. Every event
-// carries the full span record in its args block, so the round-trip is
-// lossless except per-cube totals (only the global trailer has totals).
-std::vector<CubeSpans> chrome_spans(const std::string& path,
-                                    SpanTotals* totals) {
-  std::ifstream in(path);
-  CMVRP_CHECK_MSG(in.good(), "cannot open span trace: " << path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const Json doc = Json::parse(buffer.str());
-  CMVRP_CHECK_MSG(doc.is_array(),
-                  "span trace is not a JSON event array: " << path);
-
-  const auto u64 = [](const Json& j) {
-    return static_cast<std::uint64_t>(j.as_number());
-  };
-  const auto actor32 = [](const Json& j) {
-    const auto v = static_cast<std::int64_t>(j.as_number());
-    return v < 0 ? SpanEvent::kNoActor : static_cast<std::uint32_t>(v);
-  };
-
-  std::map<std::uint64_t, CubeSpans> by_pid;  // ordered -> deterministic
-  for (std::size_t i = 0; i < doc.size(); ++i) {
-    const Json& ev = doc.at(i);
-    const std::string& ph = ev.at("ph").as_string();
-    if (ph == "M") {  // metadata: naming, wall_ms, or the totals trailer
-      if (ev.at("name").as_string() == "cmvrp_span_totals" &&
-          totals != nullptr) {
-        const Json& a = ev.at("args");
-        totals->emitted = u64(a.at("emitted"));
-        totals->sampled_out = u64(a.at("sampled_out"));
-        totals->ring_evicted = u64(a.at("ring_evicted"));
-      }
-      continue;
-    }
-    SpanEvent e;
-    if (ph == "b") {
-      e.kind = static_cast<std::uint8_t>(SpanKind::kCompStart);
-    } else if (ph == "e") {
-      e.kind = static_cast<std::uint8_t>(SpanKind::kCompFinish);
-    } else if (ph == "s") {
-      e.kind = static_cast<std::uint8_t>(SpanKind::kSend);
-    } else if (ph == "f") {
-      e.kind = static_cast<std::uint8_t>(SpanKind::kDeliver);
-    } else if (ph == "i") {
-      e.kind = static_cast<std::uint8_t>(ev.at("cat").as_string() == "cascade"
-                                             ? SpanKind::kCascadeStep
-                                             : SpanKind::kRelay);
-    } else if (ph == "B") {
-      e.kind = static_cast<std::uint8_t>(SpanKind::kServeBegin);
-    } else if (ph == "E") {
-      e.kind = static_cast<std::uint8_t>(SpanKind::kServeEnd);
-    } else {
-      CMVRP_CHECK_MSG(false, "span trace event " << i << " has unexpected "
-                                                    "phase \""
-                                                 << ph << "\": " << path);
-    }
-    const Json& a = ev.at("args");
-    e.clock = static_cast<std::int64_t>(ev.at("ts").as_number());
-    e.comp = u64(a.at("comp"));
-    e.data = u64(a.at("data"));
-    e.actor = actor32(a.at("actor"));
-    e.parent = actor32(a.at("parent"));
-    e.hop = static_cast<std::uint16_t>(u64(a.at("hop")));
-    e.aux = static_cast<std::uint8_t>(u64(a.at("aux")));
-    const std::uint64_t pid = u64(ev.at("pid"));
-    CubeSpans& cube = by_pid[pid];
-    cube.pid = pid;
-    cube.events.push_back(e);
-  }
-  std::vector<CubeSpans> cubes;
-  cubes.reserve(by_pid.size());
-  for (auto& [pid, cube] : by_pid) cubes.push_back(std::move(cube));
-  return cubes;
 }
 
 // `prof`: the span-trace analyzer (src/obs/prof.h). Reads a
@@ -1177,27 +1038,19 @@ int cmd_prof(const Args& args) {
 
   const bool json = path.size() >= 5 &&
                     path.compare(path.size() - 5, 5, ".json") == 0;
-  std::vector<CubeSpans> cubes;
-  SpanTotals json_totals;
-  if (json) {
-    cubes = chrome_spans(path, &json_totals);
-  } else {
-    SpanSpool spool = read_span_spool(path);
-    cubes = std::move(spool.cubes);
-  }
-  ProfReport rep = profile_spans(cubes, static_cast<std::size_t>(top));
-  // Per-cube totals only exist in the spool; the Chrome export carries
-  // them in its trailer instead.
-  if (json) rep.totals = json_totals;
+  const SpanSpool spool =
+      json ? read_chrome_trace(path) : read_span_spool(path);
+  const ProfReport rep =
+      profile_spans(spool.cubes, static_cast<std::size_t>(top));
 
   Table t({"metric", "value"});
   t.row().cell("file").cell(path + (json ? " (chrome json)" : " (spool)"));
   t.row().cell("cubes").cell(static_cast<std::uint64_t>(rep.cubes));
   t.row().cell("span records").cell(rep.events);
   t.row().cell("emitted / sampled out / evicted").cell(
-      std::to_string(rep.totals.emitted) + " / " +
-      std::to_string(rep.totals.sampled_out) + " / " +
-      std::to_string(rep.totals.ring_evicted));
+      std::to_string(spool.totals.emitted) + " / " +
+      std::to_string(spool.totals.sampled_out) + " / " +
+      std::to_string(spool.totals.ring_evicted));
   t.row().cell("computations").cell(rep.comps);
   t.row().cell("finished / found a child").cell(
       std::to_string(rep.comps_finished) + " / " +
@@ -1252,16 +1105,6 @@ int cmd_prof(const Args& args) {
     wt.print(std::cout);
   }
   return 0;
-}
-
-// Reads a whole artifact file; check_error (exit 1) when unreadable —
-// a missing baseline or input is a data failure, not a usage slip.
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  CMVRP_CHECK_MSG(in.good(), "cannot open " << path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 std::vector<std::string> split_commas(const std::string& s) {
@@ -1453,7 +1296,7 @@ int usage(std::ostream& os, int exit_code) {
          "         [--trace-spans f.json|f.bin] [--span-sample K]\n"
          "         [--flight N]\n"
          "                                 sharded streaming; report schema\n"
-         "                                 cmvrp-stream-v3. --obs turns on\n"
+         "                                 cmvrp-stream-v4. --obs turns on\n"
          "                                 Tier-A counters (per-computation\n"
          "                                 query max, cascade histogram,\n"
          "                                 admission gauges); --stats streams\n"
@@ -1520,13 +1363,15 @@ int usage(std::ostream& os, int exit_code) {
 
 // A subcommand: its name ("trace" actions are commands of their own,
 // such as "trace replay"), every flag its handler and the helpers it
-// calls read, and the handler. main rejects any other flag before
-// dispatch, so a misspelled flag is a usage error, not an effect
-// silently dropped.
+// calls read, the handler, and whether it takes positional arguments
+// (file lists). main rejects any other flag, and any positional token a
+// command does not take, before dispatch, so a misspelled flag or a
+// forgotten --file is a usage error, not an input silently dropped.
 struct Command {
   std::string name;
   std::vector<std::string> flags;
   int (*run)(const Args&);
+  bool positionals = false;
 };
 
 // `items` followed by `more`.
@@ -1565,10 +1410,10 @@ const std::vector<Command>& commands() {
        cmd_trace_gen},
       {"trace info", {"file"}, cmd_trace_info},
       {"trace replay", joined({"file", "memory"}, serve), cmd_trace_replay},
-      {"trace mux", serve, cmd_trace_mux},
+      {"trace mux", serve, cmd_trace_mux, true},
       {"stats", {"file", "top"}, cmd_stats},
       {"prof", {"file", "top"}, cmd_prof},
-      {"compare", joined({"kind", "json"}, thresholds), cmd_compare},
+      {"compare", joined({"kind", "json"}, thresholds), cmd_compare, true},
       {"bench",
        joined({"suite", "reps", "warmup", "filter", "json", "baseline",
                "diff-json", "list", "scenarios"},
@@ -1611,6 +1456,12 @@ int main(int argc, char** argv) {
       CLI_USAGE_CHECK(
           std::find(known.begin(), known.end(), flag) != known.end(),
           "unknown flag --" << flag << " for '" << command->name << "'");
+    // A trace action's first positional is the action word itself.
+    const std::size_t action = args.command == "trace" ? 1 : 0;
+    CLI_USAGE_CHECK(command->positionals || args.positional.size() == action,
+                    "unexpected argument '" << args.positional[action]
+                                            << "' for '" << command->name
+                                            << "' (it takes only --flags)");
     args.declared = &known;
     return command->run(args);
   } catch (const usage_error& e) {  // malformed flags: exit 2
