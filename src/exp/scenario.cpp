@@ -244,11 +244,11 @@ ScenarioRegistry build_builtin() {
                       return alternating_stream(Point{0, 0}, Point{8, 0}, 40);
                     }));
 
-  // --- streaming-engine workloads (stream_smoke / stream_scaling) ---------
+  // --- streaming-engine workloads (`stream --scenario`, stream_scaling) --
   // Large shuffled uniform streams: arrivals interleave across many cubes,
   // which is what gives the sharded engine parallel work.
   r.add(from_demand("uniform/32x32/n2000", "uniform",
-                    "2000 unit demands, 32x32 box (stream smoke case)",
+                    "2000 unit demands, 32x32 box (small stream case)",
                     Box(Point{0, 0}, Point{31, 31}),
                     [] {
                       Rng rng(401);
@@ -306,10 +306,11 @@ ScenarioRegistry build_builtin() {
                     [] { return point_demand(40.0, Point{1, 1, 1, 1}); },
                     508));
 
-  // --- higher-dimension *stream* scenarios (stream_smoke/stream_scaling:
-  // dim_sweep covers offline+online; these give the engine ℓ = 3/4 work) -
+  // --- higher-dimension *stream* scenarios (stream_scaling's obs and dims
+  // sections; dim_sweep covers offline+online; these give the engine ℓ =
+  // 3/4 work) ----------------------------------------------------------
   r.add(from_demand("uniform3d/8x8x8/n1500", "uniform3d",
-                    "1500 unit demands in an 8^3 box (stream smoke, l = 3)",
+                    "1500 unit demands in an 8^3 box (small stream, l = 3)",
                     Box(Point{0, 0, 0}, Point{7, 7, 7}),
                     [] {
                       Rng rng(601);
@@ -318,7 +319,7 @@ ScenarioRegistry build_builtin() {
                     },
                     602));
   r.add(from_demand("uniform4d/6x6x6x6/n1000", "uniform4d",
-                    "1000 unit demands in a 6^4 box (stream smoke, l = 4)",
+                    "1000 unit demands in a 6^4 box (small stream, l = 4)",
                     Box(Point{0, 0, 0, 0}, Point{5, 5, 5, 5}),
                     [] {
                       Rng rng(603);

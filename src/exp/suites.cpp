@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <deque>
-#include <filesystem>
 #include <optional>
-#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,13 +28,8 @@
 #include "online/pairing.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
-#include "record/mux.h"
-#include "record/recorder.h"
 #include "stream/engine.h"
 #include "stream/won_search.h"
-#include "trace/reader.h"
-#include "trace/replay.h"
-#include "trace/writer.h"
 #include "transfer/cube_collector.h"
 #include "transfer/line_collector.h"
 #include "transfer/theorem51.h"
@@ -48,7 +39,6 @@
 #include "vrp/cvrp.h"
 #include "vrp/greedy_baseline.h"
 #include "workload/generators.h"
-#include "workload/stream_gen.h"
 
 namespace cmvrp {
 
@@ -956,8 +946,7 @@ void suite_dim_sweep(BenchRun& b) {
          "really is a free parameter of the implementation.");
 }
 
-// Shared by the stream suites: a full engine run with wall-clock
-// throughput.
+// A full engine run with wall-clock throughput.
 struct StreamProbe {
   StreamResult result;
   double ms = 0.0;
@@ -996,120 +985,6 @@ bool same_serving_outcome(const StreamResult& a, const StreamResult& b) {
          a.cubes == b.cubes;
 }
 
-// A per-run-unique trace path under the temp directory, removed on
-// destruction (also when a check_error escapes a case) — so two
-// concurrent suite runs on one machine never truncate each other's
-// files mid-replay. Non-copyable: a copy's destructor would delete a
-// live file; keep instances in a std::deque, whose growth never moves
-// elements.
-class ScopedTempFile {
- public:
-  explicit ScopedTempFile(const std::string& stem)
-      : path_(std::filesystem::temp_directory_path().string() + "/cmvrp_" +
-              stem + "_" + run_token() + ".trace") {}
-  ~ScopedTempFile() { std::remove(path_.c_str()); }
-  ScopedTempFile(const ScopedTempFile&) = delete;
-  ScopedTempFile& operator=(const ScopedTempFile&) = delete;
-
-  const std::string& path() const { return path_; }
-
- private:
-  static const std::string& run_token() {
-    static const std::string token = [] {
-      std::random_device rd;
-      std::ostringstream os;
-      os << std::hex << rd() << rd();
-      return os.str();
-    }();
-    return token;
-  }
-
-  std::string path_;
-};
-
-// Shared by the stream suites' "dims" sections: runs each named ℓ = 3/4
-// scenario at 1 and 2 threads under the theory config, asserting the
-// thread-count determinism contract (and, when `require_complete`,
-// zero dropped jobs).
-void run_dim_stream_cases(BenchRun& b, BenchSection& section,
-                          const std::vector<std::string>& names,
-                          std::int64_t batch_size, bool require_complete) {
-  for (const auto& name : names) {
-    const Scenario& sc = ScenarioRegistry::builtin().at(name);
-    const auto jobs = sc.jobs();
-    StreamConfig cfg;
-    cfg.online = default_online_config(demand_of_stream(jobs, sc.dim), 7);
-    cfg.batch_size = batch_size;
-    cfg.region = sc.region;  // dense cube-slot routing (flat shard state)
-    std::optional<StreamResult> reference;
-    for (const int threads : {1, 2}) {
-      section.run_case(
-          name + "/threads=" + std::to_string(threads),
-          [&b, &sc, &jobs, cfg, &reference, require_complete,
-           threads](MetricRow& row) {
-            StreamConfig c = cfg;
-            c.threads = threads;
-            const StreamProbe p = probe_stream(sc.dim, c, jobs);
-            if (!reference) reference = p.result;
-            else if (!same_stream_outcome(*reference, p.result))
-              b.fail(sc.name + ": thread count changed the stream outcome");
-            if (require_complete && p.result.metrics.jobs_failed != 0)
-              b.fail(sc.name + ": theory capacity dropped jobs at l = " +
-                     std::to_string(sc.dim));
-            row.metric("l", sc.dim)
-                .metric("served", p.result.metrics.jobs_served)
-                .metric("failed", p.result.metrics.jobs_failed)
-                .metric("cubes", p.result.cubes)
-                .metric("jobs/sec", p.jobs_per_sec, 0);
-          });
-    }
-  }
-}
-
-// E14 — streaming engine CI gate: small stream, the 1-vs-2-thread
-// determinism contract, seconds total.
-void suite_stream_smoke(BenchRun& b) {
-  const Scenario& sc = ScenarioRegistry::builtin().at("uniform/32x32/n2000");
-  const auto jobs = sc.jobs();
-  StreamConfig cfg;
-  cfg.online.capacity = 24.0;
-  cfg.online.cube_side = 4;
-  cfg.online.anchor = Point{0, 0};
-  cfg.online.seed = 7;
-  cfg.batch_size = 128;
-  cfg.region = sc.region;
-
-  std::optional<StreamResult> reference;
-  for (const int threads : {1, 2}) {
-    b.run_case("threads=" + std::to_string(threads),
-               [&, threads](MetricRow& row) {
-                 StreamConfig c = cfg;
-                 c.threads = threads;
-                 const StreamProbe p = probe_stream(2, c, jobs);
-                 if (!reference) reference = p.result;
-                 else if (!same_stream_outcome(*reference, p.result))
-                   b.fail("thread count changed the stream outcome");
-                 row.metric("served", p.result.metrics.jobs_served)
-                     .metric("failed", p.result.metrics.jobs_failed)
-                     .metric("replacements", p.result.metrics.replacements)
-                     .metric("cubes", p.result.cubes)
-                     .metric("jobs/sec", p.jobs_per_sec, 0);
-               });
-  }
-
-  // ℓ = 3 and ℓ = 4 streams: the same determinism contract must hold in
-  // every dimension the engine serves (dim_sweep covers offline+online
-  // only). Theory capacity, so complete service is also asserted.
-  run_dim_stream_cases(b, b.section("dims"),
-                       {"uniform3d/8x8x8/n1500", "uniform4d/6x6x6x6/n1000"},
-                       /*batch_size=*/128, /*require_complete=*/true);
-
-  b.note("Stream smoke: 2000 jobs over 64 cubes; 1-thread and 2-thread "
-         "runs must be bit-identical (all nondeterminism lives in per-cube "
-         "seeds) — and the same contract holds for the l = 3/4 streams at "
-         "theory capacity.");
-}
-
 // E15 — streaming engine scaling: throughput vs threads and batch size on
 // the large-grid scenario; outcomes must stay bit-identical throughout.
 void suite_stream_scaling(BenchRun& b) {
@@ -1135,16 +1010,14 @@ void suite_stream_scaling(BenchRun& b) {
 
   const unsigned hw = std::thread::hardware_concurrency();
 
-  // Baseline probe outside the timed cases: the determinism reference and
-  // the speedup denominator must come from a warm single-thread run even
-  // under --warmup or a --filter that skips the threads=1 case.
-  const StreamProbe baseline = [&] {
-    probe_stream(2, cfg, jobs);  // warm caches/allocator once
-    return probe_stream(2, cfg, jobs);
-  }();
-  const StreamResult& reference = baseline.result;
-  const double ms_at_1 = baseline.ms;
+  // The determinism reference is served outside the timed cases, so it
+  // holds under --warmup or a --filter that skips the threads=1 case; it
+  // also warms caches and the allocator before the first timed case.
+  const StreamResult reference = serve_stream(2, cfg, jobs);
 
+  // The speedup column divides by the threads=1 case's own time, so that
+  // row reads 1.00 (and every row 0 when --filter skips it).
+  std::optional<double> ms_at_1;
   BenchSection& threads = b.section("threads");
   for (const int t : {1, 2, 4, 8}) {
     threads.run_case("threads=" + std::to_string(t),
@@ -1154,6 +1027,7 @@ void suite_stream_scaling(BenchRun& b) {
                        const StreamProbe p = probe_stream(2, c, jobs);
                        if (!same_stream_outcome(reference, p.result))
                          b.fail("thread count changed the stream outcome");
+                       if (t == 1) ms_at_1 = p.ms;
                        row.metric("hw threads", static_cast<int>(hw))
                            .metric("served", p.result.metrics.jobs_served)
                            .metric("failed", p.result.metrics.jobs_failed)
@@ -1166,7 +1040,9 @@ void suite_stream_scaling(BenchRun& b) {
                            .metric("routing ms", p.result.stages.route_ms, 2)
                            .metric("jobs/sec", p.jobs_per_sec, 0)
                            .metric("speedup vs 1t",
-                                   p.ms > 0.0 ? ms_at_1 / p.ms : 0.0, 2);
+                                   ms_at_1 && p.ms > 0.0 ? *ms_at_1 / p.ms
+                                                         : 0.0,
+                                   2);
                      });
   }
 
@@ -1186,12 +1062,38 @@ void suite_stream_scaling(BenchRun& b) {
                      });
   }
 
-  // Large ℓ = 3/4 streams: throughput and determinism in higher
-  // dimensions (the engine's per-cube fleets are side^l vehicles, so
-  // jobs/sec legitimately drops with l; the artifact tracks by how much).
-  run_dim_stream_cases(b, b.section("dims"),
-                       {"uniform3d/16x16x16/n8000", "uniform4d/8x8x8x8/n4000"},
-                       /*batch_size=*/256, /*require_complete=*/false);
+  // Large ℓ = 3/4 streams under the theory config: throughput and
+  // determinism at 1 and 2 threads in higher dimensions (the engine's
+  // per-cube fleets are side^l vehicles, so jobs/sec legitimately drops
+  // with l; the artifact tracks by how much).
+  BenchSection& dims = b.section("dims");
+  for (const char* name :
+       {"uniform3d/16x16x16/n8000", "uniform4d/8x8x8x8/n4000"}) {
+    const Scenario& dsc = ScenarioRegistry::builtin().at(name);
+    const auto djobs = dsc.jobs();
+    StreamConfig dcfg;
+    dcfg.online = default_online_config(demand_of_stream(djobs, dsc.dim), 7);
+    dcfg.batch_size = 256;
+    dcfg.region = dsc.region;  // dense cube-slot routing (flat shard state)
+    std::optional<StreamResult> dref;
+    for (const int t : {1, 2}) {
+      dims.run_case(dsc.name + "/threads=" + std::to_string(t),
+                    [&, t](MetricRow& row) {
+                      StreamConfig c = dcfg;
+                      c.threads = t;
+                      const StreamProbe p = probe_stream(dsc.dim, c, djobs);
+                      if (!dref) dref = p.result;
+                      else if (!same_stream_outcome(*dref, p.result))
+                        b.fail(dsc.name +
+                               ": thread count changed the stream outcome");
+                      row.metric("l", dsc.dim)
+                          .metric("served", p.result.metrics.jobs_served)
+                          .metric("failed", p.result.metrics.jobs_failed)
+                          .metric("cubes", p.result.cubes)
+                          .metric("jobs/sec", p.jobs_per_sec, 0);
+                    });
+    }
+  }
 
   // --- obs: Tier-A counters + the Lemma 3.3.1 flood bound -----------------
   // Counters on: serving outcomes must be untouched, and every Phase I
@@ -1318,415 +1220,6 @@ void suite_stream_scaling(BenchRun& b) {
          "against the counters-on and spans-on runs at one thread.");
 }
 
-// served + failed + shed must partition the arrival indices 0..n-1
-// exactly: every job has exactly one outcome, nothing is double-counted,
-// nothing is lost in a bounded queue.
-bool partitions_arrivals(const StreamResult& r, std::size_t n) {
-  std::vector<std::int64_t> all;
-  all.reserve(n);
-  all.insert(all.end(), r.served_jobs.begin(), r.served_jobs.end());
-  all.insert(all.end(), r.failed_jobs.begin(), r.failed_jobs.end());
-  all.insert(all.end(), r.shed_jobs.begin(), r.shed_jobs.end());
-  if (all.size() != n) return false;
-  std::sort(all.begin(), all.end());
-  for (std::size_t i = 0; i < n; ++i)
-    if (all[i] != static_cast<std::int64_t>(i)) return false;
-  return true;
-}
-
-// E18 — latency-aware serving: tail percentiles of the per-job lifecycle
-// timestamps must be bit-identical across thread counts AND batch sizes
-// (admission off reproduces the historical stream_scaling outcome
-// exactly), and under saturation the three admission policies must
-// produce deterministic, mutually distinct outcome partitions.
-void suite_stream_latency(BenchRun& b) {
-  // --- tails: the stream_scaling workload, admission off ------------------
-  const Scenario& sc = ScenarioRegistry::builtin().at("uniform/64x64/n20000");
-  const auto jobs = sc.jobs();
-  StreamConfig cfg;
-  cfg.online.capacity = 24.0;
-  cfg.online.cube_side = 4;
-  cfg.online.anchor = Point{0, 0};
-  cfg.online.seed = 7;
-  cfg.online.monitor_stride = 16;
-  cfg.online.sample_stride = 16;  // timeseries on: it must not perturb
-  cfg.batch_size = 256;
-  cfg.region = sc.region;
-
-  // Reference outside the timed cases (filter/warmup-proof, like
-  // stream_scaling's baseline).
-  const StreamResult reference = serve_stream(2, cfg, jobs);
-
-  BenchSection& tails = b.section("tails");
-  for (const int threads : {1, 2, 8}) {
-    for (const std::int64_t batch : {32, 256}) {
-      tails.run_case(
-          "threads=" + std::to_string(threads) + "/batch=" +
-              std::to_string(batch),
-          [&, threads, batch](MetricRow& row) {
-            StreamConfig c = cfg;
-            c.threads = threads;
-            c.batch_size = batch;
-            const StreamProbe p = probe_stream(2, c, jobs);
-            if (!same_stream_outcome(reference, p.result))
-              b.fail("threads/batch changed the latency outcome");
-            // PR 6 anchor: admission off (and sampling on) must leave the
-            // historical stream_scaling outcome untouched.
-            if (p.result.metrics.jobs_served != 20000 ||
-                p.result.metrics.jobs_failed != 0 ||
-                p.result.metrics.replacements != 136 ||
-                p.result.cubes != 256)
-              b.fail("admission-off run diverged from the historical "
-                     "stream_scaling outcome (20000/0/136/256)");
-            if (p.result.latency.count() != p.result.metrics.jobs_served)
-              b.fail("latency histogram count != served jobs");
-            if (p.result.jobs_shed != 0 || p.result.jobs_rejected != 0 ||
-                !p.result.shed_jobs.empty())
-              b.fail("admission-off run shed or rejected jobs");
-            row.metric("p50", p.result.latency.percentile(50.0))
-                .metric("p90", p.result.latency.percentile(90.0))
-                .metric("p99", p.result.latency.percentile(99.0))
-                .metric("max", p.result.latency.observed_max())
-                .metric("ts samples", p.result.timeseries.samples)
-                .metric("jobs/sec", p.jobs_per_sec, 0);
-          });
-    }
-  }
-
-  // --- admission: saturating streams at deliberately low capacity ---------
-  struct PolicyCase {
-    const char* name;
-    AdmissionPolicy policy;
-  };
-  constexpr PolicyCase kPolicies[] = {
-      {"unbounded", AdmissionPolicy::kUnbounded},
-      {"reject", AdmissionPolicy::kReject},
-      {"shed", AdmissionPolicy::kShed},
-  };
-  BenchSection& admission = b.section("admission");
-  for (const char* name :
-       {"hotspot/s4c2/n2000/b128", "heavytail2d/s4c2/n2000/a1.1"}) {
-    const Scenario& sat = ScenarioRegistry::builtin().at(name);
-    const auto sat_jobs = sat.jobs();
-    StreamConfig base;
-    base.online.capacity = 8.0;  // undersized: bursts dwarf the fleet
-    base.online.cube_side = 4;
-    base.online.anchor = Point{0, 0};
-    base.online.seed = 7;
-    base.online.queue_limit = 4;
-    base.online.service_ticks = 4;
-    base.online.sample_stride = 8;
-    base.batch_size = 64;
-    base.region = sat.region;
-
-    // Reference runs outside the timed cases (filter/reps-proof): one
-    // per policy, at 1 thread / batch 64.
-    std::vector<StreamResult> references;
-    for (const PolicyCase& pc : kPolicies) {
-      StreamConfig c = base;
-      c.online.admission = pc.policy;
-      references.push_back(serve_stream(2, c, sat_jobs));
-    }
-    for (std::size_t k = 0; k < std::size(kPolicies); ++k) {
-      const PolicyCase& pc = kPolicies[k];
-      const StreamResult& ref = references[k];
-      admission.run_case(
-          std::string(name) + "/" + pc.name, [&, pc](MetricRow& row) {
-            // Determinism under overload: another thread count and a
-            // different batch size must reproduce the run bit for bit.
-            StreamConfig c = base;
-            c.online.admission = pc.policy;
-            c.threads = 2;
-            c.batch_size = 32;
-            const StreamProbe p = probe_stream(2, c, sat_jobs);
-            if (!same_stream_outcome(ref, p.result))
-              b.fail(std::string(name) + "/" + pc.name +
-                     ": threads/batch changed the admission outcome");
-            if (!partitions_arrivals(p.result, sat_jobs.size()))
-              b.fail(std::string(name) + "/" + pc.name +
-                     ": served+failed+shed do not partition the arrivals");
-            if (pc.policy == AdmissionPolicy::kUnbounded &&
-                (p.result.jobs_shed != 0 || p.result.jobs_rejected != 0))
-              b.fail("unbounded admission dropped jobs");
-            if (pc.policy != AdmissionPolicy::kUnbounded) {
-              if (p.result.jobs_shed + p.result.jobs_rejected == 0)
-                b.fail(std::string(name) + "/" + pc.name +
-                       ": saturating stream dropped nothing");
-              if (p.result.timeseries.max_queue_depth >
-                  base.online.queue_limit)
-                b.fail("sampled backlog depth exceeded the queue limit");
-            }
-            row.metric("served", p.result.metrics.jobs_served)
-                .metric("failed", p.result.metrics.jobs_failed)
-                .metric("shed", p.result.jobs_shed)
-                .metric("rejected", p.result.jobs_rejected)
-                .metric("p50", p.result.latency.percentile(50.0))
-                .metric("p99", p.result.latency.percentile(99.0))
-                .metric("max depth", p.result.timeseries.max_queue_depth)
-                .metric("jobs/sec", p.jobs_per_sec, 0);
-          });
-    }
-    // The three policies must be mutually distinct runs, not relabelings:
-    // each pair differs in who got served or who was dropped.
-    admission.run_case(std::string(name) + "/distinct", [&](MetricRow& row) {
-      std::size_t distinct_pairs = 0;
-      for (std::size_t i = 0; i < references.size(); ++i)
-        for (std::size_t j = i + 1; j < references.size(); ++j) {
-          if (references[i].served_jobs == references[j].served_jobs &&
-              references[i].shed_jobs == references[j].shed_jobs)
-            b.fail(std::string(name) +
-                   ": two admission policies produced identical outcomes");
-          else
-            ++distinct_pairs;
-        }
-      row.metric("policies", references.size())
-          .metric("distinct pairs", distinct_pairs);
-    });
-  }
-
-  b.note("Latency tails are exact (unit integer buckets, nearest-rank "
-         "percentiles) and bit-identical across threads 1/2/8 and batches "
-         "32/256; admission off reproduces the PR 6 stream_scaling outcome "
-         "exactly. Under saturation, unbounded/reject/shed give "
-         "deterministic, mutually distinct partitions of the arrivals "
-         "(served + failed + shed covers every index exactly once).");
-}
-
-// E16 — out-of-core trace replay: bounded-memory replay off an mmap-ed
-// trace must be bit-identical to in-memory serving at every thread
-// count, and the artifact tracks replay jobs/sec against the in-memory
-// stream_scaling baseline.
-void suite_stream_replay(BenchRun& b) {
-  const ScopedTempFile hotspot_file("replay_hotspot");
-  const ScopedTempFile scaling_file("replay_scaling");
-  const std::string& hotspot_trace = hotspot_file.path();
-  const std::string& scaling_trace = scaling_file.path();
-
-  // Producer side of the out-of-core path: streaming generator →
-  // TraceWriter, one record at a time, no job vector.
-  {
-    TraceWriter writer(hotspot_trace, 2);
-    Rng rng(611);
-    bursty_hotspot_stream(2, 4, 8, 4000, 64, rng,
-                          [&writer](const Job& job) { writer.append(job); });
-    writer.close();
-  }
-
-  // In-memory baseline: the trace's own bytes read back into one vector.
-  // Replay equivalence compares bounded replay against serving the
-  // identical jobs from memory — no cross-file coupling to the registry
-  // scenario's generator parameters.
-  const std::vector<Job> jobs = [&hotspot_trace] {
-    TraceReader reader(hotspot_trace);
-    return reader.read_all();
-  }();
-  StreamConfig cfg;
-  cfg.online.capacity = 24.0;
-  cfg.online.cube_side = 4;  // engine cubes align with the generator's walls
-  cfg.online.anchor = Point{0, 0};
-  cfg.online.seed = 7;
-  cfg.batch_size = 256;
-  const StreamProbe memory = probe_stream(2, cfg, jobs);
-
-  BenchSection& eq = b.section("equivalence");
-  for (const int threads : {1, 2, 8}) {
-    eq.run_case("threads=" + std::to_string(threads),
-                [&, threads](MetricRow& row) {
-                  StreamConfig c = cfg;
-                  c.threads = threads;
-                  TraceReader reader(hotspot_trace);
-                  TraceReplayer replayer(2, c);
-                  WallTimer timer;
-                  const StreamResult r = replayer.replay(reader);
-                  const double ms = timer.elapsed_ms();
-                  if (!same_stream_outcome(memory.result, r))
-                    b.fail("trace replay diverged from in-memory serving at "
-                           "threads=" +
-                           std::to_string(threads));
-                  row.metric("served", r.metrics.jobs_served)
-                      .metric("failed", r.metrics.jobs_failed)
-                      .metric("cubes", r.cubes)
-                      .metric_bool("mmap", reader.mapped())
-                      .metric("chunk jobs",
-                              static_cast<std::uint64_t>(
-                                  replayer.chunk_jobs()))
-                      .metric("jobs/sec",
-                              ms > 0.0 ? 1000.0 *
-                                             static_cast<double>(jobs.size()) /
-                                             ms
-                                       : 0.0,
-                              0);
-                });
-  }
-
-  // Replay throughput vs the in-memory stream_scaling baseline on the
-  // same 20000-job stream.
-  const Scenario& big = ScenarioRegistry::builtin().at("uniform/64x64/n20000");
-  const auto big_jobs = big.jobs();
-  {
-    TraceWriter writer(scaling_trace, 2);
-    writer.append(big_jobs.data(), big_jobs.size());
-    writer.close();
-  }
-  BenchSection& tp = b.section("throughput");
-  tp.run_case("memory/64x64/n20000", [&](MetricRow& row) {
-    const StreamProbe p = probe_stream(2, cfg, big_jobs);
-    row.metric("served", p.result.metrics.jobs_served)
-        .metric("jobs/sec", p.jobs_per_sec, 0);
-  });
-  tp.run_case("replay/64x64/n20000", [&](MetricRow& row) {
-    TraceReader reader(scaling_trace);
-    TraceReplayer replayer(2, cfg);
-    WallTimer timer;
-    const StreamResult r = replayer.replay(reader);
-    const double ms = timer.elapsed_ms();
-    row.metric("served", r.metrics.jobs_served)
-        .metric("jobs/sec",
-                ms > 0.0
-                    ? 1000.0 * static_cast<double>(big_jobs.size()) / ms
-                    : 0.0,
-                0);
-  });
-
-  b.note("Replay equivalence: TraceReplayer over the generator-written "
-         "trace is bit-identical to in-memory serve_stream at threads 1/2/8 "
-         "(peak job storage is one engine batch, not the trace). The "
-         "throughput section prices the mmap decode against the in-memory "
-         "baseline on the stream_scaling workload.");
-}
-
-// E17 — recorder + multiplexer: engine-side outcome recording must leave
-// an audit trail bit-identical to the in-memory digests at every thread
-// count, and deterministic k-way multi-trace replay must match the
-// in-memory merge reference across thread counts and source orderings.
-void suite_record_mux(BenchRun& b) {
-  const ScopedTempFile outcome_file("record_outcomes");
-  const std::string& outcome_trace = outcome_file.path();
-
-  StreamConfig cfg;
-  cfg.online.capacity = 24.0;
-  cfg.online.cube_side = 4;  // engine cubes align with the generators' walls
-  cfg.online.anchor = Point{0, 0};
-  cfg.online.seed = 7;
-  cfg.online.monitor_stride = 16;  // the amortized-monitoring path
-  cfg.batch_size = 256;
-
-  // --- recording: outcome trail vs in-memory digests ----------------------
-  const auto& reg = ScenarioRegistry::builtin();
-  const auto jobs = reg.at("hotspot/s4c8/n4000/b64").jobs();
-  const StreamProbe plain = probe_stream(2, cfg, jobs);
-  const std::uint64_t served_ref = index_set_digest(plain.result.served_jobs);
-  const std::uint64_t failed_ref = index_set_digest(plain.result.failed_jobs);
-
-  BenchSection& record = b.section("record");
-  for (const int threads : {1, 2}) {
-    record.run_case(
-        "threads=" + std::to_string(threads), [&, threads](MetricRow& row) {
-          StreamConfig c = cfg;
-          c.threads = threads;
-          StreamEngine engine(2, c);
-          OutcomeRecorder recorder(outcome_trace, 2);
-          engine.set_observer(&recorder);
-          WallTimer timer;
-          engine.ingest(jobs);
-          const StreamResult r = engine.finish();
-          recorder.close();
-          const double ms = timer.elapsed_ms();
-          if (!same_stream_outcome(plain.result, r))
-            b.fail("recording changed the serving outcome at threads=" +
-                   std::to_string(threads));
-          if (recorder.served_digest() != served_ref ||
-              recorder.failed_digest() != failed_ref)
-            b.fail("outcome trail digests diverged from the in-memory "
-                   "served/failed sets at threads=" +
-                   std::to_string(threads));
-          TraceReader back(outcome_trace);
-          const OutcomeSummary audit = scan_outcomes(back);
-          if (audit.served_digest != served_ref ||
-              audit.failed_digest != failed_ref)
-            b.fail("on-disk audit scan disagreed with the recorder");
-          row.metric("served", r.metrics.jobs_served)
-              .metric("failed", r.metrics.jobs_failed)
-              .metric("recorded", recorder.recorded())
-              .metric("plain jobs/sec", plain.jobs_per_sec, 0)
-              .metric("jobs/sec",
-                      ms > 0.0
-                          ? 1000.0 * static_cast<double>(jobs.size()) / ms
-                          : 0.0,
-                      0);
-        });
-  }
-
-  // --- mux: k traces, one engine, order-invariant ------------------------
-  const std::vector<std::string> source_names = {
-      "hotspot/s4c8/n4000/b64", "gradient/32x32/n4000/sg2",
-      "heavytail2d/s4c8/n4000/a1.2"};
-  std::vector<std::vector<Job>> source_jobs;
-  std::vector<std::string> source_paths;
-  std::deque<ScopedTempFile> source_files;  // deque: growth never moves
-  for (std::size_t s = 0; s < source_names.size(); ++s) {
-    source_jobs.push_back(reg.at(source_names[s]).jobs());
-    source_files.emplace_back("mux_src" + std::to_string(s));
-    source_paths.push_back(source_files.back().path());
-    TraceWriter writer(source_paths.back(), 2);
-    writer.append(source_jobs.back().data(), source_jobs.back().size());
-    writer.close();
-  }
-  const std::vector<Job> merged = merge_streams(source_jobs);
-  const StreamProbe reference = probe_stream(2, cfg, merged);
-
-  BenchSection& mux = b.section("mux");
-  for (const int threads : {1, 2}) {
-    for (const bool reversed : {false, true}) {
-      mux.run_case(
-          "threads=" + std::to_string(threads) +
-              (reversed ? "/reversed" : "/in-order"),
-          [&, threads, reversed](MetricRow& row) {
-            StreamConfig c = cfg;
-            c.threads = threads;
-            TraceMux m(2, static_cast<std::size_t>(c.batch_size));
-            if (reversed) {
-              for (auto it = source_paths.rbegin(); it != source_paths.rend();
-                   ++it)
-                m.add_source(*it);
-            } else {
-              for (const auto& path : source_paths) m.add_source(path);
-            }
-            StreamEngine engine(2, c);
-            WallTimer timer;
-            m.ingest(engine);
-            const StreamResult r = engine.finish();
-            const double ms = timer.elapsed_ms();
-            if (!same_stream_outcome(reference.result, r))
-              b.fail("mux replay diverged from the in-memory merge at "
-                     "threads=" +
-                     std::to_string(threads) +
-                     (reversed ? " (reversed sources)" : ""));
-            row.metric("sources",
-                       static_cast<std::uint64_t>(m.source_count()))
-                .metric("jobs", r.jobs_ingested)
-                .metric("served", r.metrics.jobs_served)
-                .metric("failed", r.metrics.jobs_failed)
-                .metric("cubes", r.cubes)
-                .metric("jobs/sec",
-                        ms > 0.0 ? 1000.0 *
-                                       static_cast<double>(r.jobs_ingested) /
-                                       ms
-                                 : 0.0,
-                        0);
-          });
-    }
-  }
-
-  b.note("Recorder: the outcome trail written during serving carries the "
-         "same served/failed digests as the in-memory result at 1 and 2 "
-         "threads (the O(batch x threads) audit-trail contract). Mux: three "
-         "generator traces (hotspot, gradient, Pareto heavy-tail) merged by "
-         "arrival index replay bit-identically to the in-memory "
-         "merge_streams reference at every thread count and source "
-         "ordering.");
-}
-
 // CI smoke: one tiny offline case and one tiny online case, seconds total.
 void suite_smoke(BenchRun& b) {
   const auto& reg = ScenarioRegistry::builtin();
@@ -1825,26 +1318,10 @@ void register_builtin_suites() {
                     "E13: the offline sandwich and the online strategy at "
                     "l = 2, 3, 4 (Point::kMaxDim)",
                     suite_dim_sweep});
-    register_suite({"stream_smoke",
-                    "E14: streaming engine CI gate — 1-vs-2-thread "
-                    "determinism on a small stream",
-                    suite_stream_smoke});
     register_suite({"stream_scaling",
                     "E15: streaming engine throughput vs threads/batch on "
                     "the large-grid stream",
                     suite_stream_scaling});
-    register_suite({"stream_replay",
-                    "E16: out-of-core trace replay — equivalence with "
-                    "in-memory serving and replay throughput",
-                    suite_stream_replay});
-    register_suite({"record_mux",
-                    "E17: outcome recording audit trail + deterministic "
-                    "k-way multi-trace replay",
-                    suite_record_mux});
-    register_suite({"stream_latency",
-                    "E18: latency tails (p50/p90/p99) bit-identical across "
-                    "threads/batches + admission policies under saturation",
-                    suite_stream_latency});
     register_suite({"smoke",
                     "CI quick gate: tiny offline sandwich + tiny online run",
                     suite_smoke});

@@ -87,6 +87,31 @@ void finish_line(std::string* line, std::ostream& out) {
   out << *line;
 }
 
+// The keys a line of `kind` must carry: every key the writer above emits
+// on a header, cube or final line, which includes each one `cmvrp_cli
+// stats` and compare_stats_streams read. ("kind" and the header's
+// "schema" are checked before these.) Sample lines and unknown kinds are
+// not checked.
+std::vector<std::string> required_keys(const std::string& kind) {
+  if (kind == "header")
+    return {"dim", "threads", "batch_size", "seed", "stride", "counters"};
+  std::vector<std::string> keys;
+  if (kind == "cube")
+    keys = {"corner", "latency_count", "latency_p50", "latency_p90",
+            "latency_p99", "latency_max"};
+  else if (kind == "final")
+    keys = {"jobs", "cubes", "messages_per_replacement", "stage_ingest_ms",
+            "stage_route_ms", "stage_serve_ms", "stage_fold_ms",
+            "stage_monitor_ms", "wall_rss_kb"};
+  else
+    return keys;
+  for (const CounterField& f : kCounterFields) keys.push_back(f.key);
+  for (const char* key : {"msg_total", "cascade_count", "cascade_p50",
+                          "cascade_p99", "cascade_max", "counters_hash"})
+    keys.push_back(key);
+  return keys;
+}
+
 }  // namespace
 
 StatsSnapshotter::StatsSnapshotter(std::ostream& out, std::int64_t stride)
@@ -169,7 +194,6 @@ StatsDoc read_stats(const std::string& text, const std::string& label) {
   CMVRP_CHECK_MSG(!text.empty(),
                   "stats stream " << label << " at byte 0: empty (0 bytes)");
   StatsDoc doc;  // header and final_line stay null until their lines
-  std::uint64_t header_at = 0;
   std::uint64_t lines = 0;
   std::size_t at = 0;  // byte offset of the current line
   while (at < text.size()) {
@@ -194,8 +218,22 @@ StatsDoc read_stats(const std::string& text, const std::string& label) {
                                       << "): no \"kind\" field");
       const std::string kind = j.at("kind").as_string();
       if (kind == "header") {
+        const Json schema = j.contains("schema") ? j.at("schema") : Json();
+        CMVRP_CHECK_MSG(schema == Json(kStatsSchema),
+                        "stats stream " << label << " at byte " << at
+                                        << ": unsupported schema "
+                                        << schema.dump()
+                                        << " (this reader reads "
+                                        << kStatsSchema << ")");
+      }
+      for (const std::string& key : required_keys(kind))
+        CMVRP_CHECK_MSG(j.contains(key), "stats stream "
+                                             << label << " at byte " << at
+                                             << " (line " << lines << "): "
+                                             << kind << " line has no \""
+                                             << key << "\" key");
+      if (kind == "header") {
         doc.header = std::move(j);
-        header_at = at;
       } else if (kind == "sample") {
         doc.samples.push_back(std::move(j));
       } else if (kind == "cube") {
@@ -213,13 +251,6 @@ StatsDoc read_stats(const std::string& text, const std::string& label) {
                                   << " bytes (" << lines
                                   << " lines) — not a cmvrp-stats JSONL "
                                      "stream");
-  const Json schema =
-      doc.header.contains("schema") ? doc.header.at("schema") : Json();
-  CMVRP_CHECK_MSG(schema == Json(kStatsSchema),
-                  "stats stream " << label << " at byte " << header_at
-                                  << ": unsupported schema " << schema.dump()
-                                  << " (this reader reads " << kStatsSchema
-                                  << ")");
   CMVRP_CHECK_MSG(doc.final_line.is_object(),
                   "stats stream " << label << " at byte " << bytes
                                   << ": no final line after " << bytes

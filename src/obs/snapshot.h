@@ -86,8 +86,9 @@ struct StatsDoc {
 
 // Parses a whole stats stream. Throws check_error naming `label` and the
 // byte offset of the problem when the stream is empty, a line does not
-// parse or has no "kind", there is no header line, the header's schema
-// is not kStatsSchema, or there is no final line.
+// parse or has no "kind", a header's schema is not kStatsSchema, a
+// header, cube or final line lacks a key the writer emits on it, there
+// is no header line, or there is no final line.
 StatsDoc read_stats(const std::string& text, const std::string& label);
 
 }  // namespace cmvrp

@@ -2,7 +2,8 @@
 # runs this as `cli_roundtrip`; by hand:
 #   cmake -DCLI=build/tools/cmvrp_cli -DWORK=/tmp/rt -P tests/cli_roundtrip.cmake
 # Every step must exit with the code it names; the first that does not
-# fails the test with the command's output.
+# fails the test with the command's output. A step's output is left in
+# cli_out for the checks that read it.
 
 function(cli expected)
   execute_process(COMMAND "${CLI}" ${ARGN}
@@ -15,6 +16,7 @@ function(cli expected)
     message(FATAL_ERROR
             "cmvrp_cli ${shown}: exit ${rc}, expected ${expected}\n${out}")
   endif()
+  set(cli_out "${out}" PARENT_SCOPE)
 endfunction()
 
 file(REMOVE_RECURSE "${WORK}")
@@ -70,6 +72,17 @@ cli(0 stream --jobs 2000 --n 32 --capacity 8 --side 4 --obs
 cli(0 stats --file s.jsonl)
 cli(0 prof --file sp.json)
 cli(0 prof --file sp.spool)
+# A stats stream whose header lacks the keys `stats` reads is bad data
+# (exit 1), rejected by read_stats naming the file, byte offset and key.
+file(WRITE "${WORK}/keyless.jsonl"
+     [=[{"kind":"header","schema":"cmvrp-stats-v1"}
+{"kind":"final","jobs":1}
+]=])
+cli(1 stats --file keyless.jsonl)
+if(NOT cli_out MATCHES "keyless.jsonl at byte 0 .*header line has no \"dim\" key")
+  message(FATAL_ERROR "stats keyless.jsonl: the error does not name the "
+                      "file, byte offset and missing key\n${cli_out}")
+endif()
 
 # Retired front ends are usage errors that name their replacement, not
 # silent fallbacks to another job source.
@@ -81,3 +94,7 @@ cli(2 stream --trace ci.trace)
 # stream, and `fig41 --r1 2 extra` would drop `extra` unread.
 cli(2 stream stray.txt)
 cli(2 fig41 --r1 2 extra)
+# A switch never takes a value, so the token after --obs stays a stray
+# positional; any other flag needs one.
+cli(2 stream --obs w.txt --jobs 50 --n 8)
+cli(2 compare mux_ab.json mux_ba.json --json)

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
 #include <string>
 
+#include "grid/point.h"
+#include "metrics/latency_histogram.h"
 #include "obs/compare.h"
 #include "obs/counters.h"
 #include "obs/snapshot.h"
+#include "obs/stage_timer.h"
 #include "util/check.h"
 #include "util/json.h"
 
@@ -431,21 +436,48 @@ TEST(BenchCompare, SuiteMismatchAborts) {
 
 // --- stats JSONL -------------------------------------------------------------
 
+// `line`, one line of a stats stream, with each key the writer puts on
+// a line of its kind and `line` lacks, valued as in an empty run's
+// stream, and a newline: fixtures state the fields a test is about, and
+// read_stats requires the rest.
+std::string complete(const std::string& line) {
+  static const std::map<std::string, Json> written = [] {
+    std::ostringstream out;
+    StatsSnapshotter snap(out, 1);
+    snap.write_header(2, 1, 1, 0, false);
+    snap.write_cube(Point{0, 0}, CubeCounters{}, LatencyHistogram{});
+    snap.write_final(0, 0, CubeCounters{}, StageTimes{});
+    std::map<std::string, Json> by_kind;
+    std::istringstream in(out.str());
+    for (std::string text; std::getline(in, text);) {
+      Json j = Json::parse(text);
+      by_kind.emplace(j.at("kind").as_string(), std::move(j));
+    }
+    return by_kind;
+  }();
+  Json j = Json::parse(line);
+  const auto it = written.find(j.at("kind").as_string());
+  if (it != written.end())
+    for (const auto& [key, value] : it->second.items())
+      if (!j.contains(key)) j.set(key, value);
+  return j.dump() + "\n";
+}
+
 std::string stats_stream(std::int64_t batch_size, std::int64_t stride,
                          std::uint64_t jobs_at_sample,
                          std::uint64_t queries_at_sample,
                          std::uint64_t final_queries) {
   std::string s;
-  s += "{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v1\",\"dim\":2,"
-       "\"threads\":1,\"batch_size\":" +
-       std::to_string(batch_size) + ",\"seed\":7,\"stride\":" +
-       std::to_string(stride) + ",\"counters\":true}\n";
+  s += complete("{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v1\",\"dim\":2,"
+                "\"threads\":1,\"batch_size\":" +
+                std::to_string(batch_size) + ",\"seed\":7,\"stride\":" +
+                std::to_string(stride) + ",\"counters\":true}");
   s += "{\"kind\":\"sample\",\"batch\":1,\"jobs\":" +
        std::to_string(jobs_at_sample) + ",\"msg_queries\":" +
        std::to_string(queries_at_sample) + ",\"stage_route_ms\":1.5}\n";
-  s += "{\"kind\":\"cube\",\"corner\":[0,0],\"arrivals\":10}\n";
-  s += "{\"kind\":\"final\",\"jobs\":100,\"msg_queries\":" +
-       std::to_string(final_queries) + ",\"stage_route_ms\":2.5}\n";
+  s += complete("{\"kind\":\"cube\",\"corner\":[0,0],\"arrivals\":10}");
+  s += complete("{\"kind\":\"final\",\"jobs\":100,\"msg_queries\":" +
+                std::to_string(final_queries) + ",\"stage_route_ms\":2.5}");
   return s;
 }
 
@@ -488,8 +520,8 @@ TEST(StatsCompare, SameCadenceMissingSampleIsDrift) {
 TEST(StatsCompare, TruncatedStreamFailsNamingBytesAndLines) {
   const std::string a = stats_stream(256, 8, 2048, 50, 99);
   const std::string truncated =
-      "{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v1\",\"dim\":2,"
-      "\"batch_size\":256,\"stride\":8}\n";
+      complete("{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v1\",\"dim\":2,"
+               "\"batch_size\":256,\"stride\":8}");
   try {
     compare_stats_streams(a, truncated, defaults(), "A", "B");
     FAIL() << "expected check_error";
@@ -527,8 +559,8 @@ void expect_stats_error(const std::string& text, std::size_t at,
 
 TEST(ReadStats, ErrorsNameTheStreamAndTheByteOffset) {
   const std::string header =
-      "{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v1\"}\n";
-  const std::string final_line = "{\"kind\":\"final\",\"jobs\":1}\n";
+      complete("{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v1\"}");
+  const std::string final_line = complete("{\"kind\":\"final\",\"jobs\":1}");
   ASSERT_NO_THROW(read_stats(header + final_line, "s.jsonl"));
   expect_stats_error("", 0, "empty");
   expect_stats_error(header + "{not json\n" + final_line, header.size(),
@@ -541,13 +573,14 @@ TEST(ReadStats, ErrorsNameTheStreamAndTheByteOffset) {
 }
 
 TEST(ReadStats, KeepsEachKindInFileOrderAndSkipsBlankLines) {
-  const std::string text =
-      "{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v1\"}\n\n"
-      "{\"kind\":\"cube\",\"corner\":[4,0]}\n"
-      "{\"kind\":\"sample\",\"jobs\":8}\n"
-      "{\"kind\":\"cube\",\"corner\":[0,0]}\n"
-      "{\"kind\":\"later\"}\n"
-      "{\"kind\":\"final\",\"jobs\":9}";
+  std::string text =
+      complete("{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v1\"}") +
+      "\n" + complete("{\"kind\":\"cube\",\"corner\":[4,0]}") +
+      "{\"kind\":\"sample\",\"jobs\":8}\n" +
+      complete("{\"kind\":\"cube\",\"corner\":[0,0]}") +
+      "{\"kind\":\"later\"}\n" +
+      complete("{\"kind\":\"final\",\"jobs\":9}");
+  text.pop_back();  // no newline after the last line
   const StatsDoc doc = read_stats(text, "s.jsonl");
   ASSERT_EQ(doc.cubes.size(), 2u);
   EXPECT_EQ(doc.cubes[0].at("corner").dump(), "[4,0]");

@@ -376,6 +376,48 @@ TEST(Snapshotter, ReadStatsReturnsTheRunInFileOrder) {
         << f.key;
 }
 
+// A header, cube or final line without a key the writer puts on it is
+// rejected, naming the stream, the line's byte offset and the key: each
+// key of one written line of each kind is dropped in turn. (A header
+// without its schema is an unsupported schema, covered in
+// obs_compare_test.)
+TEST(Snapshotter, ReadStatsNamesEveryMissingHeaderCubeAndFinalKey) {
+  std::ostringstream out;
+  StatsSnapshotter snap(out, 1);
+  snap.write_header(2, 1, 64, 7, true);
+  snap.write_cube(Point{4, 8}, distinct_counters(), LatencyHistogram{});
+  snap.write_final(64, 1, distinct_counters(), StageTimes{});
+  const std::vector<std::string> lines = split_lines(out.str());
+  ASSERT_EQ(lines.size(), 3u);
+  std::size_t at = 0;  // byte offset of lines[i]
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const Json line = Json::parse(lines[i]);
+    const std::string kind = line.at("kind").as_string();
+    for (const auto& [key, value] : line.items()) {
+      if (key == "kind" || key == "schema") continue;
+      Json without = Json::object();
+      for (const auto& [k, v] : line.items())
+        if (k != key) without.set(k, v);
+      std::string text;
+      for (std::size_t j = 0; j < lines.size(); ++j)
+        text += (j == i ? without.dump() : lines[j]) + "\n";
+      try {
+        read_stats(text, "s.jsonl");
+        ADD_FAILURE() << kind << " line accepted without \"" << key << "\"";
+      } catch (const check_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("s.jsonl at byte " + std::to_string(at)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(kind + " line has no \"" + key + "\" key"),
+                  std::string::npos)
+            << what;
+      }
+    }
+    at += lines[i].size() + 1;
+  }
+}
+
 TEST(Snapshotter, StrideMustBePositive) {
   std::ostringstream out;
   EXPECT_THROW(StatsSnapshotter(out, 0), check_error);

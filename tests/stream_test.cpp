@@ -118,14 +118,28 @@ TEST(StreamEngine, EveryJobAccountedServedOrFailed) {
 }
 
 TEST(StreamEngine, TheoryCapacityServesEverything) {
-  const auto jobs = test_stream(24, 400, 31);
-  const DemandMap demand = demand_of_stream(jobs, 2);
-  StreamConfig cfg;
-  cfg.online = default_online_config(demand, 7);
-  cfg.threads = 4;
-  const StreamResult r = serve_stream(2, cfg, jobs);
-  EXPECT_EQ(r.metrics.jobs_failed, 0u);
-  EXPECT_EQ(r.served_jobs.size(), jobs.size());
+  // Lemma 3.3.1's capacity serves every job in every dimension, at every
+  // thread count. The l = 3 and l = 4 streams are the scenario registry's
+  // uniform3d/8x8x8/n1500 and uniform4d/6x6x6x6/n1000.
+  struct Input {
+    int dim;
+    std::int64_t side;
+    std::int64_t count;
+    std::uint64_t seed;
+  };
+  for (const Input& in : {Input{2, 24, 400, 31}, Input{3, 8, 1500, 601},
+                          Input{4, 6, 1000, 603}}) {
+    const auto jobs = uniform_stream(in.dim, in.side, in.count, in.seed);
+    StreamConfig cfg;
+    cfg.online = default_online_config(demand_of_stream(jobs, in.dim), 7);
+    for (const int threads : {1, 2, 4}) {
+      cfg.threads = threads;
+      const StreamResult r = serve_stream(in.dim, cfg, jobs);
+      EXPECT_EQ(r.metrics.jobs_failed, 0u) << in.dim << "-D, " << threads;
+      EXPECT_EQ(r.served_jobs.size(), jobs.size())
+          << in.dim << "-D, " << threads;
+    }
+  }
 }
 
 // --- substrate: per-cube seeds and the worker pool --------------------------
@@ -282,6 +296,13 @@ TEST(StreamLatency, IdenticalAcrossThreadsAndBatches) {
       StreamConfig c = test_config(60.0, threads, batch);
       c.online.sample_stride = 4;
       expect_identical(ref, serve_stream(2, c, jobs));
+      // Sampling only observes: unsampled, the run differs from the
+      // reference in its timeseries alone.
+      c.online.sample_stride = 0;
+      StreamResult unsampled = serve_stream(2, c, jobs);
+      EXPECT_EQ(unsampled.timeseries.samples, 0u);
+      unsampled.timeseries = ref.timeseries;
+      expect_identical(ref, unsampled);
     }
   }
 }
@@ -663,16 +684,18 @@ TEST(GoldenDigest, MonitoringHeavy4D) {
   // Stride 1 settles the §3.2.5 ring after every arrival; silent-done
   // vehicles leave their pairs to ring-initiated computations.
   const auto jobs = uniform_stream(4, 6, 1296, 9);
-  StreamEngine engine(4, pinned_config(4, 6.0, 2, 1, 1));
-  for (const Point& home : {Point{0, 0, 0, 0}, Point{2, 2, 2, 2},
-                            Point{4, 0, 4, 0}})
-    engine.inject_silent_done(home);
-  engine.ingest(jobs);
-  const StreamResult r = engine.finish();
-  EXPECT_GT(r.metrics.monitor_initiations, 0u);
-  EXPECT_EQ(r.metrics.jobs_served, 1296u);
-  EXPECT_EQ(r.metrics.network.total(), 40458u);
-  EXPECT_EQ(stream_fingerprint(r), 10055833584392412749ULL);
+  for (const int threads : {1, 2}) {
+    StreamEngine engine(4, pinned_config(4, 6.0, 2, 1, threads));
+    for (const Point& home : {Point{0, 0, 0, 0}, Point{2, 2, 2, 2},
+                              Point{4, 0, 4, 0}})
+      engine.inject_silent_done(home);
+    engine.ingest(jobs);
+    const StreamResult r = engine.finish();
+    EXPECT_GT(r.metrics.monitor_initiations, 0u) << threads;
+    EXPECT_EQ(r.metrics.jobs_served, 1296u) << threads;
+    EXPECT_EQ(r.metrics.network.total(), 40458u) << threads;
+    EXPECT_EQ(stream_fingerprint(r), 10055833584392412749ULL) << threads;
+  }
 }
 
 TEST(GoldenDigest, RingHeavyStride1) {

@@ -5,7 +5,6 @@
 #include "util/rng.h"
 #include "vrp/cvrp.h"
 #include "vrp/greedy_baseline.h"
-#include "vrp/tsp.h"
 #include "workload/generators.h"
 
 namespace cmvrp {
@@ -21,47 +20,6 @@ std::vector<Point> random_points(std::uint64_t seed, std::size_t n,
     if (seen.insert(p).second) pts.push_back(p);
   }
   return pts;
-}
-
-TEST(Tsp, TourLengthClosedSquare) {
-  const std::vector<Point> pts{Point{0, 0}, Point{1, 0}, Point{1, 1},
-                               Point{0, 1}};
-  EXPECT_EQ(tour_length(pts, {0, 1, 2, 3}), 4);
-  EXPECT_EQ(tour_length(pts, {0, 2, 1, 3}), 6);
-}
-
-TEST(Tsp, NearestNeighborVisitsAllOnce) {
-  const auto pts = random_points(3, 12, 20);
-  const Tour t = tsp_nearest_neighbor(pts);
-  std::vector<bool> seen(pts.size(), false);
-  for (auto i : t.order) {
-    ASSERT_LT(i, pts.size());
-    EXPECT_FALSE(seen[i]);
-    seen[i] = true;
-  }
-  EXPECT_EQ(t.length, tour_length(pts, t.order));
-}
-
-TEST(Tsp, TwoOptNeverWorsens) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto pts = random_points(seed, 15, 30);
-    const Tour nn = tsp_nearest_neighbor(pts);
-    const Tour improved = tsp_two_opt(pts, nn);
-    EXPECT_LE(improved.length, nn.length) << "seed " << seed;
-    EXPECT_EQ(improved.length, tour_length(pts, improved.order));
-  }
-}
-
-TEST(Tsp, HeldKarpIsOptimalReference) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto pts = random_points(seed * 7, 9, 12);
-    const Tour exact = tsp_held_karp(pts);
-    const Tour heuristic = tsp_two_opt(pts, tsp_nearest_neighbor(pts));
-    EXPECT_LE(exact.length, heuristic.length) << "seed " << seed;
-    EXPECT_EQ(exact.length, tour_length(pts, exact.order));
-    // 2-opt on small L1 instances lands close to optimal.
-    EXPECT_LE(heuristic.length, exact.length * 3 / 2 + 2) << "seed " << seed;
-  }
 }
 
 TEST(Cvrp, ClarkeWrightProducesValidRoutes) {

@@ -97,13 +97,36 @@ using namespace cmvrp;
     }                                            \
   } while (0)
 
+struct Args;
+
+// A subcommand: its name ("trace" actions are commands of their own,
+// such as "trace replay"), every flag its handler and the helpers it
+// calls read, split into flags that take a value and boolean switches
+// that never do, the handler, and whether it takes positional arguments
+// (file lists). parse_args rejects any other flag, and main any
+// positional token a command does not take, before dispatch, so a
+// misspelled flag or a forgotten --file is a usage error, not an input
+// silently dropped.
+struct Command {
+  std::string name;
+  std::vector<std::string> flags;
+  std::vector<std::string> switches;
+  int (*run)(const Args&);
+  bool positionals = false;
+
+  bool is_switch(const std::string& key) const {
+    return std::find(switches.begin(), switches.end(), key) != switches.end();
+  }
+  bool declares(const std::string& key) const {
+    return is_switch(key) ||
+           std::find(flags.begin(), flags.end(), key) != flags.end();
+  }
+};
+
 struct Args {
-  std::string command;
-  std::vector<std::string> positional;  // non-flag tokens ("trace gen ...")
-  std::map<std::string, std::string> flags;
-  // The flags the dispatched command declares (see Command); null until
-  // main dispatches.
-  const std::vector<std::string>* declared = nullptr;
+  std::vector<std::string> positional;  // non-flag tokens after the command
+  std::map<std::string, std::string> flags;  // a switch maps to ""
+  const Command* command = nullptr;          // what the flags were parsed for
 
   std::string get(const std::string& key, const std::string& fallback) const {
     auto it = lookup(key);
@@ -136,28 +159,37 @@ struct Args {
   // of a flag the command does not declare fails every run through it.
   std::map<std::string, std::string>::const_iterator lookup(
       const std::string& key) const {
-    if (declared != nullptr &&
-        std::find(declared->begin(), declared->end(), key) == declared->end())
+    if (!command->declares(key))
       throw std::logic_error("flag --" + key + " is read but not declared");
     return flags.find(key);
   }
 };
 
-Args parse_args(int argc, char** argv) {
+// Splits the tokens from argv[first] on into `command`'s flags and
+// positionals. A switch never takes a value, so `--obs w.txt` leaves
+// w.txt a positional; every other flag takes the next token, which must
+// not be a flag itself.
+Args parse_args(const Command& command, int argc, char** argv, int first) {
   Args args;
-  if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      const std::string key = token.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        args.flags[key] = argv[++i];
-      } else {
-        args.flags[key] = "true";
-      }
-    } else {
+  args.command = &command;
+  for (int i = first; i < argc; ++i) {
+    const std::string token = argv[i];
+    if (token.rfind("--", 0) != 0) {
       args.positional.push_back(token);
+      continue;
     }
+    const std::string key = token.substr(2);
+    CLI_USAGE_CHECK(command.declares(key), "unknown flag --"
+                                               << key << " for '"
+                                               << command.name << "'");
+    if (command.is_switch(key)) {
+      args.flags[key] = "";
+      continue;
+    }
+    CLI_USAGE_CHECK(
+        i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0,
+        "--" << key << " needs a value");
+    args.flags[key] = argv[++i];
   }
   return args;
 }
@@ -498,11 +530,7 @@ StreamConfig stream_config_from_args(
   // = the binary spool `prof` reads); --span-sample K traces every K-th
   // computation per cube; --flight N keeps only the last N records per
   // cube and dumps them post-mortem instead of exporting every run.
-  if (args.has("trace-spans")) {
-    CLI_USAGE_CHECK(args.get("trace-spans", "") != "true",
-                    "--trace-spans needs a file path");
-    cfg.online.obs.spans = true;
-  }
+  cfg.online.obs.spans = args.has("trace-spans");
   CLI_USAGE_CHECK(!args.has("span-sample") || cfg.online.obs.spans,
                   "--span-sample needs --trace-spans");
   CLI_USAGE_CHECK(!args.has("flight") || cfg.online.obs.spans,
@@ -529,8 +557,6 @@ class StatsFile {
     CLI_USAGE_CHECK(stride >= 1,
                     "--stats-stride must be >= 1, got " << stride);
     if (!args.has("stats")) return;
-    CLI_USAGE_CHECK(args.get("stats", "") != "true",
-                    "--stats needs a file path");
     out_.open(args.get("stats", ""));
     CMVRP_CHECK_MSG(out_.good(), "cannot open --stats path");
     snapshotter_.emplace(out_, stride);
@@ -642,8 +668,6 @@ void finish_recording(OutcomeRecorder& recorder, const StreamResult& r) {
 // finish() throws. Returns the report's exit code.
 int serve_and_report(const Args& args, int dim, const StreamConfig& cfg,
                      const std::function<void(StreamEngine&)>& feed) {
-  CLI_USAGE_CHECK(!args.has("record") || args.get("record", "") != "true",
-                  "--record needs a file path");
   StatsFile stats(args);
   std::optional<OutcomeRecorder> recorder;  // outlives the engine's pointer
   WallTimer timer;
@@ -851,8 +875,7 @@ int cmd_trace_info(const Args& args) {
 // merged by arrival index, re-indexed 0..N-1, bit-identical across
 // thread counts, batch sizes, and the order the files are listed.
 int cmd_trace_mux(const Args& args) {
-  std::vector<std::string> paths(args.positional.begin() + 1,
-                                 args.positional.end());
+  const std::vector<std::string>& paths = args.positional;
   CLI_USAGE_CHECK(paths.size() >= 2,
                   "trace mux needs >= 2 trace files: trace mux a.bin b.bin "
                   "[--flags]");
@@ -1030,7 +1053,7 @@ int cmd_stats(const Args& args) {
 // floods (the query-batching targets), and the query -> computation
 // attribution ratio the acceptance bar asserts.
 int cmd_prof(const Args& args) {
-  CLI_USAGE_CHECK(args.has("file") && args.get("file", "") != "true",
+  CLI_USAGE_CHECK(args.has("file"),
                   "--file <spans.bin|spans.json> is required");
   const std::string path = args.get("file", "");
   const std::int64_t top = args.get_int("top", 5);
@@ -1203,11 +1226,6 @@ int cmd_compare(const Args& args) {
                   "[--fail-ratio R] [--min-wall-ms M] [--noise-sigmas S] "
                   "[--ignore k1,k2] [--json diff.json]; got "
                       << args.positional.size() << " positional arguments");
-  for (const char* key : {"kind", "warn-ratio", "fail-ratio", "min-wall-ms",
-                          "noise-sigmas", "ignore", "json"}) {
-    CLI_USAGE_CHECK(!args.has(key) || args.get(key, "") != "true",
-                    "--" << key << " needs a value");
-  }
   const CompareKind kind = parse_compare_kind(args.get("kind", "auto"));
   const CompareOptions opt = compare_options_from_args(args);
   const std::string& a = args.positional[0];
@@ -1222,14 +1240,6 @@ int cmd_compare(const Args& args) {
 
 int cmd_bench(const Args& args) {
   register_builtin_suites();
-  // parse_args maps a valueless flag to the sentinel "true"; every bench
-  // flag except --list/--scenarios carries a real value, so catch the
-  // slip here instead of silently writing a file named "true".
-  for (const char* key : {"suite", "reps", "warmup", "filter", "json",
-                          "baseline", "diff-json"}) {
-    CLI_USAGE_CHECK(!args.has(key) || args.get(key, "") != "true",
-                    "--" << key << " needs a value");
-  }
   if (args.has("list")) {
     Table t({"suite", "description"});
     for (const Suite* s : all_suites()) t.row().cell(s->name).cell(s->description);
@@ -1361,19 +1371,6 @@ int usage(std::ostream& os, int exit_code) {
   return exit_code;
 }
 
-// A subcommand: its name ("trace" actions are commands of their own,
-// such as "trace replay"), every flag its handler and the helpers it
-// calls read, the handler, and whether it takes positional arguments
-// (file lists). main rejects any other flag, and any positional token a
-// command does not take, before dispatch, so a misspelled flag or a
-// forgotten --file is a usage error, not an input silently dropped.
-struct Command {
-  std::string name;
-  std::vector<std::string> flags;
-  int (*run)(const Args&);
-  bool positionals = false;
-};
-
 // `items` followed by `more`.
 std::vector<std::string> joined(std::vector<std::string> items,
                                 const std::vector<std::string>& more) {
@@ -1383,51 +1380,50 @@ std::vector<std::string> joined(std::vector<std::string> items,
 
 const std::vector<Command>& commands() {
   // What serve_and_report and its helpers read (stream_config_from_args,
-  // StatsFile, SpanFile, report_stream): shared by every serving front end.
+  // StatsFile, SpanFile, report_stream): shared by every serving front
+  // end, whose one switch is --obs.
   static const std::vector<std::string> serve = {
       "seed", "threads", "batch", "capacity", "side", "monitor-stride",
-      "admission", "queue-limit", "service-ticks", "sample-stride", "obs",
+      "admission", "queue-limit", "service-ticks", "sample-stride",
       "trace-spans", "span-sample", "flight", "stats", "stats-stride",
       "record", "json"};
   // compare_options_from_args.
   static const std::vector<std::string> thresholds = {
       "warn-ratio", "fail-ratio", "min-wall-ms", "noise-sigmas", "ignore"};
   static const std::vector<Command> table = {
-      {"bounds", {"file", "dim"}, cmd_bounds},
-      {"plan", {"file", "dim", "ascii"}, cmd_plan},
-      {"online", {"file", "dim", "order", "seed", "capacity"}, cmd_online},
-      {"won", {"file", "dim", "seed", "tol"}, cmd_won},
-      {"gen", {"workload", "n", "count", "d", "seed"}, cmd_gen},
-      {"fig41", {"r1", "r2"}, cmd_fig41},
+      {"bounds", {"file", "dim"}, {}, cmd_bounds},
+      {"plan", {"file", "dim"}, {"ascii"}, cmd_plan},
+      {"online", {"file", "dim", "order", "seed", "capacity"}, {}, cmd_online},
+      {"won", {"file", "dim", "seed", "tol"}, {}, cmd_won},
+      {"gen", {"workload", "n", "count", "d", "seed"}, {}, cmd_gen},
+      {"fig41", {"r1", "r2"}, {}, cmd_fig41},
       // --trace is read only to reject it with its replacement.
       {"stream",
        joined({"scenario", "file", "dim", "order", "n", "jobs", "trace"},
               serve),
-       cmd_stream},
+       {"obs"}, cmd_stream},
       {"trace gen",
        {"out", "generator", "dim", "count", "side", "cubes", "burst", "sigma",
         "seed"},
-       cmd_trace_gen},
-      {"trace info", {"file"}, cmd_trace_info},
-      {"trace replay", joined({"file", "memory"}, serve), cmd_trace_replay},
-      {"trace mux", serve, cmd_trace_mux, true},
-      {"stats", {"file", "top"}, cmd_stats},
-      {"prof", {"file", "top"}, cmd_prof},
-      {"compare", joined({"kind", "json"}, thresholds), cmd_compare, true},
+       {}, cmd_trace_gen},
+      {"trace info", {"file"}, {}, cmd_trace_info},
+      {"trace replay", joined({"file"}, serve), {"obs", "memory"},
+       cmd_trace_replay},
+      {"trace mux", serve, {"obs"}, cmd_trace_mux, true},
+      {"stats", {"file", "top"}, {}, cmd_stats},
+      {"prof", {"file", "top"}, {}, cmd_prof},
+      {"compare", joined({"kind", "json"}, thresholds), {}, cmd_compare, true},
       {"bench",
        joined({"suite", "reps", "warmup", "filter", "json", "baseline",
-               "diff-json", "list", "scenarios"},
+               "diff-json"},
               thresholds),
-       cmd_bench},
+       {"list", "scenarios"}, cmd_bench},
   };
   return table;
 }
 
-// The command `args` names, or null.
-const Command* find_command(const Args& args) {
-  std::string name = args.command;
-  if (name == "trace" && !args.positional.empty())
-    name += " " + args.positional.front();
+// The command called `name`, or null.
+const Command* find_command(const std::string& name) {
   for (const Command& c : commands())
     if (c.name == name) return &c;
   return nullptr;
@@ -1436,33 +1432,28 @@ const Command* find_command(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = parse_args(argc, argv);
+  const std::string word = argc >= 2 ? argv[1] : "";
   try {
-    if (args.command == "help" || args.command == "--help" ||
-        args.command == "-h")
+    if (word == "help" || word == "--help" || word == "-h")
       return usage(std::cout, 0);
-    if (args.command == "record")
+    if (word == "record")
       throw usage_error(
           "record is retired; record a run with `stream --record <o.trace>`");
-    const Command* command = find_command(args);
+    // A trace action is the word after `trace`.
+    const bool action = word == "trace" && argc > 2;
+    const Command* command =
+        find_command(action ? word + " " + argv[2] : word);
     if (command == nullptr) {
-      CLI_USAGE_CHECK(args.command != "trace",
+      CLI_USAGE_CHECK(word != "trace",
                       "trace needs an action: trace gen|info|replay|mux "
                       "[--flags]");
       return usage(std::cerr, 2);
     }
-    const auto& known = command->flags;
-    for (const auto& [flag, value] : args.flags)
-      CLI_USAGE_CHECK(
-          std::find(known.begin(), known.end(), flag) != known.end(),
-          "unknown flag --" << flag << " for '" << command->name << "'");
-    // A trace action's first positional is the action word itself.
-    const std::size_t action = args.command == "trace" ? 1 : 0;
-    CLI_USAGE_CHECK(command->positionals || args.positional.size() == action,
-                    "unexpected argument '" << args.positional[action]
+    const Args args = parse_args(*command, argc, argv, action ? 3 : 2);
+    CLI_USAGE_CHECK(command->positionals || args.positional.empty(),
+                    "unexpected argument '" << args.positional.front()
                                             << "' for '" << command->name
                                             << "' (it takes only --flags)");
-    args.declared = &known;
     return command->run(args);
   } catch (const usage_error& e) {  // malformed flags: exit 2
     std::cerr << "usage error: " << e.what() << "\n";
