@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -771,8 +773,8 @@ void suite_substrates(BenchRun& b) {
              std::vector<std::uint32_t> ring;
              for (std::size_t v = 0; v < 64; ++v)
                ring.push_back(net.heartbeat_slot(v, (v + 63) % 64));
-             for (std::int64_t i = 0; i < kOps; ++i)
-               net.beat(ring[static_cast<std::size_t>(i % 64)]);
+             for (std::int64_t i = 0; i < kOps; i += 64)
+               net.beat_all(ring.data(), ring.size());
              if (!t.queue.empty())
                b.fail("an elided heartbeat entered the queue");
              return static_cast<double>(net.stats().heartbeat_skips);
@@ -791,7 +793,9 @@ void suite_substrates(BenchRun& b) {
     const CubeParams params(4, cfg);
     Transport transport(cfg.max_message_delay);
     Network net(transport, Rng(1));
-    FleetCore core(params, cfg.anchor, net);
+    const auto regions =
+        std::make_unique<std::byte[]>(FleetCore::region_bytes(params));
+    FleetCore core(params, cfg.anchor, net, regions.get());
     core.bind_network();
     const Network::Lend lend(net);
     core.settle();  // builds the ring and runs the first scan
@@ -858,6 +862,29 @@ void suite_substrates(BenchRun& b) {
   if (arrivals && arrivals->served[0] && arrivals->served[1] &&
       *arrivals->served[0] != *arrivals->served[1])
     b.fail("cube_arrival: the cube-sorted stream served a different set");
+  b.run_case("cube_record/construct-2d-s2", [&](MetricRow& row) {
+    // Materialization alone, in the cube_arrival shape: a 128^2 grid of
+    // its cubes, each built on one transport as its first arrival would
+    // build it. One op = one CubeServer::create (the frees are untimed).
+    const CubeParams params(2, cube_arrivals().config.online);
+    Transport transport(params.config.max_message_delay);
+    constexpr std::int64_t kGrid = 128;
+    const std::int64_t side = params.config.cube_side;
+    const Point& anchor = params.config.anchor;
+    std::vector<CubeServer::Ptr> cubes;
+    cubes.reserve(kGrid * kGrid);
+    per_op(kGrid * kGrid,
+           [&] {
+             for (std::int64_t c = 0; c < kGrid * kGrid; ++c)
+               cubes.push_back(CubeServer::create(
+                   params,
+                   Point{anchor[0] + (c / kGrid) * side,
+                         anchor[1] + (c % kGrid) * side},
+                   transport));
+             return static_cast<double>(cubes.size());
+           },
+           row);
+  });
   b.run_case("online_point_burst/n=50", [&](MetricRow& row) {
     std::vector<Job> jobs;
     for (int i = 0; i < 50; ++i) jobs.push_back({Point{2, 2}, i});

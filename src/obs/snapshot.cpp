@@ -88,27 +88,33 @@ void finish_line(std::string* line, std::ostream& out) {
 }
 
 // The keys a line of `kind` must carry: every key the writer above emits
-// on a header, cube or final line, which includes each one `cmvrp_cli
-// stats` and compare_stats_streams read. ("kind" and the header's
-// "schema" are checked before these.) Sample lines and unknown kinds are
-// not checked.
+// on a header, sample, cube or final line, which includes each one
+// `cmvrp_cli stats` and compare_stats_streams read. ("kind" and the
+// header's "schema" are checked before these.) Unknown kinds are not
+// checked.
 std::vector<std::string> required_keys(const std::string& kind) {
   if (kind == "header")
     return {"dim", "threads", "batch_size", "seed", "stride", "counters"};
   std::vector<std::string> keys;
-  if (kind == "cube")
+  if (kind == "sample")
+    keys = {"batch", "jobs"};
+  else if (kind == "cube")
     keys = {"corner", "latency_count", "latency_p50", "latency_p90",
             "latency_p99", "latency_max"};
   else if (kind == "final")
-    keys = {"jobs", "cubes", "messages_per_replacement", "stage_ingest_ms",
-            "stage_route_ms", "stage_serve_ms", "stage_fold_ms",
-            "stage_monitor_ms", "wall_rss_kb"};
+    keys = {"jobs", "cubes", "messages_per_replacement"};
   else
     return keys;
   for (const CounterField& f : kCounterFields) keys.push_back(f.key);
   for (const char* key : {"msg_total", "cascade_count", "cascade_p50",
                           "cascade_p99", "cascade_max", "counters_hash"})
     keys.push_back(key);
+  // stage_fields: the wall-clock block of sample and final lines.
+  if (kind != "cube")
+    for (const char* key :
+         {"stage_ingest_ms", "stage_route_ms", "stage_serve_ms",
+          "stage_fold_ms", "stage_monitor_ms", "wall_rss_kb"})
+      keys.push_back(key);
   return keys;
 }
 

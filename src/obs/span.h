@@ -169,7 +169,7 @@ class SpanRecorder {
   std::uint64_t comp_ordinal_ = 0;  // computations seen by this cube
   std::uint64_t send_ordinal_ = 0;  // flow ids for send/deliver pairing
   // Packed InitTag -> sampled? Entries live for the cube's lifetime
-  // (bounded by computations per cube, same as obs_comp_queries_).
+  // (bounded by computations per cube, same as FleetObs::comp_queries).
   FlatMap<std::uint64_t, std::uint8_t, U64Hash> comp_sampled_;
   // (from << 32 | to) -> FIFO of in-flight send ordinals per channel.
   FlatMap<std::uint64_t, std::vector<std::uint64_t>, U64Hash> in_flight_;

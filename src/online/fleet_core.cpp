@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <type_traits>
 
 #include "grid/box.h"
 #include "util/check.h"
@@ -38,28 +40,50 @@ CubeParams::CubeParams(int dim, const OnlineConfig& config)
                                  << " exceeds 32-bit vehicle ids");
 }
 
+std::size_t FleetCore::region_bytes(const CubeParams& params) {
+  const auto volume = static_cast<std::size_t>(params.pairing.cube_volume());
+  const std::size_t pairs = (volume + 1) / 2;
+  // Fleet, pair slots, destinations, beat slots: each region's alignment
+  // divides the size of every region before it, and every region holds
+  // plain values the block's owner frees without running destructors.
+  static_assert(alignof(PairSlot) <= alignof(Vehicle) &&
+                std::is_trivially_destructible_v<Vehicle> &&
+                std::is_trivially_destructible_v<PairSlot>);
+  return volume * sizeof(Vehicle) + pairs * sizeof(PairSlot) +
+         volume * sizeof(std::uint32_t) + pairs * sizeof(std::uint32_t);
+}
+
 FleetCore::FleetCore(const CubeParams& params, const Point& corner,
-                     Network& network)
-    : params_(params), network_(network), corner_(corner) {
+                     Network& network, void* regions)
+    : params_(params),
+      network_(network),
+      corner_(corner),
+      fleet_(static_cast<Vehicle*>(regions)),
+      volume_(static_cast<std::uint32_t>(params.pairing.cube_volume())),
+      pair_count_((volume_ + 1) / 2) {
   const CubePairing& pairing = params_.pairing;
   CMVRP_CHECK_MSG(pairing.cube_corner(corner) == corner,
                   corner.to_string() << " is not a cube corner");
-  const auto fleet = static_cast<std::size_t>(pairing.cube_volume());
-  pairs_.resize((fleet + 1) / 2);
-  initiator_dest_.assign(fleet, kNoDest);
+  // The regions' storage, before any of their objects exist.
+  std::byte* storage = static_cast<std::byte*>(regions) +
+                       std::size_t{volume_} * sizeof(Vehicle);
+  std::uninitialized_default_construct_n(reinterpret_cast<PairSlot*>(storage),
+                                         pair_count_);
+  storage += std::size_t{pair_count_} * sizeof(PairSlot);
+  std::uninitialized_fill_n(reinterpret_cast<std::uint32_t*>(storage),
+                            volume_, kNoDest);
   // The fleet exists from t = 0: even snake indices (pair primaries)
   // start active, their partners idle.
-  vehicles_.reserve(fleet);
+  std::uint32_t id = 0;
   Box::cube(corner, pairing.side()).for_each_point([&](const Point& home) {
     const std::int64_t k = pairing.snake_index(home, corner_);
-    Vehicle v;
-    v.id = static_cast<std::uint32_t>(vehicles_.size());
-    v.pos = offset_of(home);
+    Vehicle* v = new (fleet_ + id) Vehicle();
+    v->id = id++;
+    v->pos = offset_of(home);
     if (k % 2 == 0) {
-      v.s1 = WorkState::kActive;
-      pairs_[static_cast<std::size_t>(k / 2)].active = v.id;
+      v->s1 = WorkState::kActive;
+      pairs()[static_cast<std::size_t>(k / 2)].active = v->id;
     }
-    vehicles_.push_back(v);
   });
 }
 
@@ -76,7 +100,7 @@ void FleetCore::set_spans(SpanRecorder* spans) {
   if (spans_ == nullptr) return;
   // Every vehicle, not just active ones: idle vehicles appear in traces
   // as relays and replacements.
-  for (const Vehicle& v : vehicles_)
+  for (const Vehicle& v : fleet())
     spans_->note_vehicle_pair(
         v.id, pairing().snake_index(home_of(v.id), corner_) / 2);
 }
@@ -103,7 +127,7 @@ CubeOffset FleetCore::offset_of(const Point& p) const {
 }
 
 Point FleetCore::home_of(std::size_t id) const {
-  CMVRP_CHECK(id < vehicles_.size());
+  CMVRP_CHECK(id < volume_);
   const std::int64_t side = pairing().side();
   Point p = corner_;
   auto rest = static_cast<std::int64_t>(id);
@@ -115,7 +139,8 @@ Point FleetCore::home_of(std::size_t id) const {
 }
 
 Point FleetCore::position_of(std::size_t id) const {
-  const CubeOffset& off = vehicles_.at(id).pos;
+  CMVRP_CHECK(id < volume_);
+  const CubeOffset& off = fleet()[id].pos;
   Point p = corner_;
   for (int i = 0; i < params_.dim; ++i)
     p[i] += off[static_cast<std::size_t>(i)];
@@ -128,7 +153,7 @@ void FleetCore::inject_silent_done(const Point& home) {
                                         << home.to_string()
                                         << " lies outside cube "
                                         << corner_.to_string());
-  vehicles_[id].silent_done = true;
+  fleet()[id].silent_done = true;
   touch();
 }
 
@@ -139,17 +164,20 @@ void FleetCore::inject_break_after(const Point& home, double longevity) {
                                         << home.to_string()
                                         << " lies outside cube "
                                         << corner_.to_string());
-  if (longevity_.empty()) longevity_.assign(vehicles_.size(), -1.0);
+  if (longevity_ == nullptr) {
+    longevity_ = std::make_unique<double[]>(volume_);
+    std::fill_n(longevity_.get(), volume_, -1.0);
+  }
   longevity_[id] = longevity;
-  if (longevity == 0.0) vehicles_[id].dead = true;
+  if (longevity == 0.0) fleet()[id].dead = true;
   touch();
 }
 
 const std::vector<std::uint32_t>& FleetCore::neighbors_of(std::size_t vid) {
   std::vector<std::uint32_t>& out = network_.transport().neighbors;
-  const CubeOffset at = vehicles_[vid].pos;
+  const CubeOffset at = fleet()[vid].pos;
   const std::int64_t radius = params_.config.neighbor_radius;
-  const std::size_t volume = vehicles_.size();
+  const std::size_t volume = volume_;
   // Branch-free selection: whether a member is in range is a coin flip
   // the predictor cannot learn, so every member is written and the
   // count advances only for the ones that qualify.
@@ -158,7 +186,7 @@ const std::vector<std::uint32_t>& FleetCore::neighbors_of(std::size_t vid) {
   for (std::size_t other = 0; other < volume; ++other) {
     out[n] = static_cast<std::uint32_t>(other);
     n += static_cast<std::size_t>(
-        (other != vid) & (l1_distance(vehicles_[other].pos, at) <= radius));
+        (other != vid) & (l1_distance(fleet_[other].pos, at) <= radius));
   }
   out.resize(n);
   return out;
@@ -172,8 +200,8 @@ void FleetCore::spend_travel(Vehicle& v, std::int64_t dist) {
 
 void FleetCore::check_longevity(Vehicle& v) {
   // Runs twice per served job; streams with no longevity injections at
-  // all (the common case) skip it on the empty-array test.
-  if (longevity_.empty() || v.dead) return;
+  // all (the common case) skip it on the null test.
+  if (longevity_ == nullptr || v.dead) return;
   const double p = longevity_[v.id];
   if (p >= 0.0 && v.spent() >= p * capacity() - 1e-9) {
     v.dead = true;
@@ -182,7 +210,7 @@ void FleetCore::check_longevity(Vehicle& v) {
 }
 
 void FleetCore::release_pair(const Vehicle& v, std::int64_t k) {
-  PairSlot& pair = pairs_[static_cast<std::size_t>(k / 2)];
+  PairSlot& pair = pairs()[static_cast<std::size_t>(k / 2)];
   if (pair.active == v.id) pair.active = kNoVehicle;
   pair.last = static_cast<std::uint8_t>(k & 1);
 }
@@ -192,14 +220,14 @@ bool FleetCore::serve_job(const Job& job) {
   const SimTime now = network_.queue().now();
   last_timing_ = JobTiming{now, now, now, 0};
   const std::int64_t k = pairing().snake_index(job.position, corner_);
-  const PairSlot& pair = pairs_[static_cast<std::size_t>(k / 2)];
+  const PairSlot& pair = pairs()[static_cast<std::size_t>(k / 2)];
   const std::size_t vid = pair.active == kNoVehicle ? SIZE_MAX : pair.active;
   if (spans_ != nullptr) spans_->serve_begin(now, vid, job.index);
   if (vid == SIZE_MAX) {
     ++metrics_.jobs_failed;
     return false;
   }
-  Vehicle& v = vehicles_[vid];
+  Vehicle& v = fleet()[vid];
   if (!v.can_serve()) {
     ++metrics_.jobs_failed;
     return false;
@@ -224,7 +252,7 @@ bool FleetCore::serve_job(const Job& job) {
 
 void FleetCore::after_serving(std::size_t vid, std::int64_t k) {
   // Fast exit for the common case (vehicle healthy, not exhausted).
-  Vehicle& v = vehicles_[vid];
+  Vehicle& v = fleet()[vid];
   if (!v.dead && !v.exhausted(capacity())) return;
   // The vehicle leaves its pair: it broke mid-service (longevity), and
   // the monitoring ring must notice, or it is done.
@@ -233,19 +261,19 @@ void FleetCore::after_serving(std::size_t vid, std::int64_t k) {
   if (v.dead) return;
   v.s1 = WorkState::kDone;
   if (v.silent_done) return;  // scenario 2: never initiates
-  pairs_[static_cast<std::size_t>(k / 2)].pending = true;
+  pairs()[static_cast<std::size_t>(k / 2)].pending = true;
   initiate_computation(vid, k);
 }
 
 void FleetCore::initiate_computation(std::size_t initiator,
                                      std::int64_t dest) {
   touch();
-  Vehicle& v = vehicles_[initiator];
+  Vehicle& v = fleet()[initiator];
   v.s2 = TransferState::kInitiator;
   v.par = kNoVehicle;
   v.child = kNoVehicle;
   v.init = next_init(static_cast<std::uint32_t>(initiator), v.init_seq);
-  initiator_dest_[initiator] = static_cast<std::uint32_t>(dest);
+  dests()[initiator] = static_cast<std::uint32_t>(dest);
   ++metrics_.computations_started;
   const auto& nb = neighbors_of(initiator);
   v.num = static_cast<int>(nb.size());
@@ -262,13 +290,13 @@ void FleetCore::initiate_computation(std::size_t initiator,
   }
   for (const std::uint32_t q : nb)
     network_.send(initiator, q, QueryMsg{v.init, 1});
-  if (config().obs.counters) obs_note_queries(v.init, nb.size());
+  if (obs_ != nullptr) obs_note_queries(v.init, nb.size());
 }
 
 void FleetCore::obs_note_queries(const InitTag& init, std::size_t count) {
-  std::uint64_t& total = obs_comp_queries_[packed_init(init)];
+  std::uint64_t& total = obs_->comp_queries[packed_init(init)];
   total += static_cast<std::uint64_t>(count);
-  if (total > obs_max_queries_per_comp_) obs_max_queries_per_comp_ = total;
+  if (total > obs_->max_queries_per_comp) obs_->max_queries_per_comp = total;
 }
 
 void FleetCore::on_message(std::size_t to, std::size_t from,
@@ -289,7 +317,7 @@ void FleetCore::on_message(std::size_t to, std::size_t from,
 
 void FleetCore::on_query(std::size_t vid, std::size_t from,
                          const QueryMsg& q) {
-  Vehicle& v = vehicles_[vid];
+  Vehicle& v = fleet()[vid];
   if (v.s2 == TransferState::kWaiting && v.init != q.init) {
     v.par = static_cast<std::uint32_t>(from);
     v.init = q.init;
@@ -310,7 +338,7 @@ void FleetCore::on_query(std::size_t vid, std::size_t from,
     }
     for (const std::uint32_t n : nb)
       network_.send(vid, n, QueryMsg{q.init, q.hop + 1});
-    if (config().obs.counters) obs_note_queries(q.init, nb.size());
+    if (obs_ != nullptr) obs_note_queries(q.init, nb.size());
     if (spans_ != nullptr)
       spans_->relay(network_.queue().now(), packed_init(q.init), vid, from,
                     q.hop, nb.size());
@@ -321,7 +349,7 @@ void FleetCore::on_query(std::size_t vid, std::size_t from,
 
 void FleetCore::on_reply(std::size_t vid, std::size_t from,
                          const ReplyMsg& r) {
-  Vehicle& v = vehicles_[vid];
+  Vehicle& v = fleet()[vid];
   if (r.init != v.init) return;  // stale reply from an abandoned search
   CMVRP_CHECK_MSG(v.num > 0, "reply without outstanding query");
   --v.num;
@@ -343,17 +371,17 @@ void FleetCore::on_reply(std::size_t vid, std::size_t from,
 }
 
 void FleetCore::finish_phase_one(std::size_t vid) {
-  if (config().obs.counters) ++obs_comps_finished_;
-  Vehicle& v = vehicles_[vid];
+  if (obs_ != nullptr) ++obs_->comps_finished;
+  Vehicle& v = fleet()[vid];
   if (spans_ != nullptr)
     spans_->comp_finish(network_.queue().now(), packed_init(v.init), vid,
                         v.child != kNoVehicle);
-  const std::uint32_t dest = initiator_dest_[vid];
+  const std::uint32_t dest = dests()[vid];
   CMVRP_CHECK(dest != kNoDest);
-  initiator_dest_[vid] = kNoDest;
+  dests()[vid] = kNoDest;
   if (v.child == kNoVehicle) {
     ++metrics_.computations_failed;
-    PairSlot& pair = pairs_[dest / 2];
+    PairSlot& pair = pairs()[dest / 2];
     pair.pending = false;
     // No idle vehicle exists in this cube any more, and none will ever
     // reappear — retrying the search would livelock the ring.
@@ -364,11 +392,11 @@ void FleetCore::finish_phase_one(std::size_t vid) {
 }
 
 void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
-  Vehicle& v = vehicles_[vid];
+  Vehicle& v = fleet()[vid];
   if (v.s1 == WorkState::kIdle && !v.dead) {
     const std::int64_t k = m.dest;
     const CubeOffset dest = offset_of(pairing().snake_vertex(corner_, k));
-    PairSlot& pair = pairs_[m.dest / 2];
+    PairSlot& pair = pairs()[m.dest / 2];
     const std::int64_t dist = l1_distance(v.pos, dest);
     if (v.remaining(capacity()) < static_cast<double>(dist)) {
       // Cannot afford the relocation; treat as a failed computation so the
@@ -410,7 +438,7 @@ void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
     return;
   }
   ++metrics_.computations_failed;
-  pairs_[m.dest / 2].pending = false;
+  pairs()[m.dest / 2].pending = false;
 }
 
 template <class F>
@@ -418,15 +446,16 @@ bool FleetCore::for_each_ring_beat(F&& beat) const {
   // The "existing"-message ring of §3.2.5: the pair slots of the cube form
   // a loop of monitoring pointers, and every healthy active vehicle
   // beacons its ring predecessor — the first ring member the last one.
+  const Region<PairSlot> slots = pairs();
   std::uint32_t prev = kNoVehicle;
-  for (std::size_t i = pairs_.size(); i-- > 0;) {
-    if (in_ring(pairs_[i])) {
-      prev = pairs_[i].active;
+  for (std::size_t i = slots.size(); i-- > 0;) {
+    if (in_ring(slots[i])) {
+      prev = slots[i].active;
       break;
     }
   }
   if (prev == kNoVehicle) return false;
-  for (const PairSlot& pair : pairs_) {
+  for (const PairSlot& pair : slots) {
     if (!in_ring(pair)) continue;
     if (pair.active != prev) beat(pair.active, prev);  // a ring of one is silent
     prev = pair.active;
@@ -434,31 +463,44 @@ bool FleetCore::for_each_ring_beat(F&& beat) const {
   return true;
 }
 
+bool FleetCore::resolve_beats() {
+  const Region<std::uint32_t> room = beat_room();
+  beat_count_ = 0;
+  return for_each_ring_beat([&](std::uint32_t from, std::uint32_t to) {
+    room[beat_count_++] = network_.heartbeat_slot(from, to);
+  });
+}
+
+void FleetCore::rebuild_ring() {
+  ring_dirty_ = false;
+  ring_empty_ = !resolve_beats();
+  // The table keeps every channel the ring ever beaconed. Past twice the
+  // ring's channels, drop the clamps that can no longer bind; that
+  // renumbers the slots, so resolve the ring's again.
+  if (network_.heartbeat_channels() > 2 * std::size_t{beat_count_} &&
+      network_.drop_stale_heartbeats() > 0)
+    resolve_beats();
+}
+
 void FleetCore::monitor_sweep() {
 #ifndef NDEBUG
   check_monitor_cache();
 #endif
-  if (ring_dirty_) {
-    ring_dirty_ = false;
-    beat_slots_.clear();
-    ring_empty_ = !for_each_ring_beat([this](std::uint32_t from,
-                                             std::uint32_t to) {
-      beat_slots_.push_back(network_.heartbeat_slot(from, to));
-    });
-  }
+  if (ring_dirty_) rebuild_ring();
   if (ring_empty_) return;  // nobody left to monitor or initiate
-  for (const std::uint32_t slot : beat_slots_) network_.beat(slot);
+  network_.beat_all(beat_room().begin(), beat_count_);
   if (!scan_dirty_) return;
   // Cleared first, so a scan that changes anything marks the core again.
   scan_dirty_ = false;
   // Timeout detection: slots with no healthy active vehicle and no
   // replacement already in flight. Slots are read live, so a replacement
   // that a mid-scan computation activates is visible to later slots.
-  for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    PairSlot& pair = pairs_[i];
+  const Region<PairSlot> slots = pairs();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    PairSlot& pair = slots[i];
     if (!timed_out(pair)) continue;
     if (pair.active != kNoVehicle) {
-      const Vehicle& v = vehicles_[pair.active];
+      const Vehicle& v = fleet()[pair.active];
       const std::int64_t k =
           pairing().snake_index(position_of(pair.active), corner_);
       CMVRP_CHECK_MSG(static_cast<std::size_t>(k / 2) == i,
@@ -481,15 +523,16 @@ void FleetCore::monitor_sweep() {
 bool FleetCore::timed_out(const PairSlot& pair) const {
   if (pair.unrecoverable) return false;
   if (pair.active == kNoVehicle) return !pair.pending;
-  return !vehicles_[pair.active].can_serve();
+  return !fleet()[pair.active].can_serve();
 }
 
 std::uint32_t FleetCore::ring_monitor(std::size_t i) const {
-  const std::size_t n = pairs_.size();
+  const Region<PairSlot> slots = pairs();
+  const std::size_t n = slots.size();
   for (std::size_t back = 1; back <= n; ++back) {
-    const std::uint32_t vid = pairs_[(i + n - back) % n].active;
+    const std::uint32_t vid = slots[(i + n - back) % n].active;
     if (vid == kNoVehicle) continue;
-    const Vehicle& v = vehicles_[vid];
+    const Vehicle& v = fleet()[vid];
     if (v.can_serve() && v.s2 == TransferState::kWaiting) return vid;
   }
   return kNoVehicle;
@@ -497,26 +540,27 @@ std::uint32_t FleetCore::ring_monitor(std::size_t i) const {
 
 void FleetCore::check_monitor_cache() const {
   if (!ring_dirty_) {
+    const Region<std::uint32_t> room = beat_room();
     std::size_t k = 0;
     const bool live = for_each_ring_beat([&](std::uint32_t from,
                                              std::uint32_t to) {
-      CMVRP_CHECK_MSG(k < beat_slots_.size() &&
-                          beat_slots_[k] ==
-                              network_.find_heartbeat_slot(from, to),
+      CMVRP_CHECK_MSG(k < beat_count_ &&
+                          room[k] == network_.find_heartbeat_slot(from, to),
                       "cached heartbeat " << k << " (" << from << " -> " << to
                                           << ") is stale: the ring changed "
                                              "without touch()");
       ++k;
     });
-    CMVRP_CHECK_MSG(k == beat_slots_.size() && live == !ring_empty_,
-                    "cached ring has " << beat_slots_.size()
+    CMVRP_CHECK_MSG(k == beat_count_ && live == !ring_empty_,
+                    "cached ring has " << beat_count_
                                        << " heartbeats, the fleet " << k
                                        << ": the ring changed without touch()");
   }
   if (scan_dirty_) return;
-  for (std::size_t i = 0; i < pairs_.size(); ++i)
-    CMVRP_CHECK_MSG(!timed_out(pairs_[i]) ||
-                        (pairs_[i].active == kNoVehicle &&
+  const Region<PairSlot> slots = pairs();
+  for (std::size_t i = 0; i < slots.size(); ++i)
+    CMVRP_CHECK_MSG(!timed_out(slots[i]) ||
+                        (slots[i].active == kNoVehicle &&
                          ring_monitor(i) == kNoVehicle),
                     "the timeout scan has work on pair "
                         << i << " that no touch() announced");
@@ -535,7 +579,7 @@ void FleetCore::finalize_metrics() {
   metrics_.network = network_.stats();
   metrics_.max_energy_spent = 0.0;
   metrics_.total_energy_spent = 0.0;
-  for (const auto& v : vehicles_) {
+  for (const auto& v : fleet()) {
     metrics_.max_energy_spent = std::max(metrics_.max_energy_spent, v.spent());
     metrics_.total_energy_spent += v.spent();
   }
@@ -543,22 +587,22 @@ void FleetCore::finalize_metrics() {
 
 std::int64_t FleetCore::exhausted_permille() const {
   std::size_t exhausted = 0;
-  for (const auto& v : vehicles_)
+  for (const auto& v : fleet())
     if (v.dead || v.s1 == WorkState::kDone) ++exhausted;
-  return static_cast<std::int64_t>((exhausted * 1000) / vehicles_.size());
+  return static_cast<std::int64_t>((exhausted * 1000) / volume_);
 }
 
 const Vehicle* FleetCore::vehicle_at_home(const Point& home) const {
   const std::uint32_t id = id_of_home(home);
-  return id == kNoVehicle ? nullptr : &vehicles_[id];
+  return id == kNoVehicle ? nullptr : &fleet()[id];
 }
 
 std::optional<std::size_t> FleetCore::active_of_pair(
     const Point& any_member) const {
   if (id_of_home(any_member) == kNoVehicle) return std::nullopt;
   const std::uint32_t vid =
-      pairs_[static_cast<std::size_t>(
-                 pairing().snake_index(any_member, corner_) / 2)]
+      pairs()[static_cast<std::size_t>(
+                  pairing().snake_index(any_member, corner_) / 2)]
           .active;
   if (vid == kNoVehicle) return std::nullopt;
   return vid;

@@ -11,27 +11,34 @@
 // The network and the cube constants (CubeParams) are borrowed by
 // reference.
 //
-// State is index-addressed. The fleet is created at construction in one
-// sized allocation, in Box::for_each_point order, so a vehicle's id is
-// the row-major offset of its home in the cube. Per-pair state (active
-// vehicle, its install time, the vertex the pair was last served from,
-// the in-flight and unrecoverable flags) lives in one slot array indexed
-// by snake pair k/2; per-vehicle side state (Phase II destinations,
-// longevities) in arrays indexed by id. No serve, message or sweep step
-// hashes a Point.
+// State is index-addressed, in four regions of one block the owner
+// supplies (region_bytes() long; the stream engine puts them behind the
+// cube's header, so a cube is one allocation — see stream/shard.h):
+//   * the fleet, in Box::for_each_point order, so a vehicle's id is the
+//     row-major offset of its home in the cube;
+//   * the pair slots (active vehicle, its install time, the vertex the
+//     pair was last served from, the in-flight and unrecoverable flags),
+//     indexed by snake pair k/2;
+//   * the Phase II destinations, indexed by vehicle id;
+//   * the ring's beat slots, at most one per pair.
+// Region indices are checked in Debug builds (util/region.h). No serve,
+// message or sweep step hashes a Point.
 //
 // Complexity: serving a job is O(ℓ) plus amortized replacement cost; each
 // Phase I diffusing computation floods the s^ℓ vehicles of the cube
 // through radius-r neighbor lists (O(s^ℓ · (2r+1)^ℓ) messages, realizing
 // Lemma 3.3.1's bounded-search claim), and Phase II relays one move
 // message along the computation tree. Between serves the core holds only
-// its cube's own O(s^ℓ) state: the fleet (64 bytes a vehicle), the pair
-// slots and the per-vehicle side arrays. Messages in flight, flood
-// clamps and the neighbor scratch live in the lent transport, which is
-// empty at quiescence; the deployment constants live in the shared
-// CubeParams; outcome indices live in the serving shard's log
-// (stream/shard.h). One thing grows with the cube's history instead:
-// the network's heartbeat clamps, one per ring channel ever beaconed.
+// its cube's own O(s^ℓ) state: the four regions (the fleet is 64 bytes
+// a vehicle) and a fixed header. Messages in flight, flood clamps and
+// the neighbor scratch live in the lent transport, which is empty at
+// quiescence; the deployment constants live in the shared CubeParams;
+// the Tier-A and span state live with whoever turned them on (FleetObs,
+// SpanRecorder); the longevities exist only once a break is injected.
+// Nothing grows with the cube's history: the network's heartbeat table
+// holds at most twice the ring's channels plus the clamps still ahead of
+// the clock, because each ring rebuild that finds more drops the clamps
+// that can no longer bind (sim/network.h).
 //
 // A §3.2.5 monitoring round costs O(ring) heartbeats and nothing else
 // while the fleet is unchanged. The core keeps the ring's beat slots
@@ -55,6 +62,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -67,6 +76,7 @@
 #include "sim/network.h"
 #include "util/flat_map.h"
 #include "util/hash.h"
+#include "util/region.h"
 #include "workload/generators.h"
 
 namespace cmvrp {
@@ -210,15 +220,32 @@ struct OnlineMetrics {
   }
 };
 
+// A core's Tier-A observability state (ObsConfig::counters), kept by
+// whoever turns the counters on and lent to the core (set_obs). Query
+// counts are keyed by packed InitTag; entries are never erased — a late
+// relay may add to a finished computation — and stay bounded by
+// computations per cube (~16 bytes each).
+struct FleetObs {
+  FlatMap<std::uint64_t, std::uint64_t, U64Hash> comp_queries;
+  std::uint64_t comps_finished = 0;        // every finish_phase_one
+  std::uint64_t max_queries_per_comp = 0;  // largest fan-out so far
+};
+
 class FleetCore {
  public:
+  // Bytes of the regions a core of this deployment keeps (see the file
+  // comment): its fleet, pair slots, destinations and beat slots.
+  static std::size_t region_bytes(const CubeParams& params);
+
   // Builds the fleet of the cube whose corner is `corner` (which must be
-  // a corner of the params' partition). `params` and `network` are
-  // borrowed and must outlive the core; the network's transport carries
-  // the queue. The owner must bind this core as the network receiver
-  // (see bind_network).
-  FleetCore(const CubeParams& params, const Point& corner, Network& network);
-  FleetCore(CubeParams&&, const Point&, Network&) = delete;
+  // a corner of the params' partition) in `regions`: region_bytes(params)
+  // bytes, aligned for a Vehicle, which the core does not own. `params`,
+  // `network` and `regions` are borrowed and must outlive the core; the
+  // network's transport carries the queue. The owner must bind this core
+  // as the network receiver (see bind_network).
+  FleetCore(const CubeParams& params, const Point& corner, Network& network,
+            void* regions);
+  FleetCore(CubeParams&&, const Point&, Network&, void*) = delete;
   // bind_network hands the network this core's address.
   FleetCore(const FleetCore&) = delete;
   FleetCore& operator=(const FleetCore&) = delete;
@@ -231,6 +258,10 @@ class FleetCore {
   // axis), then the recorder sees computation start/finish, relay hops,
   // cascade steps, and serve-begin anchors on the cube protocol clock.
   void set_spans(SpanRecorder* spans);
+
+  // Optional Tier-A state (borrowed; may be null, which turns the
+  // obs-gated counters off). Wire before serving.
+  void set_obs(FleetObs* obs) { obs_ = obs; }
 
   // Failure injection, effective from the next protocol step. `home`
   // must lie in this cube.
@@ -269,16 +300,18 @@ class FleetCore {
   // fleet-occupancy signal the timeseries sampler records. O(fleet).
   std::int64_t exhausted_permille() const;
 
-  // Tier-A observability accessors (src/obs/); all zero unless
-  // config().obs.counters is on. comps_finished counts every
-  // finish_phase_one (successful or not); max_queries_per_comp is the
-  // largest Query fan-out any one diffusing computation produced —
-  // Lemma 3.3.1 bounds it by s^ℓ · (2r+1)^ℓ. The running max is
-  // updated at every query batch (not only at finish) because a
-  // delayed query can trigger a relay after its initiator finished.
-  std::uint64_t obs_comps_finished() const { return obs_comps_finished_; }
+  // Tier-A observability accessors (src/obs/); all zero unless a
+  // FleetObs is set. comps_finished counts every finish_phase_one
+  // (successful or not); max_queries_per_comp is the largest Query
+  // fan-out any one diffusing computation produced — Lemma 3.3.1 bounds
+  // it by s^ℓ · (2r+1)^ℓ. The running max is updated at every query
+  // batch (not only at finish) because a delayed query can trigger a
+  // relay after its initiator finished.
+  std::uint64_t obs_comps_finished() const {
+    return obs_ != nullptr ? obs_->comps_finished : 0;
+  }
   std::uint64_t obs_max_queries_per_comp() const {
-    return obs_max_queries_per_comp_;
+    return obs_ != nullptr ? obs_->max_queries_per_comp : 0;
   }
 
   // Throws check_error when the monitoring cache disagrees with the
@@ -287,11 +320,18 @@ class FleetCore {
   // stale) would act. Looks up, never inserts; O(pairs^2) at worst.
   void check_monitor_cache() const;
 
+  // Whether the ring's beat slots are stale (a write since the last
+  // rebuild). While they are not, nothing was delivered since that
+  // rebuild, so the cube's clock has not moved either.
+  bool ring_stale() const { return ring_dirty_; }
+  // Heartbeats one monitoring round sends: the ring's channels.
+  std::size_t ring_beats() const { return beat_count_; }
+
   // Introspection for tests. vehicle_at_home is null for homes outside
   // the cube; active_of_pair is empty when the pair has no active vehicle.
   // home_of and position_of give vehicle `id`'s depot and current vertex
   // as Points (a Vehicle keeps neither).
-  const std::vector<Vehicle>& vehicles() const { return vehicles_; }
+  Region<const Vehicle> vehicles() const { return {fleet_, volume_}; }
   const Vehicle* vehicle_at_home(const Point& home) const;
   Point home_of(std::size_t id) const;
   Point position_of(std::size_t id) const;
@@ -300,7 +340,7 @@ class FleetCore {
   void on_message(std::size_t to, std::size_t from, const Message& m);
 
  private:
-  // initiator_dest_ entry of a vehicle that runs no computation.
+  // dests() entry of a vehicle that runs no computation.
   static constexpr std::uint32_t kNoDest = UINT32_MAX;
 
   // Serving state of one black–white pair (snake indices 2i and 2i+1).
@@ -320,6 +360,22 @@ class FleetCore {
     // fleet — the "assignment" timestamp of every job the slot serves.
     SimTime since = 0;
   };
+
+  // The regions, laid out back to back from fleet_ (see region_bytes).
+  Region<Vehicle> fleet() const { return {fleet_, volume_}; }
+  PairSlot* pair_data() const {
+    return std::launder(reinterpret_cast<PairSlot*>(fleet_ + volume_));
+  }
+  Region<PairSlot> pairs() const { return {pair_data(), pair_count_}; }
+  std::uint32_t* dest_data() const {
+    return std::launder(
+        reinterpret_cast<std::uint32_t*>(pair_data() + pair_count_));
+  }
+  Region<std::uint32_t> dests() const { return {dest_data(), volume_}; }
+  // Room for a ring's beat slots: one per pair at most.
+  Region<std::uint32_t> beat_room() const {
+    return {dest_data() + volume_, pair_count_};
+  }
 
   // Row-major offset of `home` in the cube (= its vehicle id);
   // kNoVehicle when outside.
@@ -355,8 +411,14 @@ class FleetCore {
   void touch() { ring_dirty_ = scan_dirty_ = true; }
   // Pair `pair` is in the ring: its active vehicle is healthy.
   bool in_ring(const PairSlot& pair) const {
-    return pair.active != kNoVehicle && vehicles_[pair.active].can_serve();
+    return pair.active != kNoVehicle && fleet()[pair.active].can_serve();
   }
+  // Rebuilds the beat slots from the fleet, bounding the heartbeat table
+  // on the way (see the file comment).
+  void rebuild_ring();
+  // Resolves the ring's beat slots into beat_room(); returns whether the
+  // ring has a member.
+  bool resolve_beats();
   // Calls beat(from, to) for each heartbeat of a round, in send order;
   // returns whether the ring has a member.
   template <class F>
@@ -371,36 +433,29 @@ class FleetCore {
   const CubeParams& params_;  // borrowed deployment constants
   Network& network_;          // borrowed; its transport holds the queue
   Point corner_;
+  // The regions (borrowed): the fleet (id = row-major offset of the
+  // home), then the pair slots (slot i = snake pair (2i, 2i+1)), the
+  // Phase II destinations (vehicle id -> snake index its move must
+  // carry; kNoDest while it runs no computation) and the beat slots.
+  Vehicle* fleet_;
+  std::uint32_t volume_;      // vehicles
+  std::uint32_t pair_count_;  // pair slots
+  // The ring's heartbeats: the first beat_count_ beat slots, in send
+  // order; rebuilt only when ring_dirty_.
+  std::uint32_t beat_count_ = 0;
   // The monitoring cache's state (see the file comment): the beat slots
   // or the timeout scan may be stale; the ring had no member when last
   // built.
   bool ring_dirty_ = true;
   bool scan_dirty_ = true;
   bool ring_empty_ = false;
-
-  std::vector<Vehicle> vehicles_;  // id = row-major offset of the home
-  std::vector<PairSlot> pairs_;    // slot i = snake pair (2i, 2i+1)
-  // Vehicle id -> snake index of the destination its Phase II move must
-  // carry (kNoDest while it runs no computation).
-  std::vector<std::uint32_t> initiator_dest_;
   // Vehicle id -> injected longevity p_i (negative = never breaks);
-  // empty until the first inject_break_after, so streams without
+  // null until the first inject_break_after, so streams without
   // breakage pay nothing for the check.
-  std::vector<double> longevity_;
-  // The ring's heartbeats as beat slots, in send order; rebuilt only
-  // when ring_dirty_.
-  std::vector<std::uint32_t> beat_slots_;
+  std::unique_ptr<double[]> longevity_;
 
-  // Tier-A observability state (all obs-gated). Query counts are keyed
-  // by packed InitTag; entries are never erased — a late relay may add
-  // to a finished computation — and stay bounded by computations per
-  // cube (~16 bytes each).
-  FlatMap<std::uint64_t, std::uint64_t, U64Hash> obs_comp_queries_;
-  std::uint64_t obs_comps_finished_ = 0;
-  std::uint64_t obs_max_queries_per_comp_ = 0;
-
-  // Tier-C span hook (borrowed; null unless ObsConfig::spans).
-  SpanRecorder* spans_ = nullptr;
+  FleetObs* obs_ = nullptr;         // Tier-A state (borrowed; may be null)
+  SpanRecorder* spans_ = nullptr;   // Tier-C hook (borrowed; may be null)
 
   OnlineMetrics metrics_;
   JobTiming last_timing_;

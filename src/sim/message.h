@@ -8,9 +8,9 @@
 // The `existing` heartbeats of the §3.2.5 monitoring ring are not a
 // Message. A heartbeat is never delivered — its receiver would do
 // nothing, since the ring reads fleet state directly — so it has no
-// payload to carry and never enters the event queue. Network::beat sends
-// one: it draws the delay and advances the channel's FIFO clamp, and
-// that is all a heartbeat does.
+// payload to carry and never enters the event queue. Network::beat_all
+// sends them: it draws each delay and advances each channel's FIFO
+// clamp, and that is all a heartbeat does.
 #pragma once
 
 #include <cstddef>

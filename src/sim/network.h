@@ -9,16 +9,17 @@
 // (time, insertion) order into the one bound receiver.
 //
 // §3.2.5 heartbeats (`existing` messages) take the one other path,
-// beat(). A heartbeat is a protocol no-op on the receiving side — the
-// monitoring ring reads fleet state directly — so beat() draws its delay
-// (keeping the generator sequence aligned) and advances its channel's
-// FIFO clamp, but schedules nothing: at ~1 heartbeat per ring member per
-// round, firing do-nothing deliveries would be most of the queue's
-// traffic. A beat names its channel by *beat slot*, the position of the
-// channel's clamp in the heartbeat table, which heartbeat_slot() resolves
-// (and creates) once. Slots stay valid for the network's lifetime: the
-// table is a FlatMap, which never erases, and the network never clears
-// it. So a ring that resolves its slots once beacons without hashing.
+// beat_all(). A heartbeat is a protocol no-op on the receiving side —
+// the monitoring ring reads fleet state directly — so beat_all() draws
+// each heartbeat's delay (keeping the generator sequence aligned) and
+// advances its channel's FIFO clamp, but schedules nothing: at ~1
+// heartbeat per ring member per round, firing do-nothing deliveries
+// would be most of the queue's traffic. A beat names its channel by
+// *beat slot*, the position of the channel's clamp in the heartbeat
+// table, which heartbeat_slot() resolves (and creates) once. Slots stay
+// valid until drop_stale_heartbeats(), the table's only erase, so a ring
+// that resolves its slots once beacons without hashing until it next
+// drops clamps and resolves them again.
 //
 // FIFO is kept with clamps: a channel's clamp is the last delivery time
 // scheduled on it, and a later send on that channel is pushed past it.
@@ -27,9 +28,9 @@
 // ahead of the clock are state. The clamps are split by what outlives
 // quiescence:
 //   * Heartbeat clamps live in the network. Heartbeats are elided, never
-//     fire, and are sent only at quiescence (beat() checks), so a ring
-//     beaconing at a still clock pushes its clamps ahead of the clock,
-//     and they outlive every drain.
+//     fire, and are sent only at quiescence (beat_all() checks), so a
+//     ring beaconing at a still clock pushes its clamps ahead of the
+//     clock, and they outlive every drain.
 //   * Flood clamps (query, reply, move) live in a table the network
 //     borrows, which the stream engine shares between every cube of one
 //     worker and clears when a cube's serve ends (see Lend). At
@@ -46,6 +47,19 @@
 // clamp ahead of now, if any, is its heartbeat clamp. A heartbeat
 // ignores the flood table: at quiescence every flood clamp is at or
 // before now.
+//
+// Two consequences keep the heartbeat table small and rarely read:
+//   * The network keeps the latest heartbeat clamp it ever set. While
+//     that clamp is at or before now, no heartbeat clamp can bind, so a
+//     flood send skips the table lookup (now + delay exceeds both stale
+//     clamps). Debug builds check every skipped channel.
+//   * A heartbeat clamp at or before the clock can be dropped:
+//     drop_stale_heartbeats() does, and a channel beaconed again starts
+//     from a fresh clamp, which binds exactly as the dropped one would
+//     have (not at all). The monitoring ring calls it when the table
+//     outgrows twice the ring (online/fleet_core.h), so the table holds
+//     the ring's channels plus the clamps still ahead of the clock, not
+//     every channel the ring ever used.
 //
 // Between lends a network keeps only what is its cube's own: its delay
 // generator, its message counts, its heartbeat clamps, its clock and its
@@ -72,7 +86,7 @@ struct NetworkStats {
   std::uint64_t replies = 0;
   std::uint64_t moves = 0;
   std::uint64_t heartbeats = 0;
-  // §3.2.5 heartbeats whose scheduler round-trip beat() elided (the
+  // §3.2.5 heartbeats whose scheduler round-trip beat_all() elided (the
   // receiving side is a protocol no-op). Every skip is also counted in
   // `heartbeats`; total() therefore excludes it.
   std::uint64_t heartbeat_skips = 0;
@@ -177,8 +191,16 @@ class Network {
     const std::uint64_t key = channel_key(from, to);
     SimTime& last = transport_.flood[key];
     if (last <= now) {
-      const SimTime* beat = heartbeat_.find(key);
-      if (beat != nullptr) last = *beat;
+      if (heartbeat_latest_ > now) {
+        const SimTime* beat = heartbeat_.find(key);
+        if (beat != nullptr) last = *beat;
+      } else {
+#ifndef NDEBUG
+        const SimTime* beat = heartbeat_.find(key);
+        CMVRP_CHECK_MSG(beat == nullptr || *beat <= now,
+                        "skipped a heartbeat clamp ahead of now");
+#endif
+      }
     }
     const SimTime at = advance(last, now + delay);
     if (spans_ != nullptr) {
@@ -190,7 +212,8 @@ class Network {
   }
 
   // The beat slot of the heartbeat channel from -> to, created on first
-  // use; valid for this network's lifetime (see the file comment).
+  // use; valid until the next drop_stale_heartbeats() (see the file
+  // comment).
   std::uint32_t heartbeat_slot(std::size_t from, std::size_t to) {
     return heartbeat_.slot(channel_key(from, to));
   }
@@ -200,15 +223,41 @@ class Network {
     return heartbeat_.find_slot(channel_key(from, to));
   }
 
-  // Sends one heartbeat on the channel at beat slot `slot`: counts it,
-  // draws its delay, and advances the channel's clamp past now + delay.
-  // Only at quiescence.
-  void beat(std::uint32_t slot) {
-    ++stats_.heartbeats;
-    const SimTime delay = draw_delay();
+  // Sends one heartbeat on each of the `count` channels at beat slots
+  // `slots`, in order: counts it, draws its delay, and advances the
+  // channel's clamp past now + delay. Only at quiescence.
+  void beat_all(const std::uint32_t* slots, std::size_t count) {
     CMVRP_CHECK_MSG(queue().empty(), "heartbeat sent while deliveries are due");
-    advance(heartbeat_.at(slot), queue().now() + delay);
-    ++stats_.heartbeat_skips;
+    const SimTime now = queue().now();
+    SimTime latest = heartbeat_latest_;
+    for (std::size_t i = 0; i < count; ++i) {
+      const SimTime at = advance(heartbeat_.at(slots[i]), now + draw_delay());
+      if (at > latest) latest = at;
+    }
+    heartbeat_latest_ = latest;
+    stats_.heartbeats += count;
+    stats_.heartbeat_skips += count;
+  }
+
+  // Drops every heartbeat clamp at or before now, which can never bind
+  // again (see the file comment), and returns how many it dropped. When
+  // it drops any, every beat slot handed out before is void. Only at
+  // quiescence.
+  std::size_t drop_stale_heartbeats() {
+    CMVRP_CHECK_MSG(queue().empty(),
+                    "heartbeats dropped while deliveries are due");
+    const SimTime now = queue().now();
+    return heartbeat_.erase_if(
+        [now](const ClampTable::Item& item) { return item.value <= now; });
+  }
+
+  // Heartbeat channels in the table, and how many of their clamps lie
+  // ahead of this network's clock as of its last lend.
+  std::size_t heartbeat_channels() const { return heartbeat_.size(); }
+  std::size_t heartbeat_clamps_ahead() const {
+    std::size_t ahead = 0;
+    for (const auto& item : heartbeat_) ahead += item.value > clock_ ? 1 : 0;
+    return ahead;
   }
 
   const NetworkStats& stats() const { return stats_; }
@@ -302,8 +351,9 @@ class Network {
   SpanRecorder* spans_ = nullptr;  // borrowed Tier-C hook; may be null
   // This network's heartbeat clamps, addressed by beat slot: the one
   // clamp state that outlives quiescence, so the one a network keeps
-  // between lends. Never cleared, so beat slots stay valid.
+  // between lends. Only drop_stale_heartbeats() removes any.
   ClampTable heartbeat_;
+  SimTime heartbeat_latest_ = 0;  // the latest heartbeat clamp ever set
   SimTime clock_ = 0;  // the queue's clock when the last Lend ended
 };
 

@@ -14,12 +14,100 @@ namespace {
 // parallel routing pass costs more than the floor-divides it spreads out.
 constexpr std::size_t kMinJobsPerRouteWorker = 64;
 
-// Merges the sorted `run` into the sorted `out`.
-void merge_into(const std::vector<std::int64_t>& run,
-                std::vector<std::int64_t>& out) {
-  const auto middle = static_cast<std::ptrdiff_t>(out.size());
-  out.insert(out.end(), run.begin(), run.end());
-  std::inplace_merge(out.begin(), out.begin() + middle, out.end());
+// Sorted index lists read as one ascending sequence, by a k-way merge
+// over cursors into the lists themselves: nothing is copied. k is a few
+// lists per shard, so the smallest head is found by a scan.
+class SortedMerge {
+ public:
+  void add(const std::vector<std::int64_t>& list) {
+    if (!list.empty())
+      heads_.push_back({list.data(), list.data() + list.size()});
+    find_min();
+  }
+
+  bool empty() const { return heads_.empty(); }
+  std::int64_t top() const { return *heads_[min_].at; }
+
+  void pop() {
+    Head& head = heads_[min_];
+    if (++head.at == head.end) {
+      head = heads_.back();
+      heads_.pop_back();
+    }
+    find_min();
+  }
+
+ private:
+  struct Head {
+    const std::int64_t* at;
+    const std::int64_t* end;
+  };
+
+  void find_min() {
+    min_ = 0;
+    for (std::size_t i = 1; i < heads_.size(); ++i)
+      if (*heads_[i].at < *heads_[min_].at) min_ = i;
+  }
+
+  std::vector<Head> heads_;
+  std::size_t min_ = 0;
+};
+
+// The merged sequence as one sorted vector of `size` indices.
+std::vector<std::int64_t> drain(SortedMerge merge, std::size_t size) {
+  std::vector<std::int64_t> out;
+  out.reserve(size);
+  for (; !merge.empty(); merge.pop()) out.push_back(merge.top());
+  return out;
+}
+
+// first + k for a k that keeps the sum an int64 (a member of a run),
+// and b − a for a <= b: both in unsigned arithmetic, so no step
+// overflows whatever the indices.
+std::int64_t offset(std::int64_t first, std::uint64_t k) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(first) + k);
+}
+std::uint64_t distance(std::int64_t a, std::int64_t b) {
+  return static_cast<std::uint64_t>(b) - static_cast<std::uint64_t>(a);
+}
+
+// The indices of `runs` (`ingested` of them) less the `removed` multiset,
+// sorted; `served` is how many that leaves. The runs hold the ingested
+// indices as a multiset whose order does not matter, so they are sorted
+// in place (the engine appends later runs after them).
+std::vector<std::int64_t> served_indices(std::vector<IndexRun>& runs,
+                                         std::uint64_t ingested,
+                                         SortedMerge removed,
+                                         std::size_t served) {
+  std::sort(runs.begin(), runs.end(),
+            [](const IndexRun& a, const IndexRun& b) {
+              return a.first < b.first;
+            });
+  std::vector<std::int64_t> out;
+  out.reserve(static_cast<std::size_t>(ingested));
+  bool repeats = false;  // some index arrived more than once
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (i > 0 && distance(runs[i - 1].first, runs[i].first) <
+                     runs[i - 1].count)
+      repeats = true;
+    for (std::uint64_t k = 0; k < runs[i].count; ++k)
+      out.push_back(offset(runs[i].first, k));
+  }
+  // Disjoint runs sorted by their first index list their members in
+  // order; only a stream that repeats an index needs the sort.
+  if (repeats) std::sort(out.begin(), out.end());
+  std::size_t kept = 0;
+  for (const std::int64_t index : out) {
+    if (!removed.empty() && removed.top() == index) {
+      removed.pop();
+      continue;
+    }
+    out[kept++] = index;
+  }
+  out.resize(kept);
+  CMVRP_CHECK_MSG(removed.empty() && kept == served,
+                  "outcome logs do not partition the ingested indices");
+  return out;
 }
 
 }  // namespace
@@ -111,9 +199,30 @@ void StreamEngine::inject_break_after(const Point& home, double longevity) {
   server_of(home).inject_break_after(home, longevity);
 }
 
+void StreamEngine::note_runs(const Job* jobs, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::int64_t index = jobs[i].index;
+    if (!runs_.empty()) {
+      // Tested by distance, which no index can overflow.
+      IndexRun& run = runs_.back();
+      if (index > run.first && distance(run.first, index) == run.count) {
+        ++run.count;
+        continue;
+      }
+      if (index < run.first && distance(index, run.first) == 1) {
+        --run.first;  // a descending stream
+        ++run.count;
+        continue;
+      }
+    }
+    runs_.push_back({index, 1});
+  }
+}
+
 void StreamEngine::run_batch(const Job* jobs, std::size_t count) {
   if (count == 0) return;
   WallTimer ingest_timer;
+  note_runs(jobs, count);
   const auto shard_count = static_cast<std::size_t>(pool_.size());
   WallTimer route_timer;
   for (auto& r : routed_) r.clear();
@@ -248,12 +357,27 @@ StreamResult StreamEngine::finish() {
       snapshotter_->write_cube(corner, server->counters(),
                                server->latency());
   }
+  // Served = ingested − failed − dropped, each list merged straight into
+  // its result vector: no per-arrival log, and no temporary.
+  SortedMerge failed, dropped, removed;
+  std::size_t failed_count = 0, dropped_count = 0;
   for (auto& shard : shards_) {
     const OutcomeLog& log = shard.sorted_log();
-    merge_into(log.served, result.served_jobs);
-    merge_into(log.failed, result.failed_jobs);
-    merge_into(log.dropped, result.shed_jobs);
+    failed.add(log.failed);
+    dropped.add(log.dropped);
+    removed.add(log.failed);
+    removed.add(log.dropped);
+    failed_count += log.failed.size();
+    dropped_count += log.dropped.size();
   }
+  CMVRP_CHECK(failed_count + dropped_count <= jobs_ingested_);
+  result.served_jobs = served_indices(
+      runs_, jobs_ingested_, std::move(removed),
+      static_cast<std::size_t>(jobs_ingested_) - failed_count - dropped_count);
+  result.failed_jobs = drain(std::move(failed), failed_count);
+  result.shed_jobs = drain(std::move(dropped), dropped_count);
+  CMVRP_CHECK_MSG(result.served_jobs.size() == result.metrics.jobs_served,
+                  "served indices disagree with the cubes' metrics");
   stages_.monitor_ms += monitor_timer.elapsed_ms();
   result.stages = stages_;
   if (snapshotter_ != nullptr)

@@ -24,8 +24,21 @@
 //             (the OutcomeRecorder streams them to disk at
 //             O(batch × threads) peak RSS),
 //   merge   — per-cube OnlineMetrics fold in ascending-corner order into
-//             one StreamResult; each shard's served/failed/dropped index
-//             log (stream/shard.h) merges into sorted index sets.
+//             one StreamResult; each shard's failed/dropped index log
+//             (stream/shard.h) merges into sorted index sets, and the
+//             served set is what the ingested indices leave.
+//
+// Serving state is O(cubes + failures), not O(arrivals): each cube is
+// one block plus its heartbeat table and latency buckets (see
+// stream/shard.h), the shards log only failed and dropped indices, and
+// the engine records the ingested indices as (first, count) runs —
+// extended while each index is one above (or below) the last, so every
+// stream the repo generates, replays or muxes is one run at any thread
+// count or batch size. finish() builds the served set as ingested −
+// failed − dropped, in the result itself: it lists the runs' members in
+// order (only a stream that repeats an index needs a sort) and takes out
+// the failed and dropped indices in place, read by one k-way merge over
+// the shards' sorted logs. No temporary holds the arrivals.
 //
 // Contract: results are bit-identical for every thread count and batch
 // size, because all nondeterminism lives in per-cube seeds and each
@@ -55,6 +68,13 @@
 #include "workload/generators.h"
 
 namespace cmvrp {
+
+// A run of ingested arrival indices: first, first + 1, …,
+// first + count − 1, in some order (see the file comment).
+struct IndexRun {
+  std::int64_t first;
+  std::uint64_t count;
+};
 
 struct StreamConfig {
   OnlineConfig online;          // per-cube deployment parameters
@@ -187,6 +207,8 @@ class StreamEngine {
 
  private:
   void run_batch(const Job* jobs, std::size_t count);
+  // Extends runs_ by the indices of `count` arrivals.
+  void note_runs(const Job* jobs, std::size_t count);
   // Sorts the per-shard outcome buffers into one ascending-index batch
   // and hands it to the observer (no-op when empty / not observing).
   void flush_outcomes();
@@ -218,6 +240,7 @@ class StreamEngine {
   StreamObserver* observer_ = nullptr;
   StatsSnapshotter* snapshotter_ = nullptr;
   WorkerPool pool_;
+  std::vector<IndexRun> runs_;  // every ingested index, as runs
   std::uint64_t jobs_ingested_ = 0;
   std::uint64_t batches_ = 0;
   StageTimes stages_;  // Tier-B spans

@@ -1,6 +1,8 @@
 #include "stream/shard.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <new>
 #include <utility>
 
 #include "util/check.h"
@@ -20,20 +22,58 @@ std::uint64_t cube_stream_seed(std::uint64_t engine_seed,
   return h;
 }
 
+CubeServer::Side::Side(const OnlineConfig& config)
+    : obs(config.obs.counters), series(config.sample_stride) {
+  if (config.obs.spans)
+    spans.emplace(config.obs.span_sample, config.obs.flight);
+}
+
+std::size_t CubeServer::header_bytes() {
+  constexpr std::size_t align = alignof(std::max_align_t);
+  static_assert(align % alignof(Vehicle) == 0);
+  return (sizeof(CubeServer) + align - 1) / align * align;
+}
+
+CubeServer::Ptr CubeServer::create(const CubeParams& params,
+                                   const Point& corner, Transport& transport) {
+  void* block =
+      ::operator new(header_bytes() + FleetCore::region_bytes(params));
+  try {
+    return Ptr(new (block) CubeServer(
+        params, corner, transport,
+        static_cast<std::byte*>(block) + header_bytes()));
+  } catch (...) {
+    ::operator delete(block);
+    throw;
+  }
+}
+
+void CubeServer::Deleter::operator()(CubeServer* server) const {
+  server->~CubeServer();
+  ::operator delete(static_cast<void*>(server));
+}
+
 CubeServer::CubeServer(const CubeParams& params, const Point& corner,
-                       Transport& transport)
+                       Transport& transport, void* regions)
     : network_(transport, Rng(cube_stream_seed(params.config.seed, corner))),
-      core_(params, corner, network_),
-      series_(params.config.sample_stride),
-      obs_(params.config.obs.counters) {
+      core_(params, corner, network_, regions) {
   const OnlineConfig& config = params.config;
   core_.bind_network();
-  if (config.obs.spans) {
-    spans_rec_ = std::make_unique<SpanRecorder>(config.obs.span_sample,
-                                                config.obs.flight);
-    core_.set_spans(spans_rec_.get());
-    network_.set_spans(spans_rec_.get());
+  if (!config.obs.counters && !config.obs.spans &&
+      config.admission == AdmissionPolicy::kUnbounded &&
+      config.sample_stride == 0)
+    return;
+  side_ = std::make_unique<Side>(config);
+  if (side_->obs) core_.set_obs(&side_->fleet);
+  if (side_->spans) {
+    core_.set_spans(&*side_->spans);
+    network_.set_spans(&*side_->spans);
   }
+}
+
+const Timeseries& CubeServer::series() const {
+  static const Timeseries kNone(0);
+  return side_ != nullptr ? side_->series : kNone;
 }
 
 void CubeServer::settle_if_due() {
@@ -48,11 +88,12 @@ void CubeServer::serve_now(const Job& job, SimTime queue_wait,
   // Cascade attribution brackets exactly the serve + drain: the
   // replacements a deferred monitor settle completes below belong to
   // the ring, not to this job.
-  const std::uint64_t repl_before = obs_ ? core_.metrics().replacements : 0;
+  const bool obs = side_ != nullptr && side_->obs;
+  const std::uint64_t repl_before = obs ? core_.metrics().replacements : 0;
   const bool ok = core_.serve_job(job);
   network_.queue().run_to_quiescence();
-  if (obs_ && ok)
-    cascade_.add(
+  if (obs && ok)
+    side_->cascade.add(
         static_cast<std::int64_t>(core_.metrics().replacements - repl_before));
   JobTiming timing = core_.last_timing();
   // The replacement cascade this job triggered (if any) has fully
@@ -60,12 +101,14 @@ void CubeServer::serve_now(const Job& job, SimTime queue_wait,
   timing.done_at = network_.queue().now();
   // Close the serve span only after the drain, so the begin/end pair
   // brackets the job's whole cascade on the protocol clock.
-  if (spans_rec_ != nullptr)
-    spans_rec_->serve_end(timing.done_at, job.index, ok);
+  if (side_ != nullptr && side_->spans)
+    side_->spans->serve_end(timing.done_at, job.index, ok);
   timing.queue_wait = queue_wait;
   settle_if_due();
-  (ok ? log.served : log.failed).push_back(job.index);
-  if (ok) latency_.add(timing.latency());
+  if (ok)
+    latency_.add(timing.latency());
+  else
+    log.failed.push_back(job.index);
   if (out != nullptr)
     out->push_back(
         {job, corner(), ok ? OutcomeKind::kServed : OutcomeKind::kFailed,
@@ -75,7 +118,7 @@ void CubeServer::serve_now(const Job& job, SimTime queue_wait,
 void CubeServer::drop(const Job& job, OutcomeKind kind, SimTime queue_wait,
                       OutcomeLog& log, std::vector<JobOutcome>* out) {
   log.dropped.push_back(job.index);
-  ++(kind == OutcomeKind::kShed ? jobs_shed_ : jobs_rejected_);
+  ++(kind == OutcomeKind::kShed ? side_->jobs_shed : side_->jobs_rejected);
   if (out != nullptr) {
     JobTiming timing;
     timing.queue_wait = queue_wait;
@@ -86,23 +129,27 @@ void CubeServer::drop(const Job& job, OutcomeKind kind, SimTime queue_wait,
 void CubeServer::drain_completed(SimTime now, OutcomeLog& log,
                                  std::vector<JobOutcome>* out) {
   const SimTime ticks = core_.config().service_ticks;
-  while (!backlog_.empty()) {
+  Fifo<Waiting>& backlog = side_->backlog;
+  while (!backlog.empty()) {
     // Shedding can promote a later arrival to the front of the queue, so
     // the front's service starts when the cube is free AND the job has
-    // arrived — not at free_at_ alone (which may predate its enqueue).
-    const SimTime start = std::max(free_at_, backlog_.front().enqueued_at);
+    // arrived — not at free_at alone (which may predate its enqueue).
+    const SimTime start =
+        std::max(side_->free_at, backlog.front().enqueued_at);
     if (start + ticks > now) break;
-    const Waiting w = backlog_.front();
-    backlog_.pop_front();
+    const Waiting w = backlog.front();
+    backlog.pop_front();
     serve_now(w.job, start - w.enqueued_at, log, out);
-    free_at_ = start + ticks;
+    side_->free_at = start + ticks;
   }
 }
 
 void CubeServer::sample_if_due() {
-  if (!series_.due(arrivals_)) return;  // gates the O(fleet) scan below
-  series_.record(arrivals_, static_cast<std::int64_t>(backlog_.size()),
-                 core_.exhausted_permille());
+  // The due test gates the O(fleet) scan below.
+  if (side_ == nullptr || !side_->series.due(arrivals_)) return;
+  side_->series.record(arrivals_,
+                       static_cast<std::int64_t>(side_->backlog.size()),
+                       core_.exhausted_permille());
 }
 
 void CubeServer::serve(const Job& job, OutcomeLog& log,
@@ -127,21 +174,22 @@ void CubeServer::serve(const Job& job, OutcomeLog& log,
   // completed, then admit / queue / drop the newcomer.
   const SimTime t = job.index;
   drain_completed(t, log, out);
-  if (backlog_.empty() && free_at_ <= t) {
+  Fifo<Waiting>& backlog = side_->backlog;
+  if (backlog.empty() && side_->free_at <= t) {
     serve_now(job, 0, log, out);
-    free_at_ = t + cfg.service_ticks;
-  } else if (static_cast<std::int64_t>(backlog_.size()) < cfg.queue_limit) {
-    backlog_.push_back({job, t});
+    side_->free_at = t + cfg.service_ticks;
+  } else if (static_cast<std::int64_t>(backlog.size()) < cfg.queue_limit) {
+    backlog.push_back({job, t});
     note_enqueued();
   } else if (cfg.admission == AdmissionPolicy::kReject) {
     drop(job, OutcomeKind::kRejected, 0, log, out);
   } else {
     // kShed: the oldest waiting job makes room for the newest — it has
     // already waited t − enqueued_at for nothing.
-    const Waiting oldest = backlog_.front();
-    backlog_.pop_front();
+    const Waiting oldest = backlog.front();
+    backlog.pop_front();
     drop(oldest.job, OutcomeKind::kShed, t - oldest.enqueued_at, log, out);
-    backlog_.push_back({job, t});
+    backlog.push_back({job, t});
     note_enqueued();
   }
   sample_if_due();
@@ -168,17 +216,18 @@ CubeCounters CubeServer::counters() const {
   // Every served (failed) arrival is one jobs_served (jobs_failed).
   c.served = m.jobs_served;
   c.failed = m.jobs_failed;
-  c.enqueued = enqueued_;
-  c.shed = jobs_shed_;
-  c.rejected = jobs_rejected_;
-  c.backlog_peak = backlog_peak_;
-  if (spans_rec_ != nullptr) {
-    const SpanTotals& t = spans_rec_->totals();
+  if (side_ == nullptr) return c;
+  c.enqueued = side_->enqueued;
+  c.shed = side_->jobs_shed;
+  c.rejected = side_->jobs_rejected;
+  c.backlog_peak = side_->backlog_peak;
+  if (side_->spans) {
+    const SpanTotals& t = side_->spans->totals();
     c.spans_emitted = t.emitted;
     c.spans_sampled_out = t.sampled_out;
     c.spans_ring_evicted = t.ring_evicted;
   }
-  c.cascade = cascade_;
+  c.cascade = side_->cascade;
   return c;
 }
 
@@ -186,12 +235,12 @@ void CubeServer::finish(OutcomeLog& log, std::vector<JobOutcome>* out) {
   const Network::Lend lend(network_);
   // End of stream: whatever still waits gets served back to back (the
   // paper's arrivals have stopped, so the cube works the queue off).
-  while (!backlog_.empty()) {
-    const Waiting w = backlog_.front();
-    backlog_.pop_front();
-    const SimTime start = std::max(free_at_, w.enqueued_at);
+  while (side_ != nullptr && !side_->backlog.empty()) {
+    const Waiting w = side_->backlog.front();
+    side_->backlog.pop_front();
+    const SimTime start = std::max(side_->free_at, w.enqueued_at);
     serve_now(w.job, start - w.enqueued_at, log, out);
-    free_at_ = start + core_.config().service_ticks;
+    side_->free_at = start + core_.config().service_ticks;
   }
   // Catch-up settle: a stride > 1 may have deferred the detection of a
   // trailing failure past the last arrival.
@@ -209,7 +258,10 @@ CubeShard::CubeShard(const CubeParams& params, const CubeSlotTable* table,
       shard_index_(shard_index),
       shard_count_(shard_count),
       transport_(std::make_unique<Transport>(
-          params.config.max_message_delay)) {
+          params.config.max_message_delay)),
+      prefetch_bytes_(std::min(CubeServer::header_bytes() +
+                                   FleetCore::region_bytes(params),
+                               kPrefetchBytes)) {
   CMVRP_CHECK(shard_count >= 1 && shard_index >= 0 &&
               shard_index < shard_count);
   if (table_ != nullptr && !table_->empty()) {
@@ -228,22 +280,33 @@ CubeServer& CubeShard::server_for(const Point& corner, std::uint32_t slot) {
         slot / static_cast<std::uint32_t>(shard_count_));
     auto& server = slots_[local];
     if (server == nullptr) {
-      server = std::make_unique<CubeServer>(params_, corner, *transport_);
+      server = CubeServer::create(params_, corner, *transport_);
       ++materialized_;
     }
     return *server;
   }
   auto& server = overflow_[corner];
   if (server == nullptr) {
-    server = std::make_unique<CubeServer>(params_, corner, *transport_);
+    server = CubeServer::create(params_, corner, *transport_);
     ++materialized_;
   }
   return *server;
 }
 
+void CubeShard::prefetch(const RoutedJob& r) const {
+  if (r.slot == CubeSlotTable::kNoSlot) return;
+  const CubeServer* server =
+      slots_[r.slot / static_cast<std::uint32_t>(shard_count_)].get();
+  if (server == nullptr) return;
+  const auto* block = reinterpret_cast<const char*>(server);
+  for (std::size_t at = 0; at < prefetch_bytes_; at += kCacheLine)
+    __builtin_prefetch(block + at);
+}
+
 void CubeShard::process(const RoutedJob* jobs, std::size_t count,
                         std::vector<JobOutcome>* outcomes) {
   for (std::size_t i = 0; i < count; ++i) {
+    if (i + kPrefetchAhead < count) prefetch(jobs[i + kPrefetchAhead]);
     const RoutedJob& r = jobs[i];
     server_for(r.corner, r.slot).serve(r.job, log_, outcomes);
     ++jobs_processed_;
@@ -257,7 +320,7 @@ void CubeShard::finish(std::vector<JobOutcome>* outcomes) {
 }
 
 const OutcomeLog& CubeShard::sorted_log() {
-  for (auto* run : {&log_.served, &log_.failed, &log_.dropped})
+  for (auto* run : {&log_.failed, &log_.dropped})
     if (!std::is_sorted(run->begin(), run->end()))
       std::sort(run->begin(), run->end());
   return log_;

@@ -23,9 +23,26 @@
 //     and finish() (Network::Lend). Every serve and settle ends in
 //     quiescence, so the queue is empty at each hand-off (see
 //     sim/network.h for why that is exact);
-//   * where its outcomes go — the arrival indices it served, failed and
-//     dropped — from its shard's OutcomeLog, appended in processing
-//     order and merged by the engine's finish().
+//   * where its failures go — the arrival indices it failed and dropped
+//     — from its shard's OutcomeLog, appended in processing order and
+//     merged by the engine's finish(). Served indices are not logged:
+//     the engine derives them from the ingested index runs (engine.h).
+//
+// A cube is one heap block, allocated at its first arrival (or
+// injection) by CubeServer::create and sized from the CubeParams: the
+// CubeServer itself is the block's header — the network's generator,
+// stats, clock and receiver; the core's flags, metrics and timing; the
+// server's counters and latency — and the core's four regions follow
+// it: the fleet, the pair slots, the Phase II destinations and the beat
+// slots (online/fleet_core.h). What only observability, bounded
+// admission or sampling reads — the span recorder, the cascade
+// histogram, the per-computation query counts, the backlog and its
+// clock and gauges, the shed/rejected counts and the timeseries — sits
+// in a side record allocated with the cube only when one of them is on.
+// So a cube with all of them off is one block plus its heartbeat table
+// and latency buckets. Being one block is also what lets the serve loop
+// prefetch a cold cube's state: it starts loading the block of the cube
+// a few jobs ahead (CubeShard::prefetch), which changes no result.
 //
 // Cube resolution is two-tier. Slots the engine's CubeSlotTable covers
 // live in a dense per-shard array (a shard owns the slots congruent to
@@ -70,6 +87,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -122,11 +140,12 @@ struct JobOutcome {
   JobTiming timing;    // zero-initialized for admission drops
 };
 
-// Arrival indices by how they ended, each in processing order. One per
-// shard, shared by all its cubes and kept for the engine's lifetime;
-// the engine's finish() merges the shards' logs into sorted result sets.
+// The arrival indices that did not end served, by how they ended, each
+// in processing order. One per shard, shared by all its cubes and kept
+// for the engine's lifetime; the engine's finish() merges the shards'
+// logs into sorted result sets and takes them from the ingested indices
+// to get the served ones. O(failures), not O(arrivals).
 struct OutcomeLog {
-  std::vector<std::int64_t> served;
   std::vector<std::int64_t> failed;
   std::vector<std::int64_t> dropped;  // admission drops: shed + rejected
 };
@@ -134,23 +153,38 @@ struct OutcomeLog {
 // A single cube served online: own clock, own network, own fleet — and,
 // under a bounded admission policy, its own backlog on the arrival clock.
 // The event queue and flood clamps are borrowed from `transport` for the
-// span of each serve() and finish().
+// span of each serve() and finish(). Always one heap block (see the file
+// comment), so it is made by create() and held by a Ptr.
 class CubeServer {
  public:
-  // `params` and `transport` are borrowed and must outlive the server;
-  // both may be shared with other servers (the transport only with
-  // servers served on the same thread).
-  CubeServer(const CubeParams& params, const Point& corner,
-             Transport& transport);
-  CubeServer(CubeParams&&, const Point&, Transport&) = delete;
+  // Destroys a server and frees its block.
+  struct Deleter {
+    void operator()(CubeServer* server) const;
+  };
+  using Ptr = std::unique_ptr<CubeServer, Deleter>;
+
+  // Allocates the cube's block and builds the server in it. `params` and
+  // `transport` are borrowed and must outlive the server; both may be
+  // shared with other servers (the transport only with servers served on
+  // the same thread).
+  static Ptr create(const CubeParams& params, const Point& corner,
+                    Transport& transport);
+  static Ptr create(CubeParams&&, const Point&, Transport&) = delete;
+
+  // The block's first bytes: the header, padded so the regions behind it
+  // are aligned for a Vehicle.
+  static std::size_t header_bytes();
+
+  CubeServer(const CubeServer&) = delete;
+  CubeServer& operator=(const CubeServer&) = delete;
 
   // Admits one arrival (which must lie in this cube): serves it
   // immediately (kUnbounded, or an idle cube), queues it, or drops it —
   // and first materializes every backlog service that completed by the
-  // arrival's clock. Appends each *materialized* outcome's index to
-  // `log`, and its JobOutcome to `out` when non-null. Serving drains the
-  // cube's queue; the monitoring ring settles every monitor_stride-th
-  // service.
+  // arrival's clock. Appends the index of each *materialized* outcome
+  // that is a failure or a drop to `log`, and each outcome's JobOutcome
+  // to `out` when non-null. Serving drains the cube's queue; the
+  // monitoring ring settles every monitor_stride-th service.
   void serve(const Job& job, OutcomeLog& log, std::vector<JobOutcome>* out);
 
   // Failure injection into the vehicle homed at `home` (which must lie
@@ -170,22 +204,32 @@ class CubeServer {
 
   const Point& corner() const { return core_.corner(); }
   const FleetCore& core() const { return core_; }
+  const Network& network() const { return network_; }
   const OnlineMetrics& metrics() const { return core_.metrics(); }
-  std::uint64_t jobs_shed() const { return jobs_shed_; }
-  std::uint64_t jobs_rejected() const { return jobs_rejected_; }
+  std::uint64_t jobs_shed() const { return side_ ? side_->jobs_shed : 0; }
+  std::uint64_t jobs_rejected() const {
+    return side_ ? side_->jobs_rejected : 0;
+  }
   // Latencies of this cube's served jobs (queue wait + protocol delta).
   const LatencyHistogram& latency() const { return latency_; }
   // Backlog-depth / occupancy samples (empty unless sample_stride > 0).
-  const Timeseries& series() const { return series_; }
+  const Timeseries& series() const;
   // Snapshot of this cube's Tier-A counters (src/obs/): live network
   // stats + protocol metrics + the obs-gated cascade/admission state,
   // assembled on demand so mid-run stats samples see current values.
   // The obs-gated fields are zero unless OnlineConfig::obs.counters.
   CubeCounters counters() const;
   // Tier-C span recorder (null unless OnlineConfig::obs.spans).
-  const SpanRecorder* spans() const { return spans_rec_.get(); }
+  const SpanRecorder* spans() const {
+    return side_ && side_->spans ? &*side_->spans : nullptr;
+  }
 
  private:
+  // `regions` is the rest of the block: FleetCore::region_bytes long.
+  CubeServer(const CubeParams& params, const Point& corner,
+             Transport& transport, void* regions);
+  ~CubeServer() = default;
+
   void settle_if_due();
   // Hands one job to the protocol, drains, stamps timing, records.
   void serve_now(const Job& job, SimTime queue_wait, OutcomeLog& log,
@@ -199,9 +243,10 @@ class CubeServer {
   void sample_if_due();
   // Obs-gated backlog gauges, called after every backlog push.
   void note_enqueued() {
-    if (!obs_) return;
-    ++enqueued_;
-    if (backlog_.size() > backlog_peak_) backlog_peak_ = backlog_.size();
+    if (!side_->obs) return;
+    ++side_->enqueued;
+    if (side_->backlog.size() > side_->backlog_peak)
+      side_->backlog_peak = side_->backlog.size();
   }
 
   struct Waiting {
@@ -209,31 +254,40 @@ class CubeServer {
     SimTime enqueued_at = 0;  // arrival-index clock
   };
 
+  // What only observability (obs.counters, obs.spans), bounded admission
+  // or sampling reads; allocated when one of them is on.
+  struct Side {
+    explicit Side(const OnlineConfig& config);
+
+    // Tier-C span recorder (unset unless obs.spans): wired into both the
+    // core (protocol events) and the network (messages) at
+    // construction, read back through the engine's span_sources().
+    std::optional<SpanRecorder> spans;
+    // Tier-A state, touched only when `obs` is set (obs.counters).
+    bool obs;
+    FleetObs fleet;                  // lent to the core
+    std::uint64_t enqueued = 0;      // jobs that entered the backlog
+    std::uint64_t backlog_peak = 0;  // deepest the backlog ever got
+    LatencyHistogram cascade{CubeCounters::kCascadeMaxValue};
+    // Bounded admission.
+    Fifo<Waiting> backlog;  // the admission queue
+    SimTime free_at = 0;    // arrival clock: next service may start
+    std::uint64_t jobs_shed = 0;
+    std::uint64_t jobs_rejected = 0;
+    // Sampling (empty unless sample_stride > 0).
+    Timeseries series;
+  };
+
   Network network_;
   FleetCore core_;
-  // Tier-C span recorder, owned per cube (null unless obs.spans): wired
-  // into both the core (protocol events) and the network (messages) at
-  // construction, read back through the engine's span_sources().
-  std::unique_ptr<SpanRecorder> spans_rec_;
   std::int64_t since_settle_ = 0;  // services since the last ring settle
   std::int64_t arrivals_ = 0;      // arrivals admitted to this cube
-  Fifo<Waiting> backlog_;          // bounded admission queue
-  SimTime free_at_ = 0;            // arrival clock: next service may start
-  std::uint64_t jobs_shed_ = 0;
-  std::uint64_t jobs_rejected_ = 0;
   LatencyHistogram latency_;
-  Timeseries series_;
-  // Tier-A observability state, touched only when obs_ is set (cached
-  // from OnlineConfig::obs.counters at construction).
-  bool obs_ = false;
-  std::uint64_t enqueued_ = 0;      // jobs that entered the backlog
-  std::uint64_t backlog_peak_ = 0;  // deepest the backlog ever got
-  LatencyHistogram cascade_{CubeCounters::kCascadeMaxValue};
+  std::unique_ptr<Side> side_;     // null when none of its users is on
 };
 
-// A cold cube's fixed footprint (its vectors' heap aside): no config,
-// pairing or outcome log of its own.
-static_assert(sizeof(CubeServer) <= 896, "CubeServer must stay <= 896 bytes");
+// The header of a cube's block: what every cube keeps, whatever is on.
+static_assert(sizeof(CubeServer) <= 512, "a cube header must stay <= 512 B");
 
 // Everything one worker owns: the cubes assigned to it by the engine's
 // slot (or corner-hash) routing, the transport it lends them and the log
@@ -262,10 +316,10 @@ class CubeShard {
 
   std::size_t cube_count() const { return materialized_; }
   std::uint64_t jobs_processed() const { return jobs_processed_; }
-  // Every outcome index of this shard's cubes since construction, each
-  // run sorted. A run is appended in processing order, which ascends
-  // unless admission was bounded or the stream's indices do not, so it
-  // is sorted (in place) only when out of order.
+  // Every failed and dropped index of this shard's cubes since
+  // construction, each list sorted. A list is appended in processing
+  // order, which ascends unless admission was bounded or the stream's
+  // indices do not, so it is sorted (in place) only when out of order.
   const OutcomeLog& sorted_log();
 
   // Drains every cube's admission backlog (outcomes appended to
@@ -278,6 +332,16 @@ class CubeShard {
   void collect(std::vector<std::pair<Point, const CubeServer*>>& out) const;
 
  private:
+  // Jobs the serve loop looks ahead, and the most bytes of a cube's
+  // block it prefetches for each: the header and the first regions.
+  static constexpr std::size_t kPrefetchAhead = 4;
+  static constexpr std::size_t kPrefetchBytes = 1024;
+  static constexpr std::size_t kCacheLine = 64;
+
+  // Starts loading the block of the dense-tier cube `r` goes to, if it
+  // exists, so a cold cube's state arrives while earlier jobs are served.
+  void prefetch(const RoutedJob& r) const;
+
   const CubeParams& params_;     // borrowed from the engine
   const CubeSlotTable* table_;  // borrowed; may be empty
   int shard_index_;
@@ -285,11 +349,12 @@ class CubeShard {
   // Lent to whichever cube is being served. Heap-held, so the servers'
   // references survive a move of the shard.
   std::unique_ptr<Transport> transport_;
+  std::size_t prefetch_bytes_;  // of each block, at most kPrefetchBytes
   OutcomeLog log_;
   // Dense tier: this shard's table slots, at local index slot / count.
-  std::vector<std::unique_ptr<CubeServer>> slots_;
+  std::vector<CubeServer::Ptr> slots_;
   // Overflow tier: cubes outside the table, keyed by corner.
-  FlatMap<Point, std::unique_ptr<CubeServer>, CornerHash> overflow_;
+  FlatMap<Point, CubeServer::Ptr, CornerHash> overflow_;
   std::size_t materialized_ = 0;  // servers across both tiers
   std::uint64_t jobs_processed_ = 0;
 };

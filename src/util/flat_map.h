@@ -9,14 +9,16 @@
 // deterministic insertion sequence, independent of the hash) and resolves
 // keys through a power-of-two open-addressed index of positions.
 //
-// Deliberately minimal: no erase (none of the call sites delete keys),
-// keys must be equality-comparable, and mutating a key through iteration
-// is undefined. Lookup is O(1) expected with linear probing at load
-// factor <= 0.7; insertion amortized O(1).
+// Deliberately minimal: no single-key erase, keys must be
+// equality-comparable, and mutating a key through iteration is
+// undefined. Lookup is O(1) expected with linear probing at load factor
+// <= 0.7; insertion amortized O(1).
 //
-// An item's position in the items vector is its insertion rank, so with
-// no erase it stays valid until clear(): slot() hands it out, and at()
-// reads the value back without hashing the key again.
+// An item's position in the items vector is its insertion rank, so it
+// stays valid until clear() or erase_if(): slot() hands it out, and at()
+// reads the value back without hashing the key again. erase_if() drops
+// items in bulk and closes the gaps, which renumbers the positions of
+// the items it keeps (their order is kept).
 #pragma once
 
 #include <cstddef>
@@ -100,6 +102,26 @@ class FlatMap {
     }
   }
 
+  // Drops every item for which pred(item) holds, keeping the others in
+  // insertion order, and rebuilds the index; O(size + index). Returns
+  // the number dropped. Positions handed out before are void.
+  template <class Pred>
+  std::size_t erase_if(Pred pred) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      if (pred(static_cast<const Item&>(items_[i]))) continue;
+      if (kept != i) items_[kept] = std::move(items_[i]);
+      ++kept;
+    }
+    const std::size_t dropped = items_.size() - kept;
+    if (dropped == 0) return 0;
+    items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 items_.end());
+    index_.assign(index_.size(), kNoSlot);
+    for (std::size_t i = 0; i < items_.size(); ++i) place(i);
+    return dropped;
+  }
+
   // The value at a position slot() returned.
   Value& at(std::uint32_t pos) { return items_[pos].value; }
   const Value& at(std::uint32_t pos) const { return items_[pos].value; }
@@ -117,17 +139,24 @@ class FlatMap {
 
  private:
 
+  // The smallest index is 8 cells (up to 5 items): many maps stay tiny,
+  // like a small cube's heartbeat table, which holds one clamp per ring
+  // channel.
   void rehash_for(std::size_t items) {
-    std::size_t want = 16;
+    std::size_t want = 8;
     while (want * 7 < items * 10) want <<= 1;
     if (want <= index_.size()) return;
     CMVRP_CHECK_MSG(items < kNoSlot, "FlatMap exceeds 2^32 - 1 items");
     index_.assign(want, kNoSlot);
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      std::size_t slot = Hash{}(items_[i].key) & (want - 1);
-      while (index_[slot] != kNoSlot) slot = (slot + 1) & (want - 1);
-      index_[slot] = static_cast<std::uint32_t>(i);
-    }
+    for (std::size_t i = 0; i < items_.size(); ++i) place(i);
+  }
+
+  // Points the first free index cell on item i's probe path at it.
+  void place(std::size_t i) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t cell = Hash{}(items_[i].key) & mask;
+    while (index_[cell] != kNoSlot) cell = (cell + 1) & mask;
+    index_[cell] = static_cast<std::uint32_t>(i);
   }
 
   std::vector<Item> items_;

@@ -445,6 +445,7 @@ std::string complete(const std::string& line) {
     std::ostringstream out;
     StatsSnapshotter snap(out, 1);
     snap.write_header(2, 1, 1, 0, false);
+    snap.write_sample(0, 0, CubeCounters{}, StageTimes{});
     snap.write_cube(Point{0, 0}, CubeCounters{}, LatencyHistogram{});
     snap.write_final(0, 0, CubeCounters{}, StageTimes{});
     std::map<std::string, Json> by_kind;
@@ -472,9 +473,10 @@ std::string stats_stream(std::int64_t batch_size, std::int64_t stride,
                 "\"threads\":1,\"batch_size\":" +
                 std::to_string(batch_size) + ",\"seed\":7,\"stride\":" +
                 std::to_string(stride) + ",\"counters\":true}");
-  s += "{\"kind\":\"sample\",\"batch\":1,\"jobs\":" +
-       std::to_string(jobs_at_sample) + ",\"msg_queries\":" +
-       std::to_string(queries_at_sample) + ",\"stage_route_ms\":1.5}\n";
+  s += complete("{\"kind\":\"sample\",\"batch\":1,\"jobs\":" +
+                std::to_string(jobs_at_sample) + ",\"msg_queries\":" +
+                std::to_string(queries_at_sample) +
+                ",\"stage_route_ms\":1.5}");
   s += complete("{\"kind\":\"cube\",\"corner\":[0,0],\"arrivals\":10}");
   s += complete("{\"kind\":\"final\",\"jobs\":100,\"msg_queries\":" +
                 std::to_string(final_queries) + ",\"stage_route_ms\":2.5}");
@@ -576,7 +578,7 @@ TEST(ReadStats, KeepsEachKindInFileOrderAndSkipsBlankLines) {
   std::string text =
       complete("{\"kind\":\"header\",\"schema\":\"cmvrp-stats-v1\"}") +
       "\n" + complete("{\"kind\":\"cube\",\"corner\":[4,0]}") +
-      "{\"kind\":\"sample\",\"jobs\":8}\n" +
+      complete("{\"kind\":\"sample\",\"jobs\":8}") +
       complete("{\"kind\":\"cube\",\"corner\":[0,0]}") +
       "{\"kind\":\"later\"}\n" +
       complete("{\"kind\":\"final\",\"jobs\":9}");

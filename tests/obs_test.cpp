@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/compare.h"
 #include "obs/counters.h"
 #include "obs/prof.h"
 #include "obs/snapshot.h"
@@ -305,6 +306,51 @@ std::string snapshot_run(const std::vector<Job>& jobs, int threads,
   engine.ingest(jobs);
   engine.finish();
   return out.str();
+}
+
+// Each sample line must carry every key the writer emits: a stream whose
+// samples lost their `jobs` key is rejected naming the file and the byte
+// offset (the comparator matches samples by that key), and a copy that
+// keeps its keys but raises one heartbeat count is exactly one drift.
+TEST(Snapshotter, SampleLinesNeedEveryKeyTheWriterEmits) {
+  const std::string text = snapshot_run(test_stream(32, 4700, 41), 1, 8);
+  std::string stripped, bumped;
+  std::size_t samples = 0;
+  std::size_t first_sample_at = std::string::npos;
+  for (const std::string& line : split_lines(text)) {
+    std::string cut = line, raised = line;
+    if (line.find("\"kind\":\"sample\"") != std::string::npos) {
+      if (samples++ == 0) first_sample_at = stripped.size();
+      const std::size_t jobs = cut.find("\"jobs\":");
+      ASSERT_NE(jobs, std::string::npos) << line;
+      cut.erase(jobs, cut.find(',', jobs) + 1 - jobs);
+      if (samples == 5) {  // one heartbeat more in one sample
+        const std::string key = "\"msg_heartbeats\":";
+        const std::size_t at = raised.find(key) + key.size();
+        const std::size_t end = raised.find(',', at);
+        raised.replace(at, end - at,
+                       std::to_string(std::stoull(raised.substr(at)) + 1));
+      }
+    }
+    stripped += cut + "\n";
+    bumped += raised + "\n";
+  }
+  ASSERT_EQ(samples, 9u);
+  try {
+    read_stats(stripped, "stripped.jsonl");
+    FAIL() << "a sample line without \"jobs\" was accepted";
+  } catch (const check_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stripped.jsonl"), std::string::npos) << what;
+    EXPECT_NE(what.find("at byte " + std::to_string(first_sample_at)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("no \"jobs\" key"), std::string::npos) << what;
+  }
+  const CompareReport rep =
+      compare_stats_streams(text, bumped, CompareOptions{});
+  EXPECT_EQ(rep.drift, 1u);
+  EXPECT_EQ(rep.exit_code(), 1);
 }
 
 TEST(Snapshotter, EmitsWellFormedSchemaStream) {

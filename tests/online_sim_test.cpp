@@ -211,7 +211,8 @@ TEST(Network, CountsByKind) {
   Inbox in(q);
   net.set_receiver(&Inbox::receive, &in);
   // Heartbeats go out at quiescence only, so this one is sent first.
-  net.beat(net.heartbeat_slot(2, 0));
+  const std::uint32_t slot = net.heartbeat_slot(2, 0);
+  net.beat_all(&slot, 1);
   net.send(0, 1, QueryMsg{});
   net.send(1, 0, ReplyMsg{});
   net.send(0, 2, MoveMsg{0, kNoInit});
@@ -245,10 +246,12 @@ TEST(LentTransport, HeartbeatWhileDeliveryIsDueThrows) {
   Inbox in(t.queue);
   net.set_receiver(&Inbox::receive, &in);
   net.send(0, 1, QueryMsg{});
-  EXPECT_THROW(net.beat(net.heartbeat_slot(1, 0)), check_error);
+  const std::uint32_t slot = net.heartbeat_slot(1, 0);
+  EXPECT_THROW(net.beat_all(&slot, 1), check_error);
+  EXPECT_THROW(net.drop_stale_heartbeats(), check_error);
   EXPECT_THROW(t.queue.resume_at(0), check_error);
   t.queue.run_to_quiescence();
-  EXPECT_NO_THROW(net.beat(net.heartbeat_slot(1, 0)));
+  EXPECT_NO_THROW(net.beat_all(&slot, 1));
 }
 
 // The reference rule: one FIFO clamp per channel of every kind, per
@@ -312,11 +315,16 @@ TEST(LentTransport, DeliveryTimesMatchOneClampPerChannel) {
             if (!t.queue.step()) break;
         } else {  // drain, then a heartbeat round
           t.queue.run_to_quiescence();
+          // Dropping the clamps at or before now must change nothing:
+          // the reference keeps every clamp forever.
+          if (drive.next_below(2) == 0) nets[who]->drop_stale_heartbeats();
+          std::vector<std::uint32_t> slots;
           for (std::size_t v = 0; v < kVehicles; ++v) {
             const std::size_t to = (v + kVehicles - 1) % kVehicles;
             m.send(v, to, t.queue.now());
-            nets[who]->beat(nets[who]->heartbeat_slot(v, to));
+            slots.push_back(nets[who]->heartbeat_slot(v, to));
           }
+          nets[who]->beat_all(slots.data(), slots.size());
         }
       }
       t.queue.run_to_quiescence();

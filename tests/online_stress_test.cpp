@@ -116,10 +116,10 @@ TEST_P(MonitorCache, MatchesRescanUnderChaos) {
     const CubeParams params(2, cfg);
     Transport transport(cfg.max_message_delay);
     OutcomeLog log;
-    std::vector<std::unique_ptr<CubeServer>> cubes;
+    std::vector<CubeServer::Ptr> cubes;
     for (std::int64_t c = 0; c < 3; ++c)
       cubes.push_back(
-          std::make_unique<CubeServer>(params, Point{c * side, 0}, transport));
+          CubeServer::create(params, Point{c * side, 0}, transport));
     for (std::int64_t index = 0; index < 300; ++index) {
       CubeServer& cube = *cubes[rng.next_below(cubes.size())];
       const Point corner = cube.corner();

@@ -37,7 +37,8 @@ struct TestCube {
   TestCube(int dim, const OnlineConfig& config, const Point& corner)
       : params(dim, config),
         transport(config.max_message_delay),
-        server(params, corner, transport) {}
+        block(CubeServer::create(params, corner, transport)),
+        server(*block) {}
 
   void serve(const Job& job) { server.serve(job, log, nullptr); }
   void finish() { server.finish(log, nullptr); }
@@ -45,7 +46,8 @@ struct TestCube {
   CubeParams params;
   Transport transport;
   OutcomeLog log;
-  CubeServer server;
+  CubeServer::Ptr block;
+  CubeServer& server;
 };
 
 // Serves `jobs` (all inside the cube) and finishes the cube.

@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -363,12 +367,14 @@ TEST(StreamAdmission, PoliciesProduceDistinctOutcomes) {
   EXPECT_NE(reject.shed_jobs, shed.shed_jobs);
 }
 
-// --- the per-shard outcome logs ---------------------------------------------
+// --- the outcome sets -------------------------------------------------------
 //
-// Each shard logs its cubes' outcome indices in processing order, and
-// finish() merges the shards' runs, sorting a run only when it is out
-// of order. These pin what the merge must keep: sorted sets whatever
-// the processing order, and a finish() that can be repeated.
+// Each shard logs its cubes' failed and dropped indices in processing
+// order, the engine keeps the ingested indices as runs, and finish()
+// merges the logs and takes them from the runs to get the served set.
+// These pin what that bookkeeping must keep: sorted sets whatever the
+// processing order, duplicate indices, and a finish() that can be
+// repeated.
 
 bool sorted(const std::vector<std::int64_t>& v) {
   return std::is_sorted(v.begin(), v.end());
@@ -482,6 +488,128 @@ TEST(StreamOutcomeLog, CubeOrderedStreamMatchesShuffled) {
     EXPECT_TRUE(a.metrics == b.metrics);
     EXPECT_EQ(a.counters.digest(), b.counters.digest());
     expect_identical(a, b);
+  }
+}
+
+// The served/failed/dropped sets an observer sees, rebuilt from its
+// JobOutcome stream and sorted on demand.
+struct OutcomeSets : StreamObserver {
+  std::vector<std::int64_t> served, failed, dropped;
+  void on_batch(const JobOutcome* outcomes, std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) {
+      const JobOutcome& o = outcomes[i];
+      (o.kind == OutcomeKind::kServed   ? served
+       : o.kind == OutcomeKind::kFailed ? failed
+                                        : dropped)
+          .push_back(o.job.index);
+    }
+  }
+  void sort_all() {
+    for (auto* set : {&served, &failed, &dropped})
+      std::sort(set->begin(), set->end());
+  }
+};
+
+TEST(StreamOutcomeLog, SetsMatchTheObserverOnEveryIndexShape) {
+  // Each input is a list of segments ingested one after another, with
+  // optional failure injections before each segment.
+  struct Input {
+    const char* name;
+    std::vector<std::vector<Job>> segments;
+    StreamConfig (*config)(int threads, std::int64_t batch);
+    bool inject = false;
+  };
+  const auto undersized = [](int t, std::int64_t b) {
+    return test_config(3.0, t, b);
+  };
+  const auto reindexed = [](std::vector<Job> jobs, auto index_of) {
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      jobs[i].index = index_of(static_cast<std::int64_t>(i));
+    return jobs;
+  };
+  std::vector<Input> inputs;
+  // Gaps of varying width between ascending indices.
+  inputs.push_back({"gaps",
+                    {reindexed(test_stream(16, 500, 61),
+                               [](std::int64_t i) { return 3 * i + i / 7; })},
+                    undersized});
+  // Two segments that both count from 0: every index arrives twice.
+  inputs.push_back({"restart",
+                    {test_stream(16, 300, 62), test_stream(16, 300, 63)},
+                    undersized});
+  // Indices that descend.
+  inputs.push_back(
+      {"descending",
+       {reindexed(test_stream(16, 400, 64),
+                  [](std::int64_t i) { return 1000 - i; })},
+       undersized});
+  // Indices at both ends of int64: up to the largest, down to the
+  // smallest.
+  inputs.push_back(
+      {"extremes",
+       {reindexed(test_stream(16, 200, 67),
+                  [](std::int64_t i) { return INT64_MAX - 199 + i; }),
+        reindexed(test_stream(16, 200, 68),
+                  [](std::int64_t i) { return INT64_MIN + 199 - i; })},
+       undersized});
+  // Bounded admission: finish() drains the backlogs into the sets.
+  inputs.push_back({"shed", {burst_stream(240)}, [](int t, std::int64_t b) {
+                      return admission_config(40.0, t, b,
+                                              AdmissionPolicy::kShed);
+                    }});
+  inputs.push_back({"reject", {burst_stream(240)}, [](int t, std::int64_t b) {
+                      return admission_config(40.0, t, b,
+                                              AdmissionPolicy::kReject);
+                    }});
+  // Silent-done and break injections between segments.
+  const std::vector<Job> injected = test_stream(16, 600, 65);
+  inputs.push_back({"injections",
+                    {std::vector<Job>(injected.begin(), injected.begin() + 300),
+                     std::vector<Job>(injected.begin() + 300, injected.end())},
+                    [](int t, std::int64_t b) {
+                      return test_config(6.0, t, b);
+                    },
+                    true});
+  for (const Input& in : inputs) {
+    std::size_t arrivals = 0;
+    for (const auto& segment : in.segments) arrivals += segment.size();
+    std::optional<StreamResult> first;
+    for (const int threads : {1, 2, 8}) {
+      for (const std::int64_t batch : {32, 256}) {
+        SCOPED_TRACE(testing::Message() << in.name << ", threads " << threads
+                                        << ", batch " << batch);
+        OutcomeSets seen;
+        StreamEngine engine(2, in.config(threads, batch));
+        engine.set_observer(&seen);
+        Rng pick(66);
+        for (const auto& segment : in.segments) {
+          if (in.inject) {
+            engine.inject_silent_done(
+                Point{pick.next_int(0, 15), pick.next_int(0, 15)});
+            engine.inject_break_after(
+                Point{pick.next_int(0, 15), pick.next_int(0, 15)},
+                pick.next_double(0.0, 0.5));
+          }
+          engine.ingest(segment);
+        }
+        const StreamResult r = engine.finish();
+        seen.sort_all();
+        EXPECT_EQ(r.served_jobs, seen.served);
+        EXPECT_EQ(r.failed_jobs, seen.failed);
+        EXPECT_EQ(r.shed_jobs, seen.dropped);
+        EXPECT_EQ(r.served_jobs.size() + r.failed_jobs.size() +
+                      r.shed_jobs.size(),
+                  arrivals);
+        EXPECT_EQ(r.metrics.jobs_served, r.served_jobs.size());
+        if (!first) {
+          // Every input fails or drops some of its arrivals.
+          EXPECT_GT(r.failed_jobs.size() + r.shed_jobs.size(), 0u);
+          first = r;
+        } else {
+          expect_identical(*first, r);
+        }
+      }
+    }
   }
 }
 
@@ -760,6 +888,83 @@ TEST(GoldenDigest, ChromeTraceBytes) {
     h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
   EXPECT_EQ(chrome.str().size(), 1597538u);
   EXPECT_EQ(h, 16168230527240763727ULL);
+}
+
+// --- the cube record --------------------------------------------------------
+
+TEST(HeartbeatTable, RingRebuildsKeepItWithinTwiceTheRing) {
+  // GoldenDigest.RingHeavyStride1's input, served cube by cube on
+  // hand-built cubes: its ring keeps changing, so without the bound the
+  // table would keep every channel the ring ever beaconed. While a cube's
+  // ring is not stale nothing was delivered since the last rebuild, so
+  // the clock is the rebuild's and the bound must hold as it left it.
+  const auto jobs = uniform_stream(2, 24, 3000, 23);
+  constexpr std::size_t kSegments = 5;
+  for (const auto& [stride, served] :
+       {std::pair<std::int64_t, std::uint64_t>{1, 1321}, {3, 1330}}) {
+    SCOPED_TRACE(testing::Message() << "stride " << stride);
+    const OnlineConfig cfg = pinned_config(2, 5.0, 6, stride, 1).online;
+    const CubePairing pairing(2, cfg.anchor, cfg.cube_side);
+    std::map<Point, std::unique_ptr<TestCube>> cubes;
+    const auto cube_of = [&](const Point& p) -> TestCube& {
+      auto& cube = cubes[pairing.cube_corner(p)];
+      if (cube == nullptr)
+        cube = std::make_unique<TestCube>(2, cfg, pairing.cube_corner(p));
+      return *cube;
+    };
+    std::uint64_t checks = 0, shrinks = 0;
+    std::map<Point, std::size_t> last_size;
+    const auto check = [&](TestCube& cube) {
+      const FleetCore& core = cube.server.core();
+      const Network& net = cube.server.network();
+      if (net.heartbeat_channels() < last_size[core.corner()]) ++shrinks;
+      last_size[core.corner()] = net.heartbeat_channels();
+      if (core.ring_stale()) return;
+      ++checks;
+      EXPECT_LE(net.heartbeat_channels(),
+                2 * core.ring_beats() + net.heartbeat_clamps_ahead());
+    };
+    for (const Point& home : {Point{0, 0}, Point{7, 3}, Point{14, 20},
+                              Point{23, 11}, Point{9, 16}, Point{18, 5}})
+      cube_of(home).server.inject_silent_done(home);
+    Rng pick(29);
+    for (std::size_t s = 0; s < kSegments; ++s) {
+      for (int k = 0; k < 4; ++k) {
+        const Point home{pick.next_int(0, 23), pick.next_int(0, 23)};
+        const double longevity =
+            s == 2 && k == 0 ? 0.0 : pick.next_double(0.2, 0.9);
+        cube_of(home).server.inject_break_after(home, longevity);
+      }
+      for (std::size_t i = jobs.size() * s / kSegments;
+           i < jobs.size() * (s + 1) / kSegments; ++i) {
+        TestCube& cube = cube_of(jobs[i].position);
+        cube.serve(jobs[i]);
+        check(cube);
+      }
+    }
+    std::uint64_t total_served = 0;
+    for (auto& [corner, cube] : cubes) {
+      cube->finish();
+      check(*cube);
+      total_served += cube->server.metrics().jobs_served;
+    }
+    // The same serving as the engine's, and the bound was exercised.
+    EXPECT_EQ(total_served, served);
+    EXPECT_GT(checks, 1000u);
+    EXPECT_GT(shrinks, 0u);
+  }
+}
+
+TEST(CubeRecord, RegionIndicesAreCheckedInDebugBuilds) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "region indices are checked only without NDEBUG";
+#else
+  TestCube cube(2, test_config(10.0, 1).online, Point{0, 0});
+  const auto fleet = cube.server.core().vehicles();
+  ASSERT_EQ(fleet.size(), 16u);
+  EXPECT_EQ(fleet[15].id, 15u);
+  EXPECT_THROW(static_cast<void>(fleet[16]), check_error);
+#endif
 }
 
 }  // namespace
