@@ -8,6 +8,8 @@
 //
 // Complexity: cube_bound builds prefix sums once, O(n^ℓ), then scans
 // cube sides k = 1, 2, … with an O(n^ℓ) sliding-window maximum per side.
+// Each window costs 2^ℓ prefix reads and adds at precomputed flat
+// offsets, and the scan allocates nothing (PrefixSums::max_cube_sum).
 // Segment k's candidate is at least k-1, so the scan stops once k-1
 // reaches the best candidate so far: O(ω_c) sides, O(ω_c · n^ℓ) total.
 #pragma once

@@ -844,6 +844,23 @@ void suite_substrates(BenchRun& b) {
                      });
     return *arrivals;
   };
+  // Set-up, in the same shape: the demand pass over the shuffled stream
+  // (one op = one arrival) and the ω_c scan of its demand (per call).
+  std::optional<DemandMap> stream_demand;
+  b.run_case("demand_of_stream/2d-256", [&](MetricRow& row) {
+    const std::vector<Job>& jobs = cube_arrivals().order[0];
+    per_op(static_cast<std::int64_t>(jobs.size()),
+           [&] {
+             stream_demand = demand_of_stream(jobs, 2);
+             return static_cast<double>(stream_demand->support_size());
+           },
+           row);
+  });
+  b.run_case("cube_bound/2d-256", [&](MetricRow& row) {
+    if (!stream_demand)
+      stream_demand = demand_of_stream(cube_arrivals().order[0], 2);
+    looped(20, [&] { return cube_bound(*stream_demand).omega_c; }, row);
+  });
   for (const int warm : {0, 1}) {
     b.run_case(warm ? "cube_arrival/warm-2d-s2" : "cube_arrival/cold-2d-s2",
                [&, warm](MetricRow& row) {

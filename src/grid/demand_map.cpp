@@ -47,7 +47,7 @@ double DemandMap::sum_in(const Box& box) const {
 
 Box DemandMap::bounding_box() const {
   CMVRP_CHECK_MSG(!d_.empty(), "bounding box of empty demand map");
-  Point lo = d_.begin()->first;
+  Point lo = d_.begin()->key;
   Point hi = lo;
   for (const auto& [p, v] : d_) {
     (void)v;

@@ -2,16 +2,25 @@
 //
 // Job streams add unit demands; analytic workloads (Fig 2.1) set arbitrary
 // non-negative reals. Zero entries are erased so support() is exact.
+//
+// Storage is one FlatMap (util/flat_map.h): the (point, demand) items in
+// one contiguous array, in the order their points first got demand, and
+// an open-addressed index over them. add() of a positive amount is one
+// probe — it finds the point or appends it, with no per-point heap node
+// — and reserve() sizes both arrays up front, so a table reserved for
+// its distinct points never regrows. Zeroing a point that has no demand
+// is one probe too; zeroing one that has demand closes its gap in the
+// array, O(size), and keeps the order of the others.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "grid/box.h"
 #include "grid/point.h"
 #include "util/check.h"
+#include "util/flat_map.h"
 
 namespace cmvrp {
 
@@ -25,8 +34,8 @@ class DemandMap {
 
   double at(const Point& p) const {
     CMVRP_CHECK(p.dim() == dim_);
-    auto it = d_.find(p);
-    return it == d_.end() ? 0.0 : it->second;
+    const double* v = d_.find(p);
+    return v == nullptr ? 0.0 : *v;
   }
 
   void set(const Point& p, double value) {
@@ -40,10 +49,19 @@ class DemandMap {
 
   void add(const Point& p, double delta) {
     CMVRP_CHECK(p.dim() == dim_);
+    // A positive amount keeps the demand positive: one probe, which
+    // appends the point at 0 when it is new.
+    if (delta > 0.0) {
+      d_[p] += delta;
+      return;
+    }
     const double v = at(p) + delta;
     CMVRP_CHECK_MSG(v >= 0.0, "demand made negative at " << p.to_string());
     set(p, v);
   }
+
+  // Room for `points` distinct points without regrowing.
+  void reserve(std::size_t points) { d_.reserve(points); }
 
   std::size_t support_size() const { return d_.size(); }
   bool empty() const { return d_.empty(); }
@@ -60,13 +78,15 @@ class DemandMap {
   // Smallest box containing the support. Requires a non-empty map.
   Box bounding_box() const;
 
-  // Iteration (unordered; use support() when determinism matters).
+  // Iteration over (point, demand) items in insertion order: the order
+  // the points first got demand, kept when another point is zeroed. Use
+  // support() for the sorted points.
   auto begin() const { return d_.begin(); }
   auto end() const { return d_.end(); }
 
  private:
   int dim_;
-  std::unordered_map<Point, double, PointHash> d_;
+  FlatMap<Point, double, PointHash> d_;
 };
 
 }  // namespace cmvrp

@@ -1,6 +1,7 @@
 #include "grid/dense_grid.h"
 
 #include <algorithm>
+#include <array>
 
 namespace cmvrp {
 
@@ -46,10 +47,10 @@ PrefixSums::PrefixSums(const DenseGrid& grid, PrefixBuild build)
   ps_.assign(total, 0.0);
 
   // Strides of the padded array.
-  std::vector<std::size_t> stride(static_cast<std::size_t>(dim), 1);
+  stride_.assign(static_cast<std::size_t>(dim), 1);
   for (int i = dim - 2; i >= 0; --i)
-    stride[static_cast<std::size_t>(i)] =
-        stride[static_cast<std::size_t>(i + 1)] *
+    stride_[static_cast<std::size_t>(i)] =
+        stride_[static_cast<std::size_t>(i + 1)] *
         static_cast<std::size_t>(sides_[static_cast<std::size_t>(i + 1)] + 1);
 
   if (build == PrefixBuild::kReference) {
@@ -58,7 +59,7 @@ PrefixSums::PrefixSums(const DenseGrid& grid, PrefixBuild build)
       std::size_t idx = 0;
       for (int i = 0; i < dim; ++i)
         idx += static_cast<std::size_t>(p[i] - box_.lo()[i] + 1) *
-               stride[static_cast<std::size_t>(i)];
+               stride_[static_cast<std::size_t>(i)];
       ps_[idx] = grid.at(p);
     });
 
@@ -66,7 +67,7 @@ PrefixSums::PrefixSums(const DenseGrid& grid, PrefixBuild build)
     // the axis coordinate is >= 1 and add the value at coordinate-1. Walk
     // the flat array; an index's coordinate along `axis` is (idx/st) % len.
     for (int axis = 0; axis < dim; ++axis) {
-      const std::size_t st = stride[static_cast<std::size_t>(axis)];
+      const std::size_t st = stride_[static_cast<std::size_t>(axis)];
       const auto len = static_cast<std::size_t>(
           sides_[static_cast<std::size_t>(axis)] + 1);
       for (std::size_t idx = 0; idx < ps_.size(); ++idx) {
@@ -91,7 +92,7 @@ PrefixSums::PrefixSums(const DenseGrid& grid, PrefixBuild build)
     std::size_t base = 1;  // +1 along the innermost axis (stride 1)
     for (int i = 0; i < dim - 1; ++i)
       base += (outer[static_cast<std::size_t>(i)] + 1) *
-              stride[static_cast<std::size_t>(i)];
+              stride_[static_cast<std::size_t>(i)];
     const double* src = grid.data_.data() + row * last_side;
     std::copy(src, src + last_side, ps_.data() + base);
     for (int i = dim - 2; i >= 0; --i) {
@@ -108,7 +109,7 @@ PrefixSums::PrefixSums(const DenseGrid& grid, PrefixBuild build)
   // bit-identical; the inner loops are plain strided adds the compiler
   // vectorizes, with no per-element division.
   for (int axis = 0; axis < dim; ++axis) {
-    const std::size_t st = stride[static_cast<std::size_t>(axis)];
+    const std::size_t st = stride_[static_cast<std::size_t>(axis)];
     const auto len = static_cast<std::size_t>(
         sides_[static_cast<std::size_t>(axis)] + 1);
     const std::size_t span = st * len;
@@ -122,46 +123,38 @@ PrefixSums::PrefixSums(const DenseGrid& grid, PrefixBuild build)
   }
 }
 
-double PrefixSums::prefix_at(const std::vector<std::int64_t>& idx) const {
-  // idx[i] in [0, side_i]; returns sum over the first idx[i] cells per axis.
-  const int dim = box_.dim();
-  std::size_t flat = 0;
-  for (int i = 0; i < dim; ++i) {
-    flat = flat * static_cast<std::size_t>(sides_[static_cast<std::size_t>(i)] + 1) +
-           static_cast<std::size_t>(idx[static_cast<std::size_t>(i)]);
-  }
-  return ps_[flat];
-}
-
 double PrefixSums::box_sum(const Box& query) const {
   CMVRP_CHECK(query.dim() == box_.dim());
   const int dim = box_.dim();
-  // Clip to the grid box; empty intersection sums to zero.
-  std::vector<std::int64_t> lo(static_cast<std::size_t>(dim)),
-      hi(static_cast<std::size_t>(dim));
+  // Clip to the grid box; empty intersection sums to zero. In the padded
+  // array the clipped box's low corner is lo and its high corner hi + 1
+  // per axis: `base` is the flat index of the all-low corner, and
+  // `extent` per axis the flat step from its low to its high corner.
+  std::size_t base = 0;
+  std::array<std::size_t, Point::kMaxDim> extent{};
   for (int i = 0; i < dim; ++i) {
-    lo[static_cast<std::size_t>(i)] =
+    const auto a = static_cast<std::size_t>(i);
+    const std::int64_t lo =
         std::max(query.lo()[i], box_.lo()[i]) - box_.lo()[i];
-    hi[static_cast<std::size_t>(i)] =
+    const std::int64_t hi =
         std::min(query.hi()[i], box_.hi()[i]) - box_.lo()[i];
-    if (lo[static_cast<std::size_t>(i)] > hi[static_cast<std::size_t>(i)])
-      return 0.0;
+    if (lo > hi) return 0.0;
+    base += static_cast<std::size_t>(lo) * stride_[a];
+    extent[a] = static_cast<std::size_t>(hi + 1 - lo) * stride_[a];
   }
-  // Inclusion–exclusion over the 2^dim corners.
+  // Inclusion–exclusion over the 2^dim corners: bit i of the mask takes
+  // axis i's low corner and flips the sign.
   double sum = 0.0;
-  std::vector<std::int64_t> corner(static_cast<std::size_t>(dim));
   for (unsigned mask = 0; mask < (1u << dim); ++mask) {
+    std::size_t flat = base;
     int sign = 1;
     for (int i = 0; i < dim; ++i) {
-      if (mask & (1u << i)) {
-        corner[static_cast<std::size_t>(i)] = lo[static_cast<std::size_t>(i)];
+      if (mask & (1u << i))
         sign = -sign;
-      } else {
-        corner[static_cast<std::size_t>(i)] =
-            hi[static_cast<std::size_t>(i)] + 1;
-      }
+      else
+        flat += extent[static_cast<std::size_t>(i)];
     }
-    sum += sign * prefix_at(corner);
+    sum += sign * ps_[flat];
   }
   return sum;
 }
@@ -169,30 +162,51 @@ double PrefixSums::box_sum(const Box& query) const {
 double PrefixSums::max_cube_sum(std::int64_t side) const {
   CMVRP_CHECK(side >= 1);
   const int dim = box_.dim();
-  // Window corner ranges; if the cube is larger than the grid along an
-  // axis, use the single clipped window that covers the whole axis.
-  std::vector<std::int64_t> lo(static_cast<std::size_t>(dim)),
-      hi(static_cast<std::size_t>(dim));
-  for (int i = 0; i < dim; ++i) {
-    lo[static_cast<std::size_t>(i)] = box_.lo()[i];
-    hi[static_cast<std::size_t>(i)] = box_.hi()[i] - side + 1;
-    if (hi[static_cast<std::size_t>(i)] < lo[static_cast<std::size_t>(i)])
-      hi[static_cast<std::size_t>(i)] = lo[static_cast<std::size_t>(i)];
+  const unsigned corners = 1u << dim;
+  // Window starts per axis, relative to the box's low corner: 0 to
+  // side_i - side. If the cube is larger than the grid along an axis,
+  // use the single clipped window that covers the whole axis. Every
+  // window spans min(side, side_i) cells per axis, so its 2^ℓ corners
+  // sit at the same flat offsets from its start, with box_sum's signs
+  // and in box_sum's mask order.
+  std::array<std::int64_t, Point::kMaxDim> last{};
+  std::array<std::size_t, std::size_t{1} << Point::kMaxDim> offset{};
+  std::array<int, std::size_t{1} << Point::kMaxDim> sign{};
+  for (unsigned mask = 0; mask < corners; ++mask) {
+    sign[mask] = 1;
+    for (int i = 0; i < dim; ++i) {
+      const auto a = static_cast<std::size_t>(i);
+      if (mask & (1u << i))
+        sign[mask] = -sign[mask];
+      else
+        offset[mask] += static_cast<std::size_t>(std::min(side, sides_[a])) *
+                        stride_[a];
+    }
   }
+  for (int i = 0; i < dim; ++i) {
+    const auto a = static_cast<std::size_t>(i);
+    last[a] = std::max<std::int64_t>(0, sides_[a] - side);
+  }
+  // Odometer over the window starts, last axis fastest; `base` is the
+  // flat index of the current start's low corner.
+  std::array<std::int64_t, Point::kMaxDim> cur{};
+  std::size_t base = 0;
   double best = 0.0;
-  std::vector<std::int64_t> cur = lo;
   for (;;) {
-    Point corner = Point::origin(dim);
-    for (int i = 0; i < dim; ++i) corner[i] = cur[static_cast<std::size_t>(i)];
-    best = std::max(best, box_sum(Box::cube(corner, side)));
+    double sum = 0.0;
+    for (unsigned mask = 0; mask < corners; ++mask)
+      sum += sign[mask] * ps_[base + offset[mask]];
+    best = std::max(best, sum);
     int axis = dim - 1;
     while (axis >= 0) {
-      auto& c = cur[static_cast<std::size_t>(axis)];
-      if (c < hi[static_cast<std::size_t>(axis)]) {
-        ++c;
+      const auto a = static_cast<std::size_t>(axis);
+      if (cur[a] < last[a]) {
+        ++cur[a];
+        base += stride_[a];
         break;
       }
-      c = lo[static_cast<std::size_t>(axis)];
+      base -= static_cast<std::size_t>(cur[a]) * stride_[a];
+      cur[a] = 0;
       --axis;
     }
     if (axis < 0) break;

@@ -67,7 +67,8 @@ class PrefixSums {
   explicit PrefixSums(const DenseGrid& grid,
                       PrefixBuild build = PrefixBuild::kBlocked);
 
-  // Sum of the grid restricted to `query` (clipped to the grid's box).
+  // Sum of the grid restricted to `query` (clipped to the grid's box):
+  // 2^ℓ prefix reads, summed by inclusion–exclusion. Allocates nothing.
   double box_sum(const Box& query) const;
 
   // Maximum of box_sum over all side^ℓ cubes whose intersection with the
@@ -75,13 +76,16 @@ class PrefixSums {
   // that size fits, falls back to cubes clipped at the boundary, which is
   // what the paper's "all ℓ-cubes in Z^ℓ" means for demand supported on a
   // finite set: exterior demand is zero, so clipped windows are equivalent.
+  // The 2^ℓ corner offsets and signs are computed once per call; each
+  // window then costs 2^ℓ reads and adds at a flat index, in box_sum's
+  // order — so each window sum is box_sum's, bit for bit — and nothing
+  // is allocated.
   double max_cube_sum(std::int64_t side) const;
 
  private:
-  double prefix_at(const std::vector<std::int64_t>& idx) const;
-
   Box box_;
   std::vector<std::int64_t> sides_;
+  std::vector<std::size_t> stride_;  // of the padded array
   std::vector<double> ps_;  // shape: (side_i + 1) per axis, row-major
 };
 

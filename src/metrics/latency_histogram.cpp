@@ -17,28 +17,47 @@ void LatencyHistogram::add(std::int64_t value) {
   CMVRP_CHECK_MSG(value >= 0,
                   "latency values are nonnegative sim-time deltas, got "
                       << value);
-  ++count_;
   if (value > observed_max_) observed_max_ = value;
   if (value > max_value_) {
     ++overflow_;
-    return;
+  } else if (value > 0 || !counts_.empty()) {
+    const auto v = static_cast<std::size_t>(value);
+    if (counts_.empty()) {
+      counts_.assign(v + 1, 0);
+      counts_[0] = zeros();
+    } else if (v >= counts_.size()) {
+      counts_.resize(v + 1, 0);
+    }
+    ++counts_[v];
   }
-  const auto v = static_cast<std::size_t>(value);
-  if (v >= counts_.size()) counts_.resize(v + 1, 0);
-  ++counts_[v];
+  ++count_;
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {
   CMVRP_CHECK_MSG(max_value_ == other.max_value_,
                   "merging histograms with different bucket ranges: "
                       << max_value_ << " vs " << other.max_value_);
-  if (other.counts_.size() > counts_.size())
-    counts_.resize(other.counts_.size(), 0);
-  for (std::size_t v = 0; v < other.counts_.size(); ++v)
-    counts_[v] += other.counts_[v];
+  // Unless both arrays are unallocated (the zeros then follow from the
+  // counts), fold other's buckets, its implicit zeros included, into an
+  // allocated array.
+  if (!counts_.empty() || !other.counts_.empty()) {
+    if (counts_.empty()) counts_.assign(1, zeros());
+    if (other.buckets() > counts_.size()) counts_.resize(other.buckets(), 0);
+    for (std::size_t v = 0; v < other.buckets(); ++v)
+      counts_[v] += other.bucket(v);
+  }
   overflow_ += other.overflow_;
   count_ += other.count_;
   observed_max_ = std::max(observed_max_, other.observed_max_);
+}
+
+std::uint64_t LatencyHistogram::bucket(std::size_t v) const {
+  if (counts_.empty()) return v == 0 ? zeros() : 0;
+  return v < counts_.size() ? counts_[v] : 0;
+}
+
+std::size_t LatencyHistogram::buckets() const {
+  return counts_.empty() ? 1 : counts_.size();
 }
 
 std::int64_t LatencyHistogram::percentile(double p) const {
@@ -50,8 +69,8 @@ std::int64_t LatencyHistogram::percentile(double p) const {
   rank = std::max<std::uint64_t>(rank, 1);
   rank = std::min<std::uint64_t>(rank, count_);
   std::uint64_t cumulative = 0;
-  for (std::size_t v = 0; v < counts_.size(); ++v) {
-    cumulative += counts_[v];
+  for (std::size_t v = 0; v < buckets(); ++v) {
+    cumulative += bucket(v);
     if (cumulative >= rank) return static_cast<std::int64_t>(v);
   }
   return max_value_ + 1;  // the rank lands in the overflow bucket
@@ -62,9 +81,9 @@ std::uint64_t LatencyHistogram::digest() const {
   // only on its (value, count) pair), then the scalars — so the digest,
   // like the histogram, is invariant to the order values were added.
   std::uint64_t h = 0;
-  for (std::size_t v = 0; v < counts_.size(); ++v)
-    if (counts_[v] != 0)
-      h += mix64(mix64(static_cast<std::uint64_t>(v)) + counts_[v]);
+  for (std::size_t v = 0; v < buckets(); ++v)
+    if (bucket(v) != 0)
+      h += mix64(mix64(static_cast<std::uint64_t>(v)) + bucket(v));
   h = mix64(h ^ count_);
   h = mix64(h ^ overflow_);
   h = mix64(h ^ static_cast<std::uint64_t>(observed_max_));
@@ -77,12 +96,9 @@ bool operator==(const LatencyHistogram& a, const LatencyHistogram& b) {
       a.overflow_ != b.overflow_ || a.observed_max_ != b.observed_max_)
     return false;
   // Trailing zero buckets are representation noise, not content.
-  const std::size_t common = std::min(a.counts_.size(), b.counts_.size());
-  for (std::size_t v = 0; v < common; ++v)
-    if (a.counts_[v] != b.counts_[v]) return false;
-  const auto& longer = a.counts_.size() > common ? a.counts_ : b.counts_;
-  for (std::size_t v = common; v < longer.size(); ++v)
-    if (longer[v] != 0) return false;
+  const std::size_t n = std::max(a.buckets(), b.buckets());
+  for (std::size_t v = 0; v < n; ++v)
+    if (a.bucket(v) != b.bucket(v)) return false;
   return true;
 }
 

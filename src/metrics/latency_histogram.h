@@ -15,9 +15,14 @@
 // Values above max_value clamp into one overflow bucket: percentiles
 // landing there report max_value + 1 (a sentinel recognizably past the
 // bucket range), while observed_max() stays exact. Memory is
-// O(largest in-range value added), not O(max_value).
+// O(largest in-range value added), not O(max_value): the bucket array
+// stays unallocated until the first positive in-range value, and until
+// then bucket 0 holds count() − overflow_count() samples. A histogram
+// of zeros — every latency of a cube that never waits — is the header
+// alone.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -62,8 +67,19 @@ class LatencyHistogram {
   }
 
  private:
+  // Samples of value v: counts_[v] once counts_ is allocated; before,
+  // zeros() for v = 0 and none for the other values.
+  std::uint64_t bucket(std::size_t v) const;
+  // Buckets bucket() can report nonzero: counts_.size(), or 1 for the
+  // zeros while counts_ is unallocated.
+  std::size_t buckets() const;
+  // Samples of value 0 while counts_ is unallocated.
+  std::uint64_t zeros() const { return count_ - overflow_; }
+
   std::int64_t max_value_;
-  std::vector<std::uint64_t> counts_;  // counts_[v] = samples of value v
+  // counts_[v] = samples of value v; empty until the first positive
+  // in-range value (see the file comment).
+  std::vector<std::uint64_t> counts_;
   std::uint64_t overflow_ = 0;         // samples with value > max_value_
   std::uint64_t count_ = 0;
   std::int64_t observed_max_ = 0;

@@ -575,8 +575,14 @@ void FleetCore::settle(int max_rounds) {
   }
 }
 
+OnlineMetrics FleetCore::metrics() const {
+  OnlineMetrics m;
+  static_cast<CoreMetrics&>(m) = metrics_;
+  m.network = network_.stats();
+  return m;
+}
+
 void FleetCore::finalize_metrics() {
-  metrics_.network = network_.stats();
   metrics_.max_energy_spent = 0.0;
   metrics_.total_energy_spent = 0.0;
   for (const auto& v : fleet()) {

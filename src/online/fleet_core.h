@@ -30,7 +30,9 @@
 // Lemma 3.3.1's bounded-search claim), and Phase II relays one move
 // message along the computation tree. Between serves the core holds only
 // its cube's own O(s^ℓ) state: the four regions (the fleet is 64 bytes
-// a vehicle) and a fixed header. Messages in flight, flood clamps and
+// a vehicle) and a fixed part of the cube's 456-B header (stream/
+// shard.h) — its counts (CoreMetrics) but not the message stats, which
+// metrics() reads from the network. Messages in flight, flood clamps and
 // the neighbor scratch live in the lent transport, which is empty at
 // quiescence; the deployment constants live in the shared CubeParams;
 // the Tier-A and span state live with whoever turned them on (FleetObs,
@@ -175,14 +177,15 @@ struct JobTiming {
   }
 };
 
-struct OnlineMetrics {
+// What a FleetCore counts itself: every OnlineMetrics field but the
+// network's message stats, which the network keeps.
+struct CoreMetrics {
   std::uint64_t jobs_served = 0;
   std::uint64_t jobs_failed = 0;
   std::uint64_t replacements = 0;           // completed Phase II relocations
   std::uint64_t computations_started = 0;   // Phase I initiations
   std::uint64_t computations_failed = 0;    // no idle vehicle found
   std::uint64_t monitor_initiations = 0;    // ring-triggered computations
-  NetworkStats network;
   double max_energy_spent = 0.0;            // over all vehicles
   double total_energy_spent = 0.0;
   std::uint64_t total_travel = 0;
@@ -190,30 +193,45 @@ struct OnlineMetrics {
   // Folds `other` into this (sums, max for max_energy_spent). Callers who
   // need bit-identical totals must merge in a deterministic order (the
   // stream engine folds shards by ascending cube corner).
-  void merge(const OnlineMetrics& other) {
+  void merge(const CoreMetrics& other) {
     jobs_served += other.jobs_served;
     jobs_failed += other.jobs_failed;
     replacements += other.replacements;
     computations_started += other.computations_started;
     computations_failed += other.computations_failed;
     monitor_initiations += other.monitor_initiations;
-    network.merge(other.network);
     if (other.max_energy_spent > max_energy_spent)
       max_energy_spent = other.max_energy_spent;
     total_energy_spent += other.total_energy_spent;
     total_travel += other.total_travel;
   }
 
-  friend bool operator==(const OnlineMetrics& a, const OnlineMetrics& b) {
+  friend bool operator==(const CoreMetrics& a, const CoreMetrics& b) {
     return a.jobs_served == b.jobs_served && a.jobs_failed == b.jobs_failed &&
            a.replacements == b.replacements &&
            a.computations_started == b.computations_started &&
            a.computations_failed == b.computations_failed &&
            a.monitor_initiations == b.monitor_initiations &&
-           a.network == b.network &&
            a.max_energy_spent == b.max_energy_spent &&
            a.total_energy_spent == b.total_energy_spent &&
            a.total_travel == b.total_travel;
+  }
+};
+
+// A cube's (or a stream's) protocol metrics: the core's counts plus the
+// network's message stats.
+struct OnlineMetrics : CoreMetrics {
+  NetworkStats network;
+
+  void merge(const OnlineMetrics& other) {
+    CoreMetrics::merge(other);
+    network.merge(other.network);
+  }
+
+  friend bool operator==(const OnlineMetrics& a, const OnlineMetrics& b) {
+    return static_cast<const CoreMetrics&>(a) ==
+               static_cast<const CoreMetrics&>(b) &&
+           a.network == b.network;
   }
   friend bool operator!=(const OnlineMetrics& a, const OnlineMetrics& b) {
     return !(a == b);
@@ -282,11 +300,14 @@ class FleetCore {
   // replacement can itself break); bounded by `max_rounds`.
   void settle(int max_rounds = 8);
 
-  // Copies network stats and the per-vehicle energy aggregates into
-  // metrics(). Call once serving is finished (idempotent).
+  // Computes the per-vehicle energy aggregates of metrics(). Call once
+  // serving is finished (idempotent).
   void finalize_metrics();
 
-  const OnlineMetrics& metrics() const { return metrics_; }
+  // The core's counts with the network's live message stats.
+  OnlineMetrics metrics() const;
+  // The core's counts alone, without a copy (the serve path reads these).
+  const CoreMetrics& core_metrics() const { return metrics_; }
   const CubePairing& pairing() const { return params_.pairing; }
   const OnlineConfig& config() const { return params_.config; }
   const Point& corner() const { return corner_; }
@@ -457,7 +478,7 @@ class FleetCore {
   FleetObs* obs_ = nullptr;         // Tier-A state (borrowed; may be null)
   SpanRecorder* spans_ = nullptr;   // Tier-C hook (borrowed; may be null)
 
-  OnlineMetrics metrics_;
+  CoreMetrics metrics_;  // the network keeps its own stats
   JobTiming last_timing_;
 };
 

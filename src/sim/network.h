@@ -69,7 +69,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "obs/span.h"
@@ -139,9 +138,10 @@ class Network {
   using Receiver = EventQueue::Sink;
 
   // `transport` is borrowed and may be shared with other networks, one
-  // Lend at a time.
-  Network(Transport& transport, Rng rng)
-      : transport_(transport), rng_(std::move(rng)) {}
+  // Lend at a time. The delays continue `rng`'s integer sequence; the
+  // network keeps its xoshiro state only (Xoshiro256).
+  Network(Transport& transport, const Rng& rng)
+      : transport_(transport), gen_(rng.core()) {}
   // The queue may hold this network's address (see rebind).
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -186,7 +186,7 @@ class Network {
   void send(std::size_t from, std::size_t to, Message m) {
     CMVRP_CHECK_MSG(receiver_, "network has no receiver bound");
     count(m);
-    const SimTime delay = draw_delay();
+    const SimTime delay = draw_delay(gen_, transport_.max_delay);
     const SimTime now = queue().now();
     const std::uint64_t key = channel_key(from, to);
     SimTime& last = transport_.flood[key];
@@ -225,15 +225,22 @@ class Network {
 
   // Sends one heartbeat on each of the `count` channels at beat slots
   // `slots`, in order: counts it, draws its delay, and advances the
-  // channel's clamp past now + delay. Only at quiescence.
+  // channel's clamp past now + delay. Only at quiescence. The round
+  // draws from a local copy of the generator, stored back once: a clamp
+  // store (int64_t) may alias the state's words (uint64_t), so drawing
+  // from the member would reload and store all four on every beat.
   void beat_all(const std::uint32_t* slots, std::size_t count) {
     CMVRP_CHECK_MSG(queue().empty(), "heartbeat sent while deliveries are due");
     const SimTime now = queue().now();
+    const SimTime max_delay = transport_.max_delay;
+    Xoshiro256 gen = gen_;
     SimTime latest = heartbeat_latest_;
     for (std::size_t i = 0; i < count; ++i) {
-      const SimTime at = advance(heartbeat_.at(slots[i]), now + draw_delay());
+      const SimTime at = advance(heartbeat_.at(slots[i]),
+                                 now + draw_delay(gen, max_delay));
       if (at > latest) latest = at;
     }
+    gen_ = gen;
     heartbeat_latest_ = latest;
     stats_.heartbeats += count;
     stats_.heartbeat_skips += count;
@@ -267,13 +274,12 @@ class Network {
   EventQueue& queue() const { return transport_.queue; }
 
  private:
-  // A delay in [1, 1 + max_delay]. At the default max_delay of 3 the
-  // bound is 4, which Rng draws without dividing.
-  SimTime draw_delay() {
-    const SimTime max_delay = transport_.max_delay;
+  // A delay in [1, 1 + max_delay] drawn from `gen`. At the default
+  // max_delay of 3 the bound is 4, which draws without dividing.
+  static SimTime draw_delay(Xoshiro256& gen, SimTime max_delay) {
     if (max_delay == 0) return 1;
-    return 1 + static_cast<SimTime>(rng_.next_below(
-                   static_cast<std::uint64_t>(max_delay) + 1));
+    return 1 + static_cast<SimTime>(
+                   gen.next_below(static_cast<std::uint64_t>(max_delay) + 1));
   }
 
   // Pushes `at` past the channel clamp `last` (preserving per-channel
@@ -344,7 +350,7 @@ class Network {
   }
 
   Transport& transport_;  // borrowed queue and flood clamps
-  Rng rng_;
+  Xoshiro256 gen_;        // the delay generator
   Receiver receiver_ = nullptr;
   void* receiver_ctx_ = nullptr;
   NetworkStats stats_;

@@ -89,12 +89,13 @@ void CubeServer::serve_now(const Job& job, SimTime queue_wait,
   // replacements a deferred monitor settle completes below belong to
   // the ring, not to this job.
   const bool obs = side_ != nullptr && side_->obs;
-  const std::uint64_t repl_before = obs ? core_.metrics().replacements : 0;
+  const std::uint64_t repl_before =
+      obs ? core_.core_metrics().replacements : 0;
   const bool ok = core_.serve_job(job);
   network_.queue().run_to_quiescence();
   if (obs && ok)
-    side_->cascade.add(
-        static_cast<std::int64_t>(core_.metrics().replacements - repl_before));
+    side_->cascade.add(static_cast<std::int64_t>(
+        core_.core_metrics().replacements - repl_before));
   JobTiming timing = core_.last_timing();
   // The replacement cascade this job triggered (if any) has fully
   // drained: the cube clock now is the job's completion time.
@@ -197,15 +198,14 @@ void CubeServer::serve(const Job& job, OutcomeLog& log,
 
 CubeCounters CubeServer::counters() const {
   CubeCounters c;
-  // Network stats are read live (finalize_metrics only copies them into
-  // OnlineMetrics at finish), so a mid-run snapshot is current.
+  // Network stats are read live, so a mid-run snapshot is current.
   const NetworkStats& net = network_.stats();
   c.msg_queries = net.queries;
   c.msg_replies = net.replies;
   c.msg_moves = net.moves;
   c.msg_heartbeats = net.heartbeats;
   c.msg_heartbeat_skips = net.heartbeat_skips;
-  const OnlineMetrics& m = core_.metrics();
+  const CoreMetrics& m = core_.core_metrics();
   c.comps_started = m.computations_started;
   c.comps_finished = core_.obs_comps_finished();
   c.comps_failed = m.computations_failed;

@@ -30,19 +30,24 @@
 //
 // A cube is one heap block, allocated at its first arrival (or
 // injection) by CubeServer::create and sized from the CubeParams: the
-// CubeServer itself is the block's header — the network's generator,
-// stats, clock and receiver; the core's flags, metrics and timing; the
-// server's counters and latency — and the core's four regions follow
-// it: the fleet, the pair slots, the Phase II destinations and the beat
-// slots (online/fleet_core.h). What only observability, bounded
-// admission or sampling reads — the span recorder, the cascade
-// histogram, the per-computation query counts, the backlog and its
-// clock and gauges, the shed/rejected counts and the timeseries — sits
-// in a side record allocated with the cube only when one of them is on.
-// So a cube with all of them off is one block plus its heartbeat table
-// and latency buckets. Being one block is also what lets the serve loop
-// prefetch a cold cube's state: it starts loading the block of the cube
-// a few jobs ahead (CubeShard::prefetch), which changes no result.
+// CubeServer itself is the block's header (456 B; 464 once rounded for
+// the regions) — the network's generator state, stats, clock and
+// receiver; the core's flags, counts and timing; the server's counters
+// and latency — and the core's four regions follow it: the fleet, the
+// pair slots, the Phase II destinations and the beat slots
+// (online/fleet_core.h). The header keeps each thing once: the network
+// alone holds the message stats, which the core's metrics() reads live,
+// and the generator is xoshiro state without Rng's Gaussian spare. What
+// only observability, bounded admission or sampling reads — the span
+// recorder, the cascade histogram, the per-computation query counts,
+// the backlog and its clock and gauges, the shed/rejected counts and
+// the timeseries — sits in a side record allocated with the cube only
+// when one of them is on. So a cube with all of them off is one block
+// plus its heartbeat table, and plus its latency buckets only once a
+// served job has waited (a histogram of zeros allocates none). Being
+// one block is also what lets the serve loop prefetch a cold cube's
+// state: it starts loading the block of the cube a few jobs ahead
+// (CubeShard::prefetch), which changes no result.
 //
 // Cube resolution is two-tier. Slots the engine's CubeSlotTable covers
 // live in a dense per-shard array (a shard owns the slots congruent to
@@ -199,13 +204,13 @@ class CubeServer {
 
   // Drains the admission backlog (recording those outcomes as serve()
   // does), runs any monitoring rounds deferred by the stride, then
-  // finalizes metrics (network stats + energy aggregates).
+  // finalizes metrics (the energy aggregates).
   void finish(OutcomeLog& log, std::vector<JobOutcome>* out);
 
   const Point& corner() const { return core_.corner(); }
   const FleetCore& core() const { return core_; }
   const Network& network() const { return network_; }
-  const OnlineMetrics& metrics() const { return core_.metrics(); }
+  OnlineMetrics metrics() const { return core_.metrics(); }
   std::uint64_t jobs_shed() const { return side_ ? side_->jobs_shed : 0; }
   std::uint64_t jobs_rejected() const {
     return side_ ? side_->jobs_rejected : 0;
@@ -287,7 +292,7 @@ class CubeServer {
 };
 
 // The header of a cube's block: what every cube keeps, whatever is on.
-static_assert(sizeof(CubeServer) <= 512, "a cube header must stay <= 512 B");
+static_assert(sizeof(CubeServer) <= 456, "a cube header must stay <= 456 B");
 
 // Everything one worker owns: the cubes assigned to it by the engine's
 // slot (or corner-hash) routing, the transport it lends them and the log

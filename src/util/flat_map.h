@@ -9,16 +9,17 @@
 // deterministic insertion sequence, independent of the hash) and resolves
 // keys through a power-of-two open-addressed index of positions.
 //
-// Deliberately minimal: no single-key erase, keys must be
-// equality-comparable, and mutating a key through iteration is
-// undefined. Lookup is O(1) expected with linear probing at load factor
-// <= 0.7; insertion amortized O(1).
+// Deliberately minimal: keys must be equality-comparable, and mutating
+// a key through iteration is undefined. Lookup is O(1) expected with
+// linear probing at load factor <= 0.7; insertion amortized O(1).
 //
 // An item's position in the items vector is its insertion rank, so it
-// stays valid until clear() or erase_if(): slot() hands it out, and at()
-// reads the value back without hashing the key again. erase_if() drops
-// items in bulk and closes the gaps, which renumbers the positions of
-// the items it keeps (their order is kept).
+// stays valid until clear(), erase() or erase_if(): slot() hands it out,
+// and at() reads the value back without hashing the key again. Both
+// erases close the gaps they leave, which keeps the order of the other
+// items and renumbers the positions behind the first one dropped:
+// erase() drops one key (one probe when it is absent, O(size + index)
+// when it is there), erase_if() drops in bulk at the same cost.
 #pragma once
 
 #include <cstddef>
@@ -102,6 +103,18 @@ class FlatMap {
     }
   }
 
+  // Drops `key`'s item, keeping the others in insertion order, and
+  // returns whether it was there. One probe when it is absent; when it
+  // is there, the items behind it move up one position and the index is
+  // rebuilt, O(size + index), so positions handed out before are void.
+  bool erase(const Key& key) {
+    const std::uint32_t pos = find_slot(key);
+    if (pos == kNoSlot) return false;
+    items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(pos));
+    reindex(index_.size());
+    return true;
+  }
+
   // Drops every item for which pred(item) holds, keeping the others in
   // insertion order, and rebuilds the index; O(size + index). Returns
   // the number dropped. Positions handed out before are void.
@@ -117,8 +130,7 @@ class FlatMap {
     if (dropped == 0) return 0;
     items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(kept),
                  items_.end());
-    index_.assign(index_.size(), kNoSlot);
-    for (std::size_t i = 0; i < items_.size(); ++i) place(i);
+    reindex(index_.size());
     return dropped;
   }
 
@@ -147,7 +159,12 @@ class FlatMap {
     while (want * 7 < items * 10) want <<= 1;
     if (want <= index_.size()) return;
     CMVRP_CHECK_MSG(items < kNoSlot, "FlatMap exceeds 2^32 - 1 items");
-    index_.assign(want, kNoSlot);
+    reindex(want);
+  }
+
+  // Rebuilds the index at `cells` cells from the items' positions.
+  void reindex(std::size_t cells) {
+    index_.assign(cells, kNoSlot);
     for (std::size_t i = 0; i < items_.size(); ++i) place(i);
   }
 

@@ -19,9 +19,10 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
-  for (auto& s : s_) s = splitmix64(sm);
+  auto& s = core_.s;
+  for (auto& word : s) word = splitmix64(sm);
   // xoshiro must not start in the all-zero state.
-  if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
+  if ((s[0] | s[1] | s[2] | s[3]) == 0) s[0] = 1;
 }
 
 std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {

@@ -15,21 +15,24 @@
 
 namespace cmvrp {
 
-class Rng {
- public:
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
+// The xoshiro256** state and its integer draws: Rng without the
+// Box–Muller spare. 32 bytes and trivially copyable, so a cube's network
+// keeps only this, and a hot loop can draw from a local copy (kept in
+// registers) and store it back once.
+struct Xoshiro256 {
+  std::uint64_t s[4] = {};
 
   // Uniform over all 64-bit values. Inline with next_below: every
   // message delay draws through them.
   std::uint64_t next_u64() {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
     return result;
   }
 
@@ -46,6 +49,23 @@ class Rng {
       const std::uint64_t r = next_u64();
       if (r >= threshold) return r % bound;
     }
+  }
+
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+};
+
+class Rng {
+ public:
+  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
+
+  // Uniform over all 64-bit values.
+  std::uint64_t next_u64() { return core_.next_u64(); }
+
+  // Uniform integer in [0, bound). bound must be > 0.
+  std::uint64_t next_below(std::uint64_t bound) {
+    return core_.next_below(bound);
   }
 
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
@@ -79,12 +99,12 @@ class Rng {
   // Derive an independent child generator (for per-component streams).
   Rng split();
 
- private:
-  static std::uint64_t rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
+  // The generator state: its next_u64/next_below draws continue this
+  // Rng's sequence (a pending Gaussian spare is not part of it).
+  const Xoshiro256& core() const { return core_; }
 
-  std::uint64_t s_[4];
+ private:
+  Xoshiro256 core_;
   bool have_gaussian_ = false;
   double spare_gaussian_ = 0.0;
 };

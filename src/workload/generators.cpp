@@ -162,6 +162,29 @@ std::vector<Job> alternating_stream(Point i, Point j, std::int64_t total) {
 
 DemandMap demand_of_stream(const std::vector<Job>& jobs, int dim) {
   DemandMap out(dim);
+  if (jobs.empty()) return out;
+  // The stream's bounding box holds at most its volume of distinct
+  // points, and the stream at most one per job: the smaller bound sizes
+  // the table once, so it never regrows.
+  Point lo = jobs.front().position;
+  Point hi = lo;
+  for (const auto& job : jobs) {
+    CMVRP_CHECK(job.position.dim() == dim);
+    for (int i = 0; i < dim; ++i) {
+      lo[i] = std::min(lo[i], job.position[i]);
+      hi[i] = std::max(hi[i], job.position[i]);
+    }
+  }
+  // min(job count, box volume), without overflow: a side spanning the
+  // whole int64 range wraps to 0.
+  const std::uint64_t cap = jobs.size();
+  std::uint64_t points = 1;
+  for (int i = 0; i < dim && points < cap; ++i) {
+    const std::uint64_t side = static_cast<std::uint64_t>(hi[i]) -
+                               static_cast<std::uint64_t>(lo[i]) + 1;
+    points = side == 0 || points > cap / side ? cap : points * side;
+  }
+  out.reserve(static_cast<std::size_t>(points));
   for (const auto& job : jobs) out.add(job.position, 1.0);
   return out;
 }

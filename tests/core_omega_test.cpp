@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/closed_forms.h"
 #include "core/cube_bound.h"
 #include "core/omega.h"
 #include "grid/dense_grid.h"
 #include "grid/neighborhood.h"
+#include "online/capacity_search.h"
 #include "util/rng.h"
 #include "workload/generators.h"
+#include "workload/stream_gen.h"
 
 namespace cmvrp {
 namespace {
@@ -124,6 +128,52 @@ TEST(OmegaStar, SinglePointClosedForm) {
 }
 
 // --- cube bound (Cor. 2.2.7) ------------------------------------------------
+
+// Smoke-sized inputs in the shapes of the three perfbench workloads:
+// uniform arrivals over a 32^2 and an 8^3 box (2.5 and 6 per point,
+// shuffled), and a 20,000-arrival drifting gradient over 6^4.
+DemandMap uniform_stream_demand(int dim, std::int64_t side, double per_point) {
+  Point hi = Point::origin(dim);
+  for (int a = 0; a < dim; ++a) hi[a] = side - 1;
+  const Box box(Point::origin(dim), hi);
+  Rng rng(1);
+  const DemandMap d = uniform_demand(
+      box, std::llround(per_point * static_cast<double>(box.volume())), rng);
+  Rng order(2);
+  return demand_of_stream(stream_from_demand(d, ArrivalOrder::kShuffled, order),
+                          dim);
+}
+
+TEST(CubeBound, SizingOfPerfbenchShapedInputsIsPinned) {
+  // The sizing rule's output, recorded as hex floats before the demand
+  // table and the window scan were rewritten: any change in what sizing
+  // computes, down to the last bit of W, fails here.
+  struct Pin {
+    const char* name;
+    DemandMap demand;
+    std::int64_t cube_side;
+    double capacity;
+    double omega_c;
+  };
+  std::vector<Job> gradient;
+  Rng rng(1);
+  drifting_gradient_stream(
+      Box(Point{0, 0, 0, 0}, Point{5, 5, 5, 5}), 20000, 2.0, rng,
+      [&gradient](const Job& j) { gradient.push_back(j); });
+  const Pin pins[] = {
+      {"uniform-2d", uniform_stream_demand(2, 32, 2.5), 2,
+       0x1.0e38e38e38e39p+5, 0x1.c71c71c71c71cp-1},
+      {"uniform-3d", uniform_stream_demand(3, 8, 6.0), 2,
+       0x1.cc71c71c71c71p+5, 0x1.097b425ed097bp-1},
+      {"gradient-4d", demand_of_stream(gradient, 4), 2, 0x1.48p+8, 0x1p+0},
+  };
+  for (const Pin& pin : pins) {
+    const OnlineConfig c = default_online_config(pin.demand, 7);
+    EXPECT_EQ(c.cube_side, pin.cube_side) << pin.name;
+    EXPECT_EQ(c.capacity, pin.capacity) << pin.name;
+    EXPECT_EQ(cube_bound(pin.demand).omega_c, pin.omega_c) << pin.name;
+  }
+}
 
 TEST(CubeBound, EmptyDemandIsZero) {
   DemandMap d(2);

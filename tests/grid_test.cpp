@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "grid/box.h"
 #include "grid/demand_map.h"
@@ -160,6 +164,46 @@ TEST(DemandMap, SetAddEraseTotals) {
   EXPECT_THROW(d.set(Point{1, 1}, -1.0), check_error);
 }
 
+TEST(DemandMap, IteratesInInsertionOrderAndZeroingKeepsTheRest) {
+  DemandMap d(2);
+  const std::vector<Point> order = {Point{5, 1}, Point{-2, 3}, Point{0, 0},
+                                    Point{7, 7}, Point{3, -4}};
+  for (const Point& p : order) d.add(p, 1.0);
+  d.add(Point{-2, 3}, 2.0);  // more demand keeps a point's place
+  d.set(Point{0, 0}, 4.0);
+  const auto points = [&d] {
+    std::vector<Point> out;
+    for (const auto& [p, v] : d) out.push_back(p);
+    return out;
+  };
+  EXPECT_EQ(points(), order);
+  EXPECT_DOUBLE_EQ(d.at(Point{-2, 3}), 3.0);
+
+  // Zeroing a point drops it and keeps the others in order; zeroing a
+  // point with no demand changes nothing; new demand goes to the end.
+  d.set(Point{-2, 3}, 0.0);
+  d.add(Point{7, 7}, -1.0);
+  d.set(Point{9, 9}, 0.0);
+  EXPECT_EQ(points(), (std::vector<Point>{Point{5, 1}, Point{0, 0},
+                                          Point{3, -4}}));
+  d.add(Point{-2, 3}, 1.0);
+  EXPECT_EQ(points(), (std::vector<Point>{Point{5, 1}, Point{0, 0},
+                                          Point{3, -4}, Point{-2, 3}}));
+  EXPECT_EQ(d.support_size(), 4u);
+  EXPECT_DOUBLE_EQ(d.at(Point{7, 7}), 0.0);
+  EXPECT_DOUBLE_EQ(d.at(Point{0, 0}), 4.0);
+  EXPECT_THROW(d.add(Point{5, 1}, -2.0), check_error);
+  EXPECT_DOUBLE_EQ(d.at(Point{5, 1}), 1.0);
+
+  // reserve() changes nothing a caller sees.
+  DemandMap r(2);
+  r.reserve(100);
+  for (const Point& p : order) r.add(p, 1.0);
+  std::vector<Point> seen;
+  for (const auto& [p, v] : r) seen.push_back(p);
+  EXPECT_EQ(seen, order);
+}
+
 TEST(DemandMap, SupportSortedAndBoundingBox) {
   DemandMap d(2);
   d.set(Point{5, 1}, 1.0);
@@ -267,6 +311,201 @@ TEST(PrefixSums, BlockedBuildMatchesReferenceBitForBit) {
       const Box query(lo, hi);
       EXPECT_EQ(blocked.box_sum(query), reference.box_sum(query))
           << "dim=" << dim << " query=" << query.to_string();
+    }
+  }
+}
+
+// PrefixSums as it was before its window scan walked flat offsets: the
+// table built by the reference walk, and the per-window scan that builds
+// a Point and a Box for every window and reads the table through
+// prefix_at. Kept verbatim as the oracle the allocation-free scan must
+// match bit for bit.
+class WindowScanOracle {
+ public:
+  explicit WindowScanOracle(const DenseGrid& grid)
+      : box_(grid.box()), sides_(grid.box().sides()) {
+    const int dim = box_.dim();
+    std::size_t total = 1;
+    for (auto s : sides_) total *= static_cast<std::size_t>(s + 1);
+    ps_.assign(total, 0.0);
+    std::vector<std::size_t> stride(static_cast<std::size_t>(dim), 1);
+    for (int i = dim - 2; i >= 0; --i)
+      stride[static_cast<std::size_t>(i)] =
+          stride[static_cast<std::size_t>(i + 1)] *
+          static_cast<std::size_t>(sides_[static_cast<std::size_t>(i + 1)] + 1);
+    box_.for_each_point([&](const Point& p) {
+      std::size_t idx = 0;
+      for (int i = 0; i < dim; ++i)
+        idx += static_cast<std::size_t>(p[i] - box_.lo()[i] + 1) *
+               stride[static_cast<std::size_t>(i)];
+      ps_[idx] = grid.at(p);
+    });
+    for (int axis = 0; axis < dim; ++axis) {
+      const std::size_t st = stride[static_cast<std::size_t>(axis)];
+      const auto len = static_cast<std::size_t>(
+          sides_[static_cast<std::size_t>(axis)] + 1);
+      for (std::size_t idx = 0; idx < ps_.size(); ++idx) {
+        const std::size_t coord = (idx / st) % len;
+        if (coord >= 1) ps_[idx] += ps_[idx - st];
+      }
+    }
+  }
+
+  double prefix_at(const std::vector<std::int64_t>& idx) const {
+    const int dim = box_.dim();
+    std::size_t flat = 0;
+    for (int i = 0; i < dim; ++i) {
+      flat = flat * static_cast<std::size_t>(sides_[static_cast<std::size_t>(i)] + 1) +
+             static_cast<std::size_t>(idx[static_cast<std::size_t>(i)]);
+    }
+    return ps_[flat];
+  }
+
+  double box_sum(const Box& query) const {
+    const int dim = box_.dim();
+    std::vector<std::int64_t> lo(static_cast<std::size_t>(dim)),
+        hi(static_cast<std::size_t>(dim));
+    for (int i = 0; i < dim; ++i) {
+      lo[static_cast<std::size_t>(i)] =
+          std::max(query.lo()[i], box_.lo()[i]) - box_.lo()[i];
+      hi[static_cast<std::size_t>(i)] =
+          std::min(query.hi()[i], box_.hi()[i]) - box_.lo()[i];
+      if (lo[static_cast<std::size_t>(i)] > hi[static_cast<std::size_t>(i)])
+        return 0.0;
+    }
+    double sum = 0.0;
+    std::vector<std::int64_t> corner(static_cast<std::size_t>(dim));
+    for (unsigned mask = 0; mask < (1u << dim); ++mask) {
+      int sign = 1;
+      for (int i = 0; i < dim; ++i) {
+        if (mask & (1u << i)) {
+          corner[static_cast<std::size_t>(i)] = lo[static_cast<std::size_t>(i)];
+          sign = -sign;
+        } else {
+          corner[static_cast<std::size_t>(i)] =
+              hi[static_cast<std::size_t>(i)] + 1;
+        }
+      }
+      sum += sign * prefix_at(corner);
+    }
+    return sum;
+  }
+
+  double max_cube_sum(std::int64_t side) const {
+    const int dim = box_.dim();
+    std::vector<std::int64_t> lo(static_cast<std::size_t>(dim)),
+        hi(static_cast<std::size_t>(dim));
+    for (int i = 0; i < dim; ++i) {
+      lo[static_cast<std::size_t>(i)] = box_.lo()[i];
+      hi[static_cast<std::size_t>(i)] = box_.hi()[i] - side + 1;
+      if (hi[static_cast<std::size_t>(i)] < lo[static_cast<std::size_t>(i)])
+        hi[static_cast<std::size_t>(i)] = lo[static_cast<std::size_t>(i)];
+    }
+    double best = 0.0;
+    std::vector<std::int64_t> cur = lo;
+    for (;;) {
+      Point corner = Point::origin(dim);
+      for (int i = 0; i < dim; ++i) corner[i] = cur[static_cast<std::size_t>(i)];
+      best = std::max(best, box_sum(Box::cube(corner, side)));
+      int axis = dim - 1;
+      while (axis >= 0) {
+        auto& c = cur[static_cast<std::size_t>(axis)];
+        if (c < hi[static_cast<std::size_t>(axis)]) {
+          ++c;
+          break;
+        }
+        c = lo[static_cast<std::size_t>(axis)];
+        --axis;
+      }
+      if (axis < 0) break;
+    }
+    return best;
+  }
+
+ private:
+  Box box_;
+  std::vector<std::int64_t> sides_;
+  std::vector<double> ps_;
+};
+
+// A random box of dimension `dim`, sides 1 to `max_side` per axis, at a
+// random offset.
+Box random_box(Rng& rng, int dim, std::int64_t max_side) {
+  Point lo = Point::origin(dim), hi = Point::origin(dim);
+  for (int i = 0; i < dim; ++i) {
+    lo[i] = rng.next_int(-5, 5);
+    hi[i] = lo[i] + rng.next_int(0, max_side - 1);
+  }
+  return Box(lo, hi);
+}
+
+TEST(PrefixSums, WindowScanMatchesThePerWindowOracleBitForBit) {
+  // Real values spread over six decades, so every window sum rounds and
+  // a different addition order would show. Sides from 1 to past the
+  // grid along every axis.
+  Rng rng(2026);
+  int cases = 0;
+  for (int dim = 1; dim <= 4; ++dim) {
+    const std::int64_t max_side =
+        dim == 1 ? 40 : dim == 2 ? 16 : dim == 3 ? 7 : 5;
+    for (int grid = 0; grid < 60; ++grid) {
+      const Box box = random_box(rng, dim, max_side);
+      DenseGrid g(box);
+      box.for_each_point([&](const Point& p) {
+        g.set(p, rng.next_double(0.0, 1.0) *
+                     std::pow(10.0, static_cast<double>(rng.next_int(-3, 3))));
+      });
+      const PrefixSums ps(g);
+      const WindowScanOracle oracle(g);
+      std::int64_t widest = 1;
+      for (int i = 0; i < dim; ++i) widest = std::max(widest, box.side(i));
+      for (std::int64_t side = 1; side <= widest + 2; ++side, ++cases)
+        ASSERT_EQ(ps.max_cube_sum(side), oracle.max_cube_sum(side))
+            << "dim=" << dim << " box=" << box.to_string() << " side=" << side;
+      for (int q = 0; q < 20; ++q, ++cases) {
+        const Box query = random_box(rng, dim, max_side + 2);
+        ASSERT_EQ(ps.box_sum(query), oracle.box_sum(query))
+            << "dim=" << dim << " box=" << box.to_string()
+            << " query=" << query.to_string();
+      }
+    }
+  }
+  EXPECT_GT(cases, 5000);
+}
+
+TEST(PrefixSums, WindowScanMatchesBruteForceOnIntegerGrids) {
+  // Integer demand sums exactly in any order, so the maximum over
+  // windows can be checked against summing each window's cells.
+  Rng rng(99);
+  for (int dim = 1; dim <= 4; ++dim) {
+    const std::int64_t max_side =
+        dim == 1 ? 30 : dim == 2 ? 10 : dim == 3 ? 5 : 4;
+    for (int grid = 0; grid < 6; ++grid) {
+      const Box box = random_box(rng, dim, max_side);
+      DenseGrid g(box);
+      box.for_each_point([&](const Point& p) {
+        g.set(p, static_cast<double>(rng.next_int(0, 5)));
+      });
+      const PrefixSums ps(g);
+      std::int64_t widest = 1;
+      for (int i = 0; i < dim; ++i) widest = std::max(widest, box.side(i));
+      for (std::int64_t side = 1; side <= widest + 1; ++side) {
+        // The windows max_cube_sum scans: starts inside the box, clipped
+        // to it where the cube is wider than an axis.
+        Point hi = box.lo();
+        for (int i = 0; i < dim; ++i)
+          hi[i] = std::max(box.lo()[i], box.hi()[i] - side + 1);
+        double best = 0.0;
+        Box(box.lo(), hi).for_each_point([&](const Point& start) {
+          double sum = 0.0;
+          Box::cube(start, side).for_each_point([&](const Point& p) {
+            if (box.contains(p)) sum += g.at(p);
+          });
+          best = std::max(best, sum);
+        });
+        ASSERT_EQ(ps.max_cube_sum(side), best)
+            << "dim=" << dim << " box=" << box.to_string() << " side=" << side;
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -149,6 +150,80 @@ TEST(LatencyHistogram, MergeGrowsBucketsWithoutChangingContent) {
   narrow.merge(wide);
   EXPECT_EQ(narrow, whole);
   EXPECT_EQ(narrow.digest(), whole.digest());
+}
+
+TEST(LatencyHistogram, LazyBucketsKeepEveryAnswer) {
+  // A histogram holds no buckets until its first positive in-range
+  // value; its zeros are count − overflow until then. Digest, percentile,
+  // equality and merge give what the eagerly allocated buckets gave:
+  // these values were recorded before the change, for an empty, an
+  // all-zero, a mixed and an overflow-only histogram and each merge of
+  // two of them.
+  const std::vector<std::vector<std::int64_t>> inputs = {
+      {}, {0, 0, 0, 0, 0}, {0, 3, 0, 7, 2, 2, 0, 12}, {9, 20, 100}};
+  const auto make = [&inputs](std::size_t k) {
+    LatencyHistogram h(8);
+    for (const auto v : inputs[k]) h.add(v);
+    return h;
+  };
+  struct Pin {
+    std::uint64_t digest;
+    std::uint64_t count;
+    std::int64_t p0, p50, p90, p100;
+  };
+  const Pin alone[] = {
+      {0x9a98244ba12c71e1u, 0, 0, 0, 0, 0},
+      {0xca3b475a420ad856u, 5, 0, 0, 0, 0},
+      {0x7c6e8a70282fe6c4u, 8, 0, 2, 9, 9},
+      {0x7ec4aa8aa3d4792bu, 3, 9, 9, 9, 9},
+  };
+  const Pin merged[4][4] = {
+      {alone[0], alone[1], alone[2], alone[3]},
+      {alone[1],
+       {0x8419cc2b0fd91085u, 10, 0, 0, 0, 0},
+       {0x474aa7c9dc0da59du, 13, 0, 0, 7, 9},
+       {0xd47180cdb072281bu, 8, 0, 0, 9, 9}},
+      {alone[2],
+       {0x474aa7c9dc0da59du, 13, 0, 0, 7, 9},
+       {0x6b8903f97beab492u, 16, 0, 2, 9, 9},
+       {0x84009c9ddaab62cau, 11, 0, 3, 9, 9}},
+      {alone[3],
+       {0xd47180cdb072281bu, 8, 0, 0, 9, 9},
+       {0x84009c9ddaab62cau, 11, 0, 3, 9, 9},
+       {0x051863a4d7442645u, 6, 9, 9, 9, 9}},
+  };
+  const auto expect_pin = [](const LatencyHistogram& h, const Pin& pin,
+                             const std::string& what) {
+    EXPECT_EQ(h.digest(), pin.digest) << what;
+    EXPECT_EQ(h.count(), pin.count) << what;
+    EXPECT_EQ(h.percentile(0.0), pin.p0) << what;
+    EXPECT_EQ(h.percentile(50.0), pin.p50) << what;
+    EXPECT_EQ(h.percentile(90.0), pin.p90) << what;
+    EXPECT_EQ(h.percentile(100.0), pin.p100) << what;
+  };
+  for (std::size_t a = 0; a < 4; ++a) {
+    expect_pin(make(a), alone[a], "histogram " + std::to_string(a));
+    for (std::size_t b = 0; b < 4; ++b) {
+      const std::string what =
+          "merge " + std::to_string(a) + "+" + std::to_string(b);
+      LatencyHistogram h = make(a);
+      h.merge(make(b));
+      expect_pin(h, merged[a][b], what);
+      // Equal to the merge the other way round and to one histogram of
+      // both inputs, whichever of them has its buckets allocated.
+      LatencyHistogram other_way = make(b);
+      other_way.merge(make(a));
+      LatencyHistogram bulk(8);
+      for (const auto v : inputs[a]) bulk.add(v);
+      for (const auto v : inputs[b]) bulk.add(v);
+      EXPECT_EQ(h, other_way) << what;
+      EXPECT_EQ(h, bulk) << what;
+      EXPECT_EQ(bulk.digest(), merged[a][b].digest) << what;
+    }
+    // Equality between the four was: each equals only itself.
+    for (std::size_t b = 0; b < 4; ++b)
+      EXPECT_EQ(make(a) == make(b), a == b) << a << " vs " << b;
+  }
 }
 
 TEST(LatencyHistogram, RejectsInvalidInput) {

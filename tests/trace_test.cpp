@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stream/engine.h"
@@ -185,6 +186,17 @@ TEST(TraceRoundTrip, TraceDemandMatchesStreamDemand) {
   for (const auto& p : expected.support())
     EXPECT_DOUBLE_EQ(induced.at(p), expected.at(p)) << p.to_string();
   EXPECT_EQ(reader.remaining(), reader.job_count());  // cursor rewound
+  // The same (point, demand) sequence as one add() per job, in the
+  // order the points first arrive.
+  DemandMap by_adds(2);
+  for (const Job& job : jobs) by_adds.add(job.position, 1.0);
+  const auto items = [](const DemandMap& d) {
+    std::vector<std::pair<Point, double>> out;
+    for (const auto& [p, v] : d) out.emplace_back(p, v);
+    return out;
+  };
+  EXPECT_EQ(items(induced), items(by_adds));
+  EXPECT_EQ(items(expected), items(by_adds));
 }
 
 // --- writer error handling --------------------------------------------------

@@ -183,6 +183,24 @@ TEST(Rng, SameSeedReplaysBitForBitAcrossAllDraws) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(ca.next_u64(), cb.next_u64());
 }
 
+TEST(Rng, CoreContinuesTheSequenceWithoutTheGaussianSpare) {
+  // xoshiro256** under splitmix64 seeding: the first draws of seed 42,
+  // as recorded before the state moved into Xoshiro256.
+  Rng rng(42);
+  EXPECT_EQ(rng.next_u64(), 0x15780b2e0c2ec716u);
+  EXPECT_EQ(rng.next_u64(), 0x6104d9866d113a7eu);
+  EXPECT_EQ(rng.next_u64(), 0xae17533239e499a1u);
+  EXPECT_EQ(rng.next_below(1000), 193u);
+  // A copy of the state (what a network keeps) draws on exactly where
+  // the Rng stands, whatever Gaussian spare the Rng holds.
+  Rng a(9), b(9);
+  a.next_gaussian();  // two uniform draws, one value kept as the spare
+  b.next_double();
+  b.next_double();
+  Xoshiro256 core = a.core();
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(core.next_below(5), b.next_below(5));
+}
+
 TEST(Rng, SplitProducesIndependentStream) {
   Rng a(21);
   Rng child = a.split();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "workload/generators.h"
@@ -66,6 +68,51 @@ TEST(Workload, StreamFromDemandPreservesCounts) {
     for (std::size_t i = 0; i < jobs.size(); ++i)
       EXPECT_EQ(jobs[i].index, static_cast<std::int64_t>(i));
   }
+}
+
+// (point, demand) items of `d` in its iteration order.
+std::vector<std::pair<Point, double>> items_of(const DemandMap& d) {
+  std::vector<std::pair<Point, double>> out;
+  for (const auto& [p, v] : d) out.emplace_back(p, v);
+  return out;
+}
+
+// The demand of `jobs` by one add() per job into an unreserved map.
+DemandMap demand_by_adds(const std::vector<Job>& jobs, int dim) {
+  DemandMap d(dim);
+  for (const Job& job : jobs) d.add(job.position, 1.0);
+  return d;
+}
+
+TEST(Workload, DemandOfStreamMatchesOneAddPerJob) {
+  Rng rng(23);
+  // Dense: many jobs per point of a small box.
+  std::vector<Job> dense;
+  for (std::int64_t k = 0; k < 2000; ++k)
+    dense.push_back(Job{Point{rng.next_int(0, 9), rng.next_int(-3, 3)}, k});
+  // Sparse: a box far larger than the job count, with points at both
+  // ends of the coordinate range (whose side does not fit 64 bits).
+  std::vector<Job> sparse;
+  for (std::int64_t k = 0; k < 300; ++k)
+    sparse.push_back(Job{Point{rng.next_int(-1000000000, 1000000000),
+                               rng.next_int(-1000000000, 1000000000),
+                               rng.next_int(0, 2)},
+                         k});
+  sparse.push_back(Job{Point{INT64_MIN, 0, 0}, 300});
+  sparse.push_back(Job{Point{INT64_MAX, 0, 1}, 301});
+  const Job repeat = sparse[7];
+  sparse.push_back(repeat);
+  // 4-D, every job on one point.
+  const std::vector<Job> single(50, Job{Point{1, 2, 3, 4}, 0});
+  for (const auto& [jobs, dim] :
+       {std::pair{dense, 2}, std::pair{sparse, 3}, std::pair{single, 4},
+        std::pair{std::vector<Job>{}, 2}}) {
+    const DemandMap d = demand_of_stream(jobs, dim);
+    EXPECT_EQ(items_of(d), items_of(demand_by_adds(jobs, dim)))
+        << "dim " << dim << ", " << jobs.size() << " jobs";
+  }
+  EXPECT_EQ(demand_of_stream(sparse, 3).at(sparse[7].position), 2.0);
+  EXPECT_THROW(demand_of_stream(dense, 3), check_error);
 }
 
 TEST(Workload, RoundRobinInterleaves) {
