@@ -79,8 +79,6 @@ class BenchSection {
   // (not executed, absent from table and JSON).
   void run_case(const std::string& case_name, const CaseFn& fn);
 
-  std::size_t case_count() const { return cases_.size(); }
-
  private:
   friend class BenchRun;
   BenchSection(BenchRun* parent, std::string name)

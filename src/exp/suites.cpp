@@ -1079,8 +1079,6 @@ void suite_stream_scaling(BenchRun& b) {
                                    p.result.metrics.replacements)
                            .metric("cubes", p.result.cubes)
                            .metric("cube slots", p.result.cube_slots)
-                           .metric("route par", p.result.routed_parallel_batches)
-                           .metric("route ser", p.result.routed_serial_batches)
                            .metric("routing ms", p.result.stages.route_ms, 2)
                            .metric("jobs/sec", p.jobs_per_sec, 0)
                            .metric("speedup vs 1t",

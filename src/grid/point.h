@@ -40,15 +40,6 @@ class Point {
     return p;
   }
 
-  static Point from_vector(const std::vector<std::int64_t>& coords) {
-    CMVRP_CHECK(!coords.empty() &&
-                coords.size() <= static_cast<std::size_t>(kMaxDim));
-    Point p;
-    p.dim_ = static_cast<int>(coords.size());
-    for (std::size_t i = 0; i < coords.size(); ++i) p.coords_[i] = coords[i];
-    return p;
-  }
-
   int dim() const { return dim_; }
 
   std::int64_t operator[](int i) const {

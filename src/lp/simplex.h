@@ -41,9 +41,6 @@ class LpProblem {
   // its index.
   std::size_t add_variable(double objective_coeff);
 
-  std::size_t num_variables() const { return obj_.size(); }
-  std::size_t num_constraints() const { return rows_.size(); }
-
   // Adds the constraint  Σ coeffs[i].second · x_{coeffs[i].first}  rel  rhs.
   // Repeated variable indices within one constraint are summed.
   void add_constraint(

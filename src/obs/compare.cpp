@@ -92,14 +92,12 @@ const KindRules& rules_for(CompareKind kind) {
       {"schema", "seed", "capacity", "cube_side", "monitor_stride",
        "admission", "queue_limit", "service_ticks", "sample_stride",
        "obs_counters", "obs_spans", "span_sample", "flight"},
-      {"threads", "batch_size", "batches", "routed_parallel_batches",
-       "routed_serial_batches"}};
+      {"threads", "batch_size", "batches"}};
   static const KindRules stats{
       {"kind", "schema", "dim", "seed", "counters"},
       {"threads", "batch_size", "stride", "batch"}};
   static const KindRules bench{{"schema", "suite"},
-                               {"options", "notes", "hw threads", "route par",
-                                "route ser"}};
+                               {"options", "notes", "hw threads"}};
   static const KindRules spans{{}, {}};
   switch (kind) {
     case CompareKind::kStream: return stream;

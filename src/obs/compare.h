@@ -1,7 +1,7 @@
 // Differential observability: a structural comparator for every artifact
 // schema the repo emits —
 //
-//   * `cmvrp-stream-v4` run reports   (tools/cmvrp_cli stream/trace)
+//   * `cmvrp-stream-v5` run reports   (tools/cmvrp_cli stream/trace)
 //   * `cmvrp-stats-v1`  JSONL streams (obs/snapshot.h)
 //   * `cmvrp-bench-v1`  suite runs    (exp/harness.h)
 //   * Chrome trace-event span exports (obs/span_export.h)
@@ -27,8 +27,8 @@
 //                  (bench `time_ms` blocks).
 //   context        run-shape fields that two comparable runs may
 //                  legitimately disagree on (thread count, batch size,
-//                  routing-pass split, `hw threads`, bench options and
-//                  notes). Reported informationally, never failing —
+//                  batch count, `hw threads`, bench options and notes).
+//                  Reported informationally, never failing —
 //                  this is what lets a threads-1 report compare clean
 //                  against a threads-8 report of the same seed.
 //

@@ -8,42 +8,11 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/endian.h"
 #include "util/json.h"
 
 namespace cmvrp {
 namespace {
-
-// Local little-endian codecs: obs sits below trace/, so the spool keeps
-// its own copies instead of including trace/format.h.
-void store_le32(unsigned char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-void store_le64(unsigned char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-std::uint32_t load_le32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t load_le64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-void store_le16(unsigned char* p, std::uint16_t v) {
-  p[0] = static_cast<unsigned char>(v);
-  p[1] = static_cast<unsigned char>(v >> 8);
-}
-
-std::uint16_t load_le16(const unsigned char* p) {
-  return static_cast<std::uint16_t>(p[0] |
-                                    (static_cast<std::uint16_t>(p[1]) << 8));
-}
 
 void encode_span_event(const SpanEvent& e, unsigned char* out) {
   store_le64(out, static_cast<std::uint64_t>(e.clock));

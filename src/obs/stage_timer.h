@@ -16,7 +16,8 @@ namespace cmvrp {
 // Wall time the streaming engine spent in each serving stage, in
 // milliseconds. The stages partition a batch's lifecycle:
 //   ingest  — total run_batch time (route + serve + fold + bookkeeping),
-//   route   — the corner/slot routing pass (serial or parallel scatter),
+//   route   — the corner/slot routing pass (one per batch, on the
+//             ingest thread),
 //   serve   — the worker-pool serve barrier (protocol work on shards),
 //   fold    — sorting per-shard outcomes into the observer's batch,
 //   monitor — finish()-time backlog drain, catch-up settles, and the

@@ -68,8 +68,6 @@ class CubePairing {
     return snake_vertex(corner, mate);
   }
 
-  bool is_singleton(const Point& p) const { return partner(p) == p; }
-
   // All primary vertices of the cube containing p (one per pair).
   std::vector<Point> primaries_in_cube(const Point& corner) const;
 

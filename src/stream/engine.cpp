@@ -10,10 +10,6 @@
 namespace cmvrp {
 namespace {
 
-// Below this many jobs per worker, the scatter/fold bookkeeping of the
-// parallel routing pass costs more than the floor-divides it spreads out.
-constexpr std::size_t kMinJobsPerRouteWorker = 64;
-
 // Sorted index lists read as one ascending sequence, by a k-way merge
 // over cursors into the lists themselves: nothing is copied. k is a few
 // lists per shard, so the smallest head is found by a scan.
@@ -126,8 +122,6 @@ StreamEngine::StreamEngine(int dim, const StreamConfig& config)
   for (int s = 0; s < pool_.size(); ++s)
     shards_.emplace_back(*params_, &table_, s, pool_.size());
   routed_.resize(shard_count);
-  scatter_.resize(shard_count);
-  for (auto& per_thread : scatter_) per_thread.resize(shard_count);
   outcomes_.resize(shard_count);
 }
 
@@ -153,6 +147,15 @@ CubeCounters StreamEngine::fold_counters() const {
   for (const auto& [corner, server] : cubes)
     totals.merge(server->counters());
   return totals;
+}
+
+std::vector<std::pair<Point, const CubeServer*>> StreamEngine::sorted_cubes()
+    const {
+  std::vector<std::pair<Point, const CubeServer*>> cubes;
+  for (const auto& shard : shards_) shard.collect(cubes);
+  std::sort(cubes.begin(), cubes.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return cubes;
 }
 
 void StreamEngine::ingest(const std::vector<Job>& jobs) {
@@ -223,50 +226,14 @@ void StreamEngine::run_batch(const Job* jobs, std::size_t count) {
   if (count == 0) return;
   WallTimer ingest_timer;
   note_runs(jobs, count);
-  const auto shard_count = static_cast<std::size_t>(pool_.size());
   WallTimer route_timer;
   for (auto& r : routed_) r.clear();
-  if (shard_count > 1 && count >= kMinJobsPerRouteWorker * shard_count) {
-    // Parallel scatter: worker t resolves the contiguous chunk
-    // [t·chunk, …) into its own per-shard buffers; a second pass folds
-    // the chunks per shard in ascending t — the concatenation is exactly
-    // the order the serial loop would have produced, so the serve pass
-    // (and with it every outcome) cannot tell the difference.
-    const std::size_t chunk = (count + shard_count - 1) / shard_count;
-    pool_.run([this, jobs, count, chunk](int w) {
-      const auto t = static_cast<std::size_t>(w);
-      auto& mine = scatter_[t];
-      for (auto& bucket : mine) bucket.clear();
-      const std::size_t begin = std::min(t * chunk, count);
-      const std::size_t end = std::min(begin + chunk, count);
-      for (std::size_t i = begin; i < end; ++i) {
-        CMVRP_CHECK(jobs[i].position.dim() == dim_);
-        RoutedJob r;
-        r.job = jobs[i];
-        const std::size_t shard =
-            route_of(jobs[i].position, &r.corner, &r.slot);
-        mine[shard].push_back(std::move(r));
-      }
-    });
-    pool_.run([this](int w) {
-      const auto s = static_cast<std::size_t>(w);
-      auto& out = routed_[s];
-      for (auto& per_thread : scatter_) {
-        out.insert(out.end(),
-                   std::make_move_iterator(per_thread[s].begin()),
-                   std::make_move_iterator(per_thread[s].end()));
-      }
-    });
-    ++routed_parallel_batches_;
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      CMVRP_CHECK(jobs[i].position.dim() == dim_);
-      RoutedJob r;
-      r.job = jobs[i];
-      const std::size_t shard = route_of(jobs[i].position, &r.corner, &r.slot);
-      routed_[shard].push_back(std::move(r));
-    }
-    ++routed_serial_batches_;
+  for (std::size_t i = 0; i < count; ++i) {
+    CMVRP_CHECK(jobs[i].position.dim() == dim_);
+    RoutedJob r;
+    r.job = jobs[i];
+    const std::size_t shard = route_of(jobs[i].position, &r.corner, &r.slot);
+    routed_[shard].push_back(std::move(r));
   }
   stages_.route_ms += route_timer.elapsed_ms();
 
@@ -326,26 +293,20 @@ void StreamEngine::flush_outcomes() {
 
 StreamResult StreamEngine::finish() {
   // Backlog drain runs on the ingest thread: end-of-stream work is tiny
-  // (at most queue_limit jobs per cube) and a serial walk keeps the
-  // trailing observer batch in deterministic shard-then-cube order.
+  // (at most queue_limit jobs per cube).
   const bool observing = observer_ != nullptr;
   WallTimer monitor_timer;
   for (std::size_t s = 0; s < shards_.size(); ++s)
     shards_[s].finish(observing ? &outcomes_[s] : nullptr);
   if (observing) flush_outcomes();
 
-  std::vector<std::pair<Point, const CubeServer*>> cubes;
-  for (const auto& shard : shards_) shard.collect(cubes);
-  std::sort(cubes.begin(), cubes.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto cubes = sorted_cubes();
 
   StreamResult result;
   result.jobs_ingested = jobs_ingested_;
   result.batches = batches_;
   result.cubes = cubes.size();
   result.cube_slots = table_.size();
-  result.routed_parallel_batches = routed_parallel_batches_;
-  result.routed_serial_batches = routed_serial_batches_;
   for (const auto& [corner, server] : cubes) {
     result.metrics.merge(server->metrics());
     result.jobs_shed += server->jobs_shed();
@@ -388,10 +349,7 @@ StreamResult StreamEngine::finish() {
 
 std::vector<std::pair<Point, OnlineMetrics>> StreamEngine::per_cube_metrics()
     const {
-  std::vector<std::pair<Point, const CubeServer*>> cubes;
-  for (const auto& shard : shards_) shard.collect(cubes);
-  std::sort(cubes.begin(), cubes.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto cubes = sorted_cubes();
   std::vector<std::pair<Point, OnlineMetrics>> out;
   out.reserve(cubes.size());
   for (const auto& [corner, server] : cubes)
@@ -400,10 +358,7 @@ std::vector<std::pair<Point, OnlineMetrics>> StreamEngine::per_cube_metrics()
 }
 
 std::vector<CubeSpanSource> StreamEngine::span_sources() const {
-  std::vector<std::pair<Point, const CubeServer*>> cubes;
-  for (const auto& shard : shards_) shard.collect(cubes);
-  std::sort(cubes.begin(), cubes.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto cubes = sorted_cubes();
   std::vector<CubeSpanSource> out;
   out.reserve(cubes.size());
   std::uint64_t ordinal = 0;

@@ -7,13 +7,12 @@
 // coordinate only through radius-r neighbor messages inside their cube)
 // to serve a job stream in parallel:
 //
-//   route   — arrivals are consumed in bounded batches (batch_size); a
-//             routing pass resolves each job's cube corner and slot (one
-//             CubeSlotTable lookup when region geometry is configured)
-//             and scatters it to its shard. Large batches route in
-//             parallel: each worker scatters a contiguous chunk into
-//             per-thread buffers that fold in thread order at the
-//             barrier, reproducing the serial scatter order exactly.
+//   route   — arrivals are consumed in bounded batches (batch_size); one
+//             routing pass on the ingest thread resolves each job's cube
+//             corner and slot (one CubeSlotTable lookup when region
+//             geometry is configured) and appends it to its shard's
+//             slice, in arrival order. Routing costs a floor-divide per
+//             axis, so a batch's one pool barrier is its serve.
 //   serve   — N worker shards process their routed jobs concurrently,
 //             each cube on its own per-cube seeded Network, over the
 //             event queue its shard lends it for the serve (see
@@ -94,8 +93,9 @@ struct StreamResult {
   std::uint64_t batches = 0;
   std::uint64_t cubes = 0;
   std::uint64_t cube_slots = 0;        // slot-table size (0 = overflow only)
+  // Always 0: every batch routes in one serial pass on the ingest
+  // thread. Kept because perfbench/ still reads it.
   std::uint64_t routed_parallel_batches = 0;
-  std::uint64_t routed_serial_batches = 0;
   std::vector<std::int64_t> served_jobs;  // sorted arrival indices
   std::vector<std::int64_t> failed_jobs;  // sorted arrival indices
   // Admission drops (shed + rejected): jobs a bounded queue never let
@@ -215,6 +215,9 @@ class StreamEngine {
   // Folds every materialized cube's Tier-A counters (commutative, so no
   // sort needed) — the snapshotter's mid-run totals and finish()'s.
   CubeCounters fold_counters() const;
+  // Every materialized cube, in ascending-corner order: the order of
+  // finish()'s fold of double sums, which only this order reproduces.
+  std::vector<std::pair<Point, const CubeServer*>> sorted_cubes() const;
   // Resolves one position to (corner, slot) and its owning shard.
   std::size_t route_of(const Point& position, Point* corner,
                        std::uint32_t* slot) const;
@@ -231,8 +234,6 @@ class StreamEngine {
   std::vector<CubeShard> shards_;
   // Per-shard routing buffers, reused across batches.
   std::vector<std::vector<RoutedJob>> routed_;
-  // Per-(thread, shard) scatter buffers for the parallel routing pass.
-  std::vector<std::vector<std::vector<RoutedJob>>> scatter_;
   // Per-shard outcome buffers + the merged fold, reused across batches;
   // only populated while an observer is attached (O(batch × threads)).
   std::vector<std::vector<JobOutcome>> outcomes_;
@@ -244,8 +245,6 @@ class StreamEngine {
   std::uint64_t jobs_ingested_ = 0;
   std::uint64_t batches_ = 0;
   StageTimes stages_;  // Tier-B spans
-  std::uint64_t routed_parallel_batches_ = 0;
-  std::uint64_t routed_serial_batches_ = 0;
 };
 
 // Convenience: one engine, one stream, one result.

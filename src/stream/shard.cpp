@@ -279,17 +279,13 @@ CubeServer& CubeShard::server_for(const Point& corner, std::uint32_t slot) {
     const auto local = static_cast<std::size_t>(
         slot / static_cast<std::uint32_t>(shard_count_));
     auto& server = slots_[local];
-    if (server == nullptr) {
+    if (server == nullptr)
       server = CubeServer::create(params_, corner, *transport_);
-      ++materialized_;
-    }
     return *server;
   }
   auto& server = overflow_[corner];
-  if (server == nullptr) {
+  if (server == nullptr)
     server = CubeServer::create(params_, corner, *transport_);
-    ++materialized_;
-  }
   return *server;
 }
 
@@ -309,7 +305,6 @@ void CubeShard::process(const RoutedJob* jobs, std::size_t count,
     if (i + kPrefetchAhead < count) prefetch(jobs[i + kPrefetchAhead]);
     const RoutedJob& r = jobs[i];
     server_for(r.corner, r.slot).serve(r.job, log_, outcomes);
-    ++jobs_processed_;
   }
 }
 

@@ -319,8 +319,6 @@ class CubeShard {
   // engine routes failure injections through it between batches.
   CubeServer& server_for(const Point& corner, std::uint32_t slot);
 
-  std::size_t cube_count() const { return materialized_; }
-  std::uint64_t jobs_processed() const { return jobs_processed_; }
   // Every failed and dropped index of this shard's cubes since
   // construction, each list sorted. A list is appended in processing
   // order, which ascends unless admission was bounded or the stream's
@@ -360,8 +358,6 @@ class CubeShard {
   std::vector<CubeServer::Ptr> slots_;
   // Overflow tier: cubes outside the table, keyed by corner.
   FlatMap<Point, CubeServer::Ptr, CornerHash> overflow_;
-  std::size_t materialized_ = 0;  // servers across both tiers
-  std::uint64_t jobs_processed_ = 0;
 };
 
 }  // namespace cmvrp

@@ -38,6 +38,7 @@
 #include <cstdint>
 
 #include "grid/point.h"
+#include "util/endian.h"
 #include "workload/generators.h"
 
 namespace cmvrp {
@@ -69,35 +70,6 @@ inline constexpr std::size_t trace_record_size(int dim,
   return version >= kTraceVersionV2
              ? 16 + 2 * static_cast<std::size_t>(dim) * 8
              : static_cast<std::size_t>(dim + 1) * sizeof(std::int64_t);
-}
-
-// Byte-wise little-endian scalar codecs (host-endianness-proof).
-inline void store_le32(unsigned char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-inline void store_le64(unsigned char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-inline std::uint32_t load_le32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-inline std::uint64_t load_le64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-inline void store_le_i64(unsigned char* p, std::int64_t v) {
-  store_le64(p, static_cast<std::uint64_t>(v));
-}
-
-inline std::int64_t load_le_i64(const unsigned char* p) {
-  return static_cast<std::int64_t>(load_le64(p));
 }
 
 struct TraceHeader {

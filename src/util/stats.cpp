@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "util/check.h"
 
 namespace cmvrp {
 
@@ -51,69 +48,5 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 double RunningStats::min() const { return n_ == 0 ? 0.0 : min_; }
 
 double RunningStats::max() const { return n_ == 0 ? 0.0 : max_; }
-
-double SampleSet::mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::quantile(double q) const {
-  CMVRP_CHECK(q >= 0.0 && q <= 1.0);
-  CMVRP_CHECK_MSG(!samples_.empty(), "quantile of empty sample set");
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  CMVRP_CHECK(hi > lo);
-  CMVRP_CHECK(buckets > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto i = static_cast<std::size_t>(frac * static_cast<double>(counts_.size()));
-  if (i >= counts_.size()) i = counts_.size() - 1;
-  ++counts_[i];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_hi(std::size_t i) const { return bucket_lo(i + 1); }
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    os << '[' << bucket_lo(i) << ", " << bucket_hi(i) << ") "
-       << std::string(bar, '#') << ' ' << counts_[i] << '\n';
-  }
-  return os.str();
-}
 
 }  // namespace cmvrp

@@ -1,10 +1,8 @@
-// Small statistics helpers used by benchmarks and the simulator's metrics.
+// Streaming summary statistics: the bench harness's per-case timing and
+// the comparator's noise margins.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 namespace cmvrp {
 
@@ -29,49 +27,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-// Collects raw samples; supports exact quantiles. Intended for bench-scale
-// sample counts (<= millions), not unbounded telemetry.
-class SampleSet {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;  // quantile() re-sorts after interleaved adds
-  }
-  std::size_t count() const { return samples_.size(); }
-  double mean() const;
-  double quantile(double q) const;  // q in [0,1]; linear interpolation
-  double min() const { return quantile(0.0); }
-  double median() const { return quantile(0.5); }
-  double max() const { return quantile(1.0); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-};
-
-// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-
-  // Compact one-line ASCII rendering (for bench logs).
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 }  // namespace cmvrp

@@ -98,3 +98,9 @@ cli(2 fig41 --r1 2 extra)
 # positional; any other flag needs one.
 cli(2 stream --obs w.txt --jobs 50 --n 8)
 cli(2 compare mux_ab.json mux_ba.json --json)
+# A flag value the engine would refuse is a usage error at parse time,
+# not an engine check failure once serving has begun.
+cli(2 stream --n 8 --jobs 50 --batch 0)
+cli(2 stream --n 8 --jobs 50 --monitor-stride 0)
+# 2^32 + 1 threads would narrow to one worker.
+cli(2 stream --n 8 --jobs 50 --threads 4294967297)

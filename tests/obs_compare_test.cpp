@@ -16,12 +16,12 @@
 namespace cmvrp {
 namespace {
 
-// Minimal cmvrp-stream-v4-shaped report: the comparator walks whatever
+// Minimal cmvrp-stream-v5-shaped report: the comparator walks whatever
 // keys exist, so a handful of fields per class is a full exercise.
 Json stream_report(std::int64_t threads, std::uint64_t msg_queries,
                    double wall_ms, double jobs_per_sec) {
   Json doc = Json::object();
-  doc.set("schema", "cmvrp-stream-v4");
+  doc.set("schema", "cmvrp-stream-v5");
   doc.set("seed", std::uint64_t{7});
   doc.set("threads", threads);
   doc.set("served", std::uint64_t{20000});
@@ -220,7 +220,7 @@ TEST(KindDetection, EmptyInputThrowsNamingTheLabel) {
 
 TEST(KindDetection, TruncatedJsonThrowsNamingTheOffset) {
   try {
-    detect_compare_kind("{\"schema\":\"cmvrp-stream-v4\",\"served\":", "t");
+    detect_compare_kind("{\"schema\":\"cmvrp-stream-v5\",\"served\":", "t");
     FAIL() << "expected check_error";
   } catch (const check_error& e) {
     EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);

@@ -248,40 +248,6 @@ TEST(RunningStats, MergeMatchesSequential) {
   EXPECT_DOUBLE_EQ(a.max(), all.max());
 }
 
-TEST(SampleSet, Quantiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.quantile(0.9), 90.1, 1e-9);
-}
-
-// Regression: add() after a quantile() must invalidate the cached sort —
-// the stale order used to surface later samples at the wrong quantiles.
-TEST(SampleSet, AddAfterQuantileResortsBeforeNextQuantile) {
-  SampleSet s;
-  for (double x : {5.0, 1.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.median(), 5.0);  // sorts [1, 5, 9]
-  s.add(0.5);                         // must mark the sort stale
-  s.add(20.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.5);
-  EXPECT_DOUBLE_EQ(s.max(), 20.0);
-  EXPECT_DOUBLE_EQ(s.median(), 5.0);  // [0.5, 1, 5, 9, 20]
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  for (double x : {-1.0, 0.0, 1.9, 2.0, 9.9, 10.0, 42.0}) h.add(x);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bucket(0), 2u);  // 0.0 and 1.9
-  EXPECT_EQ(h.bucket(1), 1u);  // 2.0
-  EXPECT_EQ(h.bucket(4), 1u);  // 9.9
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_FALSE(h.render().empty());
-}
-
 TEST(Table, RendersAlignedGrid) {
   Table t({"name", "value"});
   t.row().cell("alpha").cell(std::int64_t{42});

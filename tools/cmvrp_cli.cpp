@@ -43,6 +43,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -325,7 +326,7 @@ std::string index_set_hash(const std::vector<std::int64_t>& indices) {
   return digest_hex(index_set_digest(indices));
 }
 
-constexpr const char* kStreamSchema = "cmvrp-stream-v4";
+constexpr const char* kStreamSchema = "cmvrp-stream-v5";
 
 const char* admission_name(AdmissionPolicy policy) {
   switch (policy) {
@@ -340,14 +341,16 @@ const char* admission_name(AdmissionPolicy policy) {
 }
 
 // Shared report of every serving front end: ASCII table plus the
-// cmvrp-stream-v4 JSON artifact (v2 added admission config echo, shed /
+// cmvrp-stream-v5 JSON artifact (v2 added admission config echo, shed /
 // rejected counts and hash, latency percentiles + digest, and the
 // timeseries summary; v3 added the Tier-A counter totals — messages by
 // kind, Phase I computation counts, cascade stats, admission gauges,
 // one counters_hash — plus Tier-B stage spans, which carry the *_ms /
 // wall_* naming the CI exclusion list strips; v4 writes one key per
-// kCounterFields row, which adds `arrivals`). Exit code 0 iff no job
-// failed or was dropped.
+// kCounterFields row, which adds `arrivals`; v5 drops the routing
+// split, the parallel and serial batch counts, since every batch
+// routes in one serial pass). Exit code 0 iff no job failed or was
+// dropped.
 int report_stream(const Args& args, const StreamConfig& cfg,
                   const StreamResult& r, double ms) {
   const double jobs_per_sec =
@@ -364,10 +367,6 @@ int report_stream(const Args& args, const StreamConfig& cfg,
   t.row().cell("batches").cell(r.batches);
   t.row().cell("cubes").cell(r.cubes);
   t.row().cell("cube slots").cell(static_cast<std::int64_t>(r.cube_slots));
-  t.row()
-      .cell("routing passes")
-      .cell(std::to_string(r.routed_parallel_batches) + " parallel / " +
-            std::to_string(r.routed_serial_batches) + " serial");
   t.row().cell("routing ms").cell(r.stages.route_ms);
   t.row().cell("served").cell(r.metrics.jobs_served);
   t.row().cell("failed").cell(r.metrics.jobs_failed);
@@ -413,8 +412,6 @@ int report_stream(const Args& args, const StreamConfig& cfg,
     doc.set("batches", r.batches);
     doc.set("cubes", r.cubes);
     doc.set("cube_slots", static_cast<std::int64_t>(r.cube_slots));
-    doc.set("routed_parallel_batches", r.routed_parallel_batches);
-    doc.set("routed_serial_batches", r.routed_serial_batches);
     doc.set("routing_ms", r.stages.route_ms);
     // Tier-A counter totals, one key per CubeCounters row (deterministic,
     // guarded by the CI counter-diff): messages by kind, Phase I
@@ -481,8 +478,15 @@ StreamConfig stream_config_from_args(
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1));
   StreamConfig cfg;
-  cfg.threads = static_cast<int>(args.get_int("threads", 1));
+  const std::int64_t threads = args.get_int("threads", 1);
+  CLI_USAGE_CHECK(threads >= 1 && threads <= std::numeric_limits<int>::max(),
+                  "--threads must be in [1, "
+                      << std::numeric_limits<int>::max() << "], got "
+                      << threads);
+  cfg.threads = static_cast<int>(threads);
   cfg.batch_size = args.get_int("batch", 256);
+  CLI_USAGE_CHECK(cfg.batch_size >= 1,
+                  "--batch must be >= 1, got " << cfg.batch_size);
   cfg.online.seed = seed;
   if (args.has("capacity") || args.has("side")) {
     cfg.online.capacity = args.get_double("capacity", 32.0);
@@ -501,6 +505,9 @@ StreamConfig stream_config_from_args(
   // failure detection latency <= stride arrivals per cube). 1 = sweep
   // after every arrival, the historical cadence.
   cfg.online.monitor_stride = args.get_int("monitor-stride", 1);
+  CLI_USAGE_CHECK(cfg.online.monitor_stride >= 1,
+                  "--monitor-stride must be >= 1, got "
+                      << cfg.online.monitor_stride);
   // Admission control (stream/shard.h): --admission unbounded|reject|shed
   // with --queue-limit waiting slots and --service-ticks arrival-clock
   // ticks per service. Default unbounded = the historical serve path.
@@ -518,9 +525,20 @@ StreamConfig stream_config_from_args(
   }
   cfg.online.queue_limit = args.get_int("queue-limit", 8);
   cfg.online.service_ticks = args.get_int("service-ticks", 4);
+  if (cfg.online.admission != AdmissionPolicy::kUnbounded) {
+    CLI_USAGE_CHECK(cfg.online.queue_limit >= 1,
+                    "--queue-limit must be >= 1, got "
+                        << cfg.online.queue_limit);
+    CLI_USAGE_CHECK(cfg.online.service_ticks >= 1,
+                    "--service-ticks must be >= 1, got "
+                        << cfg.online.service_ticks);
+  }
   // Timeseries sampling cadence (0 = off): every stride-th arrival per
   // cube records backlog depth + fleet occupancy.
   cfg.online.sample_stride = args.get_int("sample-stride", 0);
+  CLI_USAGE_CHECK(cfg.online.sample_stride >= 0,
+                  "--sample-stride must be >= 0, got "
+                      << cfg.online.sample_stride);
   // Tier-A observability counters (src/obs/): per-computation query
   // attribution, cascade histogram, admission gauges. Off by default —
   // turning it on cannot change serving outcomes, only the report.
@@ -895,9 +913,6 @@ int cmd_trace_mux(const Args& args) {
     return merged;
   });
 
-  // The batch size sizes the mux's chunks, so check it before the engine
-  // (constructed later, in serve_and_report) does.
-  CMVRP_CHECK_MSG(cfg.batch_size >= 1, "batch size must be >= 1");
   TraceMux mux(dim, static_cast<std::size_t>(cfg.batch_size));
   for (const auto& path : paths) mux.add_source(path);
   return serve_and_report(args, dim, cfg, [&](StreamEngine& engine) {
@@ -1306,7 +1321,8 @@ int usage(std::ostream& os, int exit_code) {
          "         [--trace-spans f.json|f.bin] [--span-sample K]\n"
          "         [--flight N]\n"
          "                                 sharded streaming; report schema\n"
-         "                                 cmvrp-stream-v4. --obs turns on\n"
+         "                                 "
+     << kStreamSchema << ". --obs turns on\n"
          "                                 Tier-A counters (per-computation\n"
          "                                 query max, cascade histogram,\n"
          "                                 admission gauges); --stats streams\n"
