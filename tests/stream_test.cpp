@@ -259,11 +259,7 @@ TEST(StreamFlatState, LargeBatchesOverShardsMatchOneShard) {
   one.region = Box(Point{0, 0}, Point{31, 31});
   StreamConfig four = test_config(60.0, 4, 2048);
   four.region = one.region;
-  const StreamResult a = serve_stream(2, one, jobs);
-  const StreamResult b = serve_stream(2, four, jobs);
-  EXPECT_EQ(a.routed_parallel_batches, 0u);
-  EXPECT_EQ(b.routed_parallel_batches, 0u);
-  expect_identical(a, b);
+  expect_identical(serve_stream(2, one, jobs), serve_stream(2, four, jobs));
 }
 
 // --- latency timestamps and admission control -------------------------------
