@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <functional>
 
 #include "flow/transportation.h"
 #include "grid/neighborhood.h"
@@ -135,36 +135,10 @@ double lp_value_at_radius(const DemandMap& d, std::int64_t r) {
   return result.objective;
 }
 
-double flow_value_at_radius(const DemandMap& d, std::int64_t r, double tol) {
-  return min_feasible_omega(d, r, tol);
-}
-
-double omega_star_fixed_point(
-    const DemandMap& d,
-    const std::function<double(const DemandMap&, std::int64_t)>&
-        value_at_radius) {
-  if (d.empty()) return 0.0;
-  // v(k) = LP value at integer radius k is non-increasing; ω* is the
-  // crossing of v(⌊ω⌋) with the identity (proof of Lemma 2.2.3):
-  //   find the largest k with v(k) >= k. If v(k) < k+1 the fixed point is
-  //   interior (ω* = v(k)); otherwise it sits at the jump (ω* = k+1).
-  std::int64_t k = 0;
-  double vk = value_at_radius(d, 0);
-  for (;;) {
-    if (vk < static_cast<double>(k) + 1.0) return std::max(vk, static_cast<double>(k));
-    const double vnext = value_at_radius(d, k + 1);
-    CMVRP_CHECK_MSG(vnext <= vk + 1e-6, "LP value must be non-increasing in r");
-    ++k;
-    vk = vnext;
-    CMVRP_CHECK_MSG(k < (std::int64_t{1} << 30), "fixed point search diverged");
-  }
-}
-
 double omega_star_flow(const DemandMap& d) {
-  return omega_star_fixed_point(
-      d, [](const DemandMap& dm, std::int64_t r) {
-        return flow_value_at_radius(dm, r);
-      });
+  return radius_fixed_point([&d](std::int64_t r) {
+    return min_feasible_omega(lattice_instance(d, r));
+  });
 }
 
 }  // namespace cmvrp

@@ -10,18 +10,18 @@
 // Three independent computations of ω* are provided and cross-checked in
 // tests:
 //   * subset enumeration (exponential; tiny supports only),
-//   * LP (2.1) via the simplex at a fixed radius + fixed-point search,
-//   * max-flow feasibility oracle + fixed-point search (the workhorse).
+//   * LP (2.1) via the simplex at a fixed radius + radius_fixed_point,
+//   * the max-flow oracle of flow/transportation.h (the workhorse).
 //
 // Complexity: omega_for_box is O(1) per candidate radius via the DP box
 // counts; omega_for_set BFS-grows N_r(T), O(|N_r(T)|) per radius step;
-// the flow fixed point runs O(log(ω/tol)) Dinic feasibility probes, each
-// O(E·sqrt(V)) on the bipartite supplier→demand graph of radius r.
+// omega_star_flow builds one bipartite instance per radius (N_r(support)
+// and its supplier→demand arcs) and bisects on it with O(log(ω/tol))
+// Dinic feasibility probes, each O(E·sqrt(V)).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "grid/box.h"
@@ -46,19 +46,8 @@ double omega_star_enumerate(const DemandMap& d, std::size_t max_support = 20);
 // |N_r(support)| · |support| flow variables — keep instances small.
 double lp_value_at_radius(const DemandMap& d, std::int64_t r);
 
-// Value of LP (2.1) at fixed radius via the max-flow oracle (scales to much
-// larger instances; tolerance on ω).
-double flow_value_at_radius(const DemandMap& d, std::int64_t r,
-                            double tol = 1e-6);
-
-// ω* as the radius fixed point ω = ω(⌊ω⌋) of Lemma 2.2.3, where ω(r) is
-// evaluated by `value_at_radius`. Exposed with the flow oracle bound in by
-// default; tests also bind the LP and enumeration oracles.
-double omega_star_fixed_point(
-    const DemandMap& d,
-    const std::function<double(const DemandMap&, std::int64_t)>&
-        value_at_radius);
-
+// ω* by the max-flow oracle: radius_fixed_point over min_feasible_omega
+// of each radius's lattice_instance.
 double omega_star_flow(const DemandMap& d);
 
 }  // namespace cmvrp

@@ -653,26 +653,6 @@ void suite_substrates(BenchRun& b) {
            },
            row);
   });
-  b.run_case("prefix_sums_reference/n=256", [&](MetricRow& row) {
-    // The per-element reference build, kept beside the blocked case above
-    // so the JSON artifact tracks the speedup — and the values must agree
-    // bit-for-bit (both builds add each lattice chain in the same order).
-    Rng rng(3);
-    DemandMap d(2);
-    for (std::int64_t k = 0; k < 256; ++k)
-      d.add(Point{rng.next_int(0, 255), rng.next_int(0, 255)}, 1.0);
-    const DenseGrid grid = DenseGrid::from_demand(d);
-    const PrefixSums blocked(grid, PrefixBuild::kBlocked);
-    looped(20,
-           [&grid, &blocked, &b] {
-             const PrefixSums ps(grid, PrefixBuild::kReference);
-             const double ref = ps.max_cube_sum(4);
-             if (ref != blocked.max_cube_sum(4))
-               b.fail("blocked prefix build diverged from the reference");
-             return ref;
-           },
-           row);
-  });
   b.run_case("simplex_lp/span=3", [&](MetricRow& row) {
     Rng rng(5);
     DemandMap d(2);

@@ -1,17 +1,49 @@
 #include "graph/graph_omega.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
 
-#include "flow/dinic.h"
+#include "flow/transportation.h"
 #include "util/check.h"
 
 namespace cmvrp {
 namespace {
 
 constexpr std::int64_t kUnreachable = std::numeric_limits<std::int64_t>::max();
+
+// LP (2.1) at radius r on graph balls: the suppliers are the vertices
+// within r of the support, in vertex order, and the bracket is the
+// vertex-order sum of the demand. No demand gives the empty instance.
+TransportationInstance graph_instance(const Graph& g,
+                                      const std::vector<double>& demand,
+                                      std::int64_t r) {
+  CMVRP_CHECK(r >= 0);
+  CMVRP_CHECK(demand.size() == g.num_vertices());
+  TransportationInstance inst;
+  std::vector<std::size_t> demand_vertices;
+  for (std::size_t v = 0; v < demand.size(); ++v)
+    if (demand[v] > 0.0) {
+      demand_vertices.push_back(v);
+      inst.demand.push_back(demand[v]);
+      inst.upper += demand[v];
+    }
+  if (demand_vertices.empty()) return inst;
+
+  // Suppliers: vertices within distance r of the support. Arcs: supplier i
+  // serves demand j when dist(i, j) <= r.
+  const auto to_support = graph_distances(g, demand_vertices);
+  for (std::size_t v = 0; v < g.num_vertices(); ++v) {
+    if (to_support[v] == kUnreachable || to_support[v] > r) continue;
+    const auto dist = graph_distances(g, v);
+    auto& arcs = inst.arcs.emplace_back();
+    for (std::size_t j = 0; j < demand_vertices.size(); ++j)
+      if (dist[demand_vertices[j]] != kUnreachable &&
+          dist[demand_vertices[j]] <= r)
+        arcs.push_back(j);
+  }
+  return inst;
+}
 
 }  // namespace
 
@@ -115,85 +147,11 @@ double graph_omega_star_enumerate(const Graph& g,
   return best;
 }
 
-double graph_flow_value_at_radius(const Graph& g,
-                                  const std::vector<double>& demand,
-                                  std::int64_t r, double tol) {
-  CMVRP_CHECK(r >= 0);
-  CMVRP_CHECK(tol > 0.0);
-  CMVRP_CHECK(demand.size() == g.num_vertices());
-  std::vector<std::size_t> demand_vertices;
-  double total = 0.0;
-  for (std::size_t v = 0; v < demand.size(); ++v)
-    if (demand[v] > 0.0) {
-      demand_vertices.push_back(v);
-      total += demand[v];
-    }
-  CMVRP_CHECK(!demand_vertices.empty());
-
-  // Suppliers: vertices within distance r of the support. Arcs: supplier i
-  // serves demand j when dist(i, j) <= r.
-  const auto to_support = graph_distances(g, demand_vertices);
-  std::vector<std::size_t> suppliers;
-  for (std::size_t v = 0; v < g.num_vertices(); ++v)
-    if (to_support[v] != kUnreachable && to_support[v] <= r)
-      suppliers.push_back(v);
-
-  std::vector<std::vector<bool>> arc(suppliers.size());
-  for (std::size_t i = 0; i < suppliers.size(); ++i) {
-    const auto dist = graph_distances(g, suppliers[i]);
-    arc[i].resize(demand_vertices.size());
-    for (std::size_t j = 0; j < demand_vertices.size(); ++j)
-      arc[i][j] = dist[demand_vertices[j]] != kUnreachable &&
-                  dist[demand_vertices[j]] <= r;
-  }
-
-  const double scale = 1 << 20;
-  auto feasible = [&](double omega) {
-    const std::size_t src = 0, sink = 1, sbase = 2;
-    const std::size_t dbase = sbase + suppliers.size();
-    Dinic flow(dbase + demand_vertices.size());
-    const auto cap = static_cast<std::int64_t>(std::floor(omega * scale));
-    std::int64_t total_scaled = 0;
-    for (std::size_t j = 0; j < demand_vertices.size(); ++j) {
-      const auto dj = static_cast<std::int64_t>(
-          std::ceil(demand[demand_vertices[j]] * scale - 1e-9));
-      flow.add_edge(dbase + j, sink, dj);
-      total_scaled += dj;
-    }
-    for (std::size_t i = 0; i < suppliers.size(); ++i) {
-      flow.add_edge(src, sbase + i, cap);
-      for (std::size_t j = 0; j < demand_vertices.size(); ++j)
-        if (arc[i][j]) flow.add_edge(sbase + i, dbase + j, cap);
-    }
-    return flow.max_flow(src, sink) >= total_scaled;
-  };
-
-  double lo = 0.0, hi = total;
-  CMVRP_CHECK_MSG(feasible(hi), "demand must be coverable at omega = total");
-  while (hi - lo > tol) {
-    const double mid = 0.5 * (lo + hi);
-    if (feasible(mid))
-      hi = mid;
-    else
-      lo = mid;
-  }
-  return hi;
-}
-
 double graph_omega_star_flow(const Graph& g,
                              const std::vector<double>& demand) {
-  // Identical fixed-point walk to the lattice version (Lemma 2.2.3).
-  std::int64_t k = 0;
-  double vk = graph_flow_value_at_radius(g, demand, 0);
-  for (;;) {
-    if (vk < static_cast<double>(k) + 1.0)
-      return std::max(vk, static_cast<double>(k));
-    const double vnext = graph_flow_value_at_radius(g, demand, k + 1);
-    CMVRP_CHECK_MSG(vnext <= vk + 1e-6, "value must be non-increasing");
-    ++k;
-    vk = vnext;
-    CMVRP_CHECK_MSG(k < (std::int64_t{1} << 24), "fixed point diverged");
-  }
+  return radius_fixed_point([&g, &demand](std::int64_t r) {
+    return min_feasible_omega(graph_instance(g, demand, r));
+  });
 }
 
 double graph_ball_lower_bound(const Graph& g,

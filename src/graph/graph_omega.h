@@ -3,11 +3,12 @@
 // Everything in §2.2 except the *cube* shortcut survives verbatim once
 // N_r(T) is read as the graph-metric ball:
 //   ω_T solves ω · |N^G_⌊ω⌋(T)| = Σ_{x∈T} d(x),
-//   the LP (2.1) value at radius r is max_T Σ_T d / |N^G_r(T)|
-//   (computable by the same max-flow oracle), and ω* is the radius fixed
-//   point. The cube characterization (Cor. 2.2.6/2.2.7) has no graph
-//   analogue — that is exactly why the paper leaves general graphs open —
-//   so the general-purpose lower bound here is ball-based instead.
+//   the LP (2.1) value at radius r is max_T Σ_T d / |N^G_r(T)|, computed
+//   by the same max-flow oracle as on the lattice (flow/transportation.h)
+//   on an instance built from graph balls, and ω* is the same radius
+//   fixed point. The cube characterization (Cor. 2.2.6/2.2.7) has no
+//   graph analogue — that is exactly why the paper leaves general graphs
+//   open — so the general-purpose lower bound here is ball-based instead.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +43,8 @@ double graph_omega_star_enumerate(const Graph& g,
                                   const std::vector<double>& demand,
                                   std::size_t max_support = 18);
 
-// LP (2.1) value at radius r via the max-flow oracle on graph balls.
-double graph_flow_value_at_radius(const Graph& g,
-                                  const std::vector<double>& demand,
-                                  std::int64_t r, double tol = 1e-6);
-
-// ω* as the radius fixed point (Lemma 2.2.3 verbatim on the graph).
+// ω* as the radius fixed point (Lemma 2.2.3 verbatim on the graph); 0
+// when there is no demand.
 double graph_omega_star_flow(const Graph& g,
                              const std::vector<double>& demand);
 

@@ -38,7 +38,7 @@ double DenseGrid::max_value() const {
   return m;
 }
 
-PrefixSums::PrefixSums(const DenseGrid& grid, PrefixBuild build)
+PrefixSums::PrefixSums(const DenseGrid& grid)
     : box_(grid.box()), sides_(grid.box_.sides()) {
   const int dim = box_.dim();
   // Shape with a zero-border on the low side of each axis.
@@ -53,35 +53,10 @@ PrefixSums::PrefixSums(const DenseGrid& grid, PrefixBuild build)
         stride_[static_cast<std::size_t>(i + 1)] *
         static_cast<std::size_t>(sides_[static_cast<std::size_t>(i + 1)] + 1);
 
-  if (build == PrefixBuild::kReference) {
-    // Copy values into the padded array (offset +1 per axis).
-    box_.for_each_point([&](const Point& p) {
-      std::size_t idx = 0;
-      for (int i = 0; i < dim; ++i)
-        idx += static_cast<std::size_t>(p[i] - box_.lo()[i] + 1) *
-               stride_[static_cast<std::size_t>(i)];
-      ps_[idx] = grid.at(p);
-    });
-
-    // Accumulate along each axis in turn: iterate over all positions where
-    // the axis coordinate is >= 1 and add the value at coordinate-1. Walk
-    // the flat array; an index's coordinate along `axis` is (idx/st) % len.
-    for (int axis = 0; axis < dim; ++axis) {
-      const std::size_t st = stride_[static_cast<std::size_t>(axis)];
-      const auto len = static_cast<std::size_t>(
-          sides_[static_cast<std::size_t>(axis)] + 1);
-      for (std::size_t idx = 0; idx < ps_.size(); ++idx) {
-        const std::size_t coord = (idx / st) % len;
-        if (coord >= 1) ps_[idx] += ps_[idx - st];
-      }
-    }
-    return;
-  }
-
-  // Blocked build. The grid's innermost axis is contiguous in both the
-  // source and the padded array, so the copy moves whole rows; each row's
-  // padded base enumerates the outer coordinates with an odometer, +1 per
-  // axis for the zero border.
+  // The grid's innermost axis is contiguous in both the source and the
+  // padded array, so the copy moves whole rows; each row's padded base
+  // enumerates the outer coordinates with an odometer, +1 per axis for
+  // the zero border.
   const auto last_side =
       static_cast<std::size_t>(sides_[static_cast<std::size_t>(dim - 1)]);
   std::size_t rows = 1;
@@ -104,10 +79,11 @@ PrefixSums::PrefixSums(const DenseGrid& grid, PrefixBuild build)
   }
 
   // Accumulate per axis over [outer][len][inner] runs: each j-slab adds
-  // the (j-1)-slab elementwise across `st` contiguous doubles. Per-chain
-  // addition order matches the reference walk exactly, so results are
-  // bit-identical; the inner loops are plain strided adds the compiler
-  // vectorizes, with no per-element division.
+  // the (j-1)-slab elementwise across `st` contiguous doubles. Each
+  // lattice chain is added in the order of the per-element walk that
+  // tests keep as the oracle, so the table is that walk's bit for bit;
+  // the inner loops are plain strided adds the compiler vectorizes, with
+  // no per-element division.
   for (int axis = 0; axis < dim; ++axis) {
     const std::size_t st = stride_[static_cast<std::size_t>(axis)];
     const auto len = static_cast<std::size_t>(

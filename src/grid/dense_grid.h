@@ -53,19 +53,13 @@ class DenseGrid {
   std::vector<double> data_;
 };
 
-// How PrefixSums builds its table. kBlocked views the padded array as
-// [outer][len][inner] runs per axis and accumulates over contiguous inner
-// spans — no per-element index division, vectorizable. kReference is the
-// original per-element walk, kept as the oracle that tests cross-check
-// the blocked build against bit-for-bit (both perform each lattice
-// chain's additions in the same order, so the floats agree exactly).
-enum class PrefixBuild { kBlocked, kReference };
-
-// Inclusive ℓ-dimensional prefix sums over a DenseGrid snapshot.
+// Inclusive ℓ-dimensional prefix sums over a DenseGrid snapshot. The
+// table is built in blocked runs: the padded array is viewed as
+// [outer][len][inner] runs per axis and accumulated over contiguous inner
+// spans — no per-element index division, vectorizable.
 class PrefixSums {
  public:
-  explicit PrefixSums(const DenseGrid& grid,
-                      PrefixBuild build = PrefixBuild::kBlocked);
+  explicit PrefixSums(const DenseGrid& grid);
 
   // Sum of the grid restricted to `query` (clipped to the grid's box):
   // 2^ℓ prefix reads, summed by inclusion–exclusion. Allocates nothing.

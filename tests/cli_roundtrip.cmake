@@ -104,3 +104,32 @@ cli(2 stream --n 8 --jobs 50 --batch 0)
 cli(2 stream --n 8 --jobs 50 --monitor-stride 0)
 # 2^32 + 1 threads would narrow to one worker.
 cli(2 stream --n 8 --jobs 50 --threads 4294967297)
+cli(2 stream --n 8 --jobs 50 --capacity -1)
+cli(2 stream --n 8 --jobs 50 --side 0)
+cli(2 stream --n 0 --jobs 50)
+cli(2 stream --n 8 --jobs 0)
+# So it is on the commands that do not serve: each value below would
+# otherwise fail a library check (exit 1) that names a source line.
+file(WRITE "${WORK}/d.txt" "0 0 3\n2 1 5\n")
+cli(2 gen --n 0)
+cli(2 gen --count -5)
+cli(2 gen --workload line --n 4 --d -3)
+cli(2 gen --workload square --n 1)
+cli(2 fig41 --r1 0)
+cli(2 fig41 --r1 3 --r2 1)
+cli(2 won --file d.txt --tol 0)
+cli(2 online --file d.txt --capacity -1)
+cli(2 bench --suite smoke --reps 0)
+cli(2 bench --suite smoke --warmup -1)
+cli(2 bounds --file d.txt --dim 0)
+cli(2 bounds --file d.txt --dim 7)
+cli(0 bounds --file d.txt)
+
+# Help is printed from the command table, so every declared flag shows
+# on its command's line.
+cli(0 help)
+if(NOT cli_out MATCHES "\n  won +[^\n]*--seed" OR
+   NOT cli_out MATCHES "\n  bounds +[^\n]*--dim")
+  message(FATAL_ERROR "help does not list won's --seed and bounds' --dim "
+                      "on their lines\n${cli_out}")
+endif()

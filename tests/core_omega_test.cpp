@@ -8,6 +8,7 @@
 #include "core/closed_forms.h"
 #include "core/cube_bound.h"
 #include "core/omega.h"
+#include "flow/transportation.h"
 #include "grid/dense_grid.h"
 #include "grid/neighborhood.h"
 #include "online/capacity_search.h"
@@ -82,7 +83,8 @@ TEST_P(OmegaStarAgreement, EnumerationLpAndFlowAgree) {
   const DemandMap d =
       tiny_random_demand(GetParam(), 2, /*points=*/4, /*span=*/3, /*max_d=*/9);
   const double by_enum = omega_star_enumerate(d);
-  const double by_lp = omega_star_fixed_point(d, lp_value_at_radius);
+  const double by_lp = radius_fixed_point(
+      [&d](std::int64_t r) { return lp_value_at_radius(d, r); });
   const double by_flow = omega_star_flow(d);
   EXPECT_NEAR(by_lp, by_enum, 1e-5);
   EXPECT_NEAR(by_flow, by_enum, 1e-4);
@@ -125,6 +127,14 @@ TEST(OmegaStar, SinglePointClosedForm) {
   const double expected = 3.0;
   EXPECT_NEAR(omega_star_enumerate(d), expected, 1e-9);
   EXPECT_NEAR(omega_star_flow(d), expected, 1e-4);
+
+  // A fractional amount below 1 is ω* itself (ω·|N_0| = d). Scaled, it
+  // rounds up past the rounded-down supply at ω = d, the bisection's
+  // bracket, which must still be accepted.
+  DemandMap small(2);
+  small.set(Point{5, 5}, 0.3);
+  EXPECT_NEAR(omega_star_enumerate(small), 0.3, 1e-9);
+  EXPECT_NEAR(omega_star_flow(small), 0.3, 1e-4);
 }
 
 // --- cube bound (Cor. 2.2.7) ------------------------------------------------

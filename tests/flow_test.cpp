@@ -116,7 +116,7 @@ TEST(Transportation, MinOmegaMatchesBallRatio) {
   DemandMap d(2);
   d.set(Point{0, 0}, 130.0);
   const double expected = 130.0 / 13.0;  // |N_2| = 13 in 2-D
-  EXPECT_NEAR(min_feasible_omega(d, 2), expected, 1e-4);
+  EXPECT_NEAR(min_feasible_omega(lattice_instance(d, 2)), expected, 1e-4);
 }
 
 TEST(Transportation, MinOmegaMonotoneInRadius) {
@@ -127,7 +127,7 @@ TEST(Transportation, MinOmegaMonotoneInRadius) {
           static_cast<double>(rng.next_int(1, 9)));
   double prev = 1e300;
   for (std::int64_t r = 0; r <= 4; ++r) {
-    const double v = min_feasible_omega(d, r, 1e-5);
+    const double v = min_feasible_omega(lattice_instance(d, r), 1e-5);
     EXPECT_LE(v, prev + 1e-4);
     prev = v;
   }

@@ -100,21 +100,58 @@ TEST(GraphOmega, MatchesLatticeOmegaOnPlainGrid) {
   EXPECT_NEAR(graph_omega_for_set(sg.graph, t, dv),
               omega_for_set(d.support(), d), 1e-9);
 
-  // And the full ω*.
+  // And the full ω*, by enumeration and by the one flow oracle — to the
+  // bit, since both paths build the same instance at each radius and
+  // bisect it on the same bracket.
   EXPECT_NEAR(graph_omega_star_enumerate(sg.graph, dv),
               omega_star_enumerate(d), 1e-9);
+  EXPECT_EQ(graph_omega_star_flow(sg.graph, dv), omega_star_flow(d));
+
+  // Those demands put ω* on a jump (2), which no bisected digit reaches;
+  // 30 at one point crosses inside a segment (30 / |N_2| = 30 / 13).
+  DemandMap one(2);
+  one.set(Point{7, 8}, 30.0);
+  const double interior = omega_star_flow(one);
+  EXPECT_NEAR(interior, 30.0 / 13.0, 1e-5);
+  EXPECT_EQ(graph_omega_star_flow(sg.graph, demand_vector(sg, one)),
+            interior);
 }
 
 TEST(GraphOmega, FlowFixedPointMatchesEnumeration) {
+  // The torus wraps its balls, the holed grid detours around a wall, and
+  // the roadways make side streets cost 2 per step. Demands up to 30 put
+  // each ω* inside a segment (2.08, 2.21 and 3.7), not on a jump, so the
+  // bisected digits are what is compared.
   Rng rng(13);
-  const SpatialGraph sg = make_torus(8);
-  std::vector<double> demand(sg.points.size(), 0.0);
-  for (int k = 0; k < 4; ++k)
-    demand[rng.next_below(demand.size())] +=
-        static_cast<double>(rng.next_int(1, 9));
-  const double by_enum = graph_omega_star_enumerate(sg.graph, demand);
-  const double by_flow = graph_omega_star_flow(sg.graph, demand);
-  EXPECT_NEAR(by_flow, by_enum, 1e-4);
+  const Box box(Point{0, 0}, Point{7, 7});
+  const SpatialGraph graphs[] = {
+      make_torus(8),
+      make_grid_with_holes(box, {Point{3, 2}, Point{3, 3}, Point{3, 4}}),
+      make_weighted_roadways(box, /*highway_rows=*/{2, 5}, /*side_cost=*/2)};
+  for (const SpatialGraph& sg : graphs) {
+    std::vector<double> demand(sg.points.size(), 0.0);
+    for (int k = 0; k < 4; ++k)
+      demand[rng.next_below(demand.size())] +=
+          static_cast<double>(rng.next_int(1, 30));
+    const double by_enum = graph_omega_star_enumerate(sg.graph, demand);
+    const double by_flow = graph_omega_star_flow(sg.graph, demand);
+    EXPECT_NEAR(by_flow, by_enum, 1e-4) << sg.points.size() << " vertices";
+  }
+  // One vertex of fractional demand: scaled, it rounds up past the
+  // bisection bracket's rounded-down supply, which must still be accepted.
+  std::vector<double> one(graphs[0].points.size(), 0.0);
+  one[5] = 0.3;
+  EXPECT_NEAR(graph_omega_star_flow(graphs[0].graph, one),
+              graph_omega_star_enumerate(graphs[0].graph, one), 1e-4);
+}
+
+TEST(GraphOmega, ZeroDemandHasZeroOmega) {
+  // No demand is the empty instance at every radius, on a graph as on
+  // the lattice.
+  const SpatialGraph sg = make_torus(4);
+  const std::vector<double> none(sg.points.size(), 0.0);
+  EXPECT_EQ(graph_omega_star_flow(sg.graph, none), 0.0);
+  EXPECT_EQ(omega_star_flow(DemandMap(2)), 0.0);
 }
 
 TEST(GraphOmega, HolesRaiseOmega) {

@@ -278,48 +278,11 @@ TEST(PrefixSums, MaxCubeSumFindsHotWindow) {
   EXPECT_DOUBLE_EQ(ps.max_cube_sum(100), 12.0);
 }
 
-TEST(PrefixSums, BlockedBuildMatchesReferenceBitForBit) {
-  // Both builds perform each lattice chain's additions in the same order,
-  // so the tables must agree exactly (==, not near) — on random demand
-  // with non-integral values, across dimensions and query shapes.
-  Rng rng(77);
-  for (const int dim : {2, 3}) {
-    const std::int64_t span = dim == 2 ? 40 : 12;
-    DemandMap d(dim);
-    for (int i = 0; i < 300; ++i) {
-      Point p = Point::origin(dim);
-      for (int a = 0; a < dim; ++a) p[a] = rng.next_int(0, span - 1);
-      d.add(p, rng.next_double(0.0, 1.0) + 0.1);
-    }
-    const DenseGrid g = DenseGrid::from_demand(d);
-    const PrefixSums blocked(g, PrefixBuild::kBlocked);
-    const PrefixSums reference(g, PrefixBuild::kReference);
-    for (const std::int64_t side : {std::int64_t{1}, std::int64_t{2},
-                                    std::int64_t{4}, std::int64_t{7}}) {
-      EXPECT_EQ(blocked.max_cube_sum(side), reference.max_cube_sum(side))
-          << "dim=" << dim << " side=" << side;
-    }
-    for (int q = 0; q < 50; ++q) {
-      Point lo = Point::origin(dim);
-      Point hi = Point::origin(dim);
-      for (int a = 0; a < dim; ++a) {
-        const std::int64_t x = rng.next_int(0, span - 1);
-        const std::int64_t y = rng.next_int(0, span - 1);
-        lo[a] = std::min(x, y);
-        hi[a] = std::max(x, y);
-      }
-      const Box query(lo, hi);
-      EXPECT_EQ(blocked.box_sum(query), reference.box_sum(query))
-          << "dim=" << dim << " query=" << query.to_string();
-    }
-  }
-}
-
-// PrefixSums as it was before its window scan walked flat offsets: the
-// table built by the reference walk, and the per-window scan that builds
-// a Point and a Box for every window and reads the table through
-// prefix_at. Kept verbatim as the oracle the allocation-free scan must
-// match bit for bit.
+// PrefixSums as it was before its blocked build and its flat-offset
+// window scan: the table built by the per-element walk, and the
+// per-window scan that builds a Point and a Box for every window and
+// reads the table through prefix_at. Kept verbatim as the oracle the
+// blocked build and the allocation-free scan must match bit for bit.
 class WindowScanOracle {
  public:
   explicit WindowScanOracle(const DenseGrid& grid)
@@ -427,6 +390,44 @@ class WindowScanOracle {
   std::vector<std::int64_t> sides_;
   std::vector<double> ps_;
 };
+
+TEST(PrefixSums, BlockedBuildMatchesReferenceBitForBit) {
+  // The blocked build performs each lattice chain's additions in the
+  // order of the oracle's per-element walk, so the tables must agree
+  // exactly (==, not near) — on random demand with non-integral values,
+  // across dimensions and query shapes.
+  Rng rng(77);
+  for (const int dim : {2, 3}) {
+    const std::int64_t span = dim == 2 ? 40 : 12;
+    DemandMap d(dim);
+    for (int i = 0; i < 300; ++i) {
+      Point p = Point::origin(dim);
+      for (int a = 0; a < dim; ++a) p[a] = rng.next_int(0, span - 1);
+      d.add(p, rng.next_double(0.0, 1.0) + 0.1);
+    }
+    const DenseGrid g = DenseGrid::from_demand(d);
+    const PrefixSums blocked(g);
+    const WindowScanOracle reference(g);
+    for (const std::int64_t side : {std::int64_t{1}, std::int64_t{2},
+                                    std::int64_t{4}, std::int64_t{7}}) {
+      EXPECT_EQ(blocked.max_cube_sum(side), reference.max_cube_sum(side))
+          << "dim=" << dim << " side=" << side;
+    }
+    for (int q = 0; q < 50; ++q) {
+      Point lo = Point::origin(dim);
+      Point hi = Point::origin(dim);
+      for (int a = 0; a < dim; ++a) {
+        const std::int64_t x = rng.next_int(0, span - 1);
+        const std::int64_t y = rng.next_int(0, span - 1);
+        lo[a] = std::min(x, y);
+        hi[a] = std::max(x, y);
+      }
+      const Box query(lo, hi);
+      EXPECT_EQ(blocked.box_sum(query), reference.box_sum(query))
+          << "dim=" << dim << " query=" << query.to_string();
+    }
+  }
+}
 
 // A random box of dimension `dim`, sides 1 to `max_side` per axis, at a
 // random offset.

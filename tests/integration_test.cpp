@@ -100,7 +100,7 @@ TEST(Integration, TransportationFeasibleExactlyFromMinOmega) {
   DemandMap demand(2);
   demand.set(Point{0, 0}, 10.0);
   const std::int64_t r = 2;
-  const double omega = min_feasible_omega(demand, r, 1e-4);
+  const double omega = min_feasible_omega(lattice_instance(demand, r), 1e-4);
   EXPECT_TRUE(transportation_feasible(demand, r, omega + 1e-3).feasible);
   EXPECT_FALSE(transportation_feasible(demand, r, omega - 0.01).feasible);
 }

@@ -1,39 +1,5 @@
-// cmvrp — command-line front end.
-//
-//   cmvrp bounds   --file demand.txt [--dim 2]            offline bounds
-//   cmvrp plan     --file demand.txt [--ascii]            Lemma 2.2.5 plan
-//   cmvrp online   --file demand.txt [--capacity W]       run the strategy
-//                  [--order sorted|shuffled|roundrobin] [--seed S]
-//   cmvrp won      --file demand.txt [--tol T]            bisect minimal W
-//   cmvrp gen      --workload uniform|clustered|line|point|square
-//                  [--n N] [--count C] [--d D] [--seed S]  emit a demand file
-//   cmvrp fig41    --r1 R                                 Chapter 4 example
-//   cmvrp stream   [--scenario NAME | --file demand.txt]
-//                  [--threads T] [--batch B] [--jobs J] [--n N] [--order o]
-//                  [--capacity W] [--side S] [--seed S] [--json PATH]
-//                  [--record out.trace] [--monitor-stride K]
-//                  [--admission unbounded|reject|shed] [--queue-limit Q]
-//                  [--service-ticks D] [--sample-stride K]
-//                  [--obs] [--stats s.jsonl] [--stats-stride K]
-//                  [--trace-spans f.json|f.bin] [--span-sample K] [--flight N]
-//   cmvrp trace    gen --out t.bin --generator g [--dim L] [--count N] ...
-//                  | info --file t.bin
-//                  | replay --file t.bin [--memory] [stream flags]
-//                  | mux t1.bin t2.bin ... [stream flags]
-//   cmvrp stats    --file s.jsonl [--top K]   summarize a stats snapshot
-//   cmvrp prof     --file spans.bin|spans.json [--top K]  span-trace analyzer
-//   cmvrp compare  A B [--kind auto|stream|stats|bench|spans]
-//                  [--warn-ratio R] [--fail-ratio R] [--ignore k1,k2]
-//                  [--json diff.json]      structural artifact diff
-//   cmvrp bench    --suite NAME [--reps N] [--warmup N]   experiment suites
-//                  [--filter S] [--json PATH]
-//                  [--baseline B.json [--diff-json d.json]]
-//                  | --list | --scenarios
-//
-// Demand files: lines of "x y demand" (see src/workload/io.h); traces are
-// the binary cmvrp-trace-v1/v2 formats (src/trace/format.h) — v2 carries
-// per-record event kinds (arrivals, silent-done failure markers, serving
-// outcomes), which is what --record writes and `trace replay` re-serves.
+// cmvrp — command-line front end. `cmvrp help` lists each command's
+// flags from the commands() table; README's "The CLI" has the prose.
 //
 // Exit codes are uniform across subcommands: 0 success, 1 data or drift
 // failure (bad input files, failed jobs, comparator drift), 2 usage
@@ -101,15 +67,16 @@ using namespace cmvrp;
 struct Args;
 
 // A subcommand: its name ("trace" actions are commands of their own,
-// such as "trace replay"), every flag its handler and the helpers it
-// calls read, split into flags that take a value and boolean switches
-// that never do, the handler, and whether it takes positional arguments
-// (file lists). parse_args rejects any other flag, and main any
-// positional token a command does not take, before dispatch, so a
-// misspelled flag or a forgotten --file is a usage error, not an input
-// silently dropped.
+// such as "trace replay"), the one-line summary help prints, every flag
+// its handler and the helpers it calls read, split into flags that take
+// a value and boolean switches that never do, the handler, and whether
+// it takes positional arguments (file lists). parse_args rejects any
+// other flag, and main any positional token a command does not take,
+// before dispatch, so a misspelled flag or a forgotten --file is a usage
+// error, not an input silently dropped.
 struct Command {
   std::string name;
+  std::string summary;
   std::vector<std::string> flags;
   std::vector<std::string> switches;
   int (*run)(const Args&);
@@ -196,9 +163,12 @@ Args parse_args(const Command& command, int argc, char** argv, int first) {
 }
 
 DemandMap demand_from_args(const Args& args) {
-  const int dim = static_cast<int>(args.get_int("dim", 2));
+  const std::int64_t dim = args.get_int("dim", 2);
+  CLI_USAGE_CHECK(dim >= 1 && dim <= Point::kMaxDim,
+                  "--dim must be in [1, " << Point::kMaxDim << "], got "
+                                          << dim);
   CLI_USAGE_CHECK(args.has("file"), "--file <demand.txt> is required");
-  return load_demand_file(args.get("file", ""), dim);
+  return load_demand_file(args.get("file", ""), static_cast<int>(dim));
 }
 
 int cmd_bounds(const Args& args) {
@@ -257,6 +227,8 @@ int cmd_online(const Args& args) {
       d, static_cast<std::uint64_t>(args.get_int("seed", 1)));
   if (args.has("capacity"))
     cfg.online.capacity = args.get_double("capacity", 0.0);
+  CLI_USAGE_CHECK(cfg.online.capacity >= 0.0,
+                  "--capacity must be >= 0, got " << cfg.online.capacity);
   const OnlineMetrics m = serve_stream(d.dim(), cfg, jobs).metrics;
   Table t({"metric", "value"});
   t.row().cell("capacity W").cell(cfg.online.capacity);
@@ -275,9 +247,11 @@ int cmd_won(const Args& args) {
   const DemandMap d = demand_from_args(args);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   const auto jobs = stream_from_demand(d, ArrivalOrder::kShuffled, rng);
+  const double tol = args.get_double("tol", 0.1);
+  CLI_USAGE_CHECK(tol > 0.0, "--tol must be > 0, got " << tol);
   const auto r = find_min_online_capacity(
       jobs, d.dim(), static_cast<std::uint64_t>(args.get_int("seed", 1)),
-      args.get_double("tol", 0.1));
+      tol);
   Table t({"quantity", "value"});
   t.row().cell("omega_c").cell(r.omega_c);
   t.row().cell("Won empirical").cell(r.won_empirical);
@@ -292,6 +266,10 @@ int cmd_gen(const Args& args) {
   const std::int64_t n = args.get_int("n", 16);
   const std::int64_t count = args.get_int("count", 100);
   const double dval = args.get_double("d", 10.0);
+  const std::int64_t min_n = kind == "square" ? 2 : 1;  // a side of n / 2
+  CLI_USAGE_CHECK(n >= min_n, "--n must be >= " << min_n << ", got " << n);
+  CLI_USAGE_CHECK(count >= 0, "--count must be >= 0, got " << count);
+  CLI_USAGE_CHECK(dval >= 0.0, "--d must be >= 0, got " << dval);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   const Box box(Point{0, 0}, Point{n - 1, n - 1});
   DemandMap d(2);
@@ -307,7 +285,14 @@ int cmd_gen(const Args& args) {
 
 int cmd_fig41(const Args& args) {
   const std::int64_t r1 = args.get_int("r1", 8);
-  const auto s = make_fig41(r1, args.get_int("r2", 4 * r1 + 2));
+  // The default --r2, 4·r1 + 2, must fit in 64 bits.
+  const std::int64_t max_r1 =
+      (std::numeric_limits<std::int64_t>::max() - 2) / 4;
+  CLI_USAGE_CHECK(r1 >= 1 && r1 <= max_r1,
+                  "--r1 must be in [1, " << max_r1 << "], got " << r1);
+  const std::int64_t r2 = args.get_int("r2", 4 * r1 + 2);
+  CLI_USAGE_CHECK(r2 > 2 * r1, "--r2 must exceed 2 * --r1, got " << r2);
+  const auto s = make_fig41(r1, r2);
   const auto m = measure_fig41(s);
   Table t({"quantity", "value"});
   t.row().cell("r1").cell(r1);
@@ -491,6 +476,10 @@ StreamConfig stream_config_from_args(
   if (args.has("capacity") || args.has("side")) {
     cfg.online.capacity = args.get_double("capacity", 32.0);
     cfg.online.cube_side = args.get_int("side", 4);
+    CLI_USAGE_CHECK(cfg.online.capacity >= 0.0,
+                    "--capacity must be >= 0, got " << cfg.online.capacity);
+    CLI_USAGE_CHECK(cfg.online.cube_side >= 1,
+                    "--side must be >= 1, got " << cfg.online.cube_side);
     cfg.online.anchor = Point::origin(dim);
   } else {
     // One demand pass sizes the theory config AND hands the engine its
@@ -716,10 +705,6 @@ int serve_and_report(const Args& args, int dim, const StreamConfig& cfg,
 // (expanded with --order/--seed), or a synthetic uniform stream of
 // --jobs arrivals on an --n x --n box.
 int cmd_stream(const Args& args) {
-  // The retired `stream --trace` names its replacement.
-  CLI_USAGE_CHECK(!args.has("trace"),
-                  "stream --trace is retired; serve a trace with "
-                  "`trace replay --file <t.bin>`");
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1));
   std::vector<Job> jobs;
@@ -739,6 +724,8 @@ int cmd_stream(const Args& args) {
   } else {
     const std::int64_t n = args.get_int("n", 64);
     const std::int64_t count = args.get_int("jobs", 10000);
+    CLI_USAGE_CHECK(n >= 1, "--n must be >= 1, got " << n);
+    CLI_USAGE_CHECK(count >= 1, "--jobs must be >= 1, got " << count);
     Rng rng(seed);
     const Box box(Point{0, 0}, Point{n - 1, n - 1});
     const DemandMap d = uniform_demand(box, count, rng);
@@ -1275,8 +1262,14 @@ int cmd_bench(const Args& args) {
   CLI_USAGE_CHECK(find_suite(suite_name) != nullptr,
                   "unknown --suite: " << suite_name << " (try --list)");
   RunOptions options;
-  options.reps = static_cast<int>(args.get_int("reps", 1));
-  options.warmup = static_cast<int>(args.get_int("warmup", 0));
+  const std::int64_t reps = args.get_int("reps", 1);
+  const std::int64_t warmup = args.get_int("warmup", 0);
+  CLI_USAGE_CHECK(reps >= 1 && reps <= std::numeric_limits<int>::max(),
+                  "--reps must be >= 1, got " << reps);
+  CLI_USAGE_CHECK(warmup >= 0 && warmup <= std::numeric_limits<int>::max(),
+                  "--warmup must be >= 0, got " << warmup);
+  options.reps = static_cast<int>(reps);
+  options.warmup = static_cast<int>(warmup);
   options.filter = args.get("filter", "");
   options.json_path = args.get("json", "");
   if (!args.has("baseline"))
@@ -1301,92 +1294,6 @@ int cmd_bench(const Args& args) {
   return run_rc != 0 ? run_rc : rep.exit_code();
 }
 
-int usage(std::ostream& os, int exit_code) {
-  os << "usage: cmvrp "
-         "<bounds|plan|online|won|gen|fig41|stream|trace|stats|prof|compare|"
-         "bench> [--flags]\n"
-         "  bounds --file d.txt            offline bounds (Thm 1.4.1)\n"
-         "  plan   --file d.txt [--ascii]  Lemma 2.2.5 plan + verification\n"
-         "  online --file d.txt [--capacity W] [--order o] [--seed s]\n"
-         "  won    --file d.txt [--tol t]  bisect empirical Won\n"
-         "  gen    --workload k [--n N] [--count C] [--d D] [--seed s]\n"
-         "  fig41  --r1 R [--r2 R2]        Chapter 4 counterexample\n"
-         "  stream [--scenario name | --file d.txt]\n"
-         "         [--threads T] [--batch B] [--jobs J] [--n N] [--order o]\n"
-         "         [--capacity W] [--side S] [--seed s] [--json out]\n"
-         "         [--record o.trace] [--monitor-stride K]\n"
-         "         [--admission unbounded|reject|shed] [--queue-limit Q]\n"
-         "         [--service-ticks D] [--sample-stride K]\n"
-         "         [--obs] [--stats s.jsonl] [--stats-stride K]\n"
-         "         [--trace-spans f.json|f.bin] [--span-sample K]\n"
-         "         [--flight N]\n"
-         "                                 sharded streaming; report schema\n"
-         "                                 "
-     << kStreamSchema << ". --obs turns on\n"
-         "                                 Tier-A counters (per-computation\n"
-         "                                 query max, cascade histogram,\n"
-         "                                 admission gauges); --stats streams\n"
-         "                                 cmvrp-stats-v1 JSONL snapshots\n"
-         "                                 every --stats-stride batches\n"
-         "                                 (default 16); --trace-spans\n"
-         "                                 exports Tier-C causal spans\n"
-         "                                 (.json = Chrome/Perfetto trace\n"
-         "                                 events, else the binary spool\n"
-         "                                 `prof` reads), --span-sample K\n"
-         "                                 traces every K-th computation per\n"
-         "                                 cube, --flight N keeps the last N\n"
-         "                                 records per cube and dumps only\n"
-         "                                 on failure; --record streams every\n"
-         "                                 outcome to a v2 audit trace\n"
-         "                                 (digest-verified)\n"
-         "  trace gen --out t.bin [--generator boundary|hotspot|gradient]\n"
-         "            [--dim L] [--count N] [--side S] [--cubes C]\n"
-         "            [--burst B] [--sigma X] [--seed s]\n"
-         "                                 stream a generator into a trace\n"
-         "  trace info --file t.bin        print + validate header fields\n"
-         "                                 (flags bits, v1/v2 record sizes,\n"
-         "                                 v2 event-kind counts, and the\n"
-         "                                 schema versions this binary\n"
-         "                                 reads/writes)\n"
-         "  trace replay --file t.bin [--memory] [stream flags]\n"
-         "                                 bounded-memory replay (or\n"
-         "                                 --memory: in-memory reference)\n"
-         "  trace mux t1.bin t2.bin ... [stream flags]\n"
-         "                                 merge k traces by arrival index\n"
-         "                                 into one engine (deterministic)\n"
-         "  stats  --file s.jsonl [--top K]\n"
-         "                                 summarize a cmvrp-stats-v1 JSONL\n"
-         "                                 snapshot: totals, stage breakdown,\n"
-         "                                 top-K hotspot cubes by p99 /\n"
-         "                                 backlog / messages\n"
-         "  prof   --file spans.bin|spans.json [--top K]\n"
-         "                                 analyze a --trace-spans export:\n"
-         "                                 query fan-out breadth by hop,\n"
-         "                                 critical-path percentiles on the\n"
-         "                                 protocol clock, top-K widest\n"
-         "                                 floods, attribution ratio\n"
-         "  compare A B [--kind auto|stream|stats|bench|spans]\n"
-         "          [--warn-ratio R] [--fail-ratio R] [--min-wall-ms M]\n"
-         "          [--noise-sigmas S] [--ignore k1,k2] [--json diff.json]\n"
-         "                                 structural artifact diff: fields\n"
-         "                                 classified by rule (identity |\n"
-         "                                 deterministic | wall | context);\n"
-         "                                 deterministic drift exits 1, wall\n"
-         "                                 time ratio-compares (warn-only\n"
-         "                                 unless --fail-ratio >= 1), emits\n"
-         "                                 cmvrp-diff-v1 with --json\n"
-         "  bench  --suite s [--reps N] [--warmup N] [--filter f]\n"
-         "         [--json out.json]       run an experiment suite\n"
-         "  bench  --suite s --baseline bench/baselines/B.json\n"
-         "         [--diff-json d.json] [compare thresholds]\n"
-         "                                 run + diff against a committed\n"
-         "                                 cmvrp-bench-v1 baseline (the\n"
-         "                                 regression gate CI runs)\n"
-         "  bench  --list | --scenarios    list suites / workload scenarios\n"
-         "exit codes (all subcommands): 0 ok, 1 data/drift failure, 2 usage\n";
-  return exit_code;
-}
-
 // `items` followed by `more`.
 std::vector<std::string> joined(std::vector<std::string> items,
                                 const std::vector<std::string>& more) {
@@ -1407,35 +1314,70 @@ const std::vector<Command>& commands() {
   static const std::vector<std::string> thresholds = {
       "warn-ratio", "fail-ratio", "min-wall-ms", "noise-sigmas", "ignore"};
   static const std::vector<Command> table = {
-      {"bounds", {"file", "dim"}, {}, cmd_bounds},
-      {"plan", {"file", "dim"}, {"ascii"}, cmd_plan},
-      {"online", {"file", "dim", "order", "seed", "capacity"}, {}, cmd_online},
-      {"won", {"file", "dim", "seed", "tol"}, {}, cmd_won},
-      {"gen", {"workload", "n", "count", "d", "seed"}, {}, cmd_gen},
-      {"fig41", {"r1", "r2"}, {}, cmd_fig41},
-      // --trace is read only to reject it with its replacement.
+      {"bounds", "offline bounds of a demand file (Thm 1.4.1)",
+       {"file", "dim"}, {}, cmd_bounds},
+      {"plan", "Lemma 2.2.5 offline plan and its verification",
+       {"file", "dim"}, {"ascii"}, cmd_plan},
+      {"online", "serve a demand file with the online strategy",
+       {"file", "dim", "order", "seed", "capacity"}, {}, cmd_online},
+      {"won", "bisect the empirical Won (Thm 1.4.2)",
+       {"file", "dim", "seed", "tol"}, {}, cmd_won},
+      {"gen", "emit a demand file (uniform|clustered|line|point|square)",
+       {"workload", "n", "count", "d", "seed"}, {}, cmd_gen},
+      {"fig41", "the Chapter 4 counterexample", {"r1", "r2"}, {}, cmd_fig41},
       {"stream",
-       joined({"scenario", "file", "dim", "order", "n", "jobs", "trace"},
-              serve),
+       std::string("sharded streaming engine, report ") + kStreamSchema,
+       joined({"scenario", "file", "dim", "order", "n", "jobs"}, serve),
        {"obs"}, cmd_stream},
-      {"trace gen",
+      {"trace gen", "stream a generator into a trace",
        {"out", "generator", "dim", "count", "side", "cubes", "burst", "sigma",
         "seed"},
        {}, cmd_trace_gen},
-      {"trace info", {"file"}, {}, cmd_trace_info},
-      {"trace replay", joined({"file"}, serve), {"obs", "memory"},
-       cmd_trace_replay},
-      {"trace mux", serve, {"obs"}, cmd_trace_mux, true},
-      {"stats", {"file", "top"}, {}, cmd_stats},
-      {"prof", {"file", "top"}, {}, cmd_prof},
-      {"compare", joined({"kind", "json"}, thresholds), {}, cmd_compare, true},
-      {"bench",
+      {"trace info", "print and validate a trace's header", {"file"}, {},
+       cmd_trace_info},
+      {"trace replay",
+       "bounded-memory replay (--memory: the in-memory reference)",
+       joined({"file"}, serve), {"obs", "memory"}, cmd_trace_replay},
+      {"trace mux", "merge traces by arrival index into one engine", serve,
+       {"obs"}, cmd_trace_mux, true},
+      {"stats", "summarize a cmvrp-stats-v1 JSONL snapshot", {"file", "top"},
+       {}, cmd_stats},
+      {"prof", "analyze a --trace-spans export", {"file", "top"}, {},
+       cmd_prof},
+      {"compare", "structural diff of two artifacts (cmvrp-diff-v1)",
+       joined({"kind", "json"}, thresholds), {}, cmd_compare, true},
+      {"bench", "run an experiment suite, or diff it against a --baseline",
        joined({"suite", "reps", "warmup", "filter", "json", "baseline",
                "diff-json"},
               thresholds),
        {"list", "scenarios"}, cmd_bench},
   };
   return table;
+}
+
+// Each command of the table: its name and flags, [switches] and FILE...
+// where it takes positionals, wrapped at 79 columns, then its summary.
+int usage(std::ostream& os, int exit_code) {
+  os << "usage: cmvrp <command> [--flag value] [--switch]\n";
+  const std::string indent(15, ' ');
+  for (const Command& c : commands()) {
+    std::vector<std::string> words;
+    for (const std::string& f : c.flags) words.push_back("--" + f);
+    for (const std::string& f : c.switches) words.push_back("[--" + f + "]");
+    if (c.positionals) words.push_back("FILE...");
+    std::string line = "  " + c.name;
+    line.resize(std::max(line.size(), indent.size() - 1), ' ');
+    for (const std::string& w : words) {
+      if (line.size() + 1 + w.size() > 79) {
+        os << line << "\n";
+        line = indent.substr(1);
+      }
+      line += " " + w;
+    }
+    os << line << "\n" << indent << c.summary << "\n";
+  }
+  os << "exit codes (all subcommands): 0 ok, 1 data/drift failure, 2 usage\n";
+  return exit_code;
 }
 
 // The command called `name`, or null.
@@ -1455,6 +1397,12 @@ int main(int argc, char** argv) {
     if (word == "record")
       throw usage_error(
           "record is retired; record a run with `stream --record <o.trace>`");
+    // So is `stream --trace`, which no command declares.
+    CLI_USAGE_CHECK(word != "stream" ||
+                        std::find(argv + 2, argv + argc,
+                                  std::string("--trace")) == argv + argc,
+                    "stream --trace is retired; serve a trace with "
+                    "`trace replay --file <t.bin>`");
     // A trace action is the word after `trace`.
     const bool action = word == "trace" && argc > 2;
     const Command* command =
