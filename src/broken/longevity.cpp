@@ -1,10 +1,9 @@
 #include "broken/longevity.h"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
-#include <unordered_map>
+#include <limits>
 
+#include "core/omega.h"
 #include "grid/neighborhood.h"
 #include "lp/simplex.h"
 #include "util/check.h"
@@ -30,71 +29,23 @@ double LongevityMap::at(const Point& p) const {
   return it == p_.end() ? default_p_ : it->second;
 }
 
-namespace {
-
-// Distances from T for every vertex within radius `max_r`, by BFS.
-std::unordered_map<Point, std::int64_t, PointHash> distances_from(
-    const std::vector<Point>& t, std::int64_t max_r) {
-  std::unordered_map<Point, std::int64_t, PointHash> dist;
-  std::deque<Point> queue;
-  for (const auto& p : t) {
-    if (dist.emplace(p, 0).second) queue.push_back(p);
+std::int64_t LongevityMap::positive_reach(const std::vector<Point>& t) const {
+  if (default_p_ > 0.0) return std::numeric_limits<std::int64_t>::max();
+  std::int64_t reach = -1;
+  for (const auto& [p, longevity] : p_) {
+    if (longevity == 0.0) continue;
+    std::int64_t to_t = std::numeric_limits<std::int64_t>::max();
+    for (const auto& q : t) to_t = std::min(to_t, l1_distance(p, q));
+    reach = std::max(reach, to_t);
   }
-  while (!queue.empty()) {
-    const Point p = queue.front();
-    queue.pop_front();
-    const std::int64_t dp = dist.at(p);
-    if (dp == max_r) continue;
-    for (const auto& q : p.unit_neighbors()) {
-      if (dist.emplace(q, dp + 1).second) queue.push_back(q);
-    }
-  }
-  return dist;
+  return reach;
 }
-
-// Weighted neighborhood mass Σ_{i : dist(i,T) <= p_i · ω} p_i.
-double weighted_mass(
-    const std::unordered_map<Point, std::int64_t, PointHash>& dist,
-    const LongevityMap& longevity, double omega) {
-  double sum = 0.0;
-  for (const auto& [p, dp] : dist) {
-    const double pi = longevity.at(p);
-    if (static_cast<double>(dp) <= pi * omega + 1e-12) sum += pi;
-  }
-  return sum;
-}
-
-}  // namespace
 
 double broken_omega_for_set(const std::vector<Point>& t, const DemandMap& d,
                             const LongevityMap& longevity) {
-  CMVRP_CHECK(!t.empty());
-  double s = 0.0;
-  for (const auto& p : t) s += d.at(p);
-  if (s == 0.0) return 0.0;
-
-  // Bracket ω. All longevities are <= 1, so the mass within radius ω is at
-  // most the mass of N_ω(T); conversely g(ω) = ω·mass(ω) >= ω·(mass at T
-  // itself) once any vertex of T has p > 0. March an upper bound upward.
-  double hi = 1.0;
-  for (int iter = 0; iter < 200; ++iter) {
-    const auto dist = distances_from(t, static_cast<std::int64_t>(hi) + 1);
-    if (hi * weighted_mass(dist, longevity, hi) >= s) break;
-    hi *= 2.0;
-    CMVRP_CHECK_MSG(hi < 1e15, "broken omega bracket diverged — is every "
-                               "nearby longevity zero?");
-  }
-  const auto dist = distances_from(t, static_cast<std::int64_t>(hi) + 1);
-  // g is increasing with upward jumps; bisect for inf{ω : g(ω) >= s}.
-  double lo = 0.0;
-  for (int iter = 0; iter < 100; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid * weighted_mass(dist, longevity, mid) >= s)
-      hi = mid;
-    else
-      lo = mid;
-  }
-  return hi;
+  return omega_for_set(
+      t, d, [&longevity](const Point& p) { return longevity.at(p); },
+      longevity.positive_reach(t));
 }
 
 double broken_lower_bound_enumerate(const DemandMap& d,
@@ -137,7 +88,7 @@ double broken_lp_value_at_radius(const DemandMap& d,
     const double pi = longevity.at(suppliers[i]);
     for (std::size_t j = 0; j < demands.size(); ++j) {
       if (static_cast<double>(l1_distance(suppliers[i], demands[j])) <=
-          pi * static_cast<double>(r) + 1e-12) {
+          pi * static_cast<double>(r)) {
         const std::size_t v = lp.add_variable(0.0);
         by_supplier[i].emplace_back(j, v);
         by_demand[j].push_back(v);

@@ -1,8 +1,9 @@
 #include "core/omega.h"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
+#include <limits>
+#include <queue>
+#include <utility>
 
 #include "flow/transportation.h"
 #include "grid/neighborhood.h"
@@ -10,62 +11,79 @@
 #include "util/check.h"
 
 namespace cmvrp {
-namespace {
 
-// Solves inf{ω : ω · volume(⌊ω⌋) >= s} given a callback producing the
-// exact neighborhood cardinality at integer radii. volume must be
-// non-decreasing in k and >= 1.
-double omega_from_volume(const std::function<std::int64_t(std::int64_t)>& volume,
-                         double s) {
+double omega_crossing(double s, const std::function<MassStep()>& step) {
   CMVRP_CHECK(s >= 0.0);
   if (s == 0.0) return 0.0;
-  // On segment [k, k+1): g(ω) = ω · volume(k), covering
-  // [k·volume(k), (k+1)·volume(k)). March k upward; the answer is reached
-  // once (k+1)·volume(k) > s.
-  for (std::int64_t k = 0;; ++k) {
-    const auto vol = static_cast<double>(volume(k));
-    CMVRP_CHECK(vol >= 1.0);
-    const double lo = static_cast<double>(k) * vol;
-    const double hi = (static_cast<double>(k) + 1.0) * vol;
-    if (s < lo) return static_cast<double>(k);  // jump overshoots: inf is k
-    if (s < hi) return s / vol;                 // interior crossing
-    // Guard against pathological non-growth (cannot happen on Z^ℓ).
-    CMVRP_CHECK_MSG(k < (std::int64_t{1} << 40), "omega search diverged");
+  // On [at, next): g(ω) = ω · mass, covering [at·mass, next·mass).
+  for (;;) {
+    const MassStep m = step();
+    if (s < m.at * m.mass) return m.at;         // jump overshoots: inf is at
+    if (s < m.next * m.mass) return s / m.mass;  // interior crossing
+    CMVRP_CHECK_MSG(m.next < std::numeric_limits<double>::infinity(),
+                    "omega_T has no crossing: the mass stays 0");
   }
 }
 
-}  // namespace
-
-double omega_for_set(const std::vector<Point>& t, const DemandMap& d) {
+double omega_for_set(const std::vector<Point>& t, const DemandMap& d,
+                     const std::function<double(const Point&)>& weight,
+                     std::int64_t reach) {
   CMVRP_CHECK_MSG(!t.empty(), "omega of empty set");
   double s = 0.0;
   for (const auto& p : t) s += d.at(p);
 
-  // Incremental multi-source BFS: expand the frontier ring by ring so that
-  // volume(k) queries are amortized O(|N_k(T)|) overall.
+  // Multi-source BFS, one ring per integer radius, expanded only once the
+  // march reaches it. A vertex of ring k joins at k / w ≥ k: at once when
+  // that is not past the current breakpoint (always for w = 1), else from
+  // `pending`, in order of joining.
+  using Join = std::pair<double, double>;  // (breakpoint, weight)
+  std::priority_queue<Join, std::vector<Join>, std::greater<>> pending;
+  double at = 0.0;
+  double mass = 0.0;
+  auto join_ring = [&](const std::vector<Point>& ring, std::int64_t k) {
+    for (const auto& p : ring) {
+      const double w = weight ? weight(p) : 1.0;
+      CMVRP_CHECK(w >= 0.0 && w <= 1.0);
+      if (w == 0.0) continue;
+      const double when = static_cast<double>(k) / w;
+      if (when <= at)
+        mass += w;
+      else
+        pending.emplace(when, w);
+    }
+  };
   PointSet visited(t.begin(), t.end());
-  std::vector<Point> frontier(visited.begin(), visited.end());
-  std::int64_t current_radius = 0;
-  auto volume = [&](std::int64_t k) -> std::int64_t {
-    while (current_radius < k) {
+  std::vector<Point> ring(visited.begin(), visited.end());
+  std::int64_t radius = 0;  // the last ring expanded
+  join_ring(ring, 0);
+  return omega_crossing(s, [&] {
+    while (radius < reach && static_cast<double>(radius + 1) <= at) {
       std::vector<Point> next;
-      for (const auto& p : frontier)
+      for (const auto& p : ring)
         for (const auto& q : p.unit_neighbors())
           if (visited.insert(q).second) next.push_back(q);
-      frontier = std::move(next);
-      ++current_radius;
+      ring = std::move(next);
+      join_ring(ring, ++radius);
     }
-    return static_cast<std::int64_t>(visited.size());
-  };
-  return omega_from_volume(volume, s);
+    for (; !pending.empty() && pending.top().first <= at; pending.pop())
+      mass += pending.top().second;
+    double next = radius < reach ? static_cast<double>(radius) + 1.0
+                                 : std::numeric_limits<double>::infinity();
+    if (!pending.empty()) next = std::min(next, pending.top().first);
+    const MassStep step{at, mass, next};
+    at = next;
+    return step;
+  });
 }
 
 double omega_for_box(const Box& t, double demand_sum) {
   const auto sides = t.sides();
-  auto volume = [&sides](std::int64_t k) {
-    return box_neighborhood_volume(sides, k);
-  };
-  return omega_from_volume(volume, demand_sum);
+  std::int64_t k = 0;
+  return omega_crossing(demand_sum, [&sides, &k] {
+    const auto at = static_cast<double>(k);
+    const auto vol = static_cast<double>(box_neighborhood_volume(sides, k++));
+    return MassStep{at, vol, at + 1.0};
+  });
 }
 
 double omega_star_enumerate(const DemandMap& d, std::size_t max_support) {

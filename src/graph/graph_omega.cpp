@@ -4,6 +4,7 @@
 #include <limits>
 #include <queue>
 
+#include "core/omega.h"
 #include "flow/transportation.h"
 #include "util/check.h"
 
@@ -79,17 +80,6 @@ std::vector<std::int64_t> graph_distances(const Graph& g, std::size_t src) {
   return graph_distances(g, std::vector<std::size_t>{src});
 }
 
-std::int64_t graph_ball_size(const Graph& g,
-                             const std::vector<std::size_t>& t,
-                             std::int64_t r) {
-  CMVRP_CHECK(r >= 0);
-  const auto dist = graph_distances(g, t);
-  std::int64_t count = 0;
-  for (auto d : dist)
-    if (d != kUnreachable && d <= r) ++count;
-  return count;
-}
-
 double graph_omega_for_set(const Graph& g,
                            const std::vector<std::size_t>& t,
                            const std::vector<double>& demand) {
@@ -97,32 +87,20 @@ double graph_omega_for_set(const Graph& g,
   CMVRP_CHECK(demand.size() == g.num_vertices());
   double s = 0.0;
   for (std::size_t v : t) s += demand[v];
-  if (s == 0.0) return 0.0;
 
-  const auto dist = graph_distances(g, t);
-  // Ball sizes grow only at the distinct finite distance values; walk the
-  // piecewise-linear g(ω) = ω·|B_⌊ω⌋(T)| exactly as on the lattice.
-  std::vector<std::int64_t> finite;
-  for (auto d : dist)
-    if (d != kUnreachable) finite.push_back(d);
-  std::sort(finite.begin(), finite.end());
-  auto ball_at = [&](std::int64_t k) -> double {
-    return static_cast<double>(
-        std::upper_bound(finite.begin(), finite.end(), k) - finite.begin());
-  };
-  const auto max_dist = finite.back();
-  for (std::int64_t k = 0;; ++k) {
-    const double vol = ball_at(k);
-    CMVRP_CHECK(vol >= 1.0);
-    const double lo = static_cast<double>(k) * vol;
-    const double hi = (static_cast<double>(k) + 1.0) * vol;
-    if (s < lo) return static_cast<double>(k);
-    if (s < hi) return s / vol;
-    if (k > max_dist) {
-      // Whole component reachable; g grows linearly with slope |V_comp|.
-      return s / vol;
-    }
-  }
+  // |B_⌊ω⌋(T)| grows only at the distinct finite distances from T, so
+  // those are M's breakpoints; unreachable vertices sort last.
+  auto dist = graph_distances(g, t);
+  std::sort(dist.begin(), dist.end());
+  std::size_t in_ball = 0;
+  return omega_crossing(s, [&dist, &in_ball] {
+    const auto at = dist[in_ball];
+    while (in_ball < dist.size() && dist[in_ball] == at) ++in_ball;
+    const bool last = in_ball == dist.size() || dist[in_ball] == kUnreachable;
+    return MassStep{static_cast<double>(at), static_cast<double>(in_ball),
+                    last ? std::numeric_limits<double>::infinity()
+                         : static_cast<double>(dist[in_ball])};
+  });
 }
 
 double graph_omega_star_enumerate(const Graph& g,
@@ -152,25 +130,6 @@ double graph_omega_star_flow(const Graph& g,
   return radius_fixed_point([&g, &demand](std::int64_t r) {
     return min_feasible_omega(graph_instance(g, demand, r));
   });
-}
-
-double graph_ball_lower_bound(const Graph& g,
-                              const std::vector<double>& demand,
-                              std::int64_t max_radius) {
-  CMVRP_CHECK(demand.size() == g.num_vertices());
-  CMVRP_CHECK(max_radius >= 0);
-  double best = 0.0;
-  for (std::size_t v = 0; v < g.num_vertices(); ++v) {
-    if (demand[v] <= 0.0) continue;
-    const auto dist = graph_distances(g, v);
-    for (std::int64_t k = 0; k <= max_radius; ++k) {
-      std::vector<std::size_t> ball;
-      for (std::size_t u = 0; u < g.num_vertices(); ++u)
-        if (dist[u] != kUnreachable && dist[u] <= k) ball.push_back(u);
-      best = std::max(best, graph_omega_for_set(g, ball, demand));
-    }
-  }
-  return best;
 }
 
 }  // namespace cmvrp

@@ -21,12 +21,11 @@ class Point {
  public:
   static constexpr int kMaxDim = 4;
 
-  Point() : dim_(0) { coords_.fill(0); }
+  Point() = default;
 
   explicit Point(std::initializer_list<std::int64_t> coords) {
     CMVRP_CHECK(coords.size() >= 1 &&
                 coords.size() <= static_cast<std::size_t>(kMaxDim));
-    coords_.fill(0);
     dim_ = static_cast<int>(coords.size());
     int i = 0;
     for (auto c : coords) coords_[static_cast<std::size_t>(i++)] = c;
@@ -127,8 +126,8 @@ class Point {
   friend std::int64_t l1_distance(const Point& a, const Point& b);
 
  private:
-  std::array<std::int64_t, kMaxDim> coords_;
-  int dim_;
+  std::array<std::int64_t, kMaxDim> coords_{};
+  int dim_ = 0;
 };
 
 // Manhattan distance ‖a − b‖₁ — the paper's travel metric (1 energy/step).

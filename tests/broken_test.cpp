@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "broken/longevity.h"
 #include "broken/scenario.h"
 #include "core/omega.h"
@@ -7,6 +11,29 @@
 
 namespace cmvrp {
 namespace {
+
+// d(0,0) = 4; p(0,0) = 1 and p(1,0) = 0.3, every other p 0. The neighbour
+// joins Theorem 4.1.1's mass at the fractional threshold 1 / 0.3 = 10/3.
+struct FractionalReach {
+  DemandMap d{2};
+  LongevityMap lg{2, 0.0};
+  FractionalReach() {
+    d.set(Point{0, 0}, 4.0);
+    lg.set(Point{0, 0}, 1.0);
+    lg.set(Point{1, 0}, 0.3);
+  }
+};
+
+// LP (4.2)'s radius fixed point, walked by hand over integer radii.
+double broken_lp_fixed_point(const DemandMap& d, const LongevityMap& lg) {
+  double vk = broken_lp_value_at_radius(d, lg, 0);
+  for (std::int64_t k = 0; k < 64; ++k) {
+    if (vk < static_cast<double>(k) + 1.0)
+      return std::max(vk, static_cast<double>(k));
+    vk = broken_lp_value_at_radius(d, lg, k + 1);
+  }
+  return -1.0;
+}
 
 TEST(Longevity, DefaultsAndOverrides) {
   LongevityMap lg(2, 1.0);
@@ -26,9 +53,10 @@ TEST(BrokenOmega, AllHealthyReducesToEquationOneOne) {
       d.add(Point{rng.next_int(0, 3), rng.next_int(0, 3)},
             static_cast<double>(rng.next_int(1, 9)));
     const auto support = d.support();
-    const double weighted = broken_omega_for_set(support, d, healthy);
-    const double plain = omega_for_set(support, d);
-    EXPECT_NEAR(weighted, plain, 1e-6) << "seed " << seed;
+    // Unit weights make it the same crossing, to the bit.
+    EXPECT_EQ(broken_omega_for_set(support, d, healthy),
+              omega_for_set(support, d))
+        << "seed " << seed;
   }
 }
 
@@ -68,6 +96,22 @@ TEST(BrokenOmega, FractionalLongevityScalesReach) {
               1e-6);
 }
 
+TEST(BrokenOmega, FractionalReachThresholdIsExact) {
+  // g(ω) = ω until 10/3, where it jumps to 1.3·10/3 > 4: ω_T is the
+  // breakpoint itself, with no bisection slack.
+  const FractionalReach f;
+  EXPECT_DOUBLE_EQ(broken_omega_for_set({Point{0, 0}}, f.d, f.lg),
+                   10.0 / 3.0);
+}
+
+TEST(BrokenOmega, NoPositiveLongevityThrows) {
+  // No vertex ever supplies, so ω·0 never reaches the demand.
+  DemandMap d(2);
+  d.set(Point{0, 0}, 3.0);
+  EXPECT_THROW(broken_omega_for_set({Point{0, 0}}, d, LongevityMap(2, 0.0)),
+               check_error);
+}
+
 TEST(BrokenLp, MatchesEnumerationOnTinyInstances) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 31);
@@ -80,22 +124,22 @@ TEST(BrokenLp, MatchesEnumerationOnTinyInstances) {
     // A few broken/feeble vertices.
     lg.set(Point{1, 1}, 0.0);
     lg.set(Point{0, 1}, 0.5);
-    // Fixed-point over the LP radius equals max_T weighted ω_T.
-    // (Evaluate LP at integer radii and find the crossing by hand.)
+    // The LP's integer-radius fixed point equals max_T weighted ω_T here
+    // only because p ∈ {0, ½, 1} at integer distances puts every reach
+    // threshold dist/p on an integer (see IntegerRadiiMissAFractionalReach).
     const double enumerated = broken_lower_bound_enumerate(d, lg);
-    std::int64_t k = 0;
-    double vk = broken_lp_value_at_radius(d, lg, 0);
-    double fixed_point = -1.0;
-    for (; k < 64; ++k) {
-      if (vk < static_cast<double>(k) + 1.0) {
-        fixed_point = std::max(vk, static_cast<double>(k));
-        break;
-      }
-      vk = broken_lp_value_at_radius(d, lg, k + 1);
-    }
+    const double fixed_point = broken_lp_fixed_point(d, lg);
     ASSERT_GE(fixed_point, 0.0);
     EXPECT_NEAR(fixed_point, enumerated, 1e-4) << "seed " << seed;
   }
+}
+
+TEST(BrokenLp, IntegerRadiiMissAFractionalReach) {
+  // LP (4.2) gives (1,0) its arc only from radius 4 (1 <= 0.3·r), so the
+  // radius walk reads 4 where Theorem 4.1.1's bound is 10/3.
+  const FractionalReach f;
+  EXPECT_DOUBLE_EQ(broken_lp_fixed_point(f.d, f.lg), 4.0);
+  EXPECT_DOUBLE_EQ(broken_lower_bound_enumerate(f.d, f.lg), 10.0 / 3.0);
 }
 
 // --- Figure 4.1 -----------------------------------------------------------------
@@ -116,9 +160,26 @@ TEST(Fig41, LpBoundIsTwoR1) {
   for (std::int64_t r1 : {2, 4, 8}) {
     const auto s = make_fig41(r1, 4 * r1 + 2);
     const auto m = measure_fig41(s);
-    EXPECT_NEAR(m.lp_bound, 2.0 * static_cast<double>(r1), 1e-6)
-        << "r1=" << r1;
+    EXPECT_EQ(m.lp_bound, 2.0 * static_cast<double>(r1)) << "r1=" << r1;
   }
+}
+
+TEST(Fig41, CrossingStopsAtRingTwoR1) {
+  // ω_{i,j} = 2·r1 is a crossing inside the step that starts at ring 2·r1
+  // (k alone supplies), so the BFS asks for no vertex beyond that ring.
+  const auto s = make_fig41(/*r1=*/3, /*r2=*/14);
+  const std::vector<Point> t{s.i, s.j};
+  std::int64_t farthest = 0;
+  const double omega = omega_for_set(
+      t, s.demand,
+      [&](const Point& p) {
+        farthest = std::max(
+            farthest, std::min(l1_distance(p, s.i), l1_distance(p, s.j)));
+        return s.longevity.at(p);
+      },
+      s.longevity.positive_reach(t));
+  EXPECT_EQ(omega, 6.0);
+  EXPECT_EQ(farthest, 6);
 }
 
 TEST(Fig41, TrueRequirementOutgrowsLpBound) {

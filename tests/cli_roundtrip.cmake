@@ -117,6 +117,12 @@ cli(2 gen --workload line --n 4 --d -3)
 cli(2 gen --workload square --n 1)
 cli(2 fig41 --r1 0)
 cli(2 fig41 --r1 3 --r2 1)
+# Theorem 4.1.1's bound on Fig. 4.1 is exactly 2·r1.
+cli(0 fig41 --r1 3)
+if(NOT cli_out MATCHES "\\| LP bound \\(Thm 4\\.1\\.1\\) +\\| 6\\.0000 +\\|")
+  message(FATAL_ERROR "fig41 --r1 3: the LP bound row does not read 6.0000\n"
+                      "${cli_out}")
+endif()
 cli(2 won --file d.txt --tol 0)
 cli(2 online --file d.txt --capacity -1)
 cli(2 bench --suite smoke --reps 0)

@@ -58,6 +58,47 @@ TEST(OmegaForSet, ZeroDemandGivesZero) {
   EXPECT_DOUBLE_EQ(omega_for_set({Point{3, 3}}, d), 0.0);
 }
 
+// The values below were recorded, as hex floats, from the integer-radius
+// march that omega_crossing replaced; unit-weight crossings must keep them
+// to the bit.
+TEST(OmegaForSet, PinnedCrossingsAreBitExact) {
+  DemandMap interior(3);
+  interior.set(Point{0, 0, 0}, 7.25);
+  interior.set(Point{2, 1, 0}, 19.5);
+  interior.set(Point{0, 3, 1}, 0.125);
+  EXPECT_EQ(omega_for_set(interior.support(), interior),
+            0x1.479e79e79e79ep+0);
+  // |N_1| = 8 for the pair, so g stays below 16 on [1, 2) and jumps past
+  // 23 at 2.
+  DemandMap jump(2);
+  jump.set(Point{0, 0}, 20.0);
+  jump.set(Point{1, 0}, 3.0);
+  EXPECT_EQ(omega_for_set(jump.support(), jump), 0x1p+1);
+}
+
+TEST(OmegaForBox, PinnedCrossingsAreBitExact) {
+  // A 4×2×5 box: |N_0| = 40, |N_1| = 116.
+  const Box box(Point{0, 0, 0}, Point{3, 1, 4});
+  EXPECT_EQ(omega_for_box(box, 97.0), 0x1p+0);                 // jump
+  EXPECT_EQ(omega_for_box(box, 130.0), 0x1.1ee58469ee584p+0);  // 130/116
+  EXPECT_EQ(omega_for_box(box, 1000.0), 0x1.8p+1);             // jump
+  EXPECT_EQ(omega_for_box(box, 1234.5), 0x1.834b4b4b4b4b5p+1);
+}
+
+TEST(OmegaForSet, BfsStopsAtRingFloorOmega) {
+  // 7 at one point crosses at 7/|N_1| = 1.4, so no vertex of ring 2 is
+  // ever visited.
+  DemandMap d(2);
+  d.set(Point{0, 0}, 7.0);
+  std::int64_t farthest = 0;
+  const double omega = omega_for_set({Point{0, 0}}, d, [&](const Point& p) {
+    farthest = std::max(farthest, p.l1_norm());
+    return 1.0;
+  });
+  EXPECT_EQ(omega, 1.4);
+  EXPECT_EQ(farthest, 1);
+}
+
 TEST(OmegaForBox, AgreesWithSetComputation) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed);

@@ -191,17 +191,25 @@ TEST(GraphOmega, TorusBeatsGridNearBoundary) {
   EXPECT_LT(w_torus, w_grid);  // strictly better at the corner
 }
 
-TEST(GraphOmega, BallLowerBoundBelowOmegaStar) {
-  Rng rng(17);
-  const SpatialGraph sg = make_grid_graph(Box(Point{0, 0}, Point{6, 6}));
-  std::vector<double> demand(sg.points.size(), 0.0);
-  for (int k = 0; k < 5; ++k)
-    demand[rng.next_below(demand.size())] +=
-        static_cast<double>(rng.next_int(1, 6));
-  const double ball = graph_ball_lower_bound(sg.graph, demand, 4);
-  const double star = graph_omega_star_enumerate(sg.graph, demand);
-  EXPECT_LE(ball, star + 1e-9);
-  EXPECT_GT(ball, 0.0);
+TEST(GraphOmega, RoadwayCrossingsAreBitExact) {
+  // Side cost 3 on a 3×5 grid whose middle row is the highway: from (1, 2)
+  // the distances are 0, 1, 3, 4, 6 and 7 (balls of 1, 3, 5, 9, 11, 15),
+  // so M has no breakpoint at 2 or 5 and two crossings fall in those gaps.
+  // The values were recorded, as hex floats, from the integer-radius march
+  // that omega_crossing replaced.
+  const SpatialGraph sg =
+      make_weighted_roadways(Box(Point{0, 0}, Point{2, 4}), {2}, 3);
+  const std::size_t v = sg.index.at(Point{1, 2});
+  auto omega = [&sg, v](double s) {
+    std::vector<double> demand(sg.points.size(), 0.0);
+    demand[v] = s;
+    return graph_omega_for_set(sg.graph, {v}, demand);
+  };
+  EXPECT_EQ(omega(7.0), 0x1.2aaaaaaaaaaabp+1);   // 7/3 on [1, 3)
+  EXPECT_EQ(omega(12.0), 0x1.8p+1);              // jump at 3
+  EXPECT_EQ(omega(50.0), 0x1.638e38e38e38ep+2);  // 50/9 on [4, 6)
+  EXPECT_EQ(omega(60.0), 0x1.8p+2);              // jump at 6
+  EXPECT_EQ(omega(100.0), 0x1.cp+2);             // jump onto the whole graph
 }
 
 TEST(GraphOmega, WeightedEdgesStretchOmega) {
