@@ -686,7 +686,7 @@ void suite_substrates(BenchRun& b) {
   b.run_case("network_delivery/n=1000", [&](MetricRow& row) {
     looped(20,
            [] {
-             Transport t(/*max_delay=*/3);
+             Transport t(/*max_delay=*/3, /*vehicles=*/7);
              Network net(t, Rng(1));
              std::size_t delivered = 0;
              net.set_receiver(
@@ -696,7 +696,7 @@ void suite_substrates(BenchRun& b) {
                  &delivered);
              for (int i = 0; i < 1000; ++i)
                net.send(static_cast<std::size_t>(i % 7), (i + 1) % 7,
-                        QueryMsg{});
+                        Message{});
              t.queue.run_to_quiescence();
              return static_cast<double>(delivered);
            },
@@ -722,7 +722,7 @@ void suite_substrates(BenchRun& b) {
       std::int64_t scheduled = 0;
       std::uint64_t sum = 0;
       void add(std::uint32_t id) {
-        q.schedule_after(1 + (scheduled++ & 3), Delivery{id, 0, QueryMsg{}});
+        q.schedule_after(1 + (scheduled++ & 3), Delivery{id, 0, Message{}});
       }
     };
     per_op(kOps,
@@ -748,7 +748,7 @@ void suite_substrates(BenchRun& b) {
     constexpr std::int64_t kOps = 2'000'000;
     per_op(kOps,
            [&b] {
-             Transport t(/*max_delay=*/3);
+             Transport t(/*max_delay=*/3, /*vehicles=*/64);
              Network net(t, Rng(1));
              std::vector<std::uint32_t> ring;
              for (std::size_t v = 0; v < 64; ++v)
@@ -761,6 +761,51 @@ void suite_substrates(BenchRun& b) {
            },
            row);
   });
+  b.run_case("phase1_flood/3d-s4", [&](MetricRow& row) {
+    // Phase I alone, in the flood-3d cube: one healthy 64-vehicle 3-D
+    // cube of side 4 at W = 8, no monitoring ring. Each round builds the
+    // cube afresh on one transport and serves the same arrivals until its
+    // fleet is spent, so every exhausted vehicle floods the cube
+    // (Algorithm 2) and Phase II relays its move. One op = one message
+    // sent; the value is the messages, which the seeds fix.
+    constexpr int kRounds = 40;
+    OnlineConfig cfg;
+    cfg.capacity = 8.0;
+    cfg.cube_side = 4;
+    cfg.anchor = Point::origin(3);
+    cfg.enable_monitoring = false;
+    const CubeParams params(3, cfg);
+    Transport transport(cfg.max_message_delay,
+                        static_cast<std::size_t>(params.pairing.cube_volume()));
+    const auto regions =
+        std::make_unique<std::byte[]>(FleetCore::region_bytes(params));
+    Rng rng(11);
+    std::vector<Job> jobs;
+    for (std::int64_t i = 0; i < 512; ++i)
+      jobs.push_back({Point{rng.next_int(0, 3), rng.next_int(0, 3),
+                            rng.next_int(0, 3)},
+                      i});
+    std::uint64_t messages = 0;
+    std::uint64_t floods = 0;
+    WallTimer timer;
+    for (int round = 0; round < kRounds; ++round) {
+      Network net(transport, Rng(static_cast<std::uint64_t>(round) + 1));
+      FleetCore core(params, cfg.anchor, net, regions.get());
+      core.bind_network();
+      const Network::Lend lend(net);
+      for (const Job& job : jobs) {
+        core.serve_job(job);
+        transport.queue.run_to_quiescence();
+      }
+      messages += net.stats().total();
+      floods += core.core_metrics().computations_started;
+    }
+    const double ms = timer.elapsed_ms();
+    if (floods == 0) b.fail("phase1_flood: no computation started");
+    row.metric("ops", messages)
+        .metric("ns/op", 1e6 * ms / static_cast<double>(messages), 2)
+        .metric("value", messages);
+  });
   b.run_case("monitor_settle/4d-s3", [&](MetricRow& row) {
     // Steady-state settles of one healthy 81-vehicle 4-D cube of side 3,
     // the replay-4d shape: each is one §3.2.5 round, 41 heartbeats over
@@ -771,7 +816,8 @@ void suite_substrates(BenchRun& b) {
     cfg.cube_side = 3;
     cfg.anchor = Point::origin(4);
     const CubeParams params(4, cfg);
-    Transport transport(cfg.max_message_delay);
+    Transport transport(cfg.max_message_delay,
+                        static_cast<std::size_t>(params.pairing.cube_volume()));
     Network net(transport, Rng(1));
     const auto regions =
         std::make_unique<std::byte[]>(FleetCore::region_bytes(params));
@@ -864,7 +910,8 @@ void suite_substrates(BenchRun& b) {
     // its cubes, each built on one transport as its first arrival would
     // build it. One op = one CubeServer::create (the frees are untimed).
     const CubeParams params(2, cube_arrivals().config.online);
-    Transport transport(params.config.max_message_delay);
+    Transport transport(params.config.max_message_delay,
+                        static_cast<std::size_t>(params.pairing.cube_volume()));
     constexpr std::int64_t kGrid = 128;
     const std::int64_t side = params.config.cube_side;
     const Point& anchor = params.config.anchor;

@@ -64,6 +64,10 @@ FleetCore::FleetCore(const CubeParams& params, const Point& corner,
   const CubePairing& pairing = params_.pairing;
   CMVRP_CHECK_MSG(pairing.cube_corner(corner) == corner,
                   corner.to_string() << " is not a cube corner");
+  CMVRP_CHECK_MSG(network_.transport().vehicles >= volume_,
+                  "a transport for " << network_.transport().vehicles
+                                     << " vehicles cannot carry a cube of "
+                                     << volume_);
   // The regions' storage, before any of their objects exist.
   std::byte* storage = static_cast<std::byte*>(regions) +
                        std::size_t{volume_} * sizeof(Vehicle);
@@ -173,23 +177,23 @@ void FleetCore::inject_break_after(const Point& home, double longevity) {
   touch();
 }
 
-const std::vector<std::uint32_t>& FleetCore::neighbors_of(std::size_t vid) {
-  std::vector<std::uint32_t>& out = network_.transport().neighbors;
+Region<const std::uint32_t> FleetCore::neighbors_of(std::size_t vid) {
+  // The transport's scratch holds a slot per vehicle (the constructor
+  // checks), so the list needs no resizing.
+  std::uint32_t* const out = network_.transport().neighbors.data();
   const CubeOffset at = fleet()[vid].pos;
   const std::int64_t radius = params_.config.neighbor_radius;
   const std::size_t volume = volume_;
   // Branch-free selection: whether a member is in range is a coin flip
   // the predictor cannot learn, so every member is written and the
   // count advances only for the ones that qualify.
-  out.resize(volume);
   std::size_t n = 0;
   for (std::size_t other = 0; other < volume; ++other) {
     out[n] = static_cast<std::uint32_t>(other);
     n += static_cast<std::size_t>(
         (other != vid) & (l1_distance(fleet_[other].pos, at) <= radius));
   }
-  out.resize(n);
-  return out;
+  return {out, n};
 }
 
 void FleetCore::spend_travel(Vehicle& v, std::int64_t dist) {
@@ -275,7 +279,7 @@ void FleetCore::initiate_computation(std::size_t initiator,
   v.init = next_init(static_cast<std::uint32_t>(initiator), v.init_seq);
   dests()[initiator] = static_cast<std::uint32_t>(dest);
   ++metrics_.computations_started;
-  const auto& nb = neighbors_of(initiator);
+  const Region<const std::uint32_t> nb = neighbors_of(initiator);
   v.num = static_cast<int>(nb.size());
   // The span must open before the sends (and before the degenerate
   // immediate finish) so every record tagged with this InitTag finds its
@@ -283,13 +287,13 @@ void FleetCore::initiate_computation(std::size_t initiator,
   if (spans_ != nullptr)
     spans_->comp_start(network_.queue().now(), packed_init(v.init), initiator,
                        nb.size());
-  if (nb.empty()) {
+  if (nb.size() == 0) {
     v.s2 = TransferState::kWaiting;
     finish_phase_one(initiator);
     return;
   }
-  for (const std::uint32_t q : nb)
-    network_.send(initiator, q, QueryMsg{v.init, 1});
+  network_.send_all(initiator, nb.begin(), nb.size(),
+                    Message::query(v.init, 1));
   if (obs_ != nullptr) obs_note_queries(v.init, nb.size());
 }
 
@@ -302,67 +306,67 @@ void FleetCore::obs_note_queries(const InitTag& init, std::size_t count) {
 void FleetCore::on_message(std::size_t to, std::size_t from,
                            const Message& m) {
   touch();
-  switch (m.index()) {
-    case 0:
-      on_query(to, from, std::get<QueryMsg>(m));
+  switch (m.kind) {
+    case MsgKind::kQuery:
+      on_query(to, from, m);
       break;
-    case 1:
-      on_reply(to, from, std::get<ReplyMsg>(m));
+    case MsgKind::kReply:
+      on_reply(to, from, m);
       break;
-    case 2:
-      on_move(to, from, std::get<MoveMsg>(m));
+    case MsgKind::kMove:
+      on_move(to, from, m);
       break;
   }
 }
 
 void FleetCore::on_query(std::size_t vid, std::size_t from,
-                         const QueryMsg& q) {
+                         const Message& q) {
   Vehicle& v = fleet()[vid];
   if (v.s2 == TransferState::kWaiting && v.init != q.init) {
     v.par = static_cast<std::uint32_t>(from);
     v.init = q.init;
     v.child = kNoVehicle;
     if (v.s1 == WorkState::kIdle && !v.dead) {
-      network_.send(vid, from, ReplyMsg{true, q.init});
+      network_.send(vid, from, Message::reply(q.init, true));
       return;
     }
     // Active, done, or broken vehicles relay the search.
     v.s2 = TransferState::kSearching;
-    const auto& nb = neighbors_of(vid);
+    const Region<const std::uint32_t> nb = neighbors_of(vid);
     v.num = static_cast<int>(nb.size());
     if (v.num == 0) {
       // Degenerate: nobody else to ask.
       v.s2 = TransferState::kWaiting;
-      network_.send(vid, from, ReplyMsg{false, q.init});
+      network_.send(vid, from, Message::reply(q.init, false));
       return;
     }
-    for (const std::uint32_t n : nb)
-      network_.send(vid, n, QueryMsg{q.init, q.hop + 1});
+    network_.send_all(vid, nb.begin(), nb.size(),
+                      Message::query(q.init, q.hop() + 1));
     if (obs_ != nullptr) obs_note_queries(q.init, nb.size());
     if (spans_ != nullptr)
       spans_->relay(network_.queue().now(), packed_init(q.init), vid, from,
-                    q.hop, nb.size());
+                    q.hop(), nb.size());
     return;
   }
-  network_.send(vid, from, ReplyMsg{false, q.init});
+  network_.send(vid, from, Message::reply(q.init, false));
 }
 
 void FleetCore::on_reply(std::size_t vid, std::size_t from,
-                         const ReplyMsg& r) {
+                         const Message& r) {
   Vehicle& v = fleet()[vid];
   if (r.init != v.init) return;  // stale reply from an abandoned search
   CMVRP_CHECK_MSG(v.num > 0, "reply without outstanding query");
   --v.num;
-  if (r.flag && v.child == kNoVehicle) {
+  if (r.flag() && v.child == kNoVehicle) {
     v.child = static_cast<std::uint32_t>(from);
     if (v.s2 == TransferState::kSearching)
-      network_.send(vid, v.par, ReplyMsg{true, v.init});
+      network_.send(vid, v.par, Message::reply(v.init, true));
   }
   if (v.num == 0) {
     if (v.s2 == TransferState::kSearching) {
       v.s2 = TransferState::kWaiting;
       if (v.child == kNoVehicle)
-        network_.send(vid, v.par, ReplyMsg{false, v.init});
+        network_.send(vid, v.par, Message::reply(v.init, false));
     } else if (v.s2 == TransferState::kInitiator) {
       v.s2 = TransferState::kWaiting;
       finish_phase_one(vid);
@@ -388,15 +392,15 @@ void FleetCore::finish_phase_one(std::size_t vid) {
     pair.unrecoverable = true;
     return;
   }
-  network_.send(vid, v.child, MoveMsg{dest, v.init});
+  network_.send(vid, v.child, Message::move(v.init, dest));
 }
 
-void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
+void FleetCore::on_move(std::size_t vid, std::size_t from, const Message& m) {
   Vehicle& v = fleet()[vid];
   if (v.s1 == WorkState::kIdle && !v.dead) {
-    const std::int64_t k = m.dest;
+    const std::int64_t k = m.dest();
     const CubeOffset dest = offset_of(pairing().snake_vertex(corner_, k));
-    PairSlot& pair = pairs()[m.dest / 2];
+    PairSlot& pair = pairs()[m.dest() / 2];
     const std::int64_t dist = l1_distance(v.pos, dest);
     if (v.remaining(capacity()) < static_cast<double>(dist)) {
       // Cannot afford the relocation; treat as a failed computation so the
@@ -438,7 +442,7 @@ void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
     return;
   }
   ++metrics_.computations_failed;
-  pairs()[m.dest / 2].pending = false;
+  pairs()[m.dest() / 2].pending = false;
 }
 
 template <class F>

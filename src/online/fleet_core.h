@@ -28,19 +28,27 @@
 // Phase I diffusing computation floods the s^ℓ vehicles of the cube
 // through radius-r neighbor lists (O(s^ℓ · (2r+1)^ℓ) messages, realizing
 // Lemma 3.3.1's bounded-search claim), and Phase II relays one move
-// message along the computation tree. Between serves the core holds only
-// its cube's own O(s^ℓ) state: the four regions (the fleet is 64 bytes
-// a vehicle) and a fixed part of the cube's 456-B header (stream/
-// shard.h) — its counts (CoreMetrics) but not the message stats, which
-// metrics() reads from the network. Messages in flight, flood clamps and
-// the neighbor scratch live in the lent transport, which is empty at
-// quiescence; the deployment constants live in the shared CubeParams;
-// the Tier-A and span state live with whoever turned them on (FleetObs,
-// SpanRecorder); the longevities exist only once a break is injected.
-// Nothing grows with the cube's history: the network's heartbeat table
-// holds at most twice the ring's channels plus the clamps still ahead of
-// the clock, because each ring rebuild that finds more drops the clamps
-// that can no longer bind (sim/network.h).
+// message along the computation tree. A relay (or the initiator) finds
+// its neighbors with one scan of the fleet into the transport's scratch,
+// sized once per transport, and hands the whole list to one
+// Network::send_all. That sends the queries in list order exactly as one
+// send per neighbor would — the same delays, clamps and delivery order —
+// and does the per-call work (checks, counts, clock and clamp-base
+// reads) once per relay.
+//
+// Between serves the core holds only its cube's own O(s^ℓ) state: the
+// four regions (the fleet is 64 bytes a vehicle) and a fixed part of the
+// cube's 456-B header (stream/shard.h) — its counts (CoreMetrics) but
+// not the message stats, which metrics() reads from the network.
+// Messages in flight, flood clamps and the neighbor scratch live in the
+// lent transport, whose queue is empty and whose flood clamps are all
+// stale at quiescence; the deployment constants live in the shared
+// CubeParams; the Tier-A and span state live with whoever turned them on
+// (FleetObs, SpanRecorder); the longevities exist only once a break is
+// injected. Nothing grows with the cube's history: the network's
+// heartbeat table holds at most twice the ring's channels plus the
+// clamps still ahead of the clock, because each ring rebuild that finds
+// more drops the clamps that can no longer bind (sim/network.h).
 //
 // A §3.2.5 monitoring round costs O(ring) heartbeats and nothing else
 // while the fleet is unchanged. The core keeps the ring's beat slots
@@ -67,7 +75,6 @@
 #include <memory>
 #include <new>
 #include <optional>
-#include <vector>
 
 #include "grid/point.h"
 #include "obs/counters.h"
@@ -404,10 +411,10 @@ class FleetCore {
   // `p` (which must lie in the cube) as offsets from the corner.
   CubeOffset offset_of(const Point& p) const;
   double capacity() const { return params_.config.capacity; }
-  // Fills the lent transport's neighbor scratch with vid's radius-r
-  // neighbors and returns it (the serve path runs one of these per
-  // protocol message, so per-call vector churn was measurable).
-  const std::vector<std::uint32_t>& neighbors_of(std::size_t vid);
+  // vid's radius-r neighbors, in id order: a view of the lent
+  // transport's neighbor scratch, valid until the next call (every
+  // Phase I relay runs one, so the scratch is sized once per transport).
+  Region<const std::uint32_t> neighbors_of(std::size_t vid);
   void check_longevity(Vehicle& v);
 
   // Attributes `count` Query sends to computation `init` and updates
@@ -418,9 +425,9 @@ class FleetCore {
   void after_serving(std::size_t vid, std::int64_t k);
   // `dest` is the snake index of the vertex the replacement must occupy.
   void initiate_computation(std::size_t initiator, std::int64_t dest);
-  void on_query(std::size_t vid, std::size_t from, const QueryMsg& q);
-  void on_reply(std::size_t vid, std::size_t from, const ReplyMsg& r);
-  void on_move(std::size_t vid, std::size_t from, const MoveMsg& m);
+  void on_query(std::size_t vid, std::size_t from, const Message& q);
+  void on_reply(std::size_t vid, std::size_t from, const Message& r);
+  void on_move(std::size_t vid, std::size_t from, const Message& m);
   void finish_phase_one(std::size_t vid);
   void spend_travel(Vehicle& v, std::int64_t dist);
   // The vehicle `v`, standing on snake index k, stops serving its pair:

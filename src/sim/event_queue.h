@@ -35,7 +35,8 @@ namespace cmvrp {
 using SimTime = std::int64_t;
 
 // One message in flight: endpoint ids (dense fleet indices, which
-// Network::send checks fit 32 bits) and the payload.
+// Network::send_all checks lie below its transport's vehicle count, at
+// most 2^32) and the payload.
 struct Delivery {
   std::uint32_t to = 0;
   std::uint32_t from = 0;

@@ -5,6 +5,17 @@
 // computations by the same vehicle stay distinct). Phase II uses a single
 // move message carrying the destination.
 //
+// Every kind carries the same two things, its computation's InitTag and
+// one 32-bit word (a query's hop, a reply's flag, a move's destination),
+// so a Message is one plain 16-byte record — tag, word, kind — and not a
+// variant of three types. The event queue stores one per delivery and a
+// Phase I flood sends about a thousand, so the record is built and copied
+// in whole words: a std::variant keeps its one-byte index apart from the
+// payload, and building a Delivery from one reloads narrow stores as
+// wider words, which stalls store-to-load forwarding on every send.
+// Readers branch on `kind` and read the word through the accessor of
+// that kind; Debug builds check the kind there.
+//
 // The `existing` heartbeats of the §3.2.5 monitoring ring are not a
 // Message. A heartbeat is never delivered — its receiver would do
 // nothing, since the ring reads fleet state directly — so it has no
@@ -15,7 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <variant>
+#include <type_traits>
 
 #include "util/check.h"
 
@@ -56,33 +67,57 @@ inline std::uint64_t packed_init(const InitTag& t) {
   return (static_cast<std::uint64_t>(t.vehicle) << 32) | t.seq;
 }
 
-// Phase I: "are you (or do you know) an idle vehicle?" — (init, p).
-// `hop` is the query-tree depth the message travels at (1 = the
-// initiator's own fan-out), carried for the span layer's causal trace;
-// the protocol itself never reads it.
-struct QueryMsg {
-  InitTag init;
-  std::uint32_t hop = 0;
+// What a message asks of its receiver. The value is the kind the span
+// layer records (obs/span.h).
+enum class MsgKind : std::uint32_t {
+  // Phase I: "are you (or do you know) an idle vehicle?" — (init, p).
+  // The word is the query-tree depth the message travels at (1 = the
+  // initiator's own fan-out), carried for the span layer's causal trace;
+  // the protocol itself never reads it.
+  kQuery = 0,
+  // Phase I: reply (flag, p). The word is the flag, 0 or 1.
+  kReply = 1,
+  // Phase II: relay toward the found idle vehicle. The word is the snake
+  // index (in the cube, see CubePairing::snake_vertex) of the vertex the
+  // idle vehicle must occupy — the done vehicle's serving position.
+  kMove = 2,
 };
 
-// Phase I: reply (flag, p).
-struct ReplyMsg {
-  bool flag = false;
-  InitTag init;
+struct Message {
+  InitTag init;             // the computation the message belongs to
+  std::uint32_t word = 0;   // the payload of `kind` (see MsgKind)
+  MsgKind kind = MsgKind::kQuery;
+
+  static Message query(const InitTag& init, std::uint32_t hop) {
+    return {init, hop, MsgKind::kQuery};
+  }
+  static Message reply(const InitTag& init, bool flag) {
+    return {init, flag ? 1u : 0u, MsgKind::kReply};
+  }
+  static Message move(const InitTag& init, std::uint32_t dest) {
+    return {init, dest, MsgKind::kMove};
+  }
+
+  std::uint32_t hop() const { return payload(MsgKind::kQuery); }
+  bool flag() const { return payload(MsgKind::kReply) != 0; }
+  std::uint32_t dest() const { return payload(MsgKind::kMove); }
+
+ private:
+  std::uint32_t payload([[maybe_unused]] MsgKind of) const {
+#ifndef NDEBUG
+    CMVRP_CHECK_MSG(kind == of, "read the payload of a kind-"
+                                    << static_cast<unsigned>(of)
+                                    << " message from a kind-"
+                                    << static_cast<unsigned>(kind) << " one");
+#endif
+    return word;
+  }
 };
 
-// Phase II: relay toward the found idle vehicle; `dest` is the snake
-// index (in the cube, see CubePairing::snake_vertex) of the vertex the
-// idle vehicle must occupy — the done vehicle's serving position.
-struct MoveMsg {
-  std::uint32_t dest = 0;
-  InitTag init;
-};
-
-using Message = std::variant<QueryMsg, ReplyMsg, MoveMsg>;
-
-// Every alternative is three 32-bit words, so a message is 16 bytes with
-// the variant's index: the event queue's pool stores one per delivery.
-static_assert(sizeof(Message) == 16, "Message must stay 16 bytes");
+// Three 32-bit words and the kind: the event queue's pool stores one per
+// delivery and copies it as plain bytes.
+static_assert(sizeof(Message) == 16 &&
+                  std::is_trivially_copyable_v<Message>,
+              "Message must stay a trivially copyable 16-byte record");
 
 }  // namespace cmvrp

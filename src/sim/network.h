@@ -31,13 +31,11 @@
 //     fire, and are sent only at quiescence (beat_all() checks), so a
 //     ring beaconing at a still clock pushes its clamps ahead of the
 //     clock, and they outlive every drain.
-//   * Flood clamps (query, reply, move) live in a table the network
-//     borrows, which the stream engine shares between every cube of one
-//     worker and clears when a cube's serve ends (see Lend). At
-//     quiescence every flood delivery has fired, so every flood clamp is
-//     at or before the clock and clearing loses nothing. Clearing is what
-//     keeps the cubes apart: channel keys are cube-local vehicle ids, and
-//     a clamp stale on one cube's clock may lie ahead of the next cube's.
+//   * Flood clamps (query, reply, move) live in the Transport the
+//     network borrows, which the stream engine shares between every cube
+//     of one worker. At quiescence every flood delivery has fired, so
+//     every flood clamp is at or before the clock, and a hand-off loses
+//     nothing by making them all stale.
 // A flood send reads its channel's flood clamp; when that clamp is at or
 // before now, it first raises it to the channel's heartbeat clamp. This
 // reproduces the plain one-clamp-per-channel rule exactly. A flood clamp
@@ -45,8 +43,28 @@
 // on its channel since it was written: it is the channel's latest clamp.
 // A flood clamp at or before now is stale, and the channel's latest
 // clamp ahead of now, if any, is its heartbeat clamp. A heartbeat
-// ignores the flood table: at quiescence every flood clamp is at or
+// ignores the flood clamps: at quiescence every flood clamp is at or
 // before now.
+//
+// The flood clamps are one dense table: a SimTime per ordered vehicle
+// pair of the transport's cubes, at from * V + to, built with the
+// transport and sized V² exactly (V·V·8 bytes: 32 KB for a 3-D cube of
+// side 4, 1.9 MB for a 2-D cube of side 22). A flood send is an indexed
+// load and store — no hash, no probe, no insert. A flood already costs
+// O(V²): V relays, each scanning V vehicles for its neighbors.
+//
+// Nothing in the table is ever cleared: a lend spans one arrival, and
+// clearing V² cells per arrival would cost more than most serves. Its
+// cells hold times in the transport's own base, the lent clock plus a
+// shift, and every cell written so far is at most the transport's
+// running horizon. A lend starts by setting the shift to
+// horizon + 1 − clock, so the lent clock reads as horizon + 1 and every
+// earlier cell — another cube's clamps, whose channel ids are the same
+// cube-local vehicle ids — reads as stale; it ends by setting the shift
+// to horizon + 1, so a network that sends outside any lend, at any
+// clock >= 0, sees no lent cube's clamp either. The hand-off is two
+// stores, whatever V is. The base advances by each lend's span plus a
+// tick, so it nears 2^63 only after that many ticks have been served.
 //
 // Two consequences keep the heartbeat table small and rarely read:
 //   * The network keeps the latest heartbeat clamp it ever set. While
@@ -60,6 +78,14 @@
 //     outgrows twice the ring (online/fleet_core.h), so the table holds
 //     the ring's channels plus the clamps still ahead of the clock, not
 //     every channel the ring ever used.
+//
+// A relay's Phase I queries leave in one send_all() call, and send() is
+// that call with one target. It checks the endpoints, counts the
+// messages, reads the clock, the shift and the heartbeat horizon, and
+// tests whether spans are on once per call, then schedules each message
+// in order, drawing its delay from a register copy of the generator as
+// beat_all() does; the delays, clamps and delivery order are those of
+// one send per message.
 //
 // Between lends a network keeps only what is its cube's own: its delay
 // generator, its message counts, its heartbeat clamps, its clock and its
@@ -110,25 +136,39 @@ struct NetworkStats {
   }
 };
 
-// FIFO clamps of a set of channels: channel key -> the last delivery
-// time scheduled on that channel.
+// A network's heartbeat clamps: channel key (see Network::channel_key)
+// -> the last heartbeat delivery time drawn on that channel.
 using ClampTable = FlatMap<std::uint64_t, SimTime, U64Hash>;
 
 // The transport one worker lends to the cube it is serving (see
-// Network::Lend): the event queue, the flood-clamp table, and the
-// serving core's neighbor-list scratch, plus the delay bound every
-// network it carries draws under. Nothing in it outlives a serve, so
-// one transport serves every cube of a worker.
+// Network::Lend): the event queue, the flood clamps, and the serving
+// core's neighbor-list scratch, plus the delay bound every network it
+// carries draws under. It is sized for cubes of `vehicles` vehicles (ids
+// 0 .. vehicles − 1) when built, so serving allocates nothing for it.
+// Nothing in it outlives a serve, so one transport serves every cube of
+// a worker.
 struct Transport {
-  explicit Transport(SimTime max_delay) : max_delay(max_delay) {
+  Transport(SimTime max_delay, std::size_t vehicles)
+      : max_delay(max_delay), vehicles(vehicles) {
     CMVRP_CHECK(max_delay >= 0);
+    // A Delivery carries 32-bit vehicle ids.
+    CMVRP_CHECK_MSG(vehicles <= UINT32_MAX,
+                    vehicles << " vehicles exceed 32-bit vehicle ids");
+    flood.assign(vehicles * vehicles, 0);
+    neighbors.assign(vehicles, 0);
   }
 
   EventQueue queue;
-  ClampTable flood;
-  // FleetCore's Phase I fan-out list, rebuilt by every neighbor query.
+  const SimTime max_delay;   // extra random per-message delay
+  const std::size_t vehicles;  // V: the cubes' vehicle ids are below it
+  // The flood clamps (see the file comment): channel from -> to's at
+  // from * V + to, in the transport's base (clock + shift). No cell
+  // exceeds `horizon`.
+  std::vector<SimTime> flood;
+  SimTime shift = 1;
+  SimTime horizon = 0;
+  // FleetCore's Phase I fan-out list: each neighbor query fills a prefix.
   std::vector<std::uint32_t> neighbors;
-  const SimTime max_delay;  // extra random per-message delay
 };
 
 class Network {
@@ -148,17 +188,21 @@ class Network {
 
   // Lends the borrowed transport to this network for one scope that
   // starts and ends at quiescence: resumes the queue at this network's
-  // clock and binds it here; on exit, keeps the queue's clock as this
-  // network's and clears the flood table.
+  // clock, makes every flood clamp set so far stale (see the file
+  // comment) and binds the queue here; on exit, keeps the queue's clock
+  // as this network's and makes the clamps of the lend stale.
   class Lend {
    public:
     explicit Lend(Network& net) : net_(net) {
-      net_.queue().resume_at(net_.clock_);
+      Transport& t = net_.transport_;
+      t.queue.resume_at(net_.clock_);
+      t.shift = t.horizon + 1 - net_.clock_;
       net_.rebind();
     }
     ~Lend() {
-      net_.clock_ = net_.queue().now();
-      net_.transport_.flood.clear();
+      Transport& t = net_.transport_;
+      net_.clock_ = t.queue.now();
+      t.shift = t.horizon + 1;
     }
     Lend(const Lend&) = delete;
     Lend& operator=(const Lend&) = delete;
@@ -182,33 +226,58 @@ class Network {
   }
 
   // Sends m from -> to with a random delay in [1, 1 + max_delay], clamped
-  // so the channel stays FIFO.
+  // so the channel stays FIFO: send_all() with one target.
   void send(std::size_t from, std::size_t to, Message m) {
+    check_vehicle(to);  // before it is narrowed to a 32-bit id
+    const auto target = static_cast<std::uint32_t>(to);
+    send_all(from, &target, 1, m);
+  }
+
+  // Sends m from `from` to each of the `count` vehicles `to`, in order,
+  // exactly as `count` calls of send() would (see the file comment).
+  void send_all(std::size_t from, const std::uint32_t* to, std::size_t count,
+                Message m) {
     CMVRP_CHECK_MSG(receiver_, "network has no receiver bound");
-    count(m);
-    const SimTime delay = draw_delay(gen_, transport_.max_delay);
-    const SimTime now = queue().now();
-    const std::uint64_t key = channel_key(from, to);
-    SimTime& last = transport_.flood[key];
-    if (last <= now) {
-      if (heartbeat_latest_ > now) {
-        const SimTime* beat = heartbeat_.find(key);
-        if (beat != nullptr) last = *beat;
-      } else {
-#ifndef NDEBUG
-        const SimTime* beat = heartbeat_.find(key);
-        CMVRP_CHECK_MSG(beat == nullptr || *beat <= now,
-                        "skipped a heartbeat clamp ahead of now");
-#endif
-      }
-    }
-    const SimTime at = advance(last, now + delay);
+    check_vehicle(from);
+    for (std::size_t i = 0; i < count; ++i) check_vehicle(to[i]);
+    count_sent(m.kind, count);
+    Transport& t = transport_;
+    EventQueue& queue = t.queue;
+    const SimTime now = queue.now();
     if (spans_ != nullptr) {
-      spans_->message(now, /*send=*/true, static_cast<int>(m.index()),
-                      span_comp(m), from, to, span_hop(m));
+      for (std::size_t i = 0; i < count; ++i)
+        spans_->message(now, /*send=*/true, static_cast<int>(m.kind),
+                        packed_init(m.init), from, to[i], span_hop(m));
     }
-    queue().schedule(at, Delivery{static_cast<std::uint32_t>(to),
-                                  static_cast<std::uint32_t>(from), m});
+    // The clamps of row `from`, in the transport's base.
+    SimTime* const row = t.flood.data() + from * t.vehicles;
+    const SimTime shift = t.shift;
+    const SimTime base_now = now + shift;
+    const SimTime max_delay = t.max_delay;
+    const bool beats_ahead = heartbeat_latest_ > now;
+    SimTime horizon = t.horizon;
+    Xoshiro256 gen = gen_;
+    for (std::size_t i = 0; i < count; ++i) {
+      SimTime& last = row[to[i]];
+      if (last <= base_now) {
+        if (beats_ahead) {
+          const SimTime* beat = heartbeat_.find(channel_key(from, to[i]));
+          if (beat != nullptr) last = *beat + shift;
+        } else {
+#ifndef NDEBUG
+          const SimTime* beat = heartbeat_.find(channel_key(from, to[i]));
+          CMVRP_CHECK_MSG(beat == nullptr || *beat <= now,
+                          "skipped a heartbeat clamp ahead of now");
+#endif
+        }
+      }
+      const SimTime at = advance(last, base_now + draw_delay(gen, max_delay));
+      if (at > horizon) horizon = at;
+      queue.schedule(at - shift,
+                     Delivery{to[i], static_cast<std::uint32_t>(from), m});
+    }
+    gen_ = gen;
+    t.horizon = horizon;
   }
 
   // The beat slot of the heartbeat channel from -> to, created on first
@@ -302,46 +371,41 @@ class Network {
   static void deliver_traced(void* self, const Delivery& d) {
     const auto& net = *static_cast<const Network*>(self);
     net.spans_->message(net.queue().now(), /*send=*/false,
-                        static_cast<int>(d.msg.index()), span_comp(d.msg),
+                        static_cast<int>(d.msg.kind), packed_init(d.msg.init),
                         d.from, d.to, span_hop(d.msg));
     net.receiver_(net.receiver_ctx_, d);
   }
 
-  // Span-layer scalars of a message: the owning computation's packed
-  // InitTag and (for queries) the hop the message travels at.
-  static std::uint64_t span_comp(const Message& m) {
-    switch (m.index()) {
-      case 0:
-        return packed_init(std::get<QueryMsg>(m).init);
-      case 1:
-        return packed_init(std::get<ReplyMsg>(m).init);
-      case 2:
-        return packed_init(std::get<MoveMsg>(m).init);
-    }
-    return 0;
+  // A flood endpoint indexes the transport's V x V clamp table.
+  void check_vehicle(std::size_t id) const {
+    CMVRP_CHECK_MSG(id < transport_.vehicles,
+                    "vehicle " << id << " is not below the transport's "
+                               << transport_.vehicles << " vehicles");
   }
 
+  // The hop the span layer records: a query's, else 0.
   static std::uint32_t span_hop(const Message& m) {
-    return m.index() == 0 ? std::get<QueryMsg>(m).hop : 0;
+    return m.kind == MsgKind::kQuery ? m.hop() : 0;
   }
 
-  void count(const Message& m) {
-    switch (m.index()) {
-      case 0:
-        ++stats_.queries;
+  void count_sent(MsgKind kind, std::size_t count) {
+    switch (kind) {
+      case MsgKind::kQuery:
+        stats_.queries += count;
         break;
-      case 1:
-        ++stats_.replies;
+      case MsgKind::kReply:
+        stats_.replies += count;
         break;
-      case 2:
-        ++stats_.moves;
+      case MsgKind::kMove:
+        stats_.moves += count;
         break;
     }
   }
 
-  // Channel key packs (from, to) into one word. Vehicle ids are dense
-  // small integers (indices into the fleet), so 32 bits per endpoint is
-  // ample; the check keeps the packing honest if that ever changes.
+  // The key of heartbeat channel from -> to: packs (from, to) into one word.
+  // Vehicle ids are dense small integers (indices into the fleet), so 32
+  // bits per endpoint is ample; the check keeps the packing honest if
+  // that ever changes.
   static std::uint64_t channel_key(std::size_t from, std::size_t to) {
     CMVRP_CHECK_MSG(from < (1ull << 32) && to < (1ull << 32),
                     "vehicle id exceeds channel-key packing");

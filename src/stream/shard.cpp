@@ -258,7 +258,8 @@ CubeShard::CubeShard(const CubeParams& params, const CubeSlotTable* table,
       shard_index_(shard_index),
       shard_count_(shard_count),
       transport_(std::make_unique<Transport>(
-          params.config.max_message_delay)),
+          params.config.max_message_delay,
+          static_cast<std::size_t>(params.pairing.cube_volume()))),
       prefetch_bytes_(std::min(CubeServer::header_bytes() +
                                    FleetCore::region_bytes(params),
                                kPrefetchBytes)) {

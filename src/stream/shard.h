@@ -349,8 +349,10 @@ class CubeShard {
   const CubeSlotTable* table_;  // borrowed; may be empty
   int shard_index_;
   int shard_count_;
-  // Lent to whichever cube is being served. Heap-held, so the servers'
-  // references survive a move of the shard.
+  // Lent to whichever cube is being served; sized for the deployment's
+  // cubes here, so no serve allocates its flood clamps or neighbor
+  // scratch. Heap-held, so the servers' references survive a move of the
+  // shard.
   std::unique_ptr<Transport> transport_;
   std::size_t prefetch_bytes_;  // of each block, at most kPrefetchBytes
   OutcomeLog log_;

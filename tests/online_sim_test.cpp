@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -55,7 +58,7 @@ struct Inbox {
 };
 
 // A delivery the queue tests identify by its `to` field.
-Delivery tagged(std::uint32_t id) { return Delivery{id, 0, QueryMsg{}}; }
+Delivery tagged(std::uint32_t id) { return Delivery{id, 0, Message{}}; }
 
 TEST(EventQueue, FiresInTimeThenInsertionOrder) {
   EventQueue q;
@@ -97,22 +100,22 @@ TEST(EventQueue, DetectsLivelock) {
 }
 
 TEST(EventQueue, GrowsWhenFifoClampSchedulesPastSpan) {
-  Transport t(/*max_delay=*/3);
+  Transport t(/*max_delay=*/3, /*vehicles=*/4);
   EventQueue& q = t.queue;
   Network net(t, Rng(5));
   Inbox in(q);
   net.set_receiver(&Inbox::receive, &in);
   // Move the clock off zero first, so growth has to re-bucket lists
   // whose ticks wrap around the old ring.
-  net.send(0, 1, QueryMsg{});
+  net.send(0, 1, Message{});
   q.run_to_quiescence();
   const SimTime start = q.now();
   ASSERT_GT(start, 0);
   // 300 same-tick sends per channel: the FIFO clamp spaces each
   // channel's deliveries one tick apart, far past the initial span.
   for (std::uint32_t i = 0; i < 300; ++i) {
-    net.send(0, 1, ReplyMsg{true, InitTag{0, i}});
-    net.send(2, 3, ReplyMsg{true, InitTag{2, i}});
+    net.send(0, 1, Message::reply(InitTag{0, i}, true));
+    net.send(2, 3, Message::reply(InitTag{2, i}, true));
   }
   q.run_to_quiescence();
   ASSERT_EQ(in.log.size(), 601u);
@@ -121,7 +124,7 @@ TEST(EventQueue, GrowsWhenFifoClampSchedulesPastSpan) {
   for (std::size_t k = 1; k < in.log.size(); ++k) {
     const auto& e = in.log[k];
     EXPECT_GE(e.at, in.log[k - 1].at);
-    EXPECT_EQ(std::get<ReplyMsg>(e.d.msg).init.seq, next[e.d.to]++);
+    EXPECT_EQ(e.d.msg.init.seq, next[e.d.to]++);
     EXPECT_GT(e.at, last[e.d.to]);
     last[e.d.to] = e.at;
   }
@@ -189,23 +192,23 @@ TEST(EventQueue, RandomSchedulesMatchStableSortByTime) {
 
 TEST(Network, ChannelsAreFifo) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Transport t(/*max_delay=*/7);
+    Transport t(/*max_delay=*/7, /*vehicles=*/2);
     EventQueue& q = t.queue;
     Network net(t, Rng(seed));
     Inbox in(q);
     net.set_receiver(&Inbox::receive, &in);
     for (std::uint32_t i = 0; i < 30; ++i)
-      net.send(0, 1, ReplyMsg{true, InitTag{0, i}});
+      net.send(0, 1, Message::reply(InitTag{0, i}, true));
     q.run_to_quiescence();
     ASSERT_EQ(in.log.size(), 30u);
     for (std::uint64_t i = 0; i < 30; ++i)
-      EXPECT_EQ(std::get<ReplyMsg>(in.log[i].d.msg).init.seq, i)
+      EXPECT_EQ(in.log[i].d.msg.init.seq, i)
           << "seed " << seed;
   }
 }
 
 TEST(Network, CountsByKind) {
-  Transport t(/*max_delay=*/2);
+  Transport t(/*max_delay=*/2, /*vehicles=*/3);
   EventQueue& q = t.queue;
   Network net(t, Rng(3));
   Inbox in(q);
@@ -213,9 +216,9 @@ TEST(Network, CountsByKind) {
   // Heartbeats go out at quiescence only, so this one is sent first.
   const std::uint32_t slot = net.heartbeat_slot(2, 0);
   net.beat_all(&slot, 1);
-  net.send(0, 1, QueryMsg{});
-  net.send(1, 0, ReplyMsg{});
-  net.send(0, 2, MoveMsg{0, kNoInit});
+  net.send(0, 1, Message::query(kNoInit, 0));
+  net.send(1, 0, Message::reply(kNoInit, false));
+  net.send(0, 2, Message::move(kNoInit, 0));
   q.run_to_quiescence();
   EXPECT_EQ(net.stats().queries, 1u);
   EXPECT_EQ(net.stats().replies, 1u);
@@ -241,11 +244,11 @@ TEST(InitTag, SequenceLimitIsCheckedAtTheIncrement) {
 }
 
 TEST(LentTransport, HeartbeatWhileDeliveryIsDueThrows) {
-  Transport t(/*max_delay=*/2);
+  Transport t(/*max_delay=*/2, /*vehicles=*/2);
   Network net(t, Rng(1));
   Inbox in(t.queue);
   net.set_receiver(&Inbox::receive, &in);
-  net.send(0, 1, QueryMsg{});
+  net.send(0, 1, Message{});
   const std::uint32_t slot = net.heartbeat_slot(1, 0);
   EXPECT_THROW(net.beat_all(&slot, 1), check_error);
   EXPECT_THROW(net.drop_stale_heartbeats(), check_error);
@@ -274,42 +277,70 @@ struct OneClampPerChannel {
 };
 
 TEST(LentTransport, DeliveryTimesMatchOneClampPerChannel) {
-  // Two networks of four vehicles each take turns on one queue and one
-  // flood table. Within a lend: flood sends on random channels, partial
-  // drains, and heartbeat rounds on the ring 0 -> 3 -> 2 -> 1 -> 0 at
-  // quiescence — several rounds at a still clock push heartbeat clamps
-  // ahead of it, and later floods on ring channels must wait for them.
+  // Three networks of four vehicles each take turns on one transport
+  // sized for exactly four, so their ids reach V - 1. Within a lend: flood
+  // sends on random channels, partial drains, and heartbeat rounds on the
+  // ring 0 -> 3 -> 2 -> 1 -> 0 at quiescence — several rounds at a still
+  // clock push heartbeat clamps ahead of it, and later floods on ring
+  // channels must wait for them. The networks' clocks drift apart, so a
+  // lend often resumes below clamps an earlier lend left in the table,
+  // none of which may bind it. Between lends a fresh network now and then
+  // sends outside any lend, at the clock the last lend left or at one the
+  // queue was resumed at directly: it must see no lent network's clamps,
+  // and the next lend none of its.
   constexpr std::size_t kVehicles = 4;
+  constexpr std::size_t kNets = 3;
   constexpr SimTime kDelay = OneClampPerChannel::kMaxDelay;
+  int lends_below_the_table = 0;
+  int unlent_senders = 0;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    Transport t(kDelay);
+    Transport t(kDelay, kVehicles);
     Inbox in(t.queue);
-    Network a(t, Rng(seed));
-    Network b(t, Rng(seed + 1000));
-    a.set_receiver(&Inbox::receive, &in);
-    b.set_receiver(&Inbox::receive, &in);
-    Network* nets[2] = {&a, &b};
-    OneClampPerChannel model[2] = {{Rng(seed), {}, 0, 0},
-                                   {Rng(seed + 1000), {}, 0, 0}};
+    std::vector<std::unique_ptr<Network>> nets;
+    std::vector<OneClampPerChannel> model;
+    for (std::uint64_t k = 0; k < kNets; ++k) {
+      nets.push_back(std::make_unique<Network>(t, Rng(seed + 1000 * k)));
+      nets.back()->set_receiver(&Inbox::receive, &in);
+      model.push_back({Rng(seed + 1000 * k), {}, 0, 0});
+    }
     std::vector<SimTime> expected;  // by delivery id (the query's hop)
+    SimTime table_top = 0;  // the latest clamp any send left in the table
     Rng drive(seed * 7919);
-    for (int lend = 0; lend < 40; ++lend) {
-      const auto who = static_cast<std::size_t>(drive.next_below(2));
+    // One flood send of `net` on a random channel, at the queue's clock.
+    const auto flood = [&](Network& net, OneClampPerChannel& m) {
+      const std::size_t from = drive.next_below(kVehicles);
+      const std::size_t to =
+          (from + 1 + drive.next_below(kVehicles - 1)) % kVehicles;
+      const SimTime at = m.send(from, to, t.queue.now());
+      m.due = std::max(m.due, at);
+      table_top = std::max(table_top, at);
+      const auto id = static_cast<std::uint32_t>(expected.size());
+      expected.push_back(at);
+      net.send(from, to, Message::query(kNoInit, id));
+    };
+    for (int lend = 0; lend < 60; ++lend) {
+      if (drive.next_below(4) == 0) {
+        const auto gen_seed = seed + 5000 + static_cast<std::uint64_t>(lend);
+        Network loose(t, Rng(gen_seed));
+        loose.set_receiver(&Inbox::receive, &in);
+        if (drive.next_bool())
+          t.queue.resume_at(static_cast<SimTime>(
+              drive.next_below(static_cast<std::uint64_t>(t.queue.now()) + 1)));
+        OneClampPerChannel m{Rng(gen_seed), {}, 0, 0};
+        for (int k = 0; k < 8; ++k) flood(loose, m);
+        t.queue.run_to_quiescence();
+        ++unlent_senders;
+      }
+      const auto who = static_cast<std::size_t>(drive.next_below(kNets));
       OneClampPerChannel& m = model[who];
+      if (m.clock < table_top) ++lends_below_the_table;
       const Network::Lend hold(*nets[who]);
       ASSERT_EQ(t.queue.now(), m.clock) << "seed " << seed;
       m.due = m.clock;
       for (int step = 0; step < 30; ++step) {
         const std::uint64_t action = drive.next_below(6);
-        if (action < 3) {  // a flood send
-          const std::size_t from = drive.next_below(kVehicles);
-          const std::size_t to =
-              (from + 1 + drive.next_below(kVehicles - 1)) % kVehicles;
-          const SimTime at = m.send(from, to, t.queue.now());
-          m.due = std::max(m.due, at);
-          const auto id = static_cast<std::uint32_t>(expected.size());
-          expected.push_back(at);
-          nets[who]->send(from, to, QueryMsg{kNoInit, id});
+        if (action < 3) {
+          flood(*nets[who], m);
         } else if (action < 5) {  // a partial drain
           for (std::uint64_t k = drive.next_below(4); k > 0; --k)
             if (!t.queue.step()) break;
@@ -333,9 +364,139 @@ TEST(LentTransport, DeliveryTimesMatchOneClampPerChannel) {
     }
     ASSERT_EQ(in.log.size(), expected.size()) << "seed " << seed;
     for (const auto& e : in.log)
-      ASSERT_EQ(e.at, expected[std::get<QueryMsg>(e.d.msg).hop])
-          << "seed " << seed << " delivery " << std::get<QueryMsg>(e.d.msg).hop;
+      ASSERT_EQ(e.at, expected[e.d.msg.hop()])
+          << "seed " << seed << " delivery " << e.d.msg.hop();
   }
+  // Both hand-offs the table must keep apart came up.
+  EXPECT_GT(lends_below_the_table, 0);
+  EXPECT_GT(unlent_senders, 0);
+}
+
+TEST(LentTransport, FloodSendsCheckIdsAgainstTheTransport) {
+  // The flood clamps are a V x V table: an id at or past V has no cell,
+  // and a send naming one throws before it counts or schedules anything.
+  EXPECT_THROW(Transport(/*max_delay=*/2, std::size_t{1} << 32), check_error);
+  Transport t(/*max_delay=*/2, /*vehicles=*/3);
+  Network net(t, Rng(1));
+  Inbox in(t.queue);
+  net.set_receiver(&Inbox::receive, &in);
+  EXPECT_NO_THROW(net.send(2, 0, Message{}));
+  EXPECT_THROW(net.send(0, 3, Message{}), check_error);
+  EXPECT_THROW(net.send(3, 0, Message{}), check_error);
+  // Past 32 bits, an id would wrap onto vehicle 0 if it were narrowed.
+  EXPECT_THROW(net.send(1, std::size_t{1} << 32, Message{}), check_error);
+  const std::uint32_t fan[] = {1, 2, 3};
+  EXPECT_THROW(net.send_all(0, fan, 3, Message{}), check_error);
+  EXPECT_EQ(net.stats().total(), 1u);
+  EXPECT_EQ(t.queue.pending(), 1u);
+  t.queue.run_to_quiescence();
+  ASSERT_EQ(in.log.size(), 1u);
+  EXPECT_EQ(in.log[0].d.from, 2u);
+  // A cube whose fleet outnumbers the transport's V is refused when built.
+  const CubeParams params(2, small_config(10.0));  // 16 vehicles
+  Transport small(/*max_delay=*/2, /*vehicles=*/15);
+  EXPECT_THROW(CubeServer::create(params, Point{0, 0}, small), check_error);
+}
+
+TEST(Network, FanOutMatchesOneSendPerTarget) {
+  // send_all() is the one send path: a fan-out delivers exactly what one
+  // send() per target would — the same times, order and messages.
+  constexpr std::size_t kVehicles = 8;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Transport ta(/*max_delay=*/3, kVehicles), tb(/*max_delay=*/3, kVehicles);
+    Network a(ta, Rng(seed)), b(tb, Rng(seed));
+    Inbox ia(ta.queue), ib(tb.queue);
+    a.set_receiver(&Inbox::receive, &ia);
+    b.set_receiver(&Inbox::receive, &ib);
+    Rng drive(seed + 77);
+    for (std::uint32_t round = 1; round <= 40; ++round) {
+      const auto from = static_cast<std::uint32_t>(drive.next_below(kVehicles));
+      std::vector<std::uint32_t> to;
+      for (std::uint32_t v = 0; v < kVehicles; ++v)
+        if (v != from && drive.next_bool()) to.push_back(v);
+      const Message m = Message::query(InitTag{from, round}, round);
+      a.send_all(from, to.data(), to.size(), m);
+      for (const std::uint32_t v : to) b.send(from, v, m);
+      for (std::uint64_t k = drive.next_below(6); k > 0; --k) {
+        ta.queue.step();
+        tb.queue.step();
+      }
+    }
+    ta.queue.run_to_quiescence();
+    tb.queue.run_to_quiescence();
+    EXPECT_EQ(a.stats(), b.stats());
+    ASSERT_EQ(ia.log.size(), ib.log.size()) << "seed " << seed;
+    for (std::size_t k = 0; k < ia.log.size(); ++k) {
+      const auto& x = ia.log[k];
+      const auto& y = ib.log[k];
+      ASSERT_EQ(x.at, y.at) << "seed " << seed << " delivery " << k;
+      EXPECT_EQ(x.d.to, y.d.to);
+      EXPECT_EQ(x.d.from, y.d.from);
+      EXPECT_EQ(x.d.msg.init, y.d.msg.init);
+      EXPECT_EQ(x.d.msg.hop(), y.d.msg.hop());
+    }
+  }
+}
+
+// --- the message record -----------------------------------------------------
+
+static_assert(std::is_trivially_copyable_v<Message> && sizeof(Message) == 16,
+              "a Message is a plain 16-byte record");
+static_assert(sizeof(Delivery) == 24, "a Delivery is two ids and a Message");
+
+TEST(Message, EachKindRoundTripsItsPayloadAndTag) {
+  const InitTag tags[] = {InitTag{0, 1}, InitTag{7, 9},
+                          InitTag{UINT32_MAX - 1, UINT32_MAX}, kNoInit};
+  for (const InitTag& tag : tags) {
+    for (const std::uint32_t hop : {0u, 1u, 12345u, UINT32_MAX}) {
+      const Message q = Message::query(tag, hop);
+      EXPECT_EQ(q.kind, MsgKind::kQuery);
+      EXPECT_EQ(q.init, tag);
+      EXPECT_EQ(q.hop(), hop);
+    }
+    for (const bool flag : {false, true}) {
+      const Message r = Message::reply(tag, flag);
+      EXPECT_EQ(r.kind, MsgKind::kReply);
+      EXPECT_EQ(r.init, tag);
+      EXPECT_EQ(r.flag(), flag);
+    }
+    for (const std::uint32_t dest : {0u, 4095u, UINT32_MAX}) {
+      const Message m = Message::move(tag, dest);
+      EXPECT_EQ(m.kind, MsgKind::kMove);
+      EXPECT_EQ(m.init, tag);
+      EXPECT_EQ(m.dest(), dest);
+    }
+  }
+#ifndef NDEBUG
+  // Debug builds check that a reader asks for the payload of its kind.
+  EXPECT_THROW(Message::query(kNoInit, 3).flag(), check_error);
+  EXPECT_THROW(Message::reply(kNoInit, true).dest(), check_error);
+  EXPECT_THROW(Message::move(kNoInit, 5).hop(), check_error);
+#endif
+}
+
+TEST(Message, EachKindSurvivesTheQueue) {
+  // Through a send, the queue's node pool and a delivery, every field
+  // of every kind arrives as it left.
+  Transport t(/*max_delay=*/3, /*vehicles=*/3);
+  Network net(t, Rng(4));
+  Inbox in(t.queue);
+  net.set_receiver(&Inbox::receive, &in);
+  const InitTag tag{2, UINT32_MAX};
+  net.send(2, 0, Message::query(tag, UINT32_MAX));
+  net.send(0, 1, Message::reply(tag, true));
+  net.send(1, 2, Message::move(tag, UINT32_MAX - 2));
+  t.queue.run_to_quiescence();
+  ASSERT_EQ(in.log.size(), 3u);
+  std::map<std::uint32_t, Message> by_to;
+  for (const auto& e : in.log) by_to[e.d.to] = e.d.msg;
+  EXPECT_EQ(by_to[0].kind, MsgKind::kQuery);
+  EXPECT_EQ(by_to[0].hop(), UINT32_MAX);
+  EXPECT_EQ(by_to[1].kind, MsgKind::kReply);
+  EXPECT_TRUE(by_to[1].flag());
+  EXPECT_EQ(by_to[2].kind, MsgKind::kMove);
+  EXPECT_EQ(by_to[2].dest(), UINT32_MAX - 2);
+  for (const auto& e : in.log) EXPECT_EQ(e.d.msg.init, tag);
 }
 
 // --- basic serving ------------------------------------------------------------

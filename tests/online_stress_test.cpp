@@ -114,7 +114,8 @@ TEST_P(MonitorCache, MatchesRescanUnderChaos) {
     const std::int64_t side = cfg.cube_side;
     // Three cubes take turns on one lent transport.
     const CubeParams params(2, cfg);
-    Transport transport(cfg.max_message_delay);
+    Transport transport(cfg.max_message_delay,
+                        static_cast<std::size_t>(params.pairing.cube_volume()));
     OutcomeLog log;
     std::vector<CubeServer::Ptr> cubes;
     for (std::int64_t c = 0; c < 3; ++c)

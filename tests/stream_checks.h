@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -36,7 +37,8 @@ inline void expect_identical(const StreamResult& a, const StreamResult& b) {
 struct TestCube {
   TestCube(int dim, const OnlineConfig& config, const Point& corner)
       : params(dim, config),
-        transport(config.max_message_delay),
+        transport(config.max_message_delay,
+                  static_cast<std::size_t>(params.pairing.cube_volume())),
         block(CubeServer::create(params, corner, transport)),
         server(*block) {}
 
