@@ -42,14 +42,14 @@ std::int64_t LongevityMap::positive_reach(const std::vector<Point>& t) const {
 }
 
 double broken_omega_for_set(const std::vector<Point>& t, const DemandMap& d,
-                            const LongevityMap& longevity) {
+                            const Longevity& longevity) {
   return omega_for_set(
       t, d, [&longevity](const Point& p) { return longevity.at(p); },
       longevity.positive_reach(t));
 }
 
 double broken_lower_bound_enumerate(const DemandMap& d,
-                                    const LongevityMap& longevity,
+                                    const Longevity& longevity,
                                     std::size_t max_support) {
   const auto support = d.support();
   CMVRP_CHECK(!support.empty());
@@ -68,8 +68,7 @@ double broken_lower_bound_enumerate(const DemandMap& d,
 }
 
 double broken_lp_value_at_radius(const DemandMap& d,
-                                 const LongevityMap& longevity,
-                                 std::int64_t r) {
+                                 const Longevity& longevity, std::int64_t r) {
   CMVRP_CHECK(r >= 0);
   const auto demands = d.support();
   CMVRP_CHECK(!demands.empty());

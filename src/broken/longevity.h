@@ -20,8 +20,20 @@
 
 namespace cmvrp {
 
+// A longevity assignment: p_i of every vertex, and how far from a set T
+// a vertex of positive longevity lies, which is where the crossing's BFS
+// may stop.
+class Longevity {
+ public:
+  virtual ~Longevity() = default;
+  virtual double at(const Point& p) const = 0;
+  // The largest L1 distance from T of a vertex with positive longevity:
+  // INT64_MAX when there is no largest, -1 when no vertex has one.
+  virtual std::int64_t positive_reach(const std::vector<Point>& t) const = 0;
+};
+
 // Sparse longevity assignment; unset vertices default to `default_p`.
-class LongevityMap {
+class LongevityMap final : public Longevity {
  public:
   explicit LongevityMap(int dim, double default_p = 1.0);
 
@@ -29,11 +41,8 @@ class LongevityMap {
   double default_p() const { return default_p_; }
 
   void set(const Point& p, double longevity);
-  double at(const Point& p) const;
-
-  // The largest L1 distance from T of a vertex with positive longevity:
-  // INT64_MAX when the default is positive, -1 when no vertex has one.
-  std::int64_t positive_reach(const std::vector<Point>& t) const;
+  double at(const Point& p) const override;
+  std::int64_t positive_reach(const std::vector<Point>& t) const override;
 
  private:
   int dim_;
@@ -46,12 +55,12 @@ class LongevityMap {
 // positive_reach(T). Throws check_error when T has demand and no vertex
 // has positive longevity (then no ω satisfies the equation).
 double broken_omega_for_set(const std::vector<Point>& t, const DemandMap& d,
-                            const LongevityMap& longevity);
+                            const Longevity& longevity);
 
 // max_T ω_T over all nonempty subsets of the demand support
 // (Theorem 4.1.1's lower bound on Woff-b; exponential — tiny supports).
 double broken_lower_bound_enumerate(const DemandMap& d,
-                                    const LongevityMap& longevity,
+                                    const Longevity& longevity,
                                     std::size_t max_support = 18);
 
 // Value of LP (4.2) at a fixed radius r via the simplex (tiny instances;
@@ -61,7 +70,6 @@ double broken_lower_bound_enumerate(const DemandMap& d,
 // p(0,0) = 1, p(1,0) = 0.3 and every other p 0 it reads 4, while ω_T is
 // 10/3.
 double broken_lp_value_at_radius(const DemandMap& d,
-                                 const LongevityMap& longevity,
-                                 std::int64_t r);
+                                 const Longevity& longevity, std::int64_t r);
 
 }  // namespace cmvrp

@@ -15,16 +15,8 @@ Fig41Scenario make_fig41(std::int64_t r1, std::int64_t r2) {
   s.j = Point{r1, 0};
   s.demand.set(s.i, static_cast<double>(r1));
   s.demand.set(s.j, static_cast<double>(r1));
-  // Longevity: default 1 outside; 0 inside the circle of radius r1+r2
-  // around k, except k itself. The map stores only the interior.
-  s.longevity = LongevityMap(2, 1.0);
-  const std::int64_t radius = r1 + r2;
-  // Materialize only what the bound computations look at: vertices within
-  // the LP's search neighborhoods. Every interior vertex except k is 0.
-  Box::cube(Point{-radius, -radius}, 2 * radius + 1)
-      .for_each_point([&](const Point& p) {
-        if (p.l1_norm() <= radius && p != s.k) s.longevity.set(p, 0.0);
-      });
+  s.longevity.k = s.k;
+  s.longevity.radius = r1 + r2;
   s.jobs = alternating_stream(s.i, s.j, 2 * r1);
   return s;
 }

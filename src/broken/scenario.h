@@ -10,23 +10,39 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "broken/longevity.h"
 #include "grid/demand_map.h"
+#include "grid/point.h"
 #include "workload/generators.h"
 
 namespace cmvrp {
+
+// Fig. 4.1's longevities, evaluated on demand: 0 within `radius` of k
+// except k itself, 1 elsewhere.
+struct Fig41Longevity final : Longevity {
+  Point k;
+  std::int64_t radius = 0;
+
+  double at(const Point& p) const override {
+    return p != k && l1_distance(p, k) <= radius ? 0.0 : 1.0;
+  }
+  std::int64_t positive_reach(const std::vector<Point>&) const override {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+};
 
 struct Fig41Scenario {
   std::int64_t r1 = 0;
   std::int64_t r2 = 0;
   Point i, j, k;        // demand points and the lone healthy insider
   DemandMap demand;     // d(i) = d(j) = r1
-  LongevityMap longevity;
+  Fig41Longevity longevity;  // around k, radius r1 + r2
   std::vector<Job> jobs;  // i, j, i, j, … (2·r1 arrivals)
 
-  Fig41Scenario() : demand(2), longevity(2, 1.0) {}
+  Fig41Scenario() : demand(2) {}
 };
 
 Fig41Scenario make_fig41(std::int64_t r1, std::int64_t r2);

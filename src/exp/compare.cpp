@@ -1,11 +1,15 @@
-#include "obs/compare.h"
+#include "exp/compare.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <map>
 #include <utility>
 
+#include "exp/harness.h"
 #include "obs/snapshot.h"
+#include "obs/span_export.h"
+#include "stream/report.h"
 #include "util/check.h"
 
 namespace cmvrp {
@@ -15,59 +19,13 @@ namespace {
 // byte-shifted span trace would otherwise list thousands of lines.
 constexpr std::size_t kMaxRecordedDiffs = 200;
 
-bool starts_with(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::string(suffix).size();
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-// Rate-style wall keys: bigger is better, so the regression direction is
-// B *below* A. Covers the report key (`jobs_per_sec`), the bench metric
-// spellings (`jobs/sec`, `speedup vs 1t`), and derived wall ratios.
-bool is_rate_key(const std::string& key) {
-  return key == "jobs_per_sec" || ends_with(key, "/sec") ||
-         starts_with(key, "speedup") || key == "on/off ratio";
-}
-
-// The Tier-A/Tier-B naming convention from src/obs/: every
-// nondeterministic (wall-clock-derived) key ends in `_ms` (wall_ms,
-// routing_ms, stage_*_ms) or ` ms` (the bench table spellings), starts
-// with `wall_` (wall_rss_kb), is a per-iteration timing of the
-// `substrates` suite (`us/iter`, `ns/op`; lower is better), or is a
-// derived rate. Everything else in an artifact is a pure function of the
-// arrival sequence and seed.
-bool is_ms_key(const std::string& key) {
-  return ends_with(key, "_ms") || ends_with(key, " ms");
-}
-
-// The `substrates` suite's per-iteration timings: one timed loop per
-// case, with no spread of their own.
-bool is_per_iteration_key(const std::string& key) {
-  return key == "us/iter" || key == "ns/op";
-}
-
-bool is_wall_key(const std::string& key) {
-  return is_ms_key(key) || starts_with(key, "wall_") ||
-         is_per_iteration_key(key) || is_rate_key(key);
-}
-
 // A bench case's time_ms spread relative to its mean (0 without one).
 double relative_spread(const Json& bench_case) {
-  if (!bench_case.contains("time_ms")) return 0.0;
   const Json& t = bench_case.at("time_ms");
   if (!t.is_object() || !t.contains("mean") || !t.contains("stddev"))
     return 0.0;
   const double mean = t.at("mean").as_number();
   return mean > 0.0 ? t.at("stddev").as_number() / mean : 0.0;
-}
-
-bool name_in(const std::vector<std::string>& names, const std::string& key) {
-  for (const auto& n : names)
-    if (n == key) return true;
-  return false;
 }
 
 std::string render(const Json* v) {
@@ -78,70 +36,39 @@ std::string join_path(const std::string& path, const std::string& key) {
   return path.empty() ? key : path + "." + key;
 }
 
-// Per-kind field sets. Identity fields must agree outright (schema ids,
-// seeds, protocol/config echoes); context fields describe the run shape
-// two comparable runs may legitimately disagree on (thread count, batch
-// size, machine identity) and never fail.
-struct KindRules {
-  std::vector<std::string> identity;
-  std::vector<std::string> context;
-};
-
-const KindRules& rules_for(CompareKind kind) {
-  static const KindRules stream{
-      {"schema", "seed", "capacity", "cube_side", "monitor_stride",
-       "admission", "queue_limit", "service_ticks", "sample_stride",
-       "obs_counters", "obs_spans", "span_sample", "flight"},
-      {"threads", "batch_size", "batches"}};
-  static const KindRules stats{
-      {"kind", "schema", "dim", "seed", "counters"},
-      {"threads", "batch_size", "stride", "batch"}};
-  static const KindRules bench{{"schema", "suite"},
-                               {"options", "notes", "hw threads"}};
-  static const KindRules spans{{}, {}};
-  switch (kind) {
-    case CompareKind::kStream: return stream;
-    case CompareKind::kStats: return stats;
-    case CompareKind::kBench: return bench;
-    default: return spans;
-  }
-}
-
 class Comparator {
  public:
-  Comparator(CompareKind kind, const CompareOptions& options)
-      : options_(options), rules_(rules_for(kind)) {
+  Comparator(CompareKind kind, const CompareOptions& options,
+             const FieldTable& table)
+      : options_(options), table_(table) {
     report_.kind = kind;
   }
 
   CompareReport take() { return std::move(report_); }
 
-  // The relative noise margin of the per-iteration timings compared
-  // next (see compare_bench_runs); 0 outside a bench case.
-  void set_per_iteration_margin(double margin) {
-    per_iteration_margin_ = margin;
-  }
-
-  FieldClass classify(const std::string& key) const {
-    if (name_in(rules_.identity, key)) return FieldClass::kIdentity;
-    if (name_in(rules_.context, key)) return FieldClass::kContext;
-    if (is_wall_key(key)) return FieldClass::kWall;
-    return FieldClass::kDeterministic;
-  }
-
   // Union-walk of two objects: A's keys in A order, then B's extras.
   void compare_object(const std::string& path, const Json& a, const Json& b) {
+    // A bench case's per-iteration timings come from one timed loop with
+    // no spread of their own, so they get the margin its time_ms block
+    // gets, as a ratio: kNoiseSigmas × the larger stddev / mean.
+    const double outer_margin = per_iteration_margin_;
+    if (a.contains("time_ms") && b.contains("time_ms"))
+      per_iteration_margin_ =
+          kNoiseSigmas * std::max(relative_spread(a), relative_spread(b));
     for (const auto& [key, va] : a.items())
       compare_node(path, key, &va, b.contains(key) ? &b.at(key) : nullptr);
     for (const auto& [key, vb] : b.items())
       if (!a.contains(key)) compare_node(path, key, nullptr, &vb);
+    per_iteration_margin_ = outer_margin;
   }
 
   void compare_node(const std::string& path, const std::string& key,
                     const Json* a, const Json* b) {
-    if (name_in(options_.ignore, key)) return;
+    for (const std::string& ignored : options_.ignore)
+      if (ignored == key) return;
     const std::string here = join_path(path, key);
-    switch (classify(key)) {
+    const FieldSpec* f = find_field(table_, key);
+    switch (f == nullptr ? FieldClass::kDeterministic : f->cls) {
       case FieldClass::kIdentity: {
         ++report_.fields_compared;
         CMVRP_CHECK_MSG(a != nullptr && b != nullptr && *a == *b,
@@ -162,7 +89,7 @@ class Comparator {
         return;
       }
       case FieldClass::kWall:
-        compare_wall(here, key, a, b);
+        compare_wall(here, *f, a, b);
         return;
       case FieldClass::kDeterministic:
         compare_deterministic(here, a, b);
@@ -202,7 +129,7 @@ class Comparator {
     if (!(*a == *b)) drift(path, a, b, "deterministic field drifted");
   }
 
-  void compare_wall(const std::string& path, const std::string& key,
+  void compare_wall(const std::string& path, const FieldSpec& f,
                     const Json* a, const Json* b) {
     ++report_.fields_compared;
     ++report_.wall_fields;
@@ -221,10 +148,9 @@ class Comparator {
                                               : 0.0;
       const double sb = b->contains("stddev") ? b->at("stddev").as_number()
                                               : 0.0;
-      const double margin =
-          options_.noise_sigmas * (sa > sb ? sa : sb);
+      const double margin = kNoiseSigmas * (sa > sb ? sa : sb);
       if (std::abs(mb - ma) <= margin) return;
-      verdict_for_ratio(path, key, ma, mb, a, b);
+      verdict_for_ratio(path, f, ma, mb, a, b);
       return;
     }
     if (!a->is_number() || !b->is_number()) {
@@ -233,21 +159,17 @@ class Comparator {
                "non-numeric wall field differs");
       return;
     }
-    verdict_for_ratio(path, key, a->as_number(), b->as_number(), a, b);
+    verdict_for_ratio(path, f, a->as_number(), b->as_number(), a, b);
   }
 
-  // Regression factor in the "worse" direction: time-like keys regress
-  // upward (factor = B/A), rate-like keys regress downward (A/B).
-  void verdict_for_ratio(const std::string& path, const std::string& key,
+  // Regression factor in the "worse" direction: times regress upward
+  // (factor = B/A), rates downward (A/B).
+  void verdict_for_ratio(const std::string& path, const FieldSpec& f,
                          double va, double vb, const Json* a, const Json* b) {
     if (va == vb) return;
-    // Sub-floor millisecond timings are scheduler noise on both sides. The
-    // floor is in milliseconds, so per-iteration timings (us/iter, ns/op)
-    // in their own units are always compared.
-    if (is_ms_key(key) && va < options_.min_wall_ms &&
-        vb < options_.min_wall_ms)
-      return;
-    const bool rate = is_rate_key(key);
+    // Sub-floor millisecond timings are scheduler noise on both sides.
+    if (f.unit == WallUnit::kMs && va < kMinWallMs && vb < kMinWallMs) return;
+    const bool rate = f.direction == WallDirection::kRate;
     const double numer = rate ? va : vb;  // the side that grows when worse
     const double denom = rate ? vb : va;
     if (denom <= 0.0) {
@@ -257,7 +179,8 @@ class Comparator {
     }
     const double factor = numer / denom;
     if (factor <= 1.0) return;  // improvement (or equal): never flagged
-    if (is_per_iteration_key(key) && factor <= 1.0 + per_iteration_margin_)
+    if (f.unit == WallUnit::kPerIteration &&
+        factor <= 1.0 + per_iteration_margin_)
       return;  // inside the case's measured noise
     if (factor > report_.worst_wall_ratio) {
       report_.worst_wall_ratio = factor;
@@ -267,7 +190,7 @@ class Comparator {
       ++report_.wall_fails;
       record(path, FieldClass::kWall, FieldVerdict::kFail, a, b, factor,
              "wall regression past --fail-ratio");
-    } else if (factor > options_.warn_ratio) {
+    } else if (factor > kWallWarnRatio) {
       ++report_.warns;
       record(path, FieldClass::kWall, FieldVerdict::kWarn, a, b, factor,
              "wall regression past the warn threshold");
@@ -295,7 +218,7 @@ class Comparator {
 
  private:
   const CompareOptions& options_;
-  const KindRules& rules_;
+  const FieldTable& table_;
   CompareReport report_;
   double per_iteration_margin_ = 0.0;
 };
@@ -310,6 +233,25 @@ Json parse_artifact(const std::string& text, const std::string& label) {
   std::abort();  // unreachable; CMVRP_CHECK_MSG throws
 }
 
+// `doc` with each name-keyed array (a bench run's sections, a section's
+// cases) turned into keys "sections[<name>]", "cases[<name>]", so two
+// runs compare section by section and case by case whatever their order,
+// and a missing or extra one is drift.
+Json keyed_by_name(const Json& doc) {
+  Json out = Json::object();
+  for (const auto& [key, value] : doc.items()) {
+    if (key == "name") continue;
+    if ((key == "sections" || key == "cases") && value.is_array()) {
+      for (std::size_t i = 0; i < value.size(); ++i)
+        out.set(key + "[" + value.at(i).at("name").as_string() + "]",
+                keyed_by_name(value.at(i)));
+    } else {
+      out.set(key, value);
+    }
+  }
+  return out;
+}
+
 // Cube lines by their rendered corner: the writer's ascending-corner
 // order makes the key deterministic, and std::map keeps the walk order
 // stable.
@@ -320,36 +262,19 @@ std::map<std::string, const Json*> cubes_by_corner(const StatsDoc& doc) {
   return out;
 }
 
-// --- spans (Chrome trace-event JSON) ----------------------------------------
-
-// Events whose *name* is a wall key (the single `wall_ms` metadata line
-// the exporter emits first) carry wall-clock payloads; everything else —
-// naming metadata, span events, the totals trailer — is stamped on the
-// protocol clock and must match exactly.
-bool span_event_is_wall(const Json& event) {
-  return event.is_object() && event.contains("name") &&
-         event.at("name").is_string() && is_wall_key(event.at("name").as_string());
-}
+// In CompareKind order.
+constexpr const char* kKindNames[] = {"auto", "stream", "stats", "bench",
+                                      "spans"};
 
 }  // namespace
 
 const char* compare_kind_name(CompareKind kind) {
-  switch (kind) {
-    case CompareKind::kAuto: return "auto";
-    case CompareKind::kStream: return "stream";
-    case CompareKind::kStats: return "stats";
-    case CompareKind::kBench: return "bench";
-    case CompareKind::kSpans: return "spans";
-  }
-  return "unknown";
+  return kKindNames[static_cast<int>(kind)];
 }
 
 CompareKind parse_compare_kind(const std::string& name) {
-  if (name == "auto") return CompareKind::kAuto;
-  if (name == "stream") return CompareKind::kStream;
-  if (name == "stats") return CompareKind::kStats;
-  if (name == "bench") return CompareKind::kBench;
-  if (name == "spans") return CompareKind::kSpans;
+  for (int k = 0; k < 5; ++k)
+    if (name == kKindNames[k]) return static_cast<CompareKind>(k);
   throw usage_error("--kind must be auto, stream, stats, bench, or spans; "
                     "got \"" +
                     name + "\"");
@@ -410,57 +335,43 @@ Json CompareReport::to_json(const std::string& a, const std::string& b) const {
 
 CompareKind detect_compare_kind(const std::string& text,
                                 const std::string& label) {
-  std::size_t i = 0;
-  while (i < text.size() &&
-         (text[i] == ' ' || text[i] == '\n' || text[i] == '\r' ||
-          text[i] == '\t'))
-    ++i;
-  CMVRP_CHECK_MSG(i < text.size(),
+  const std::size_t i = text.find_first_not_of(" \n\r\t");
+  CMVRP_CHECK_MSG(i != std::string::npos,
                   "artifact " << label << " is empty (0 bytes of JSON)");
-  if (text[i] == '[') {
-    parse_artifact(text, label);  // validates; truncation names the offset
-    return CompareKind::kSpans;
-  }
-  CMVRP_CHECK_MSG(text[i] == '{', "artifact "
-                                      << label
-                                      << " is not a JSON artifact (first "
-                                         "byte at offset "
-                                      << i << " is '" << text[i] << "')");
-  // One object => a stream report or bench run. A JSONL stats stream
-  // fails the whole-document parse but its first line is the header.
+  CMVRP_CHECK_MSG(text[i] == '[' || text[i] == '{',
+                  "artifact " << label
+                              << " is not a JSON artifact (first byte at "
+                                 "offset "
+                              << i << " is '" << text[i] << "')");
+  // A JSONL stats stream's first line is its header.
   try {
-    const Json doc = Json::parse(text);
-    CMVRP_CHECK_MSG(doc.contains("schema") && doc.at("schema").is_string(),
-                    "artifact " << label << " has no \"schema\" field");
-    const std::string& schema = doc.at("schema").as_string();
-    if (starts_with(schema, "cmvrp-stream")) return CompareKind::kStream;
-    if (starts_with(schema, "cmvrp-bench")) return CompareKind::kBench;
-    CMVRP_CHECK_MSG(false, "artifact " << label << " has unsupported schema "
-                                       << schema);
+    const Json head = Json::parse(text.substr(i, text.find('\n', i) - i));
+    if (head.is_object() && head.contains("kind") &&
+        head.at("kind") == Json("header") && head.contains("schema") &&
+        head.at("schema") == Json(kStatsSchema))
+      return CompareKind::kStats;
   } catch (const check_error&) {
-    const std::size_t eol = text.find('\n', i);
-    if (eol != std::string::npos) {
-      try {
-        const Json head = Json::parse(text.substr(i, eol - i));
-        if (head.is_object() && head.contains("kind") &&
-            head.at("kind").as_string() == "header" &&
-            head.contains("schema") &&
-            starts_with(head.at("schema").as_string(), "cmvrp-stats"))
-          return CompareKind::kStats;
-      } catch (const check_error&) {
-        // fall through to the rethrow below
-      }
-    }
-    throw;
+    // Not one line of JSON: a whole-document artifact.
   }
-  std::abort();  // unreachable
+  const Json doc = parse_artifact(text, label);
+  if (doc.is_array()) return CompareKind::kSpans;
+  // Any version of a schema: an older artifact compares under --ignore.
+  const std::string schema =
+      doc.contains("schema") && doc.at("schema").is_string()
+          ? doc.at("schema").as_string()
+          : "";
+  if (schema.rfind("cmvrp-stream-", 0) == 0) return CompareKind::kStream;
+  if (schema.rfind("cmvrp-bench-", 0) == 0) return CompareKind::kBench;
+  CMVRP_CHECK_MSG(false, "artifact " << label << " has unsupported schema \""
+                                     << schema << "\"");
+  std::abort();  // unreachable; CMVRP_CHECK_MSG throws
 }
 
 CompareReport compare_stream_reports(const Json& a, const Json& b,
                                      const CompareOptions& options) {
   CMVRP_CHECK_MSG(a.is_object() && b.is_object(),
                   "stream reports must be JSON objects");
-  Comparator c(CompareKind::kStream, options);
+  Comparator c(CompareKind::kStream, options, stream_report_fields());
   c.compare_object("", a, b);
   return c.take();
 }
@@ -469,79 +380,8 @@ CompareReport compare_bench_runs(const Json& a, const Json& b,
                                  const CompareOptions& options) {
   CMVRP_CHECK_MSG(a.is_object() && b.is_object(),
                   "bench runs must be JSON objects");
-  Comparator c(CompareKind::kBench, options);
-  // Top-level scalars: schema/suite are identity, options/notes context,
-  // failed deterministic. Sections and cases match by *name*, not
-  // position, so a reordered artifact still compares field for field.
-  for (const auto& [key, va] : a.items()) {
-    if (key == "sections") continue;
-    c.compare_node("", key, &va, b.contains(key) ? &b.at(key) : nullptr);
-  }
-  for (const auto& [key, vb] : b.items())
-    if (key != "sections" && !a.contains(key))
-      c.compare_node("", key, nullptr, &vb);
-
-  const auto by_name = [](const Json& arr) {
-    std::vector<std::pair<std::string, const Json*>> out;
-    for (std::size_t i = 0; i < arr.size(); ++i)
-      out.emplace_back(arr.at(i).at("name").as_string(), &arr.at(i));
-    return out;
-  };
-  const auto find = [](const std::vector<std::pair<std::string, const Json*>>&
-                           entries,
-                       const std::string& name) -> const Json* {
-    for (const auto& [n, j] : entries)
-      if (n == name) return j;
-    return nullptr;
-  };
-
-  const Json empty_sections = Json::array();
-  const Json& sa = a.contains("sections") ? a.at("sections") : empty_sections;
-  const Json& sb = b.contains("sections") ? b.at("sections") : empty_sections;
-  const auto sections_a = by_name(sa);
-  const auto sections_b = by_name(sb);
-  for (const auto& [sname, sec_a] : sections_a) {
-    const std::string spath = "sections[" + sname + "]";
-    const Json* sec_b = find(sections_b, sname);
-    if (sec_b == nullptr) {
-      c.compare_node(spath, "missing_section", &sec_a->at("name"), nullptr);
-      continue;
-    }
-    const auto cases_a = by_name(sec_a->at("cases"));
-    const auto cases_b = by_name(sec_b->at("cases"));
-    for (const auto& [cname, case_a] : cases_a) {
-      const std::string cpath = spath + ".cases[" + cname + "]";
-      const Json* case_b = find(cases_b, cname);
-      if (case_b == nullptr) {
-        c.compare_node(cpath, "missing_case", &case_a->at("name"), nullptr);
-        continue;
-      }
-      // A case's per-iteration timings come from one timed loop with no
-      // spread of their own, so they get the margin its time_ms block
-      // gets, as a ratio: noise_sigmas × the larger stddev / mean.
-      const double spread_a = relative_spread(*case_a);
-      const double spread_b = relative_spread(*case_b);
-      c.set_per_iteration_margin(options.noise_sigmas *
-                                 (spread_a > spread_b ? spread_a : spread_b));
-      for (const auto& [key, va] : case_a->items()) {
-        if (key == "name") continue;
-        c.compare_node(cpath, key, &va,
-                       case_b->contains(key) ? &case_b->at(key) : nullptr);
-      }
-      for (const auto& [key, vb] : case_b->items())
-        if (key != "name" && !case_a->contains(key))
-          c.compare_node(cpath, key, nullptr, &vb);
-      c.set_per_iteration_margin(0.0);
-    }
-    for (const auto& [cname, case_b] : cases_b)
-      if (find(cases_a, cname) == nullptr)
-        c.compare_node(spath + ".cases[" + cname + "]", "extra_case", nullptr,
-                       &case_b->at("name"));
-  }
-  for (const auto& [sname, sec_b] : sections_b)
-    if (find(sections_a, sname) == nullptr)
-      c.compare_node("sections[" + sname + "]", "extra_section", nullptr,
-                     &sec_b->at("name"));
+  Comparator c(CompareKind::kBench, options, bench_fields());
+  c.compare_object("", keyed_by_name(a), keyed_by_name(b));
   return c.take();
 }
 
@@ -549,11 +389,20 @@ CompareReport compare_span_traces(const Json& a, const Json& b,
                                   const CompareOptions& options) {
   CMVRP_CHECK_MSG(a.is_array() && b.is_array(),
                   "span traces must be JSON event arrays");
-  Comparator c(CompareKind::kSpans, options);
-  const auto deterministic_events = [](const Json& doc) {
+  const FieldTable& table = span_export_fields();
+  Comparator c(CompareKind::kSpans, options, table);
+  // Events named by a wall row carry wall-clock payloads and are skipped;
+  // everything else is stamped on the protocol clock.
+  const auto deterministic_events = [&table](const Json& doc) {
     std::vector<const Json*> out;
-    for (std::size_t i = 0; i < doc.size(); ++i)
-      if (!span_event_is_wall(doc.at(i))) out.push_back(&doc.at(i));
+    for (std::size_t i = 0; i < doc.size(); ++i) {
+      const Json& e = doc.at(i);
+      const FieldSpec* f =
+          e.is_object() && e.contains("name") && e.at("name").is_string()
+              ? find_field(table, e.at("name").as_string())
+              : nullptr;
+      if (f == nullptr || f->cls != FieldClass::kWall) out.push_back(&e);
+    }
     return out;
   };
   const auto ea = deterministic_events(a);
@@ -576,7 +425,12 @@ CompareReport compare_stats_streams(const std::string& a_text,
                                     const std::string& b_label) {
   const StatsDoc a = read_stats(a_text, a_label);
   const StatsDoc b = read_stats(b_text, b_label);
-  Comparator c(CompareKind::kStats, options);
+  // One table for every line kind: no key has two classes.
+  FieldTable table;
+  for (const char* kind : {"header", "sample", "cube", "final"})
+    table.insert(table.end(), stats_fields(kind).begin(),
+                 stats_fields(kind).end());
+  Comparator c(CompareKind::kStats, options, table);
   c.compare_object("header", a.header, b.header);
   // Samples fire every `stride` *batches*, so two runs with different
   // batch sizes (or strides) snapshot different arrival prefixes. Each

@@ -1,36 +1,13 @@
 // Differential observability: a structural comparator for every artifact
-// schema the repo emits —
-//
-//   * `cmvrp-stream-v5` run reports   (tools/cmvrp_cli stream/trace)
-//   * `cmvrp-stats-v1`  JSONL streams (obs/snapshot.h)
-//   * `cmvrp-bench-v1`  suite runs    (exp/harness.h)
-//   * Chrome trace-event span exports (obs/span_export.h)
-//
-// Instead of grepping fields in and out of a diff, every field is
-// classified by *rule* and each class has its own comparison semantics:
-//
-//   identity       schema ids, seeds, config echoes — must agree outright
-//                  or the two artifacts are not comparable runs; the
-//                  comparison aborts with a check_error naming the field
-//                  (CLI exit 1, a data failure).
-//   deterministic  everything not matched by another rule: counts,
-//                  digests, set hashes, counter totals, cascade
-//                  histograms, span payloads. Must match exactly; any
-//                  difference is *drift* and fails the comparison.
-//   wall           keys ending `_ms`/` ms`, starting `wall_`, rate keys
-//                  (`jobs_per_sec`, `.../sec`, `speedup...`) — measured
-//                  time. Ratio-compared in the regression direction
-//                  (slower / fewer jobs per second = worse) against
-//                  configurable warn/fail thresholds, with a noise floor
-//                  for sub-millisecond readings and a RunningStats-aware
-//                  margin where the artifact carries a stddev
-//                  (bench `time_ms` blocks).
-//   context        run-shape fields that two comparable runs may
-//                  legitimately disagree on (thread count, batch size,
-//                  batch count, `hw threads`, bench options and notes).
-//                  Reported informationally, never failing —
-//                  this is what lets a threads-1 report compare clean
-//                  against a threads-8 report of the same seed.
+// schema the repo emits — `cmvrp-stream-v6` run reports (stream/report.h),
+// `cmvrp-stats-v1` JSONL streams (obs/snapshot.h), `cmvrp-bench-v1` suite
+// runs (exp/harness.h) and Chrome trace-event span exports
+// (obs/span_export.h). Each key is compared by the class its artifact's
+// table declares (obs/field.h): an identity mismatch aborts with a
+// check_error (the runs are not comparable), deterministic values must
+// match exactly (a difference is *drift*), wall readings are
+// ratio-compared in their row's direction with the noise rules below, and
+// context differences are only reported.
 //
 // The report serializes as schema `cmvrp-diff-v1` and maps onto the
 // CLI-wide exit convention: 0 clean, 1 drift/regression (or unreadable
@@ -41,11 +18,21 @@
 #include <string>
 #include <vector>
 
+#include "obs/field.h"
 #include "util/json.h"
 
 namespace cmvrp {
 
 inline constexpr char kDiffSchema[] = "cmvrp-diff-v1";
+
+// A wall regression by more than this factor warns.
+inline constexpr double kWallWarnRatio = 1.25;
+// Millisecond readings under this floor on both sides are scheduler noise.
+inline constexpr double kMinWallMs = 5.0;
+// A bench `time_ms` mean shift within this many of its larger stddev is
+// noise, and so is a per-iteration timing's slowdown by a factor within
+// 1 + kNoiseSigmas × stddev / mean of its case.
+inline constexpr double kNoiseSigmas = 3.0;
 
 enum class CompareKind { kAuto, kStream, kStats, kBench, kSpans };
 
@@ -55,7 +42,6 @@ const char* compare_kind_name(CompareKind kind);
 // Parses a --kind flag value; throws usage_error on anything else.
 CompareKind parse_compare_kind(const std::string& name);
 
-enum class FieldClass { kIdentity, kDeterministic, kWall, kContext };
 const char* field_class_name(FieldClass cls);
 
 enum class FieldVerdict { kMatch, kInfo, kWarn, kFail };
@@ -74,27 +60,11 @@ struct FieldDiff {
 };
 
 struct CompareOptions {
-  // Wall-field thresholds, as regression factors (B worse than A by more
-  // than this). fail_ratio == 0 disables wall *failures* entirely —
-  // the right default for 1-core CI containers where wall time is
-  // warn-only evidence, not a gate.
-  double warn_ratio = 1.25;
+  // Wall regressions by more than this factor fail (0: wall never fails,
+  // the right default where wall time is warn-only evidence, not a gate).
   double fail_ratio = 0.0;
-  // Millisecond readings (keys ending `_ms` or ` ms`) where both sides
-  // are below this floor are pure scheduler noise; they count as
-  // compared-and-clean. Other wall keys are never floored.
-  double min_wall_ms = 5.0;
-  // Bench `time_ms` blocks carry RunningStats (mean/stddev/reps): a mean
-  // shift within `noise_sigmas` of the larger stddev is noise, not a
-  // regression, regardless of the ratio. A case's per-iteration timings
-  // (`us/iter`, `ns/op`) get the same margin as a ratio: a slowdown by a
-  // factor within 1 + noise_sigmas × stddev / mean is clean. One rep has
-  // no spread, so only multi-rep runs have a margin.
-  double noise_sigmas = 3.0;
-  // Keys skipped everywhere (matched by exact name at any depth) — the
-  // per-call escape hatch for legitimately incomparable fields, e.g.
-  // `cube_slots` in the record-vs-audit round trip where the two runs
-  // size the slot table from different geometry by design.
+  // Keys skipped everywhere (matched by exact name at any depth): the
+  // per-call escape hatch for fields two runs may differ on by design.
   std::vector<std::string> ignore;
 };
 
@@ -104,7 +74,7 @@ struct CompareReport {
   std::uint64_t deterministic_fields = 0;
   std::uint64_t wall_fields = 0;
   std::uint64_t drift = 0;       // deterministic mismatches
-  std::uint64_t warns = 0;       // wall regressions past warn_ratio
+  std::uint64_t warns = 0;       // wall regressions past kWallWarnRatio
   std::uint64_t wall_fails = 0;  // wall regressions past fail_ratio
   std::uint64_t context_diffs = 0;
   // Verdicts past the recording cap are counted here instead of listed,

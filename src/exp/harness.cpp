@@ -14,24 +14,64 @@
 
 namespace cmvrp {
 
+const FieldTable& bench_fields() {
+  static const FieldTable table = {
+      {"schema", FieldClass::kIdentity},
+      {"suite", FieldClass::kIdentity},
+      {"options", FieldClass::kContext},
+      {"failed", FieldClass::kDeterministic},
+      {"sections", FieldClass::kDeterministic},
+      {"name", FieldClass::kDeterministic},
+      {"cases", FieldClass::kDeterministic},
+      wall_field("time_ms", WallUnit::kMs),
+      {"metrics", FieldClass::kDeterministic},
+      {"notes", FieldClass::kContext},
+      // Metric names.
+      {"hw threads", FieldClass::kContext},
+      wall_field("routing ms", WallUnit::kMs),
+      wall_field("us/iter", WallUnit::kPerIteration),
+      wall_field("ns/op", WallUnit::kPerIteration),
+      wall_field("jobs/sec", WallUnit::kOther, WallDirection::kRate),
+      wall_field("speedup vs 1t", WallUnit::kOther, WallDirection::kRate),
+      wall_field("on/off ratio", WallUnit::kOther, WallDirection::kRate),
+  };
+  return table;
+}
+
 // --- MetricRow --------------------------------------------------------------
+
+namespace {
+
+std::string fixed(double value, int precision) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(precision) << value;
+  return os.str();
+}
+
+}  // namespace
+
+MetricRow& MetricRow::add(bool wall, const std::string& name, Json value,
+                          std::string rendered) {
+  const FieldSpec* f = find_field(bench_fields(), name);
+  CMVRP_CHECK_MSG(wall == (f != nullptr && f->cls == FieldClass::kWall),
+                  "metric \"" << name << "\": a wall metric is declared wall "
+                                          "in bench_fields() and recorded "
+                                          "with wall_metric()");
+  cells_.push_back({name, std::move(value), std::move(rendered)});
+  return *this;
+}
 
 MetricRow& MetricRow::metric(const std::string& name, double value,
                              int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << value;
-  cells_.push_back({name, Json(value), os.str()});
-  return *this;
+  return add(false, name, Json(value), fixed(value, precision));
 }
 
 MetricRow& MetricRow::metric(const std::string& name, std::int64_t value) {
-  cells_.push_back({name, Json(value), std::to_string(value)});
-  return *this;
+  return add(false, name, Json(value), std::to_string(value));
 }
 
 MetricRow& MetricRow::metric(const std::string& name, std::uint64_t value) {
-  cells_.push_back({name, Json(value), std::to_string(value)});
-  return *this;
+  return add(false, name, Json(value), std::to_string(value));
 }
 
 MetricRow& MetricRow::metric(const std::string& name, int value) {
@@ -40,8 +80,7 @@ MetricRow& MetricRow::metric(const std::string& name, int value) {
 
 MetricRow& MetricRow::metric(const std::string& name,
                              const std::string& value) {
-  cells_.push_back({name, Json(value), value});
-  return *this;
+  return add(false, name, Json(value), value);
 }
 
 MetricRow& MetricRow::metric(const std::string& name, const char* value) {
@@ -49,8 +88,12 @@ MetricRow& MetricRow::metric(const std::string& name, const char* value) {
 }
 
 MetricRow& MetricRow::metric_bool(const std::string& name, bool value) {
-  cells_.push_back({name, Json(value), value ? "yes" : "no"});
-  return *this;
+  return add(false, name, Json(value), value ? "yes" : "no");
+}
+
+MetricRow& MetricRow::wall_metric(const std::string& name, double value,
+                                  int precision) {
+  return add(true, name, Json(value), fixed(value, precision));
 }
 
 // --- BenchSection -----------------------------------------------------------

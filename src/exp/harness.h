@@ -28,10 +28,16 @@
 #include <string>
 #include <vector>
 
+#include "obs/field.h"
 #include "util/json.h"
 #include "util/stats.h"
 
 namespace cmvrp {
+
+// The cmvrp-bench-v1 document's field table: its own keys and the
+// suites' wall and context metric names. Every other metric name is a
+// seed-baked result, deterministic.
+const FieldTable& bench_fields();
 
 struct RunOptions {
   int warmup = 0;         // untimed repetitions per case
@@ -42,7 +48,9 @@ struct RunOptions {
 
 // Metric sink for one case. Declaration order fixes the table column
 // order and the JSON key order. `precision` only affects the ASCII
-// rendering; JSON always stores the full value.
+// rendering; JSON always stores the full value. metric() throws
+// check_error on a name bench_fields() declares wall, and wall_metric()
+// on any other name.
 class MetricRow {
  public:
   MetricRow& metric(const std::string& name, double value, int precision = 4);
@@ -52,6 +60,8 @@ class MetricRow {
   MetricRow& metric(const std::string& name, const std::string& value);
   MetricRow& metric(const std::string& name, const char* value);
   MetricRow& metric_bool(const std::string& name, bool value);
+  MetricRow& wall_metric(const std::string& name, double value,
+                         int precision = 4);
 
  private:
   friend class BenchRun;
@@ -61,6 +71,8 @@ class MetricRow {
     Json value;
     std::string rendered;
   };
+  MetricRow& add(bool wall, const std::string& name, Json value,
+                 std::string rendered);
   std::vector<Cell> cells_;
 };
 

@@ -614,7 +614,7 @@ void suite_substrates(BenchRun& b) {
     for (std::int64_t i = 0; i < iters; ++i) last = body();
     const double ms = timer.elapsed_ms();
     row.metric("iters", iters)
-        .metric("us/iter", 1000.0 * ms / static_cast<double>(iters), 3)
+        .wall_metric("us/iter", 1000.0 * ms / static_cast<double>(iters), 3)
         .metric("value", last);
   };
 
@@ -709,7 +709,7 @@ void suite_substrates(BenchRun& b) {
     const double value = body();
     const double ms = timer.elapsed_ms();
     row.metric("ops", ops)
-        .metric("ns/op", 1e6 * ms / static_cast<double>(ops), 2)
+        .wall_metric("ns/op", 1e6 * ms / static_cast<double>(ops), 2)
         .metric("value", value);
   };
   b.run_case("event_queue/schedule_step", [&](MetricRow& row) {
@@ -803,7 +803,7 @@ void suite_substrates(BenchRun& b) {
     const double ms = timer.elapsed_ms();
     if (floods == 0) b.fail("phase1_flood: no computation started");
     row.metric("ops", messages)
-        .metric("ns/op", 1e6 * ms / static_cast<double>(messages), 2)
+        .wall_metric("ns/op", 1e6 * ms / static_cast<double>(messages), 2)
         .metric("value", messages);
   });
   b.run_case("monitor_settle/4d-s3", [&](MetricRow& row) {
@@ -1106,12 +1106,13 @@ void suite_stream_scaling(BenchRun& b) {
                                    p.result.metrics.replacements)
                            .metric("cubes", p.result.cubes)
                            .metric("cube slots", p.result.cube_slots)
-                           .metric("routing ms", p.result.stages.route_ms, 2)
-                           .metric("jobs/sec", p.jobs_per_sec, 0)
-                           .metric("speedup vs 1t",
-                                   ms_at_1 && p.ms > 0.0 ? *ms_at_1 / p.ms
-                                                         : 0.0,
-                                   2);
+                           .wall_metric("routing ms",
+                                        p.result.stages.route_ms, 2)
+                           .wall_metric("jobs/sec", p.jobs_per_sec, 0)
+                           .wall_metric("speedup vs 1t",
+                                        ms_at_1 && p.ms > 0.0 ? *ms_at_1 / p.ms
+                                                              : 0.0,
+                                        2);
                      });
   }
 
@@ -1127,7 +1128,7 @@ void suite_stream_scaling(BenchRun& b) {
                          b.fail("batch size changed the stream outcome");
                        row.metric("batches", p.result.batches)
                            .metric("served", p.result.metrics.jobs_served)
-                           .metric("jobs/sec", p.jobs_per_sec, 0);
+                           .wall_metric("jobs/sec", p.jobs_per_sec, 0);
                      });
   }
 
@@ -1159,7 +1160,7 @@ void suite_stream_scaling(BenchRun& b) {
                           .metric("served", p.result.metrics.jobs_served)
                           .metric("failed", p.result.metrics.jobs_failed)
                           .metric("cubes", p.result.cubes)
-                          .metric("jobs/sec", p.jobs_per_sec, 0);
+                          .wall_metric("jobs/sec", p.jobs_per_sec, 0);
                     });
     }
   }
@@ -1250,7 +1251,7 @@ void suite_stream_scaling(BenchRun& b) {
     if (!same_stream_outcome(reference, p.result))
       b.fail("counters-off run diverged from the reference outcome");
     off_jps = p.jobs_per_sec;
-    row.metric("jobs/sec", p.jobs_per_sec, 0);
+    row.wall_metric("jobs/sec", p.jobs_per_sec, 0);
   });
   overhead.run_case("counters=on", [&](MetricRow& row) {
     StreamConfig c = cfg;
@@ -1259,10 +1260,11 @@ void suite_stream_scaling(BenchRun& b) {
     const StreamProbe p = probe_stream(2, c, jobs);
     if (!same_serving_outcome(reference, p.result))
       b.fail("enabling counters changed the serving outcome");
-    row.metric("jobs/sec", p.jobs_per_sec, 0)
-        .metric("on/off ratio",
-                off_jps && *off_jps > 0.0 ? p.jobs_per_sec / *off_jps : 0.0,
-                3);
+    row.wall_metric("jobs/sec", p.jobs_per_sec, 0)
+        .wall_metric("on/off ratio",
+                     off_jps && *off_jps > 0.0 ? p.jobs_per_sec / *off_jps
+                                               : 0.0,
+                     3);
   });
   overhead.run_case("spans=on", [&](MetricRow& row) {
     StreamConfig c = cfg;
@@ -1272,10 +1274,11 @@ void suite_stream_scaling(BenchRun& b) {
     const StreamProbe p = probe_stream(2, c, jobs);
     if (!same_serving_outcome(reference, p.result))
       b.fail("enabling span tracing changed the serving outcome");
-    row.metric("jobs/sec", p.jobs_per_sec, 0)
-        .metric("on/off ratio",
-                off_jps && *off_jps > 0.0 ? p.jobs_per_sec / *off_jps : 0.0,
-                3)
+    row.wall_metric("jobs/sec", p.jobs_per_sec, 0)
+        .wall_metric("on/off ratio",
+                     off_jps && *off_jps > 0.0 ? p.jobs_per_sec / *off_jps
+                                               : 0.0,
+                     3)
         .metric("span records", p.result.counters.spans_emitted);
   });
 

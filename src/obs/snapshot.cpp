@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
+#include <initializer_list>
+#include <map>
 #include <utility>
 
 #include "util/check.h"
@@ -11,55 +13,40 @@
 namespace cmvrp {
 namespace {
 
+// Appends `"key":text,` to a line under construction.
+void field(std::string* line, const char* key, const char* text) {
+  line->append("\"").append(key).append("\":").append(text).push_back(',');
+}
+
 void field_u64(std::string* line, const char* key, std::uint64_t value) {
-  line->push_back('"');
-  line->append(key);
-  line->append("\":");
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  line->append(buf);
-  line->push_back(',');
+  field(line, key, buf);
 }
 
 void field_i64(std::string* line, const char* key, std::int64_t value) {
-  line->push_back('"');
-  line->append(key);
-  line->append("\":");
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRId64, value);
-  line->append(buf);
-  line->push_back(',');
+  field(line, key, buf);
 }
 
 void field_ms(std::string* line, const char* key, double value) {
-  line->push_back('"');
-  line->append(key);
-  line->append("\":");
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.3f", value);
-  line->append(buf);
-  line->push_back(',');
+  field(line, key, buf);
 }
 
+// Callers pass schema ids and hex digests: nothing to escape.
 void field_str(std::string* line, const char* key, const std::string& value) {
-  line->push_back('"');
-  line->append(key);
-  line->append("\":\"");
-  line->append(value);  // callers pass schema ids / hex digests: no escapes
-  line->append("\",");
+  line->append("\"").append(key).append("\":\"").append(value).append("\",");
 }
 
 void field_bool(std::string* line, const char* key, bool value) {
-  line->push_back('"');
-  line->append(key);
-  line->append("\":");
-  line->append(value ? "true" : "false");
-  line->push_back(',');
+  field(line, key, value ? "true" : "false");
 }
 
 // The Tier-A block shared by sample / cube / final lines: one key per
-// counter row, then what derives from them. Every field here is
-// deterministic; the wall-clock block is appended separately.
+// counter row, then what derives from them.
 void counter_fields(std::string* line, const CubeCounters& c) {
   for (const CounterField& f : kCounterFields)
     field_u64(line, f.key, c.*f.member);
@@ -72,11 +59,7 @@ void counter_fields(std::string* line, const CubeCounters& c) {
 }
 
 void stage_fields(std::string* line, const StageTimes& s) {
-  field_ms(line, "stage_ingest_ms", s.ingest_ms);
-  field_ms(line, "stage_route_ms", s.route_ms);
-  field_ms(line, "stage_serve_ms", s.serve_ms);
-  field_ms(line, "stage_fold_ms", s.fold_ms);
-  field_ms(line, "stage_monitor_ms", s.monitor_ms);
+  for (const StageField& f : kStageFields) field_ms(line, f.key, s.*f.member);
   field_i64(line, "wall_rss_kb", current_rss_kb());
 }
 
@@ -87,38 +70,54 @@ void finish_line(std::string* line, std::ostream& out) {
   out << *line;
 }
 
-// The keys a line of `kind` must carry: every key the writer above emits
-// on a header, sample, cube or final line, which includes each one
-// `cmvrp_cli stats` and compare_stats_streams read. ("kind" and the
-// header's "schema" are checked before these.) Unknown kinds are not
-// checked.
-std::vector<std::string> required_keys(const std::string& kind) {
-  if (kind == "header")
-    return {"dim", "threads", "batch_size", "seed", "stride", "counters"};
-  std::vector<std::string> keys;
-  if (kind == "sample")
-    keys = {"batch", "jobs"};
-  else if (kind == "cube")
-    keys = {"corner", "latency_count", "latency_p50", "latency_p90",
-            "latency_p99", "latency_max"};
-  else if (kind == "final")
-    keys = {"jobs", "cubes", "messages_per_replacement"};
-  else
-    return keys;
-  for (const CounterField& f : kCounterFields) keys.push_back(f.key);
-  for (const char* key : {"msg_total", "cascade_count", "cascade_p50",
-                          "cascade_p99", "cascade_max", "counters_hash"})
-    keys.push_back(key);
-  // stage_fields: the wall-clock block of sample and final lines.
-  if (kind != "cube")
-    for (const char* key :
-         {"stage_ingest_ms", "stage_route_ms", "stage_serve_ms",
-          "stage_fold_ms", "stage_monitor_ms", "wall_rss_kb"})
-      keys.push_back(key);
-  return keys;
-}
-
 }  // namespace
+
+const FieldTable& stats_fields(const std::string& kind) {
+  static const std::map<std::string, FieldTable> tables = [] {
+    std::map<std::string, FieldTable> t;
+    const auto rows = [&t](const char* line, FieldClass cls,
+                           std::initializer_list<const char*> keys) {
+      for (const char* key : keys) t[line].push_back({key, cls});
+    };
+    // counter_fields and stage_fields above.
+    const auto counters = [&](const char* line) {
+      for (const CounterField& f : kCounterFields)
+        rows(line, FieldClass::kDeterministic, {f.key});
+      rows(line, FieldClass::kDeterministic,
+           {"msg_total", "cascade_count", "cascade_p50", "cascade_p99",
+            "cascade_max", "counters_hash"});
+    };
+    const auto stages = [&t](const char* line) {
+      for (const StageField& f : kStageFields)
+        t[line].push_back(wall_field(f.key, WallUnit::kMs));
+      t[line].push_back(wall_field("wall_rss_kb", WallUnit::kOther));
+    };
+    for (const char* line : {"header", "sample", "cube", "final"})
+      rows(line, FieldClass::kIdentity, {"kind"});
+    rows("header", FieldClass::kIdentity, {"schema", "dim"});
+    rows("header", FieldClass::kContext, {"threads", "batch_size"});
+    rows("header", FieldClass::kIdentity, {"seed"});
+    rows("header", FieldClass::kContext, {"stride"});
+    rows("header", FieldClass::kIdentity, {"counters"});
+    rows("sample", FieldClass::kContext, {"batch"});
+    rows("sample", FieldClass::kDeterministic, {"jobs"});
+    counters("sample");
+    stages("sample");
+    rows("cube", FieldClass::kDeterministic, {"corner"});
+    counters("cube");
+    rows("cube", FieldClass::kDeterministic,
+         {"latency_count", "latency_p50", "latency_p90", "latency_p99",
+          "latency_max"});
+    rows("final", FieldClass::kDeterministic, {"jobs", "cubes"});
+    counters("final");
+    rows("final", FieldClass::kDeterministic, {"messages_per_replacement"});
+    stages("final");
+    return t;
+  }();
+  static const FieldTable none;
+  const auto it = tables.find(kind);
+  return it == tables.end() ? none : it->second;
+}
 
 StatsSnapshotter::StatsSnapshotter(std::ostream& out, std::int64_t stride)
     : out_(out), stride_(stride) {
@@ -232,12 +231,12 @@ StatsDoc read_stats(const std::string& text, const std::string& label) {
                                         << " (this reader reads "
                                         << kStatsSchema << ")");
       }
-      for (const std::string& key : required_keys(kind))
-        CMVRP_CHECK_MSG(j.contains(key), "stats stream "
-                                             << label << " at byte " << at
-                                             << " (line " << lines << "): "
-                                             << kind << " line has no \""
-                                             << key << "\" key");
+      for (const FieldSpec& f : stats_fields(kind))
+        CMVRP_CHECK_MSG(j.contains(f.key), "stats stream "
+                                               << label << " at byte " << at
+                                               << " (line " << lines << "): "
+                                               << kind << " line has no \""
+                                               << f.key << "\" key");
       if (kind == "header") {
         doc.header = std::move(j);
       } else if (kind == "sample") {

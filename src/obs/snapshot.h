@@ -12,9 +12,9 @@
 //                                  ascending-corner order
 //   {"kind":"final",  <Tier-A totals>, <Tier-B spans>}  once, at finish
 //
-// Determinism contract: with the wall fields excluded (every Tier-B key
-// ends in `_ms` or starts with `wall_` — the rule obs/compare.h applies
-// per field), the stream is bit-identical across thread counts, because
+// Determinism contract: with the wall fields excluded (the rows
+// stats_fields below declares wall), the stream is bit-identical across
+// thread counts, because
 // sample lines fire on batch boundaries (a pure function of the arrival
 // sequence and batch size) and every Tier-A field folds commutatively
 // from per-cube state. The CI counter-diff guard runs
@@ -27,7 +27,7 @@
 // This layer deliberately serializes by hand instead of using
 // util/json.h's document model: building a Json per line would allocate
 // on the serving path. read_stats below parses the lines back with
-// util/json.h; `cmvrp_cli stats` and obs/compare.h both read through it.
+// util/json.h; `cmvrp_cli stats` and exp/compare.h both read through it.
 #pragma once
 
 #include <cstdint>
@@ -38,12 +38,18 @@
 #include "grid/point.h"
 #include "metrics/latency_histogram.h"
 #include "obs/counters.h"
+#include "obs/field.h"
 #include "obs/stage_timer.h"
 #include "util/json.h"
 
 namespace cmvrp {
 
 inline constexpr char kStatsSchema[] = "cmvrp-stats-v1";
+
+// The fields a line of `kind` ("header", "sample", "cube" or "final")
+// carries, in the order the writer below emits them, with their classes;
+// empty for any other kind.
+const FieldTable& stats_fields(const std::string& kind);
 
 class StatsSnapshotter {
  public:
@@ -86,9 +92,9 @@ struct StatsDoc {
 
 // Parses a whole stats stream. Throws check_error naming `label` and the
 // byte offset of the problem when the stream is empty, a line does not
-// parse or has no "kind", a header's schema is not kStatsSchema, a
-// header, cube or final line lacks a key the writer emits on it, there
-// is no header line, or there is no final line.
+// parse or has no "kind", a header's schema is not kStatsSchema, a line
+// lacks a key stats_fields declares for its kind, there is no header
+// line, or there is no final line.
 StatsDoc read_stats(const std::string& text, const std::string& label);
 
 }  // namespace cmvrp

@@ -93,7 +93,7 @@ struct SpanEvent {
 };
 
 // Record bookkeeping totals — folded into CubeCounters (spans_* fields)
-// so they ride the cmvrp-stream-v5 report and cmvrp-stats-v1 snapshots.
+// so they ride the stream report and the cmvrp-stats-v1 snapshots.
 struct SpanTotals {
   std::uint64_t emitted = 0;       // records appended (pre-eviction)
   std::uint64_t sampled_out = 0;   // records skipped by the comp sampler

@@ -144,13 +144,16 @@ void write_metadata_name(std::ostream& out, std::uint64_t pid,
 
 }  // namespace
 
+const FieldTable& span_export_fields() {
+  static const FieldTable table = {wall_field("wall_ms", WallUnit::kMs)};
+  return table;
+}
+
 void export_chrome_trace(std::ostream& out, int dim,
                          const std::vector<CubeSpanSource>& sources,
                          double wall_ms) {
   out << "[\n";
-  // The one wall-clock byte sequence, first so a grep over Tier-B keys
-  // (obs/compare.h wall rule) skips it and leaves the rest of the
-  // file byte-diffable across runs.
+  // The one wall-clock byte sequence (span_export_fields), first.
   {
     char buf[96];
     std::snprintf(buf, sizeof(buf),

@@ -3,11 +3,9 @@
 // Both exporters walk the same input — one (corner, pid, recorder)
 // source per cube, in ascending-corner order — and emit only
 // deterministic bytes, so an exported trace diffs clean across thread
-// counts and batch sizes. The single wall-clock field the Chrome export
-// carries (`wall_ms`, run duration metadata for humans reading the
-// trace) sits alone on the line right after the opening `[`, keyed with
-// the Tier-B `wall_` prefix, so the comparator (obs/compare.h) wall rule skips it
-// and leaves a byte-diffable remainder.
+// counts and batch sizes. The Chrome export's one exception is the event
+// span_export_fields declares wall: the run's duration, metadata for
+// humans reading the trace, alone on the line after the opening `[`.
 //
 // Chrome trace-event mapping (load the JSON in Perfetto or
 // chrome://tracing):
@@ -42,6 +40,7 @@
 #include <vector>
 
 #include "grid/point.h"
+#include "obs/field.h"
 #include "obs/span.h"
 
 namespace cmvrp {
@@ -78,9 +77,13 @@ struct CubeSpans {
   SpanTotals totals;
 };
 
+// The Chrome export's events that are not deterministic, by name: one
+// wall row, the `wall_ms` metadata event, which the comparator skips.
+const FieldTable& span_export_fields();
+
 // Writes the Chrome trace-event JSON array. `sources` must be in
 // ascending-corner order; `wall_ms` is the run's wall duration (the one
-// non-deterministic byte sequence, isolated on its own `wall_` line).
+// non-deterministic byte sequence, isolated on its own line).
 void export_chrome_trace(std::ostream& out, int dim,
                          const std::vector<CubeSpanSource>& sources,
                          double wall_ms);

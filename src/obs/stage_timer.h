@@ -3,10 +3,6 @@
 // Everything in this header is *nondeterministic by design* — wall time
 // and resident memory vary run to run — and therefore lives in its own
 // tier, strictly separated from the Tier-A counters (obs/counters.h).
-// The separation is enforced by naming: every Tier-B JSON field carries
-// a `wall_` prefix or `_ms` suffix, which is exactly the pattern the
-// shared wall-field rule (obs/compare.h) excludes before
-// diffing reports across thread counts.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +24,21 @@ struct StageTimes {
   double serve_ms = 0.0;
   double fold_ms = 0.0;
   double monitor_ms = 0.0;
+};
+
+// One row per StageTimes member: the key the stats lines and the stream
+// report write it under. Each is a wall field in milliseconds.
+struct StageField {
+  const char* key;
+  double StageTimes::*member;
+};
+
+inline constexpr StageField kStageFields[] = {
+    {"stage_ingest_ms", &StageTimes::ingest_ms},
+    {"stage_route_ms", &StageTimes::route_ms},
+    {"stage_serve_ms", &StageTimes::serve_ms},
+    {"stage_fold_ms", &StageTimes::fold_ms},
+    {"stage_monitor_ms", &StageTimes::monitor_ms},
 };
 
 // Current resident set size in kB (VmRSS from /proc/self/status); 0 on

@@ -116,8 +116,7 @@ struct StreamResult {
   // unless OnlineConfig::obs.counters. Deterministic like everything
   // above.
   CubeCounters counters;
-  // Tier-B wall-clock stage spans (nondeterministic; excluded from CI
-  // diffs by the *_ms / wall_* naming convention).
+  // Tier-B wall-clock stage spans (nondeterministic).
   StageTimes stages;
 };
 

@@ -37,15 +37,15 @@ cli(2 trace replay --file ci.trace --threads 2 --obs --memroy
 cli(0 compare replay.json memory.json)
 
 # Record round trip: the outcome trail replays to the recorded run, and
-# recording that replay writes the same bytes. cube_slots differs by
-# design: the scenario declares its region, the replay sizes the slot
-# table from the trail's demand.
+# recording that replay writes the same bytes. cube_slots differs (the
+# scenario declares its region, the replay sizes the slot table from the
+# trail's demand), which compare reports as context.
 cli(0 stream --scenario hotspot/s4c8/n4000/b64 --record o1.trace --threads 2
       --monitor-stride 16 --obs --json record.json)
 cli(0 trace info --file o1.trace)
 cli(0 trace replay --file o1.trace --record o2.trace --threads 2
       --monitor-stride 16 --obs --json audit.json)
-cli(0 compare record.json audit.json --ignore cube_slots)
+cli(0 compare record.json audit.json)
 execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
                         "${WORK}/o1.trace" "${WORK}/o2.trace"
                 RESULT_VARIABLE same)
@@ -98,6 +98,11 @@ cli(2 fig41 --r1 2 extra)
 # positional; any other flag needs one.
 cli(2 stream --obs w.txt --jobs 50 --n 8)
 cli(2 compare mux_ab.json mux_ba.json --json)
+# The comparator's warn ratio, millisecond floor and noise margin are
+# constants, not flags.
+cli(2 compare mux_ab.json mux_ba.json --warn-ratio 2)
+cli(2 compare mux_ab.json mux_ba.json --min-wall-ms 1)
+cli(2 compare mux_ab.json mux_ba.json --noise-sigmas 1)
 # A flag value the engine would refuse is a usage error at parse time,
 # not an engine check failure once serving has begun.
 cli(2 stream --n 8 --jobs 50 --batch 0)

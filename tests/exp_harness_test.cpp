@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/harness.h"
@@ -122,7 +123,7 @@ TEST(BenchRun, NumericMetricIsTheMedianRep) {
     BenchRun run("t", opts);
     int rep = 0;
     run.run_case("case", [&](MetricRow& row) {
-      row.metric("us/iter", readings[rep], 1)
+      row.wall_metric("us/iter", readings[rep], 1)
           .metric("served", std::uint64_t{42})
           .metric("label", "rep " + std::to_string(rep));
       ++rep;
@@ -149,7 +150,9 @@ TEST(BenchRun, EvenRepCountTakesTheLowerMiddle) {
   const double readings[] = {9.0, 4.0, 8.0, 3.0};
   int rep = 0;
   run.run_case("case",
-               [&](MetricRow& row) { row.metric("ns/op", readings[rep++]); });
+               [&](MetricRow& row) {
+                 row.wall_metric("ns/op", readings[rep++]);
+               });
   const Json doc = run.to_json();
   EXPECT_EQ(doc.at("sections").at(std::size_t{0}).at("cases").at(
                 std::size_t{0}).at("metrics").at("ns/op").as_number(),
@@ -263,6 +266,60 @@ TEST(SuiteRegistry, UnknownSuiteThrows) {
   register_builtin_suites();
   std::ostringstream os;
   EXPECT_THROW(run_suite("definitely-not-a-suite", {}, os), check_error);
+}
+
+// --- the bench document's field table --------------------------------------
+
+// A wall reading enters only through wall_metric(), under a name
+// bench_fields() declares wall: metric() refuses every declared wall
+// name, and wall_metric() any other name.
+TEST(BenchFields, WallMetricsEnterOnlyUnderADeclaredWallName) {
+  MetricRow row;
+  for (const FieldSpec& f : bench_fields()) {
+    if (f.cls != FieldClass::kWall) continue;
+    EXPECT_THROW(row.metric(f.key, 1.0), check_error) << f.key;
+    EXPECT_THROW(row.metric(f.key, std::int64_t{1}), check_error) << f.key;
+    EXPECT_NO_THROW(row.wall_metric(f.key, 1.0)) << f.key;
+  }
+  EXPECT_THROW(row.wall_metric("served", 1.0), check_error);
+  EXPECT_THROW(row.wall_metric("setup ms", 1.0), check_error);
+  EXPECT_NO_THROW(row.metric("hw threads", 4));
+}
+
+// Every key of a bench document is a row of bench_fields() or a metric
+// name, and every row is emitted: the document's own keys by any run,
+// the metric rows by the stream_scaling and substrates cases below.
+TEST(BenchFields, EveryDocumentKeyIsDeclaredAndEveryRowIsEmitted) {
+  register_builtin_suites();
+  std::set<std::string> structure, metrics;
+  for (const auto& [suite, filter] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"stream_scaling", "threads/threads=1"},
+           {"stream_scaling", "obs_overhead/counters=on"},
+           {"substrates", "snake_index_round_trip/s=64"},
+           {"substrates", "event_queue/schedule_step"}}) {
+    RunOptions opts;
+    opts.filter = filter;
+    std::ostringstream os;
+    Json doc;
+    ASSERT_EQ(run_suite(suite, opts, os, &doc), 0) << suite << " " << filter;
+    for (const auto& [key, value] : doc.items()) structure.insert(key);
+    for (std::size_t s = 0; s < doc.at("sections").size(); ++s) {
+      const Json& section = doc.at("sections").at(s);
+      for (const auto& [key, value] : section.items()) structure.insert(key);
+      for (std::size_t c = 0; c < section.at("cases").size(); ++c) {
+        const Json& bench_case = section.at("cases").at(c);
+        for (const auto& [key, value] : bench_case.items())
+          structure.insert(key);
+        for (const auto& [key, value] : bench_case.at("metrics").items())
+          metrics.insert(key);
+      }
+    }
+  }
+  for (const std::string& key : structure)
+    EXPECT_NE(find_field(bench_fields(), key), nullptr) << key;
+  for (const FieldSpec& f : bench_fields())
+    EXPECT_TRUE(structure.count(f.key) + metrics.count(f.key) > 0) << f.key;
 }
 
 // End to end: the smoke suite runs, succeeds, writes a parseable JSON

@@ -3,25 +3,32 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "exp/compare.h"
 #include "grid/point.h"
 #include "metrics/latency_histogram.h"
-#include "obs/compare.h"
 #include "obs/counters.h"
 #include "obs/snapshot.h"
+#include "obs/span_export.h"
 #include "obs/stage_timer.h"
+#include "stream/engine.h"
+#include "stream/report.h"
 #include "util/check.h"
 #include "util/json.h"
+#include "util/rng.h"
+#include "workload/generators.h"
+#include "workload/stream_gen.h"
 
 namespace cmvrp {
 namespace {
 
-// Minimal cmvrp-stream-v5-shaped report: the comparator walks whatever
+// Minimal cmvrp-stream-v6-shaped report: the comparator walks whatever
 // keys exist, so a handful of fields per class is a full exercise.
 Json stream_report(std::int64_t threads, std::uint64_t msg_queries,
                    double wall_ms, double jobs_per_sec) {
   Json doc = Json::object();
-  doc.set("schema", "cmvrp-stream-v5");
+  doc.set("schema", kStreamSchema);
   doc.set("seed", std::uint64_t{7});
   doc.set("threads", threads);
   doc.set("served", std::uint64_t{20000});
@@ -44,7 +51,7 @@ TEST(StreamCompare, IdenticalReportsCompareClean) {
 }
 
 // The acceptance-criterion shape: threads differ (context), wall fields
-// differ wildly (warn-only by rule) — still exit 0.
+// differ wildly (warn-only) — still exit 0.
 TEST(StreamCompare, ThreadCountAndWallTimeNeverFail) {
   const Json a = stream_report(1, 100, 10.0, 2000.0);
   const Json b = stream_report(8, 100, 30.0, 700.0);
@@ -71,8 +78,8 @@ TEST(StreamCompare, DeterministicCounterDriftExitsOne) {
   EXPECT_EQ(rep.diffs[0].verdict, FieldVerdict::kFail);
 }
 
-// Every counter row is a deterministic field to the comparator: no row
-// key has a wall- or context-style name, so a drift in any one fails.
+// Every counter row is a deterministic field of the stream report, so a
+// drift in any one fails.
 TEST(StreamCompare, EveryCounterRowIsDeterministic) {
   for (const CounterField& f : kCounterFields) {
     Json a = stream_report(1, 100, 10.0, 2000.0);
@@ -136,7 +143,7 @@ TEST(StreamCompare, IgnoreListSuppressesAField) {
 
 TEST(WallCompare, WarnBoundaryIsExclusive) {
   const Json a = stream_report(1, 100, 100.0, 2000.0);
-  // Exactly warn_ratio: not a warning (strictly-greater comparison).
+  // Exactly kWallWarnRatio: not a warning (strictly-greater comparison).
   const CompareReport at = compare_stream_reports(
       a, stream_report(1, 100, 125.0, 2000.0), defaults());
   EXPECT_EQ(at.warns, 0u);
@@ -153,7 +160,7 @@ TEST(WallCompare, FailRatioGatesWallRegressions) {
   const CompareReport under = compare_stream_reports(
       a, stream_report(1, 100, 149.0, 2000.0), opt);
   EXPECT_EQ(under.wall_fails, 0u);
-  EXPECT_EQ(under.warns, 1u);  // past warn_ratio, under fail_ratio
+  EXPECT_EQ(under.warns, 1u);  // past kWallWarnRatio, under fail_ratio
   const CompareReport over = compare_stream_reports(
       a, stream_report(1, 100, 160.0, 2000.0), opt);
   EXPECT_EQ(over.wall_fails, 1u);
@@ -169,7 +176,7 @@ TEST(WallCompare, ImprovementIsNeverFlagged) {
   EXPECT_DOUBLE_EQ(rep.worst_wall_ratio, 1.0);
 }
 
-TEST(WallCompare, RateKeysRegressDownward) {
+TEST(WallCompare, RateRowsRegressDownward) {
   const Json a = stream_report(1, 100, 100.0, 1000.0);
   // Same wall time, rate dropped to 40%: a 2.5x regression on the rate.
   const CompareReport rep = compare_stream_reports(
@@ -180,7 +187,7 @@ TEST(WallCompare, RateKeysRegressDownward) {
 }
 
 TEST(WallCompare, SubFloorTimingsAreNoise) {
-  CompareOptions opt;  // min_wall_ms = 5.0
+  CompareOptions opt;  // wall_ms is a millisecond row; kMinWallMs = 5
   const Json a = stream_report(1, 100, 0.5, 0.0);
   // 8x apart but both under the floor: scheduler noise, clean.
   const CompareReport rep =
@@ -197,6 +204,10 @@ TEST(WallCompare, SubFloorTimingsAreNoise) {
 TEST(KindDetection, RecognizesEveryArtifactSchema) {
   EXPECT_EQ(detect_compare_kind(stream_report(1, 1, 1.0, 1.0).dump(), "A"),
             CompareKind::kStream);
+  // Any version, so an older report compares under --ignore schema,...
+  Json v5 = stream_report(1, 1, 1.0, 1.0);
+  v5.set("schema", "cmvrp-stream-v5");
+  EXPECT_EQ(detect_compare_kind(v5.dump(), "A"), CompareKind::kStream);
   Json bench = Json::object();
   bench.set("schema", "cmvrp-bench-v1");
   bench.set("suite", "s");
@@ -220,7 +231,7 @@ TEST(KindDetection, EmptyInputThrowsNamingTheLabel) {
 
 TEST(KindDetection, TruncatedJsonThrowsNamingTheOffset) {
   try {
-    detect_compare_kind("{\"schema\":\"cmvrp-stream-v5\",\"served\":", "t");
+    detect_compare_kind("{\"schema\":\"cmvrp-stream-v6\",\"served\":", "t");
     FAIL() << "expected check_error";
   } catch (const check_error& e) {
     EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);
@@ -316,7 +327,7 @@ TEST(BenchCompare, DeterministicMetricDriftFails) {
 TEST(BenchCompare, MissingCaseIsDriftAndContextFieldsAreNot) {
   const Json a = bench_run(100.0, 10.0, 20000, 1000.0);
   Json b = bench_run(100.0, 10.0, 20000, 1000.0);
-  // Drop B's only case; also note "hw threads" is context by rule —
+  // Drop B's only case; also note "hw threads" is declared context —
   // checked implicitly since a/b carry it and identical runs are clean.
   Json empty_cases = Json::array();
   Json section = Json::object();
@@ -391,8 +402,9 @@ TEST(BenchCompare, PerIterationTimingsAreWallFields) {
 }
 
 TEST(BenchCompare, PerIterationTimingsIgnoreTheMillisecondFloor) {
-  // 0.035 and 3.5 us/iter are both under min_wall_ms (5), but the floor
-  // is in milliseconds: a 100x slower loop must still warn.
+  // 0.035 and 3.5 us/iter are both under kMinWallMs (5), but us/iter is
+  // a per-iteration row, not a millisecond one: a 100x slower loop must
+  // still warn.
   const Json a = substrates_run(0.035, 19.5, 2000000.0);
   const Json b = substrates_run(3.5, 19.5, 2000000.0);
   const CompareReport rep = compare_bench_runs(a, b, defaults());
@@ -611,7 +623,7 @@ std::string span_trace(double wall_ms, std::int64_t ts) {
   return events.dump();
 }
 
-TEST(SpansCompare, WallMetadataIsSkippedByNameRule) {
+TEST(SpansCompare, DeclaredWallEventIsSkipped) {
   const CompareReport rep = compare_artifacts(
       span_trace(10.0, 42), span_trace(99.0, 42), CompareKind::kSpans,
       defaults());
@@ -646,6 +658,203 @@ TEST(DiffJson, RoundTripsAndCarriesTheVerdicts) {
   EXPECT_TRUE(first.contains("path"));
   EXPECT_TRUE(first.contains("class"));
   EXPECT_TRUE(first.contains("verdict"));
+}
+
+// --- declared field tables ---------------------------------------------------
+
+std::vector<std::string> keys_of(const Json& doc) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.items()) keys.push_back(key);
+  return keys;
+}
+
+std::vector<std::string> keys_of(const FieldTable& table) {
+  std::vector<std::string> keys;
+  for (const FieldSpec& f : table) keys.push_back(f.key);
+  return keys;
+}
+
+// A flood-heavy 2-D run (W = 8 in cubes of side 4) with every option the
+// report echoes turned on: Tier-A counters, sampled span recording into
+// flight rings, a shedding admission queue and timeseries sampling, so
+// every gated row is live.
+struct FullRun {
+  StreamConfig cfg;
+  StreamResult result;
+  std::string chrome_a, chrome_b;  // one export at two wall times
+};
+
+const FullRun& full_run() {
+  static const FullRun run = [] {
+    FullRun r;
+    r.cfg.online.capacity = 8.0;
+    r.cfg.online.cube_side = 4;
+    r.cfg.online.anchor = Point::origin(2);
+    r.cfg.online.seed = 7;
+    r.cfg.online.admission = AdmissionPolicy::kShed;
+    r.cfg.online.queue_limit = 2;
+    r.cfg.online.service_ticks = 12;
+    r.cfg.online.sample_stride = 8;
+    r.cfg.online.obs.counters = true;
+    r.cfg.online.obs.spans = true;
+    r.cfg.online.obs.span_sample = 2;
+    r.cfg.online.obs.flight = 32;
+    Rng rng(11);
+    const DemandMap d =
+        uniform_demand(Box(Point{0, 0}, Point{31, 31}), 2000, rng);
+    Rng order(12);
+    StreamEngine engine(2, r.cfg);
+    engine.ingest(stream_from_demand(d, ArrivalOrder::kShuffled, order));
+    r.result = engine.finish();
+    std::ostringstream a, b;
+    export_chrome_trace(a, 2, engine.span_sources(), 1.0);
+    export_chrome_trace(b, 2, engine.span_sources(), 2.5);
+    r.chrome_a = a.str();
+    r.chrome_b = b.str();
+    return r;
+  }();
+  return run;
+}
+
+Json full_report(double wall_ms) {
+  return stream_report_json(StreamRun{full_run().cfg, full_run().result,
+                                      wall_ms});
+}
+
+TEST(FieldTables, StreamReportCarriesExactlyItsDeclaredKeys) {
+  const Json doc = full_report(12.5);
+  EXPECT_EQ(keys_of(doc), keys_of(stream_report_fields()));
+  EXPECT_EQ(doc.at("schema").as_string(), kStreamSchema);
+  // Each gated row is live on this run.
+  for (const char* key :
+       {"replacements", "comps_finished", "max_queries_per_comp", "enqueued",
+        "shed", "backlog_peak", "spans_emitted", "spans_sampled_out",
+        "spans_ring_evicted", "ts_samples", "cascade_count"})
+    EXPECT_GT(doc.at(key).as_number(), 0.0) << key;
+}
+
+// The Phase I flood's messages per replacement and the monitoring ring's
+// heartbeats per arrival, each the quotient of its counters.
+TEST(FieldTables, FloodAndHeartbeatRowsAreTheirCounterQuotients) {
+  const StreamResult& r = full_run().result;
+  const CubeCounters& c = r.counters;
+  ASSERT_GT(c.replacements, 0u);
+  ASSERT_GT(c.msg_heartbeats, 0u);
+  const Json doc = full_report(12.5);
+  EXPECT_EQ(doc.at("flood_msgs_per_replacement").as_number(),
+            static_cast<double>(c.msg_queries + c.msg_replies + c.msg_moves) /
+                static_cast<double>(c.replacements));
+  EXPECT_EQ(doc.at("heartbeats_per_job").as_number(),
+            static_cast<double>(c.msg_heartbeats) /
+                static_cast<double>(r.jobs_ingested));
+  EXPECT_LT(doc.at("flood_msgs_per_replacement").as_number(),
+            doc.at("messages_per_replacement").as_number());
+}
+
+// The comparator takes each report field's class from its row: a changed
+// identity row aborts, a context row is informational, a wall row is
+// never drift, a deterministic row is.
+TEST(FieldTables, StreamReportRowsClassifyTheirFields) {
+  const Json a = full_report(12.5);
+  for (const FieldSpec& f : stream_report_fields()) {
+    const Json& v = a.at(f.key);
+    Json b = a;
+    if (v.is_bool()) b.set(f.key, !v.as_bool());
+    else if (v.is_string()) b.set(f.key, v.as_string() + "0");
+    else b.set(f.key, 2.0 * v.as_number() + 1.0);
+    if (f.cls == FieldClass::kIdentity) {
+      EXPECT_THROW(compare_stream_reports(a, b, defaults()), check_error)
+          << f.key;
+      continue;
+    }
+    const CompareReport rep = compare_stream_reports(a, b, defaults());
+    EXPECT_EQ(rep.drift, f.cls == FieldClass::kDeterministic ? 1u : 0u)
+        << f.key;
+    EXPECT_EQ(rep.context_diffs, f.cls == FieldClass::kContext ? 1u : 0u)
+        << f.key;
+  }
+}
+
+// No key is classified by its spelling: an undeclared key spelled like a
+// timing is deterministic, and cube_slots is the context its row says.
+TEST(FieldTables, SpellingDoesNotClassify) {
+  Json a = stream_report(1, 100, 10.0, 2000.0);
+  Json b = stream_report(1, 100, 10.0, 2000.0);
+  a.set("latency_ms", 1.0);
+  b.set("latency_ms", 2.0);
+  a.set("cube_slots", std::uint64_t{256});
+  b.set("cube_slots", std::uint64_t{0});
+  const CompareReport rep = compare_stream_reports(a, b, defaults());
+  EXPECT_EQ(rep.drift, 1u);
+  EXPECT_EQ(rep.context_diffs, 1u);
+  ASSERT_EQ(rep.diffs.size(), 2u);
+  EXPECT_EQ(rep.diffs[0].path, "latency_ms");
+  EXPECT_EQ(rep.diffs[0].cls, FieldClass::kDeterministic);
+  EXPECT_EQ(rep.diffs[1].path, "cube_slots");
+  EXPECT_EQ(rep.diffs[1].cls, FieldClass::kContext);
+  // A bench metric the harness does not declare is deterministic too.
+  const auto with_setup_ms = [](double ms) {
+    Json c = bench_case("threads=1", 100.0, 10.0, 20000, 1000.0);
+    Json m = c.at("metrics");
+    m.set("setup ms", ms);
+    c.set("metrics", m);
+    Json cases = Json::array();
+    cases.push_back(c);
+    Json section = Json::object();
+    section.set("name", "threads");
+    section.set("cases", cases);
+    Json sections = Json::array();
+    sections.push_back(section);
+    Json doc = bench_run(100.0, 10.0, 20000, 1000.0);
+    doc.set("sections", sections);
+    return doc;
+  };
+  EXPECT_EQ(
+      compare_bench_runs(with_setup_ms(1.0), with_setup_ms(2.0), defaults())
+          .drift,
+      1u);
+}
+
+TEST(FieldTables, StatsLinesCarryExactlyTheirDeclaredKeys) {
+  std::ostringstream out;
+  StatsSnapshotter snap(out, 1);
+  snap.write_header(2, 1, 1, 0, false);
+  snap.write_sample(0, 0, CubeCounters{}, StageTimes{});
+  snap.write_cube(Point{0, 0}, CubeCounters{}, LatencyHistogram{});
+  snap.write_final(0, 0, CubeCounters{}, StageTimes{});
+  std::istringstream in(out.str());
+  std::vector<std::string> kinds;
+  for (std::string text; std::getline(in, text);) {
+    const Json line = Json::parse(text);
+    kinds.push_back(line.at("kind").as_string());
+    EXPECT_EQ(keys_of(line), keys_of(stats_fields(kinds.back())))
+        << kinds.back();
+  }
+  EXPECT_EQ(kinds,
+            (std::vector<std::string>{"header", "sample", "cube", "final"}));
+  EXPECT_TRUE(stats_fields("later").empty());
+  // compare_stats_streams looks every line up in one union of the kinds'
+  // tables, so no key may have two classes.
+  std::map<std::string, FieldClass> cls;
+  for (const std::string& kind : kinds)
+    for (const FieldSpec& f : stats_fields(kind))
+      EXPECT_EQ(cls.emplace(f.key, f.cls).first->second, f.cls) << f.key;
+}
+
+// Two exports of one run at different wall times differ exactly in the
+// events span_export_fields declares wall, and each of those is there.
+TEST(FieldTables, SpanExportDiffersOnlyInItsDeclaredWallEvents) {
+  const Json a = Json::parse(full_run().chrome_a);
+  const Json b = Json::parse(full_run().chrome_b);
+  ASSERT_EQ(a.size(), b.size());
+  std::vector<std::string> differing;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!(a.at(i) == b.at(i)))
+      differing.push_back(a.at(i).at("name").as_string());
+  EXPECT_EQ(differing, keys_of(span_export_fields()));
+  for (const FieldSpec& f : span_export_fields())
+    EXPECT_EQ(f.cls, FieldClass::kWall) << f.key;
+  EXPECT_TRUE(compare_span_traces(a, b, defaults()).clean());
 }
 
 }  // namespace

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/compare.h"
+#include "exp/compare.h"
 #include "obs/counters.h"
 #include "obs/prof.h"
 #include "obs/snapshot.h"
@@ -289,8 +289,8 @@ std::vector<std::string> split_lines(const std::string& text) {
   return lines;
 }
 
-// A sample/final line up to (excluding) its Tier-B suffix — every
-// Tier-B key ends in `_ms` or starts `wall_`, and the serializer emits
+// A sample/final line up to (excluding) its wall block — stats_fields
+// declares the stage times and wall_rss_kb wall, and the writer emits
 // them last, so cutting at `,"stage_` leaves exactly the Tier-A prefix.
 std::string tier_a_prefix(const std::string& line) {
   const std::size_t cut = line.find(",\"stage_");
@@ -387,7 +387,7 @@ TEST(Snapshotter, TierALinesAreThreadCountInvariant) {
   const auto two = split_lines(snapshot_run(jobs, 2, 2));
   ASSERT_EQ(one.size(), two.size());
   // Skip the header (it names the thread count by design); compare
-  // every other line with the Tier-B wall suffix stripped.
+  // every other line with its wall block stripped.
   for (std::size_t i = 1; i < one.size(); ++i)
     EXPECT_EQ(tier_a_prefix(one[i]), tier_a_prefix(two[i])) << "line " << i;
 }
@@ -507,7 +507,7 @@ std::string span_temp_file(const char* name, const std::string& bytes) {
 // The PR's acceptance bar: a saturating scenario's exported trace —
 // spool AND Chrome JSON — is byte-identical across thread counts {1,2,8}
 // and batch sizes {32,256}. wall_ms is pinned to 0 here; the CLI-level
-// guard skips the wall line instead (obs/compare.h, kind=spans).
+// guard skips the wall line instead (exp/compare.h, kind=spans).
 TEST(SpanDeterminism, ExportsBitIdenticalAcrossThreadsAndBatches) {
   const auto jobs = test_stream(32, 1500, 23);
   const SpanRun ref = span_run(jobs, 1, 32, 1, 0);

@@ -5,9 +5,11 @@
 // failure (bad input files, failed jobs, comparator drift), 2 usage
 // (malformed or unknown flags — usage_error from util/check.h).
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -21,20 +23,21 @@
 #include "core/algorithm1.h"
 #include "core/bounds.h"
 #include "core/offline_planner.h"
+#include "exp/compare.h"
 #include "exp/harness.h"
 #include "util/json.h"
 #include "exp/scenario.h"
 #include "exp/suites.h"
-#include "obs/compare.h"
-#include "obs/counters.h"
 #include "obs/prof.h"
 #include "obs/snapshot.h"
 #include "obs/span.h"
 #include "obs/span_export.h"
+#include "obs/stage_timer.h"
 #include "online/capacity_search.h"
 #include "record/mux.h"
 #include "record/recorder.h"
 #include "stream/engine.h"
+#include "stream/report.h"
 #include "stream/won_search.h"
 #include "trace/format.h"
 #include "trace/reader.h"
@@ -304,154 +307,48 @@ int cmd_fig41(const Args& args) {
   return 0;
 }
 
-// Served/failed *set* digests (util/digest.h) let two stream reports be
-// diffed for set equality without embedding the full index lists, and
-// let a report be audited against an on-disk outcome trace.
-std::string index_set_hash(const std::vector<std::int64_t>& indices) {
-  return digest_hex(index_set_digest(indices));
+// Writes `doc` to `path`, pretty-printed; check_error when it cannot.
+void write_json(const Json& doc, const std::string& path) {
+  std::ofstream out(path);
+  CMVRP_CHECK_MSG(out.good(), "cannot open " << path);
+  out << doc.dump(2) << "\n";
+  out.flush();
+  CMVRP_CHECK_MSG(out.good(), "failed writing " << path);
 }
 
-constexpr const char* kStreamSchema = "cmvrp-stream-v5";
-
-const char* admission_name(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kUnbounded:
-      return "unbounded";
-    case AdmissionPolicy::kReject:
-      return "reject";
-    case AdmissionPolicy::kShed:
-      return "shed";
+// A table row per key of `doc`, under the key; fractions to 4 decimals.
+void key_rows(Table& t, const Json& doc,
+              std::initializer_list<const char*> keys) {
+  for (const char* key : keys) {
+    const Json& v = doc.at(key);
+    t.row().cell(key);
+    if (v.is_number() && v.as_number() != std::floor(v.as_number()))
+      t.cell(v.as_number());
+    else
+      t.cell(v.is_string() ? v.as_string() : v.dump());
   }
-  return "unknown";
 }
 
-// Shared report of every serving front end: ASCII table plus the
-// cmvrp-stream-v5 JSON artifact (v2 added admission config echo, shed /
-// rejected counts and hash, latency percentiles + digest, and the
-// timeseries summary; v3 added the Tier-A counter totals — messages by
-// kind, Phase I computation counts, cascade stats, admission gauges,
-// one counters_hash — plus Tier-B stage spans, which carry the *_ms /
-// wall_* naming the CI exclusion list strips; v4 writes one key per
-// kCounterFields row, which adds `arrivals`; v5 drops the routing
-// split, the parallel and serial batch counts, since every batch
-// routes in one serial pass). Exit code 0 iff no job failed or was
-// dropped.
-int report_stream(const Args& args, const StreamConfig& cfg,
-                  const StreamResult& r, double ms) {
-  const double jobs_per_sec =
-      ms > 0.0 ? 1000.0 * static_cast<double>(r.jobs_ingested) / ms : 0.0;
-
+// Shared report of every serving front end: a table of the report's
+// main rows, and with --json the whole report (stream/report.h). Exit
+// code 0 iff no job failed or was dropped.
+int report_stream(const Args& args, const StreamRun& run) {
+  const Json doc = stream_report_json(run);
   Table t({"metric", "value"});
-  t.row().cell("threads").cell(static_cast<std::int64_t>(cfg.threads));
-  t.row().cell("batch size").cell(cfg.batch_size);
-  t.row().cell("monitor stride").cell(cfg.online.monitor_stride);
-  t.row().cell("capacity W").cell(cfg.online.capacity);
-  t.row().cell("cube side").cell(cfg.online.cube_side);
-  t.row().cell("admission").cell(admission_name(cfg.online.admission));
-  t.row().cell("jobs").cell(r.jobs_ingested);
-  t.row().cell("batches").cell(r.batches);
-  t.row().cell("cubes").cell(r.cubes);
-  t.row().cell("cube slots").cell(static_cast<std::int64_t>(r.cube_slots));
-  t.row().cell("routing ms").cell(r.stages.route_ms);
-  t.row().cell("served").cell(r.metrics.jobs_served);
-  t.row().cell("failed").cell(r.metrics.jobs_failed);
-  t.row().cell("shed").cell(r.jobs_shed);
-  t.row().cell("rejected").cell(r.jobs_rejected);
-  t.row().cell("latency p50").cell(r.latency.percentile(50.0));
-  t.row().cell("latency p90").cell(r.latency.percentile(90.0));
-  t.row().cell("latency p99").cell(r.latency.percentile(99.0));
-  t.row().cell("latency max").cell(r.latency.observed_max());
-  t.row().cell("replacements").cell(r.metrics.replacements);
-  t.row().cell("messages total").cell(r.metrics.network.total());
-  const double mpr = r.counters.messages_per_replacement();
-  t.row().cell("messages/replacement").cell(mpr);
-  if (cfg.online.obs.counters) {
-    t.row().cell("max queries/computation").cell(
-        r.counters.max_queries_per_comp);
-    t.row().cell("cascade p99").cell(r.counters.cascade.percentile(99.0));
-  }
-  if (cfg.online.obs.spans) {
-    t.row().cell("span records").cell(r.counters.spans_emitted);
-    t.row().cell("spans sampled out").cell(r.counters.spans_sampled_out);
-    t.row().cell("span ring evictions").cell(r.counters.spans_ring_evicted);
-  }
-  t.row().cell("max energy spent").cell(r.metrics.max_energy_spent);
-  t.row().cell("wall ms").cell(ms);
-  t.row().cell("jobs/sec").cell(jobs_per_sec);
+  key_rows(t, doc,
+           {"threads", "batch_size", "monitor_stride", "capacity",
+            "cube_side", "admission", "jobs", "batches", "cubes", "cube_slots",
+            "stage_route_ms", "served", "failed", "shed", "rejected",
+            "latency_p50", "latency_p90", "latency_p99", "latency_max",
+            "replacements", "messages", "messages_per_replacement",
+            "flood_msgs_per_replacement", "heartbeats_per_job",
+            "max_queries_per_comp", "cascade_p99", "spans_emitted",
+            "spans_sampled_out", "spans_ring_evicted", "max_energy",
+            "wall_ms", "jobs_per_sec"});
   t.print(std::cout);
-
-  if (args.has("json")) {
-    Json doc = Json::object();
-    doc.set("schema", kStreamSchema);
-    doc.set("threads", static_cast<std::int64_t>(cfg.threads));
-    doc.set("batch_size", cfg.batch_size);
-    doc.set("monitor_stride", cfg.online.monitor_stride);
-    doc.set("capacity", cfg.online.capacity);
-    doc.set("cube_side", cfg.online.cube_side);
-    doc.set("seed", static_cast<std::uint64_t>(cfg.online.seed));
-    doc.set("admission", admission_name(cfg.online.admission));
-    doc.set("queue_limit", cfg.online.queue_limit);
-    doc.set("service_ticks", cfg.online.service_ticks);
-    doc.set("sample_stride", cfg.online.sample_stride);
-    doc.set("jobs", r.jobs_ingested);
-    doc.set("batches", r.batches);
-    doc.set("cubes", r.cubes);
-    doc.set("cube_slots", static_cast<std::int64_t>(r.cube_slots));
-    doc.set("routing_ms", r.stages.route_ms);
-    // Tier-A counter totals, one key per CubeCounters row (deterministic,
-    // guarded by the CI counter-diff): messages by kind, Phase I
-    // computations, the served / failed / shed / rejected partition of
-    // the arrivals, admission gauges and span bookkeeping. The obs-gated
-    // rows are zero when obs_counters is false, the span rows unless
-    // --trace-spans turned the recorders on.
-    for (const CounterField& f : kCounterFields)
-      doc.set(f.key, r.counters.*f.member);
-    doc.set("served_hash", index_set_hash(r.served_jobs));
-    doc.set("failed_hash", index_set_hash(r.failed_jobs));
-    doc.set("shed_hash", index_set_hash(r.shed_jobs));
-    doc.set("latency_count", r.latency.count());
-    doc.set("latency_p50", r.latency.percentile(50.0));
-    doc.set("latency_p90", r.latency.percentile(90.0));
-    doc.set("latency_p99", r.latency.percentile(99.0));
-    doc.set("latency_max", r.latency.observed_max());
-    doc.set("latency_hash", digest_hex(r.latency.digest()));
-    doc.set("ts_cubes", r.timeseries.cubes_sampled);
-    doc.set("ts_samples", r.timeseries.samples);
-    doc.set("ts_max_queue_depth", r.timeseries.max_queue_depth);
-    doc.set("ts_max_occupancy_pm", r.timeseries.max_occupancy_pm);
-    doc.set("ts_hash", digest_hex(r.timeseries.digest));
-    doc.set("messages", r.metrics.network.total());
-    doc.set("obs_counters", cfg.online.obs.counters);
-    doc.set("obs_spans", cfg.online.obs.spans);
-    doc.set("span_sample", cfg.online.obs.span_sample);
-    doc.set("flight", cfg.online.obs.flight);
-    doc.set("cascade_count", r.counters.cascade.count());
-    doc.set("cascade_p50", r.counters.cascade.percentile(50.0));
-    doc.set("cascade_p99", r.counters.cascade.percentile(99.0));
-    doc.set("cascade_max", r.counters.cascade.observed_max());
-    doc.set("cascade_hash", digest_hex(r.counters.cascade.digest()));
-    doc.set("messages_per_replacement", mpr);
-    doc.set("counters_hash", digest_hex(r.counters.digest()));
-    doc.set("max_energy", r.metrics.max_energy_spent);
-    // Tier-B wall spans (nondeterministic by design; the *_ms suffix /
-    // wall_ prefix keeps them out of the CI round-trip diffs).
-    doc.set("stage_ingest_ms", r.stages.ingest_ms);
-    doc.set("stage_route_ms", r.stages.route_ms);
-    doc.set("stage_serve_ms", r.stages.serve_ms);
-    doc.set("stage_fold_ms", r.stages.fold_ms);
-    doc.set("stage_monitor_ms", r.stages.monitor_ms);
-    doc.set("wall_ms", ms);
-    doc.set("jobs_per_sec", jobs_per_sec);
-    std::ofstream out(args.get("json", ""));
-    CMVRP_CHECK_MSG(out.good(), "cannot open --json path");
-    out << doc.dump(2) << "\n";
-    out.flush();
-    CMVRP_CHECK_MSG(out.good(), "failed writing --json artifact");
-  }
-  return r.metrics.jobs_failed == 0 && r.jobs_shed == 0 &&
-                 r.jobs_rejected == 0
-             ? 0
-             : 1;
+  if (args.has("json")) write_json(doc, args.get("json", ""));
+  const StreamResult& r = run.result;
+  return r.metrics.jobs_failed + r.jobs_shed + r.jobs_rejected == 0 ? 0 : 1;
 }
 
 // Engine config shared by every serving front end: explicit
@@ -696,7 +593,7 @@ int serve_and_report(const Args& args, int dim, const StreamConfig& cfg,
   const double ms = timer.elapsed_ms();
   if (recorder) finish_recording(*recorder, r);
   stats.close(args);
-  const int rc = report_stream(args, cfg, r, ms);
+  const int rc = report_stream(args, StreamRun{cfg, r, ms});
   spans.finish(engine, ms, rc == 0);
   return rc;
 }
@@ -983,42 +880,19 @@ int cmd_stats(const Args& args) {
   std::cout << "stats schema: " << header.at("schema").as_string()
             << " (reader supports " << kStatsSchema << ")\n";
 
-  const Json& f = doc.final_line;
   Table t({"metric", "value"});
-  t.row().cell("dim").cell(
-      static_cast<std::int64_t>(header.at("dim").as_number()));
-  t.row().cell("threads").cell(
-      static_cast<std::int64_t>(header.at("threads").as_number()));
-  t.row().cell("batch size").cell(
-      static_cast<std::int64_t>(header.at("batch_size").as_number()));
-  t.row().cell("counters").cell(header.at("counters").as_bool() ? "on"
-                                                                : "off");
+  key_rows(t, doc.header, {"dim", "threads", "batch_size", "counters"});
   t.row().cell("samples / cubes").cell(
       std::to_string(doc.samples.size()) + " / " +
       std::to_string(doc.cubes.size()));
-  t.row().cell("jobs").cell(json_number_to_string(f.at("jobs").as_number()));
-  t.row().cell("served / failed").cell(
-      json_number_to_string(f.at("served").as_number()) + " / " +
-      json_number_to_string(f.at("failed").as_number()));
-  t.row().cell("messages (Q/R/M/H)").cell(
-      json_number_to_string(f.at("msg_queries").as_number()) + " / " +
-      json_number_to_string(f.at("msg_replies").as_number()) + " / " +
-      json_number_to_string(f.at("msg_moves").as_number()) + " / " +
-      json_number_to_string(f.at("msg_heartbeats").as_number()));
-  t.row().cell("replacements").cell(
-      json_number_to_string(f.at("replacements").as_number()));
-  t.row().cell("messages/replacement").cell(
-      f.at("messages_per_replacement").as_number());
-  t.row().cell("max queries/computation").cell(
-      json_number_to_string(f.at("max_queries_per_comp").as_number()));
-  t.row().cell("cascade p99 / max").cell(
-      json_number_to_string(f.at("cascade_p99").as_number()) + " / " +
-      json_number_to_string(f.at("cascade_max").as_number()));
+  key_rows(t, doc.final_line,
+           {"jobs", "served", "failed", "msg_queries", "msg_replies",
+            "msg_moves", "msg_heartbeats", "replacements",
+            "messages_per_replacement", "max_queries_per_comp", "cascade_p99",
+            "cascade_max"});
   // Tier-B stage breakdown (wall time; varies run to run by design).
-  const char* stages[] = {"stage_route_ms", "stage_serve_ms",
-                          "stage_fold_ms", "stage_monitor_ms"};
-  for (const char* s : stages) t.row().cell(s).cell(f.at(s).as_number());
-  t.row().cell("wall_rss_kb").cell(f.at("wall_rss_kb").as_number());
+  for (const StageField& s : kStageFields) key_rows(t, doc.final_line, {s.key});
+  key_rows(t, doc.final_line, {"wall_rss_kb"});
   t.print(std::cout);
 
   if (!doc.cubes.empty()) {
@@ -1146,43 +1020,26 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
-// Comparison thresholds shared by `compare` and `bench --baseline`.
+// Comparison options shared by `compare` and `bench --baseline`.
 CompareOptions compare_options_from_args(const Args& args) {
   CompareOptions opt;
-  opt.warn_ratio = args.get_double("warn-ratio", opt.warn_ratio);
   opt.fail_ratio = args.get_double("fail-ratio", opt.fail_ratio);
-  opt.min_wall_ms = args.get_double("min-wall-ms", opt.min_wall_ms);
-  opt.noise_sigmas = args.get_double("noise-sigmas", opt.noise_sigmas);
   opt.ignore = split_commas(args.get("ignore", ""));
-  CLI_USAGE_CHECK(opt.warn_ratio >= 1.0,
-                  "--warn-ratio must be >= 1, got " << opt.warn_ratio);
   CLI_USAGE_CHECK(opt.fail_ratio == 0.0 || opt.fail_ratio >= 1.0,
                   "--fail-ratio must be 0 (wall never fails) or >= 1, got "
                       << opt.fail_ratio);
-  CLI_USAGE_CHECK(opt.min_wall_ms >= 0.0,
-                  "--min-wall-ms must be >= 0, got " << opt.min_wall_ms);
-  CLI_USAGE_CHECK(opt.noise_sigmas >= 0.0,
-                  "--noise-sigmas must be >= 0, got " << opt.noise_sigmas);
   return opt;
 }
 
+// Prints the comparison; writes its diff document to `json_path` if set.
 void print_compare_report(const CompareReport& rep, const std::string& a,
-                          const std::string& b) {
+                          const std::string& b, const std::string& json_path) {
+  const Json doc = rep.to_json(a, b);
   Table t({"metric", "value"});
-  t.row().cell("kind").cell(compare_kind_name(rep.kind));
-  t.row().cell("A").cell(a);
-  t.row().cell("B").cell(b);
-  t.row().cell("fields compared").cell(rep.fields_compared);
-  t.row().cell("deterministic fields").cell(rep.deterministic_fields);
-  t.row().cell("wall fields").cell(rep.wall_fields);
-  t.row().cell("deterministic drift").cell(rep.drift);
-  t.row().cell("wall warns").cell(rep.warns);
-  t.row().cell("wall fails").cell(rep.wall_fails);
-  t.row().cell("context diffs").cell(rep.context_diffs);
-  if (!rep.worst_wall_field.empty())
-    t.row().cell("worst wall regression").cell(
-        rep.worst_wall_field + " x" +
-        json_number_to_string(rep.worst_wall_ratio));
+  key_rows(t, doc,
+           {"kind", "a", "b", "fields_compared", "deterministic_fields",
+            "wall_fields", "drift", "warns", "wall_fails", "context_diffs",
+            "worst_wall_field", "worst_wall_ratio"});
   t.print(std::cout);
 
   if (!rep.diffs.empty()) {
@@ -1208,25 +1065,15 @@ void print_compare_report(const CompareReport& rep, const std::string& a,
                     ? "\nclean: deterministic fields agree\n"
                     : "\nREGRESSION: deterministic drift or wall failure "
                       "detected\n");
+  if (!json_path.empty()) write_json(doc, json_path);
 }
 
-void write_diff_json(const CompareReport& rep, const std::string& path,
-                     const std::string& a, const std::string& b) {
-  std::ofstream out(path);
-  CMVRP_CHECK_MSG(out.good(), "cannot open diff report path: " << path);
-  out << rep.to_json(a, b).dump(2) << "\n";
-  out.flush();
-  CMVRP_CHECK_MSG(out.good(), "failed writing diff report: " << path);
-}
-
-// `compare`: the differential-observability front end (obs/compare.h).
+// `compare`: the differential-observability front end (exp/compare.h).
 // Exit 0 clean, 1 drift/regression or unreadable input, 2 usage.
 int cmd_compare(const Args& args) {
   CLI_USAGE_CHECK(args.positional.size() == 2,
                   "compare needs exactly two artifacts: compare A B "
-                  "[--kind auto|stream|stats|bench|spans] [--warn-ratio R] "
-                  "[--fail-ratio R] [--min-wall-ms M] [--noise-sigmas S] "
-                  "[--ignore k1,k2] [--json diff.json]; got "
+                  "[--flags] (see help); got "
                       << args.positional.size() << " positional arguments");
   const CompareKind kind = parse_compare_kind(args.get("kind", "auto"));
   const CompareOptions opt = compare_options_from_args(args);
@@ -1235,8 +1082,7 @@ int cmd_compare(const Args& args) {
   const CompareReport rep = compare_artifacts(read_text_file(a),
                                               read_text_file(b), kind, opt,
                                               a, b);
-  print_compare_report(rep, a, b);
-  if (args.has("json")) write_diff_json(rep, args.get("json", ""), a, b);
+  print_compare_report(rep, a, b, args.get("json", ""));
   return rep.exit_code();
 }
 
@@ -1287,10 +1133,8 @@ int cmd_bench(const Args& args) {
   const CompareReport rep = compare_bench_runs(baseline, fresh, opt);
   std::cout << "\nbaseline comparison (" << baseline_path
             << " -> fresh run):\n";
-  print_compare_report(rep, baseline_path, "<fresh run>");
-  if (args.has("diff-json"))
-    write_diff_json(rep, args.get("diff-json", ""), baseline_path,
-                    "<fresh run>");
+  print_compare_report(rep, baseline_path, "<fresh run>",
+                       args.get("diff-json", ""));
   return run_rc != 0 ? run_rc : rep.exit_code();
 }
 
@@ -1310,9 +1154,6 @@ const std::vector<Command>& commands() {
       "admission", "queue-limit", "service-ticks", "sample-stride",
       "trace-spans", "span-sample", "flight", "stats", "stats-stride",
       "record", "json"};
-  // compare_options_from_args.
-  static const std::vector<std::string> thresholds = {
-      "warn-ratio", "fail-ratio", "min-wall-ms", "noise-sigmas", "ignore"};
   static const std::vector<Command> table = {
       {"bounds", "offline bounds of a demand file (Thm 1.4.1)",
        {"file", "dim"}, {}, cmd_bounds},
@@ -1345,11 +1186,10 @@ const std::vector<Command>& commands() {
       {"prof", "analyze a --trace-spans export", {"file", "top"}, {},
        cmd_prof},
       {"compare", "structural diff of two artifacts (cmvrp-diff-v1)",
-       joined({"kind", "json"}, thresholds), {}, cmd_compare, true},
+       {"kind", "json", "fail-ratio", "ignore"}, {}, cmd_compare, true},
       {"bench", "run an experiment suite, or diff it against a --baseline",
-       joined({"suite", "reps", "warmup", "filter", "json", "baseline",
-               "diff-json"},
-              thresholds),
+       {"suite", "reps", "warmup", "filter", "json", "baseline", "diff-json",
+        "fail-ratio", "ignore"},
        {"list", "scenarios"}, cmd_bench},
   };
   return table;
